@@ -11,6 +11,7 @@ Z, omega(Z) = sum_j Z^j omega_j and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,8 +33,10 @@ class Chart:
         box = tuple(tuple(float(v) for v in pair) for pair in self.box)
         if not box:
             box = ((-1.0, 1.0),) * self.dim
-        if len(box) != self.dim or any(lo >= hi for lo, hi in box):
-            raise ValueError("box must give one (lo, hi) interval per axis")
+        if len(box) != self.dim or not all(
+            math.isfinite(hi - lo) and lo < hi for lo, hi in box
+        ):
+            raise ValueError("box must give one finite (lo, hi) interval with lo < hi per axis")
         object.__setattr__(self, "box", box)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:

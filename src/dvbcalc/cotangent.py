@@ -178,10 +178,6 @@ def canonical_two_form(point: Sequence[float], u: Sequence[float], v: Sequence[f
     return float(along_u - along_v)
 
 
-def _flat_cot(f: CotangentPoint) -> list[float]:
-    return list(f.x) + list(f.fiber) + list(f.cov_x) + list(f.cov_fiber)
-
-
 def pairing_potential(vals: Sequence[Scalar], n: int, k: int) -> Scalar:
     """P(x, psi, chi, Y) = <psi, Y>, the potential in the Liouville relation."""
     return sum(vals[n + i] * vals[2 * n + k + i] for i in range(k))
@@ -313,7 +309,7 @@ def diagram_check(f: CotangentPoint) -> tuple[CotangentPoint, CotangentPoint, fl
     direct = cotangent_flip(f)
     residual = max(
         float(np.max(np.abs(getattr(composite, name) - getattr(direct, name)), initial=0.0))
-        for name in ("x", "fiber", "cov_x", "cov_fiber")
+        for name, _ in CotangentPoint._fields
     )
     return composite, direct, residual
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .problem import ProblemSpec, SpecError, demo_spec_dict
+from .problem import ProblemSpec, SpecError, check_tolerance, demo_spec_dict
 from .report import build_report, check_lines, render_json
 from .suites import SUITES, run_suites
 
@@ -55,8 +55,8 @@ def run_verify(args) -> int:
         spec = _load_spec(args)
         if args.samples is not None and args.samples <= 0:
             raise SpecError("samples must be positive")
-        if args.tol is not None and not args.tol > 0:
-            raise SpecError("tolerance must be positive")
+        if args.tol is not None:
+            check_tolerance(args.tol)
         checks = run_suites(
             spec,
             suite_names=args.suite,

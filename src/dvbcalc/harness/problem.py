@@ -9,6 +9,7 @@ dimension at load time so malformed input fails before any suite runs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from ..charts import Chart, Connection, TrivialBundle
@@ -74,9 +75,7 @@ class ProblemSpec:
         seed = data.get("seed", DEFAULT_SEED)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise SpecError("seed must be a non-negative integer")
-        tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-        if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance < 0:
-            raise SpecError("tolerance must be a non-negative number")
+        tolerance = check_tolerance(data.get("tolerance", DEFAULT_TOLERANCE))
 
         return cls(
             chart=chart,
@@ -86,7 +85,7 @@ class ProblemSpec:
             dvb_shapes=shapes,
             samples=samples,
             seed=seed,
-            tolerance=float(tolerance),
+            tolerance=tolerance,
         )
 
     @classmethod
@@ -101,6 +100,17 @@ class ProblemSpec:
         return cls.from_dict(data)
 
 
+def check_tolerance(value) -> float:
+    """The one rule for a tolerance, from a spec or the command line: finite and > 0."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise SpecError("tolerance must be a finite positive number")
+    return float(value)
+
+
 def _load_chart(data) -> Chart:
     if data is None:
         raise SpecError("spec requires a chart")
@@ -112,7 +122,7 @@ def _load_chart(data) -> Chart:
     box = data.get("box", [])
     try:
         return Chart(dim, tuple(tuple(pair) for pair in box))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"chart.box: {err}") from err
 
 

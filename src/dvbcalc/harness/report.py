@@ -2,11 +2,14 @@
 
 Reports carry no timestamps; the same spec and seed produce byte-identical
 output.  Floats are rendered with 17 significant digits so residuals
-round-trip exactly.
+round-trip exactly; non-finite floats, which JSON cannot express, render
+as null.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,9 +52,9 @@ def _render(value, pieces: list[str]) -> None:
     elif isinstance(value, int):
         pieces.append(str(value))
     elif isinstance(value, float):
-        pieces.append(format(value, ".17g"))
+        pieces.append(format(value, ".17g") if math.isfinite(value) else "null")
     elif isinstance(value, str):
-        pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        pieces.append(json.dumps(value))
     elif value is None:
         pieces.append("null")
     elif isinstance(value, dict):

@@ -8,6 +8,7 @@ CheckResult per identity with the maximum absolute residual observed.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -83,19 +84,26 @@ class _Residuals:
     def __init__(self):
         self.max = 0.0
         self.count = 0
+        self.finite = True
 
     def add(self, value: float) -> None:
-        self.max = max(self.max, abs(float(value)))
+        value = abs(float(value))
+        if math.isfinite(value):
+            self.max = max(self.max, value)
+        else:
+            self.finite = False
         self.count += 1
 
     def result(self, name: str, suite: str, description: str, tol: float, **details) -> CheckResult:
+        # A non-finite residual fails the check and reads as the largest
+        # finite float, because JSON has no NaN or infinity.
         return CheckResult(
             name=name,
             suite=suite,
             description=description,
             samples=self.count,
-            max_residual=self.max,
-            passed=self.max <= tol,
+            max_residual=self.max if self.finite else sys.float_info.max,
+            passed=self.finite and self.max <= tol,
             details=details.get("details", {}),
         )
 
@@ -147,7 +155,15 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng, tol: float) -> list
         phi2 = dvb.DualAElement(shape, m, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b), mb.kappa)
         psi2 = dvb.DualBElement(shape, m, mb.kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
         ba = dvb.pair_duals_ba(phi2, psi2)
-        pairing.add(ba - (float(psi2.alpha @ phi2.a) - float(phi2.beta @ psi2.b)))
+        # The pairing must not depend on the d it is evaluated through.
+        d_ones = dvb.DvbElement(shape, m, phi2.a, psi2.b, np.ones(shape.dim_c))
+        through_ones = dvb.pair_b(psi2, d_ones) - dvb.pair_a(phi2, d_ones)
+        pairing.add(
+            max(
+                abs(ba - (float(psi2.alpha @ phi2.a) - float(phi2.beta @ psi2.b))),
+                abs(through_ones - ba),
+            )
+        )
         pairing.add(dvb.pair_duals_ab(phi2, psi2) + ba)
         pairing.add(dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2) - dvb.pair_duals_ab(phi2, psi2))
         pairing.add(dvb.pair_cstar_a(dvb.pairing_map_b(psi2), phi2) - dvb.pair_duals_ab(phi2, psi2))
@@ -218,7 +234,18 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[
         base = dvb.DvbElement(shape, m, a1, b1, _rand_vec(rng, shape.dim_c))
         other = dvb.DvbElement(shape, m, a1, b1, _rand_vec(rng, shape.dim_c))
         diff = dvb.core_difference(base, other)
-        routes.add(np.max(np.abs(diff - (base.c - other.c)), initial=0.0))
+        via_a = dvb.sub_over_a(base, other)
+        via_b = dvb.sub_over_b(base, other)
+        rebuilt_a = dvb.add_over_b(dvb.core_embed(shape, m, via_a.c), dvb.zero_over_a(shape, m, a1))
+        rebuilt_b = dvb.add_over_a(dvb.core_embed(shape, m, via_b.c), dvb.zero_over_b(shape, m, b1))
+        decomposed = dvb.elements_equal(via_a, rebuilt_a) and dvb.elements_equal(via_b, rebuilt_b)
+        routes.add(
+            max(
+                np.max(np.abs(via_a.c - diff), initial=0.0),
+                np.max(np.abs(via_b.c - diff), initial=0.0),
+                0.0 if decomposed else 1.0,
+            )
+        )
 
         psi = dvb.DualBElement(shape, m, kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
         recovered = sections.cstar_projection(psi)
@@ -603,10 +630,11 @@ def run_suites(
         rng = np.random.default_rng([effective_seed, index])
         try:
             checks.extend(runner(spec, effective_samples, rng, effective_tol))
-        except DomainError as exc:
-            # A spec map left its domain (log/division); report a failing
-            # check instead of crashing the run.  The residual is the largest
-            # finite float because JSON has no infinity.
+        except (DomainError, OverflowError) as exc:
+            # A spec map left its domain (log/division) or the float range
+            # (exp/power overflow); report a failing check instead of
+            # crashing the run.  The residual is the largest finite float
+            # because JSON has no infinity.
             checks.append(
                 CheckResult(
                     name="domain-error",

@@ -111,10 +111,6 @@ def deep_value(u: Scalar) -> float:
     return float(u)
 
 
-def value_of(u: Scalar) -> Scalar:
-    return u.value if isinstance(u, Jet) else u
-
-
 def partials_of(u: Scalar, arity: int) -> tuple[Scalar, ...]:
     if isinstance(u, Jet):
         if u.arity != arity:

@@ -21,39 +21,23 @@ from typing import Callable
 import numpy as np
 
 from .charts import Connection, TrivialBundle
-from .dvb import DvbShape
+from .dvb import DvbShape, Record
 from .sections import Grid, LinearSectionA, LinearSectionB, warp
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, jacobian
 
 
-def _vec(value, dim: int, label: str) -> np.ndarray:
-    arr = np.array(value, dtype=float).reshape(-1)
-    if arr.shape != (dim,):
-        raise DimensionMismatch(f"{label} must have length {dim}, got {arr.shape}")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class TangentPoint:
+class TangentPoint(Record):
     """Element (x, fiber; x_dot, fiber_dot) of T(A) for a trivialized bundle A.
 
     Outline: projects to the bundle point (x, fiber) and to the base
     tangent (x, x_dot); the core component is fiber_dot.
     """
 
-    x: np.ndarray
-    fiber: np.ndarray
-    x_dot: np.ndarray
-    fiber_dot: np.ndarray
+    __slots__ = ("x", "fiber", "x_dot", "fiber_dot")
+    _fields = (("x", "n"), ("fiber", "k"), ("x_dot", "n"), ("fiber_dot", "k"))
 
-    def __post_init__(self):
-        n = np.size(self.x)
-        k = np.size(self.fiber)
-        object.__setattr__(self, "x", _vec(self.x, n, "x"))
-        object.__setattr__(self, "fiber", _vec(self.fiber, k, "fiber"))
-        object.__setattr__(self, "x_dot", _vec(self.x_dot, n, "x_dot"))
-        object.__setattr__(self, "fiber_dot", _vec(self.fiber_dot, k, "fiber_dot"))
+    def __init__(self, x, fiber, x_dot, fiber_dot):
+        super().__init__(None, x, fiber, x_dot, fiber_dot)
 
     def bundle_point(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x, self.fiber
@@ -62,29 +46,20 @@ class TangentPoint:
         return self.x, self.x_dot
 
 
-@dataclass(frozen=True, eq=False)
-class CotangentPoint:
+class CotangentPoint(Record):
     """Element of T*(A): a covector (cov_x, cov_fiber) at the point (x, fiber)."""
 
-    x: np.ndarray
-    fiber: np.ndarray
-    cov_x: np.ndarray
-    cov_fiber: np.ndarray
+    __slots__ = ("x", "fiber", "cov_x", "cov_fiber")
+    _fields = (("x", "n"), ("fiber", "k"), ("cov_x", "n"), ("cov_fiber", "k"))
 
-    def __post_init__(self):
-        n = np.size(self.x)
-        k = np.size(self.fiber)
-        object.__setattr__(self, "x", _vec(self.x, n, "x"))
-        object.__setattr__(self, "fiber", _vec(self.fiber, k, "fiber"))
-        object.__setattr__(self, "cov_x", _vec(self.cov_x, n, "cov_x"))
-        object.__setattr__(self, "cov_fiber", _vec(self.cov_fiber, k, "cov_fiber"))
+    def __init__(self, x, fiber, cov_x, cov_fiber):
+        super().__init__(None, x, fiber, cov_x, cov_fiber)
 
     def bundle_point(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x, self.fiber
 
 
-@dataclass(frozen=True, eq=False)
-class ProlongationDual:
+class ProlongationDual(Record):
     """Functional on double tangent vectors sharing the base tangent (x, x_dot).
 
     Pairs (sigma_fiber, sigma_fiber_dot) against the (fiber, fiber_dot)
@@ -92,33 +67,11 @@ class ProlongationDual:
     projection.
     """
 
-    x: np.ndarray
-    x_dot: np.ndarray
-    sigma_fiber: np.ndarray
-    sigma_fiber_dot: np.ndarray
+    __slots__ = ("x", "x_dot", "sigma_fiber", "sigma_fiber_dot")
+    _fields = (("x", "n"), ("x_dot", "n"), ("sigma_fiber", "n"), ("sigma_fiber_dot", "n"))
 
-    def __post_init__(self):
-        n = np.size(self.x)
-        object.__setattr__(self, "x", _vec(self.x, n, "x"))
-        object.__setattr__(self, "x_dot", _vec(self.x_dot, n, "x_dot"))
-        object.__setattr__(self, "sigma_fiber", _vec(self.sigma_fiber, n, "sigma_fiber"))
-        object.__setattr__(self, "sigma_fiber_dot", _vec(self.sigma_fiber_dot, n, "sigma_fiber_dot"))
-
-
-def points_equal(p, q, tol: float = 0.0) -> bool:
-    if type(p) is not type(q):
-        return False
-    names = [f.name for f in p.__dataclass_fields__.values()]  # type: ignore[attr-defined]
-    for name in names:
-        u, v = getattr(p, name), getattr(q, name)
-        if u.shape != v.shape:
-            return False
-        if tol == 0.0:
-            if not np.array_equal(u, v):
-                return False
-        elif np.max(np.abs(u - v), initial=0.0) > tol:
-            return False
-    return True
+    def __init__(self, x, x_dot, sigma_fiber, sigma_fiber_dot):
+        super().__init__(None, x, x_dot, sigma_fiber, sigma_fiber_dot)
 
 
 # -- lifts to the double tangent bundle ---------------------------------------

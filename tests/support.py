@@ -1,62 +1,16 @@
-"""Shared random generators for the tests."""
+"""Shared random generators for the tests: the harness's own, plus a constant grid."""
 
 import numpy as np
 
-from dvbcalc import (
-    DvbShape,
-    Grid,
-    LinearSectionA,
-    LinearSectionB,
-    MatrixMap,
-    SmoothMap,
+from dvbcalc import Grid, LinearSectionA, LinearSectionB, MatrixMap, SmoothMap
+from dvbcalc.harness.suites import (  # noqa: F401
+    _matrix_map as matrix_map,
+    _poly_expr as poly_expr,
+    _poly_map as poly_map,
+    _rand_vec as rand_vec,
+    _random_grid as random_grid,
+    _random_shape as random_shape,
 )
-from dvbcalc.expressions import Add, Mul, Num, Var
-
-
-def rand_vec(rng, n):
-    return rng.uniform(-1.0, 1.0, n)
-
-
-def poly_expr(rng, dim, degree=2):
-    expr = Num(float(rng.uniform(-1.0, 1.0)))
-    if dim == 0:
-        return expr
-    for i in range(dim):
-        expr = Add(expr, Mul(Num(float(rng.uniform(-1.0, 1.0))), Var(i)))
-    if degree >= 2:
-        for _ in range(dim):
-            i, j = rng.integers(0, dim, 2)
-            expr = Add(expr, Mul(Mul(Num(float(rng.uniform(-1.0, 1.0))), Var(int(i))), Var(int(j))))
-    return expr
-
-
-def poly_map(rng, dim, codim, degree=2):
-    return SmoothMap(dim, tuple(poly_expr(rng, dim, degree) for _ in range(codim)))
-
-
-def matrix_map(rng, dim, rows, cols):
-    return MatrixMap.from_smooth_map(poly_map(rng, dim, rows * cols, degree=1), rows, cols)
-
-
-def random_shape(rng, max_dim=4, max_base=3):
-    dims = rng.integers(1, max_dim + 1, 3)
-    base = int(rng.integers(0, max_base + 1))
-    return DvbShape(int(dims[0]), int(dims[1]), int(dims[2]), base)
-
-
-def random_grid(rng, shape):
-    return Grid(
-        xi=LinearSectionB(
-            shape,
-            poly_map(rng, shape.base_dim, shape.dim_a, degree=1),
-            matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_b),
-        ),
-        eta=LinearSectionA(
-            shape,
-            poly_map(rng, shape.base_dim, shape.dim_b, degree=1),
-            matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_a),
-        ),
-    )
 
 
 def constant_grid(shape, x_value, y_value, lam, mu):

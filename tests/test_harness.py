@@ -129,6 +129,7 @@ def test_render_json_format():
         render_json({"bad": object()})
     rendered = render_json({"value": 1e-9})
     assert json.loads(rendered) == {"value": 1e-9}
+    assert render_json({"A\nB": [float("nan"), -float("inf")]}) == '{"A\\nB": [null, null]}\n'
 
 
 def test_check_result_as_dict_and_lines():
@@ -295,3 +296,75 @@ def test_seed_isolation_between_suites():
     )
     conn_only = [c.as_dict() for c in with_neighbors if c.suite == "connection"]
     assert conn_only == [c.as_dict() for c in alone]
+
+
+def _verify_spec(tmp_path, data, *argv):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = cli.main(
+        ["verify", str(spec_path), "--quiet", "--json-out", str(report_path), *argv]
+    )
+    return code, report_path
+
+
+def _reject_constant(name):
+    raise ValueError(f"report contains {name}")
+
+
+def test_cli_non_finite_residuals_fail(tmp_path):
+    # The field overflows to inf, so the bracket residuals are NaN.
+    data = {"chart": {"dim": 2}, "fields": {"X": ["x0*1e308*10", "x1"], "Y": ["x1", "x0"]}}
+    code, report_path = _verify_spec(tmp_path, data, "--samples", "4")
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    bracket = {c["name"]: c for c in report["checks"] if c["suite"] == "bracket"}
+    assert not bracket["field-pairs"]["passed"]
+    assert bracket["field-pairs"]["max_residual"] == sys.float_info.max
+    assert bracket["random-polynomials"]["passed"]
+
+
+def test_cli_report_is_valid_json_for_odd_names_and_values(tmp_path):
+    data = {"chart": {"dim": 2}, "fields": {"A\nB": ["x0*1e308*10", "x1"], "Y": ["x1", "x0"]}}
+    code, report_path = _verify_spec(tmp_path, data, "--suite", "bracket", "--samples", "4")
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    values = report["checks"][0]["details"]["first_point_values"]
+    assert set(values) == {"A\nB,Y", "Y,A\nB"}
+    assert None in values["A\nB,Y"]
+
+
+@pytest.mark.parametrize("expression", ["exp(exp(exp(exp(x0*10))))", "(x0+10)^400"])
+def test_cli_overflow_reported_as_domain_error(tmp_path, expression):
+    data = {
+        "chart": {"dim": 1, "box": [[0.5, 1.0]]},
+        "fields": {"X": [expression], "Y": ["1"]},
+        "samples": 3,
+    }
+    code, report_path = _verify_spec(tmp_path, data, "--suite", "bracket")
+    assert code == 1
+    [check] = json.loads(report_path.read_text(encoding="utf-8"))["checks"]
+    assert (check["name"], check["passed"]) == ("domain-error", False)
+    assert check["max_residual"] == sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "overrides, argv",
+    [
+        pytest.param({"tolerance": 0}, (), id="spec-tol-zero"),
+        pytest.param({"tolerance": float("nan")}, (), id="spec-tol-nan"),
+        pytest.param({"tolerance": float("inf")}, (), id="spec-tol-inf"),
+        pytest.param({}, ("--tol", "nan"), id="cli-tol-nan"),
+        pytest.param({}, ("--tol", "inf"), id="cli-tol-inf"),
+        pytest.param({"chart": {"dim": 1, "box": [[float("nan"), 1.0]]}}, (), id="box-nan"),
+        pytest.param({"chart": {"dim": 1, "box": [[-float("inf"), 1.0]]}}, (), id="box-inf"),
+        pytest.param({"chart": {"dim": 1, "box": [[-1e308, 1e308]]}}, (), id="box-width-overflows"),
+        pytest.param({"chart": {"dim": 1, "box": [[0, 10**400]]}}, (), id="box-int-overflows"),
+    ],
+)
+def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv):
+    data = {"chart": {"dim": 1}, "samples": 2, **overrides}
+    code, report_path = _verify_spec(tmp_path, data, *argv)
+    assert code == 2
+    assert "spec error:" in capsys.readouterr().err
+    assert not report_path.exists()
