@@ -200,45 +200,49 @@ def parse(text: str, dim: int) -> Expr:
 
 def max_var_index(expr: Expr) -> int:
     """Largest variable index used, or -1 for a constant expression."""
-    match expr:
-        case Num():
-            return -1
-        case Var(index):
-            return index
-        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
-            return max(max_var_index(l), max_var_index(r))
-        case Neg(arg) | Call(_, arg):
-            return max_var_index(arg)
-        case Pow(base, _):
-            return max_var_index(base)
+    kind = type(expr)
+    if kind is Var:
+        return expr.index
+    if kind is Num:
+        return -1
+    if kind in (Add, Mul, Sub, Div):
+        return max(max_var_index(expr.left), max_var_index(expr.right))
+    if kind in (Neg, Call):
+        return max_var_index(expr.arg)
+    if kind is Pow:
+        return max_var_index(expr.base)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def evaluate(expr: Expr, values: Sequence[Scalar]) -> Scalar:
-    """Evaluate over floats or jets; jets carry derivatives through."""
-    match expr:
-        case Num(v):
-            return v
-        case Var(i):
-            return values[i]
-        case Add(l, r):
-            return evaluate(l, values) + evaluate(r, values)
-        case Sub(l, r):
-            return evaluate(l, values) - evaluate(r, values)
-        case Mul(l, r):
-            return evaluate(l, values) * evaluate(r, values)
-        case Div(l, r):
-            num = evaluate(l, values)
-            den = evaluate(r, values)
-            if not isinstance(den, jets.Jet) and den == 0.0:
-                raise jets.DomainError("division by zero")
-            return num / den
-        case Neg(arg):
-            return -evaluate(arg, values)
-        case Pow(base, n):
-            return jets.powi(evaluate(base, values), n)
-        case Call(func, arg):
-            return getattr(jets, func)(evaluate(arg, values))
+    """Evaluate over floats or jets; jets carry derivatives through.
+
+    Nodes are matched by exact type, so an instance of a subclass of a
+    node class is rejected with ``TypeError`` like any other non-node.
+    """
+    kind = type(expr)
+    if kind is Var:
+        return values[expr.index]
+    if kind is Num:
+        return expr.value
+    if kind is Add:
+        return evaluate(expr.left, values) + evaluate(expr.right, values)
+    if kind is Mul:
+        return evaluate(expr.left, values) * evaluate(expr.right, values)
+    if kind is Sub:
+        return evaluate(expr.left, values) - evaluate(expr.right, values)
+    if kind is Div:
+        num = evaluate(expr.left, values)
+        den = evaluate(expr.right, values)
+        if not isinstance(den, jets.Jet) and den == 0.0:
+            raise jets.DomainError("division by zero")
+        return num / den
+    if kind is Neg:
+        return -evaluate(expr.arg, values)
+    if kind is Pow:
+        return jets.powi(evaluate(expr.base, values), expr.exponent)
+    if kind is Call:
+        return getattr(jets, expr.func)(evaluate(expr.arg, values))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

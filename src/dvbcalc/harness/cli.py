@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .problem import ProblemSpec, SpecError, check_tolerance, demo_spec_dict
 from .report import build_report, check_lines, render_json
 from .suites import SUITES, run_suites
@@ -57,13 +59,16 @@ def run_verify(args) -> int:
             raise SpecError("samples must be positive")
         if args.tol is not None:
             check_tolerance(args.tol)
-        checks = run_suites(
-            spec,
-            suite_names=args.suite,
-            samples=args.samples,
-            seed=args.seed,
-            tolerance=args.tol,
-        )
+        # Non-finite values fail their checks, so numpy's warnings about
+        # them would only add noise on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            checks = run_suites(
+                spec,
+                suite_names=args.suite,
+                samples=args.samples,
+                seed=args.seed,
+                tolerance=args.tol,
+            )
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

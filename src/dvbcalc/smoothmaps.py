@@ -29,6 +29,10 @@ class SmoothMap:
 
     domain_dim: int
     components: tuple[Expr, ...]
+    # (point bytes, Jacobian) of the last ``jacobian`` call; see there.
+    _last_jacobian: tuple[bytes, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -65,12 +69,25 @@ class SmoothMap:
 
 
 def jacobian(m: SmoothMap, point: Sequence[float]) -> np.ndarray:
-    """codomain_dim x domain_dim matrix of partials at ``point``."""
+    """codomain_dim x domain_dim matrix of partials at ``point``.
+
+    Each map keeps the Jacobian of its previous call, keyed by the exact
+    bytes of the float point (so ``0.0`` and ``-0.0`` are different points).
+    A call at that same point reuses it.  The result is always a fresh
+    array that the caller may modify.
+    """
     if len(point) != m.domain_dim:
         raise DimensionMismatch(
             f"expected point of dimension {m.domain_dim}, got {len(point)}"
         )
-    return jets.jet_jacobian(m.eval_generic, point)
+    values = [float(v) for v in point]
+    key = np.array(values, dtype=float).tobytes()
+    last = m._last_jacobian
+    if last is not None and last[0] == key:
+        return last[1].copy()
+    jac = jets.jet_jacobian(m.eval_generic, values)
+    object.__setattr__(m, "_last_jacobian", (key, jac))
+    return jac.copy()
 
 
 def directional_derivative(

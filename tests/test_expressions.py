@@ -120,6 +120,18 @@ def test_max_var_index():
     assert max_var_index(parse("x0 + sin(x4)", 5)) == 4
 
 
+class _SubNum(Num):
+    pass
+
+
+@pytest.mark.parametrize("node", [1.5, "x0", _SubNum(1.5)], ids=["float", "str", "subclass"])
+def test_walkers_reject_non_nodes(node):
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(node, [1.0])
+    with pytest.raises(TypeError, match="not an expression node"):
+        max_var_index(node)
+
+
 def test_to_string_round_trips_examples():
     for text, dim in [
         ("x0*x1 + sin(x0)", 2),

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -312,16 +313,32 @@ def _reject_constant(name):
     raise ValueError(f"report contains {name}")
 
 
+_NON_FINITE_SPEC = {"chart": {"dim": 2}, "fields": {"X": ["x0*1e308*10", "x1"], "Y": ["x1", "x0"]}}
+
+
 def test_cli_non_finite_residuals_fail(tmp_path):
     # The field overflows to inf, so the bracket residuals are NaN.
-    data = {"chart": {"dim": 2}, "fields": {"X": ["x0*1e308*10", "x1"], "Y": ["x1", "x0"]}}
-    code, report_path = _verify_spec(tmp_path, data, "--samples", "4")
+    code, report_path = _verify_spec(tmp_path, _NON_FINITE_SPEC, "--samples", "4")
     assert code == 1
     report = json.loads(report_path.read_text(encoding="utf-8"))
     bracket = {c["name"]: c for c in report["checks"] if c["suite"] == "bracket"}
     assert not bracket["field-pairs"]["passed"]
     assert bracket["field-pairs"]["max_residual"] == sys.float_info.max
     assert bracket["random-polynomials"]["passed"]
+
+
+def test_cli_non_finite_values_raise_no_runtime_warning(tmp_path):
+    # Non-finite values already fail their checks; numpy must not warn on the way.
+    code, report_path = _verify_spec(tmp_path, _NON_FINITE_SPEC, "--samples", "4")
+    expected = report_path.read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        strict_code, report_path = _verify_spec(tmp_path, _NON_FINITE_SPEC, "--samples", "4")
+    assert (strict_code, code) == (1, 1)
+    assert report_path.read_text(encoding="utf-8") == expected
+    report = json.loads(expected)
+    failing = [(c["suite"], c["name"]) for c in report["checks"] if not c["passed"]]
+    assert ("bracket", "field-pairs") in failing
 
 
 def test_cli_report_is_valid_json_for_odd_names_and_values(tmp_path):

@@ -57,6 +57,37 @@ def test_jacobian_against_finite_differences():
         assert np.allclose(exact, fd, rtol=1e-6, atol=1e-6)
 
 
+def test_jacobian_reuse_keys_on_signed_zero():
+    m = SmoothMap.parse(["x0^2"], 1)
+    assert not np.signbit(jacobian(m, [0.0])[0, 0])
+    assert np.signbit(jacobian(m, [-0.0])[0, 0])
+
+
+def test_jacobian_reuse_returns_fresh_arrays():
+    m = SmoothMap.parse(["x0*x1", "x0+x1"], 2)
+    first = jacobian(m, [2.0, 3.0])
+    first[:] = 99.0
+    assert jacobian(m, [2.0, 3.0]).tolist() == [[3.0, 2.0], [1.0, 1.0]]
+
+
+def test_jacobian_domain_error_is_not_reused():
+    m = SmoothMap.parse(["log(x0)"], 1)
+    for _ in range(2):
+        with pytest.raises(jets.DomainError):
+            jacobian(m, [-1.0])
+    assert jacobian(m, [2.0]).tolist() == [[0.5]]
+
+
+def test_jacobian_reuse_matches_fresh_map_bitwise():
+    texts = ["sin(x0*x1)", "exp(x1)/(2 + cos(x0))", "x0^3 - x1"]
+    m = SmoothMap.parse(texts, 2)
+    p, q = [0.3, -0.7], [0.3, -0.7000000000000001]
+    for point in (p, q, p):
+        fresh = SmoothMap.parse(texts, 2)
+        assert jacobian(m, point).tobytes() == jacobian(fresh, point).tobytes()
+        assert m == fresh
+
+
 def test_directional_derivative_example():
     f = SmoothMap.parse(["x0*x1"], 2)
     x_field = SmoothMap.parse(["x1", "x0"], 2)
