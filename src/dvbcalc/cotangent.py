@@ -34,7 +34,7 @@ import numpy as np
 from . import jets
 from .charts import Connection, TrivialBundle
 from .jets import Scalar
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, lie_bracket
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
 from .tangent import (
     CotangentPoint,
     LinearVectorField,
@@ -183,12 +183,7 @@ def pairing_potential(vals: Sequence[Scalar], n: int, k: int) -> Scalar:
     return sum(vals[n + i] * vals[2 * n + k + i] for i in range(k))
 
 
-def symplectic_checks(
-    bundle: TrivialBundle,
-    samples: int = 100,
-    rng: np.random.Generator | None = None,
-    seed: int = 42,
-) -> dict:
+def symplectic_checks(bundle: TrivialBundle, samples: int, rng: np.random.Generator) -> dict:
     """Residual maxima for the two symplectic properties of the flip.
 
     "antisymplectomorphism": the pullback along the flip of the canonical
@@ -196,8 +191,6 @@ def symplectic_checks(
     "liouville": the defect in flip*(lambda_A) + lambda_{A*} = dP.
     Both forms are evaluated through jets at uniform random points.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     n, k = bundle.chart.dim, bundle.fiber_dim
     size = 2 * (n + k)
     flip_fn = lambda vals: flip_coords(vals, n, k)
@@ -257,8 +250,7 @@ def ell_differential(mu: SmoothMap, x, kappa) -> CotangentPoint:
 
 def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> CotangentPoint:
     """Induced section of T*(T*M) attached to the tangent lift of Y: d ell_Y."""
-    if y_field.domain_dim != y_field.codomain_dim:
-        raise DimensionMismatch("expected a vector field on the chart")
+    _check_vector_field(y_field)
     return ell_differential(y_field, x, p)
 
 
@@ -275,8 +267,7 @@ def squarecap_complete_lift(
     Equals minus the Hamiltonian vector field of ell_X; in coordinates
     (-X(x), DX(x)^T p) under the pinned sharp sign.
     """
-    if x_field.domain_dim != x_field.codomain_dim:
-        raise DimensionMismatch("expected a vector field on the chart")
+    _check_vector_field(x_field)
     return negate_tangent(dnu_sharp(ell_differential(x_field, x, p), sign))
 
 

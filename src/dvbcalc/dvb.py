@@ -97,9 +97,6 @@ class DvbElement(Record):
     def __init__(self, shape: DvbShape, m, a, b, c):
         super().__init__(shape, m, a, b, c)
 
-    def outline(self):
-        return (self.a, self.b, self.m)
-
 
 class DualAElement(Record):
     """Element (m; a, beta, kappa) of the dual over the A side."""
@@ -110,9 +107,6 @@ class DualAElement(Record):
     def __init__(self, shape: DvbShape, m, a, beta, kappa):
         super().__init__(shape, m, a, beta, kappa)
 
-    def outline(self):
-        return (self.a, self.kappa, self.m)
-
 
 class DualBElement(Record):
     """Element (m; kappa, alpha, b) of the dual over the B side."""
@@ -122,9 +116,6 @@ class DualBElement(Record):
 
     def __init__(self, shape: DvbShape, m, kappa, alpha, b):
         super().__init__(shape, m, kappa, alpha, b)
-
-    def outline(self):
-        return (self.kappa, self.b, self.m)
 
 
 class IterBCElement(Record):
@@ -139,9 +130,6 @@ class IterBCElement(Record):
     def __init__(self, shape: DvbShape, m, kappa, beta, a):
         super().__init__(shape, m, kappa, beta, a)
 
-    def outline(self):
-        return (self.kappa, self.a, self.m)
-
 
 class IterACElement(Record):
     """Element (m; kappa, alpha, b) of the dual-over-A dualized again over C*.
@@ -154,9 +142,6 @@ class IterACElement(Record):
 
     def __init__(self, shape: DvbShape, m, kappa, alpha, b):
         super().__init__(shape, m, kappa, alpha, b)
-
-    def outline(self):
-        return (self.kappa, self.b, self.m)
 
 
 def elements_equal(x: Record, y: Record) -> bool:

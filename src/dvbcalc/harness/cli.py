@@ -3,7 +3,7 @@
 ``dvbcalc verify`` reads a JSON problem description (or the built-in demo),
 runs the requested suites and emits a deterministic JSON report.  Exit code
 0 means every check passed, 1 means at least one failed, 2 means the
-problem description could not be used.
+problem description could not be used or the report could not be written.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from .problem import ProblemSpec, SpecError, check_tolerance, demo_spec_dict
+from .problem import ProblemSpec, SpecError, demo_spec_dict
 from .report import build_report, check_lines, render_json
-from .suites import SUITES, run_suites
+from .suites import SUITES, resolve_run, run_suites
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,42 +55,31 @@ def _load_spec(args) -> ProblemSpec:
 def run_verify(args) -> int:
     try:
         spec = _load_spec(args)
-        if args.samples is not None and args.samples <= 0:
-            raise SpecError("samples must be positive")
-        if args.tol is not None:
-            check_tolerance(args.tol)
+        run = resolve_run(spec, args.suite, args.samples, args.seed, args.tol)
         # Non-finite values fail their checks, so numpy's warnings about
         # them would only add noise on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            checks = run_suites(
-                spec,
-                suite_names=args.suite,
-                samples=args.samples,
-                seed=args.seed,
-                tolerance=args.tol,
-            )
+            checks = run_suites(spec, *run)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
 
-    config = {
-        "suites": sorted(args.suite, key=lambda n: SUITES[n][0]) if args.suite else sorted(SUITES, key=lambda n: SUITES[n][0]),
-        "samples": spec.samples if args.samples is None else args.samples,
-        "seed": spec.seed if args.seed is None else args.seed,
-        "tolerance": spec.tolerance if args.tol is None else args.tol,
-    }
-    report = build_report(checks, config)
+    report = build_report(checks, run._asdict())
     rendered = render_json(report)
+
+    if args.json_out:
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
 
     if not args.quiet:
         for line in check_lines(checks):
             print(line)
         print(f"overall: {report['overall']}")
-
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
+    if not args.json_out:
         sys.stdout.write(rendered)
 
     return 0 if report["overall"] == "pass" else 1

@@ -46,6 +46,15 @@ class ProblemSpec:
     seed: int = DEFAULT_SEED
     tolerance: float = DEFAULT_TOLERANCE
 
+    def __post_init__(self):
+        # The rules for a run's settings, whether they come from a spec file
+        # or from command line overrides (see suites.resolve_run).
+        if not _is_int(self.samples) or self.samples < 1:
+            raise SpecError("samples must be a positive integer")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise SpecError("seed must be a non-negative integer")
+        object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
+
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
         if not isinstance(data, dict):
@@ -69,23 +78,15 @@ class ProblemSpec:
         connection = _load_connection(data.get("connection"), chart)
         shapes = _load_shapes(data.get("dvb_shapes"))
 
-        samples = data.get("samples", DEFAULT_SAMPLES)
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            raise SpecError("samples must be a positive integer")
-        seed = data.get("seed", DEFAULT_SEED)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise SpecError("seed must be a non-negative integer")
-        tolerance = check_tolerance(data.get("tolerance", DEFAULT_TOLERANCE))
-
         return cls(
             chart=chart,
             fields=fields,
             sections=sections,
             connection=connection,
             dvb_shapes=shapes,
-            samples=samples,
-            seed=seed,
-            tolerance=tolerance,
+            samples=data.get("samples", DEFAULT_SAMPLES),
+            seed=data.get("seed", DEFAULT_SEED),
+            tolerance=data.get("tolerance", DEFAULT_TOLERANCE),
         )
 
     @classmethod
@@ -111,13 +112,17 @@ def check_tolerance(value) -> float:
     return float(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_chart(data) -> Chart:
     if data is None:
         raise SpecError("spec requires a chart")
     if not isinstance(data, dict) or "dim" not in data:
         raise SpecError("chart must be an object with a dim")
     dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SpecError("chart.dim must be a positive integer")
     box = data.get("box", [])
     try:
@@ -152,7 +157,7 @@ def _load_connection(data, chart: Chart) -> Connection | None:
     k = data.get("fiber_dim")
     if k is None:
         k = len(forms[0]) if forms and isinstance(forms[0], list) else 0
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise SpecError("connection.fiber_dim must be a positive integer")
     flat: list[str] = []
     for j, matrix in enumerate(forms):
@@ -180,7 +185,7 @@ def _load_shapes(data) -> tuple[DvbShape, ...]:
         if (
             not isinstance(entry, list)
             or len(entry) != 4
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
+            or not all(_is_int(v) for v in entry)
         ):
             raise SpecError(f"dvb_shapes[{i}] must be four integers")
         try:

@@ -2,15 +2,18 @@
 
 Each suite draws its own deterministic random stream (seeded from the run
 seed and the suite's fixed index, so a subset run reproduces the same
-numbers), samples the identities it is responsible for, and reports one
-CheckResult per identity with the maximum absolute residual observed.
+numbers), samples the identities it is responsible for, and returns one
+_Residuals per identity holding the maximum absolute residual observed.
+run_suites turns each into a CheckResult under the suite's name and the
+run's tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Sequence
+from dataclasses import replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from ..charts import Chart, Connection, TrivialBundle
 from ..expressions import Add, Mul, Num, Var
 from ..jets import DomainError, jet_directional
 from ..smoothmaps import MatrixMap, SmoothMap, directional_derivative, jacobian, lie_bracket
-from .problem import ProblemSpec
+from .problem import ProblemSpec, SpecError
 from .report import CheckResult
 
 
@@ -81,43 +84,83 @@ def _random_connection(rng, chart: Chart, fiber_dim: int) -> Connection:
 
 
 class _Residuals:
-    def __init__(self):
+    """One check: the largest absolute residual over its samples.
+
+    An exact check passes only with residual 0, whatever the run tolerance.
+    """
+
+    def __init__(self, name: str, description: str, exact: bool = False):
+        self.name = name
+        self.description = description
+        self.exact = exact
+        self.details: dict = {}
         self.max = 0.0
         self.count = 0
         self.finite = True
 
-    def add(self, value: float) -> None:
-        value = abs(float(value))
-        if math.isfinite(value):
-            self.max = max(self.max, value)
-        else:
-            self.finite = False
-        self.count += 1
+    def add(self, *parts) -> None:
+        """Record one sample: the largest absolute entry of its parts.
 
-    def result(self, name: str, suite: str, description: str, tol: float, **details) -> CheckResult:
+        A part is a float, a numpy scalar or an array; an empty array
+        counts as 0.  A non-finite part fails the check.
+        """
+        self.count += 1
+        for part in parts:
+            if isinstance(part, float):
+                value = abs(part)
+            else:
+                part = np.abs(part)
+                value = part.max() if part.size else 0.0
+            if not value <= self.max:
+                if math.isfinite(value):
+                    self.max = float(value)
+                else:
+                    self.finite = False
+
+    def passes(self, tol: float) -> bool:
+        return self.finite and self.max <= tol
+
+    def result(self, suite: str, tol: float) -> CheckResult:
         # A non-finite residual fails the check and reads as the largest
         # finite float, because JSON has no NaN or infinity.
         return CheckResult(
-            name=name,
+            name=self.name,
             suite=suite,
-            description=description,
+            description=self.description,
             samples=self.count,
             max_residual=self.max if self.finite else sys.float_info.max,
-            passed=self.finite and self.max <= tol,
-            details=details.get("details", {}),
+            passed=self.passes(0.0 if self.exact else tol),
+            details=self.details,
         )
+
+
+class _SignGuard(_Residuals):
+    """A check that must also fail, by more than 100 tolerances, under the flipped sign."""
+
+    def __init__(self, name: str, description: str):
+        super().__init__(name, description)
+        self.details = {"max_flipped_residual": 0.0}
+
+    def add_flipped(self, value: float) -> None:
+        self.details["max_flipped_residual"] = max(self.details["max_flipped_residual"], abs(value))
+
+    def passes(self, tol: float) -> bool:
+        return super().passes(tol) and self.details["max_flipped_residual"] > 100 * tol
 
 
 # -- suite: duality-solve --------------------------------------------------------
 
-def _run_duality_solve(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "duality-solve"
+def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     shapes = spec.dvb_shapes
-    solve = _Residuals()
-    defining = _Residuals()
-    round_trip = _Residuals()
-    second_iso = _Residuals()
-    pairing = _Residuals()
+    solve = _Residuals("solve-vs-closed-form",
+                       "brute-force duality solve matches the closed-form isomorphism")
+    defining = _Residuals("defining-identity",
+                          "iterated-dual pairing plus A-pairing equals the B-pairing")
+    round_trip = _Residuals("iso-round-trips", "both dual isomorphisms invert exactly")
+    second_iso = _Residuals("second-iso-duality",
+                            "the B-side isomorphism is dual over C* to the A-side one")
+    pairing = _Residuals("dual-pairing",
+                         "pairing of duals: decomposed formula, sign conventions, induced maps")
 
     for i in range(samples):
         shape = shapes[i % len(shapes)]
@@ -127,13 +170,7 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng, tol: float) -> list
         )
         phi = dvb.dual_iso_a(mb)
         solved = dvb.solve_dual_iso_a(mb)
-        solve.add(
-            max(
-                np.max(np.abs(solved.a - phi.a), initial=0.0),
-                np.max(np.abs(solved.beta - phi.beta), initial=0.0),
-                np.max(np.abs(solved.kappa - phi.kappa), initial=0.0),
-            )
-        )
+        solve.add(solved.a - phi.a, solved.beta - phi.beta, solved.kappa - phi.kappa)
 
         psi = dvb.DualBElement(shape, m, mb.kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
         d = dvb.DvbElement(shape, m, phi.a, psi.b, _rand_vec(rng, shape.dim_c))
@@ -159,10 +196,8 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng, tol: float) -> list
         d_ones = dvb.DvbElement(shape, m, phi2.a, psi2.b, np.ones(shape.dim_c))
         through_ones = dvb.pair_b(psi2, d_ones) - dvb.pair_a(phi2, d_ones)
         pairing.add(
-            max(
-                abs(ba - (float(psi2.alpha @ phi2.a) - float(phi2.beta @ psi2.b))),
-                abs(through_ones - ba),
-            )
+            ba - (float(psi2.alpha @ phi2.a) - float(phi2.beta @ psi2.b)),
+            through_ones - ba,
         )
         pairing.add(dvb.pair_duals_ab(phi2, psi2) + ba)
         pairing.add(dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2) - dvb.pair_duals_ab(phi2, psi2))
@@ -172,30 +207,24 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng, tol: float) -> list
             + dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2)
         )
 
-    return [
-        solve.result("solve-vs-closed-form", suite,
-                     "brute-force duality solve matches the closed-form isomorphism", tol),
-        defining.result("defining-identity", suite,
-                        "iterated-dual pairing plus A-pairing equals the B-pairing", tol),
-        round_trip.result("iso-round-trips", suite,
-                          "both dual isomorphisms invert exactly", tol),
-        second_iso.result("second-iso-duality", suite,
-                          "the B-side isomorphism is dual over C* to the A-side one", tol),
-        pairing.result("dual-pairing", suite,
-                       "pairing of duals: decomposed formula, sign conventions, induced maps", tol),
-    ]
+    return [solve, defining, round_trip, second_iso, pairing]
 
 
 # -- suite: warp-pairing ----------------------------------------------------------
 
-def _run_warp_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "warp-pairing"
-    identity = _Residuals()
-    swap = _Residuals()
-    defining = _Residuals()
-    interchange = _Residuals()
-    routes = _Residuals()
-    projection = _Residuals()
+def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    identity = _Residuals("pairing-identity",
+                          "squarecap pairing of a grid equals kappa against minus the warp")
+    swap = _Residuals("swap-negation",
+                      "exchanging the grid's sections negates the warp and the pairing")
+    defining = _Residuals("squarecap-defining",
+                          "squarecaps reproduce the linear functions of their sections")
+    interchange = _Residuals("interchange-law",
+                             "the two additions commute on integer-valued samples", exact=True)
+    routes = _Residuals("core-difference-routes",
+                        "both subtraction routes produce the same core vector", exact=True)
+    projection = _Residuals("cstar-projection",
+                            "the C* projection is recovered by pairing with carried core vectors")
 
     for i in range(samples):
         shape = spec.dvb_shapes[i % len(spec.dvb_shapes)]
@@ -210,7 +239,7 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[
         lhs2, rhs2 = sections.warp_pairing_check(flipped, m, kappa)
         swap.add(lhs2 + lhs)
         swap.add(rhs2 + rhs)
-        swap.add(np.max(np.abs(sections.warp(flipped, m) + sections.warp(grid, m)), initial=0.0))
+        swap.add(sections.warp(flipped, m) + sections.warp(grid, m))
 
         cap_b = sections.squarecap_b(grid.xi, m, kappa)
         cap_a = sections.squarecap_a(grid.eta, m, kappa)
@@ -239,13 +268,7 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[
         rebuilt_a = dvb.add_over_b(dvb.core_embed(shape, m, via_a.c), dvb.zero_over_a(shape, m, a1))
         rebuilt_b = dvb.add_over_a(dvb.core_embed(shape, m, via_b.c), dvb.zero_over_b(shape, m, b1))
         decomposed = dvb.elements_equal(via_a, rebuilt_a) and dvb.elements_equal(via_b, rebuilt_b)
-        routes.add(
-            max(
-                np.max(np.abs(via_a.c - diff), initial=0.0),
-                np.max(np.abs(via_b.c - diff), initial=0.0),
-                0.0 if decomposed else 1.0,
-            )
-        )
+        routes.add(via_a.c - diff, via_b.c - diff, 0.0 if decomposed else 1.0)
 
         psi = dvb.DualBElement(shape, m, kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
         recovered = sections.cstar_projection(psi)
@@ -254,49 +277,33 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[
             carried = dvb.add_over_a(dvb.zero_over_b(shape, m, psi.b), core)
             projection.add(dvb.pair_b(psi, carried) - recovered[j])
 
-    return [
-        identity.result("pairing-identity", suite,
-                        "squarecap pairing of a grid equals kappa against minus the warp", tol),
-        swap.result("swap-negation", suite,
-                    "exchanging the grid's sections negates the warp and the pairing", tol),
-        defining.result("squarecap-defining", suite,
-                        "squarecaps reproduce the linear functions of their sections", tol),
-        interchange.result("interchange-law", suite,
-                           "the two additions commute on integer-valued samples", 0.0),
-        routes.result("core-difference-routes", suite,
-                      "both subtraction routes produce the same core vector", 0.0),
-        projection.result("cstar-projection", suite,
-                          "the C* projection is recovered by pairing with carried core vectors", tol),
-    ]
+    return [identity, swap, defining, interchange, routes, projection]
 
 
 # -- suite: bracket ----------------------------------------------------------------
 
-def _run_bracket(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "bracket"
-    checks: list[CheckResult] = []
+def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    checks: list[_Residuals] = []
 
     names = list(spec.fields)
     pairs = [(a, b) for a in names for b in names if a != b]
     if pairs:
-        res = _Residuals()
+        res = _Residuals("field-pairs", "warp of the double tangent grid equals the coordinate bracket")
         first_values: dict[str, list[float]] = {}
+        res.details["first_point_values"] = first_values
         points = [spec.chart.sample(rng) for _ in range(max(1, samples // max(1, len(pairs))))]
         for a, b in pairs:
             x_field, y_field = spec.fields[a], spec.fields[b]
             for idx, point in enumerate(points):
                 via_warp = tangent.lie_bracket_via_warp(x_field, y_field, point)
                 direct = lie_bracket(x_field, y_field, point)
-                res.add(np.max(np.abs(via_warp - direct), initial=0.0))
+                res.add(via_warp - direct)
                 if idx == 0:
                     first_values[f"{a},{b}"] = [float(v) for v in via_warp]
-        checks.append(
-            res.result("field-pairs", suite,
-                       "warp of the double tangent grid equals the coordinate bracket",
-                       tol, details={"first_point_values": first_values})
-        )
+        checks.append(res)
 
-    res = _Residuals()
+    res = _Residuals("random-polynomials",
+                     "warp route agrees with the bracket oracle on random polynomial fields")
     for i in range(samples):
         dim = 1 + i % 3
         chart = Chart(dim)
@@ -305,11 +312,8 @@ def _run_bracket(spec: ProblemSpec, samples: int, rng, tol: float) -> list[Check
         point = chart.sample(rng)
         via_warp = tangent.lie_bracket_via_warp(x_field, y_field, point)
         direct = lie_bracket(x_field, y_field, point)
-        res.add(np.max(np.abs(via_warp - direct), initial=0.0))
-    checks.append(
-        res.result("random-polynomials", suite,
-                   "warp route agrees with the bracket oracle on random polynomial fields", tol)
-    )
+        res.add(via_warp - direct)
+    checks.append(res)
     return checks
 
 
@@ -325,13 +329,17 @@ def _spec_connections(spec: ProblemSpec, rng, count: int) -> list[Connection]:
     return conns
 
 
-def _run_connection(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "connection"
-    covariant = _Residuals()
-    flat = _Residuals()
-    momentum = _Residuals()
-    pullback = _Residuals()
-    operator = _Residuals()
+def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    covariant = _Residuals("covariant-derivative",
+                           "warp of the connection grid equals the covariant derivative")
+    flat = _Residuals("flat-reduction",
+                      "with zero coefficients the warp is the plain directional derivative")
+    momentum = _Residuals("horizontal-momentum",
+                          "the horizontal lift differentiates momentum functions by the dual connection")
+    pullback = _Residuals("horizontal-pullback",
+                          "the horizontal lift acts on pullbacks as the base field")
+    operator = _Residuals("linear-operator",
+                          "the operator of the horizontal field is the covariant derivative")
 
     conns = _spec_connections(spec, rng, 3)
     for i in range(samples):
@@ -342,11 +350,11 @@ def _run_connection(spec: ProblemSpec, samples: int, rng, tol: float) -> list[Ch
         point = conn.bundle.chart.sample(rng)
 
         via_warp = tangent.covariant_derivative_via_warp(conn, z_field, mu, point)
-        covariant.add(np.max(np.abs(via_warp - conn.nabla(z_field, mu, point)), initial=0.0))
+        covariant.add(via_warp - conn.nabla(z_field, mu, point))
 
         flat_conn = Connection.flat(conn.bundle)
         flat_value = tangent.covariant_derivative_via_warp(flat_conn, z_field, mu, point)
-        flat.add(np.max(np.abs(flat_value - jacobian(mu, point) @ z_field(point)), initial=0.0))
+        flat.add(flat_value - jacobian(mu, point) @ z_field(point))
 
         a = _rand_vec(rng, k)
         lift = tangent.horizontal_lift(conn, z_field, point, a)
@@ -370,30 +378,22 @@ def _run_connection(spec: ProblemSpec, samples: int, rng, tol: float) -> list[Ch
         pullback.add(pulled - directional_derivative(f, z_field, point))
 
         apply_op = tangent.linear_vector_field_operator(tangent.horizontal_field(conn, z_field))
-        operator.add(np.max(np.abs(apply_op(mu, point) - conn.nabla(z_field, mu, point)), initial=0.0))
+        operator.add(apply_op(mu, point) - conn.nabla(z_field, mu, point))
 
-    return [
-        covariant.result("covariant-derivative", suite,
-                         "warp of the connection grid equals the covariant derivative", tol),
-        flat.result("flat-reduction", suite,
-                    "with zero coefficients the warp is the plain directional derivative", tol),
-        momentum.result("horizontal-momentum", suite,
-                        "the horizontal lift differentiates momentum functions by the dual connection", tol),
-        pullback.result("horizontal-pullback", suite,
-                        "the horizontal lift acts on pullbacks as the base field", tol),
-        operator.result("linear-operator", suite,
-                        "the operator of the horizontal field is the covariant derivative", tol),
-    ]
+    return [covariant, flat, momentum, pullback, operator]
 
 
 # -- suite: cotangent-duality ----------------------------------------------------------
 
-def _run_cotangent_duality(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "cotangent-duality"
-    relation = _Residuals()
-    local = _Residuals()
-    anti = _Residuals()
-    liouville = _Residuals()
+def _run_cotangent_duality(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    relation = _Residuals("flip-relation",
+                          "the flip satisfies its defining relation against the tangent pairing")
+    local = _Residuals("flip-local-formula",
+                       "the flip agrees with its flat coordinate formula", exact=True)
+    anti = _Residuals("antisymplectomorphism",
+                      "pulling back the canonical two-form along the flip reverses its sign")
+    liouville = _Residuals("liouville-relation",
+                           "flip* lambda + lambda equals the differential of the pairing potential")
 
     n = spec.chart.dim
     for fiber_dim in (1, 2, 3):
@@ -414,30 +414,23 @@ def _run_cotangent_duality(spec: ProblemSpec, samples: int, rng, tol: float) -> 
             )
             direct = ct.cotangent_flip(f)
             direct_flat = list(direct.x) + list(direct.fiber) + list(direct.cov_x) + list(direct.cov_fiber)
-            local.add(max(abs(u - v) for u, v in zip(flat_image, direct_flat)))
+            local.add(np.subtract(flat_image, direct_flat))
         report = ct.symplectic_checks(bundle, samples=per, rng=rng)
         anti.add(report["antisymplectomorphism"])
         liouville.add(report["liouville"])
 
-    return [
-        relation.result("flip-relation", suite,
-                        "the flip satisfies its defining relation against the tangent pairing", tol),
-        local.result("flip-local-formula", suite,
-                     "the flip agrees with its flat coordinate formula", 0.0),
-        anti.result("antisymplectomorphism", suite,
-                    "pulling back the canonical two-form along the flip reverses its sign", tol),
-        liouville.result("liouville-relation", suite,
-                         "flip* lambda + lambda equals the differential of the pairing potential", tol),
-    ]
+    return [relation, local, anti, liouville]
 
 
 # -- suite: duality-diagram ------------------------------------------------------------
 
-def _run_duality_diagram(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "duality-diagram"
-    triangle = _Residuals()
-    independence = _Residuals()
-    ranks = _Residuals()
+def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    triangle = _Residuals("triangle",
+                          "sharp followed by the functional reading and the involution transpose is the flip")
+    independence = _Residuals("pairing-section-independence",
+                              "the section route to the tangent pairing is extension-independent")
+    ranks = _Residuals("functional-rank",
+                       "the tangent pairing is nondegenerate on the fiber coordinates", exact=True)
 
     n = spec.chart.dim
     for _ in range(samples):
@@ -472,14 +465,7 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng, tol: float) -> li
                 )
         ranks.add(2 * k - np.linalg.matrix_rank(matrix))
 
-    return [
-        triangle.result("triangle", suite,
-                        "sharp followed by the functional reading and the involution transpose is the flip", tol),
-        independence.result("pairing-section-independence", suite,
-                            "the section route to the tangent pairing is extension-independent", tol),
-        ranks.result("functional-rank", suite,
-                     "the tangent pairing is nondegenerate on the fiber coordinates", 0.0),
-    ]
+    return [triangle, independence, ranks]
 
 
 def _shifted_section(rng, n: int, k: int, x: np.ndarray, value: np.ndarray) -> SmoothMap:
@@ -491,13 +477,14 @@ def _shifted_section(rng, n: int, k: int, x: np.ndarray, value: np.ndarray) -> S
 
 # -- suite: bracket-pairing --------------------------------------------------------------
 
-def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "bracket-pairing"
-    momentum = _Residuals()
-    closed = _Residuals()
-    cross = _Residuals()
-    guard = _Residuals()
-    flipped_max = 0.0
+def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    momentum = _Residuals("momentum-identity",
+                          "pairing the two induced sections gives minus the bracket momentum")
+    closed = _Residuals("closed-forms", "induced sections match their coordinate formulas")
+    cross = _Residuals("decomposed-cross-check",
+                       "cotangent route agrees with the decomposed grid computation")
+    guard = _SignGuard("sharp-sign-pinned",
+                       "the pinned sharp sign verifies while the opposite sign fails")
 
     n = spec.chart.dim
     named = [f for f in spec.fields.values() if f.codomain_dim == n]
@@ -513,52 +500,39 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> li
         momentum.add(lhs - rhs)
 
         cap_y = ct.squarecap_tangent_lift(y_field, x, p)
-        closed.add(np.max(np.abs(cap_y.cov_x - jacobian(y_field, x).T @ p), initial=0.0))
-        closed.add(np.max(np.abs(cap_y.cov_fiber - y_field(x)), initial=0.0))
+        closed.add(cap_y.cov_x - jacobian(y_field, x).T @ p)
+        closed.add(cap_y.cov_fiber - y_field(x))
         cap_x = ct.squarecap_complete_lift(x_field, x, p)
-        closed.add(np.max(np.abs(cap_x.x_dot + x_field(x)), initial=0.0))
-        closed.add(np.max(np.abs(cap_x.fiber_dot - jacobian(x_field, x).T @ p), initial=0.0))
+        closed.add(cap_x.x_dot + x_field(x))
+        closed.add(cap_x.fiber_dot - jacobian(x_field, x).T @ p)
 
         grid = tangent.double_tangent_grid(x_field, y_field)
         dec_lhs, dec_rhs = sections.warp_pairing_check(grid, x, p)
         cross.add(dec_lhs - lhs)
         cross.add(dec_rhs - rhs)
         cap_b = sections.squarecap_b(grid.xi, x, p)
-        cross.add(np.max(np.abs(cap_b.beta - cap_y.cov_x), initial=0.0))
-        cross.add(np.max(np.abs(cap_b.a - cap_y.cov_fiber), initial=0.0))
+        cross.add(cap_b.beta - cap_y.cov_x)
+        cross.add(cap_b.a - cap_y.cov_fiber)
         cap_a = sections.squarecap_a(grid.eta, x, p)
-        cross.add(np.max(np.abs(cap_a.b + cap_x.x_dot), initial=0.0))
-        cross.add(np.max(np.abs(cap_a.alpha - cap_x.fiber_dot), initial=0.0))
+        cross.add(cap_a.b + cap_x.x_dot)
+        cross.add(cap_a.alpha - cap_x.fiber_dot)
 
         wrong_lhs, wrong_rhs = ct.bracket_pairing_check(x_field, y_field, x, p, sign=-1.0)
-        flipped_max = max(flipped_max, abs(wrong_lhs - wrong_rhs))
+        guard.add_flipped(wrong_lhs - wrong_rhs)
         guard.add(lhs - rhs)
 
-    guard_check = guard.result(
-        "sharp-sign-pinned", suite,
-        "the pinned sharp sign verifies while the opposite sign fails", tol,
-        details={"max_flipped_residual": flipped_max},
-    )
-    guard_check.passed = guard_check.passed and flipped_max > 100 * tol
-
-    return [
-        momentum.result("momentum-identity", suite,
-                        "pairing the two induced sections gives minus the bracket momentum", tol),
-        closed.result("closed-forms", suite,
-                      "induced sections match their coordinate formulas", tol),
-        cross.result("decomposed-cross-check", suite,
-                     "cotangent route agrees with the decomposed grid computation", tol),
-        guard_check,
-    ]
+    return [momentum, closed, cross, guard]
 
 
 # -- suite: connection-pairing --------------------------------------------------------------
 
-def _run_connection_pairing(spec: ProblemSpec, samples: int, rng, tol: float) -> list[CheckResult]:
-    suite = "connection-pairing"
-    momentum = _Residuals()
-    flat = _Residuals()
-    cross = _Residuals()
+def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
+    momentum = _Residuals("momentum-identity",
+                          "pairing with the horizontal squarecap gives minus the covariant momentum")
+    flat = _Residuals("flat-reduction",
+                      "with zero coefficients the pairing is minus the directional momentum")
+    cross = _Residuals("decomposed-cross-check",
+                       "dual-bundle route agrees with the decomposed grid computation")
 
     conns = _spec_connections(spec, rng, 3)
     for i in range(samples):
@@ -583,17 +557,10 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng, tol: float) ->
         cross.add(dec_rhs - rhs)
         cap_a = sections.squarecap_a(grid.eta, x, kappa)
         lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
-        cross.add(np.max(np.abs(cap_a.b + lifted.x_dot), initial=0.0))
-        cross.add(np.max(np.abs(cap_a.alpha - lifted.fiber_dot), initial=0.0))
+        cross.add(cap_a.b + lifted.x_dot)
+        cross.add(cap_a.alpha - lifted.fiber_dot)
 
-    return [
-        momentum.result("momentum-identity", suite,
-                        "pairing with the horizontal squarecap gives minus the covariant momentum", tol),
-        flat.result("flat-reduction", suite,
-                    "with zero coefficients the pairing is minus the directional momentum", tol),
-        cross.result("decomposed-cross-check", suite,
-                     "dual-bundle route agrees with the decomposed grid computation", tol),
-    ]
+    return [momentum, flat, cross]
 
 
 SUITES: dict[str, tuple[int, Callable, str]] = {
@@ -608,6 +575,36 @@ SUITES: dict[str, tuple[int, Callable, str]] = {
 }
 
 
+class RunSettings(NamedTuple):
+    """What a run does, in the order the report's config_echo shows it."""
+
+    suites: tuple[str, ...]
+    samples: int
+    seed: int
+    tolerance: float
+
+
+def resolve_run(
+    spec: ProblemSpec,
+    suite_names: Sequence[str] | None = None,
+    samples: int | None = None,
+    seed: int | None = None,
+    tolerance: float | None = None,
+) -> RunSettings:
+    """The spec's settings with the given overrides, checked by the spec's own rules.
+
+    Suites default to all of them; a repeated suite runs once, and suites
+    run in SUITES order.
+    """
+    for name in suite_names or ():
+        if name not in SUITES:
+            raise SpecError(f"unknown suite: {name}")
+    overrides = {"samples": samples, "seed": seed, "tolerance": tolerance}
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+    suites = tuple(sorted(set(suite_names or SUITES), key=lambda n: SUITES[n][0]))
+    return RunSettings(suites, spec.samples, spec.seed, spec.tolerance)
+
+
 def run_suites(
     spec: ProblemSpec,
     suite_names: Sequence[str] | None = None,
@@ -615,21 +612,13 @@ def run_suites(
     seed: int | None = None,
     tolerance: float | None = None,
 ) -> list[CheckResult]:
-    names = list(SUITES) if not suite_names else list(suite_names)
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite: {name}")
-    names.sort(key=lambda n: SUITES[n][0])
-    effective_samples = spec.samples if samples is None else samples
-    effective_seed = spec.seed if seed is None else seed
-    effective_tol = spec.tolerance if tolerance is None else tolerance
-
+    run = resolve_run(spec, suite_names, samples, seed, tolerance)
     checks: list[CheckResult] = []
-    for name in names:
+    for name in run.suites:
         index, runner, _ = SUITES[name]
-        rng = np.random.default_rng([effective_seed, index])
+        rng = np.random.default_rng([run.seed, index])
         try:
-            checks.extend(runner(spec, effective_samples, rng, effective_tol))
+            checks.extend(r.result(name, run.tolerance) for r in runner(spec, run.samples, rng))
         except (DomainError, OverflowError) as exc:
             # A spec map left its domain (log/division) or the float range
             # (exp/power overflow); report a failing check instead of

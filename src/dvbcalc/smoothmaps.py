@@ -106,7 +106,7 @@ def directional_derivative(
 
 def _check_vector_field(x_field: SmoothMap) -> None:
     if x_field.codomain_dim != x_field.domain_dim:
-        raise DimensionMismatch("vector fields map a chart to itself")
+        raise DimensionMismatch("expected a vector field on the chart")
 
 
 def lie_bracket_generic(

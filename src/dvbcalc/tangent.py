@@ -23,7 +23,7 @@ import numpy as np
 from .charts import Connection, TrivialBundle
 from .dvb import DvbShape, Record
 from .sections import Grid, LinearSectionA, LinearSectionB, warp
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, jacobian
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, jacobian
 
 
 class TangentPoint(Record):
@@ -39,12 +39,6 @@ class TangentPoint(Record):
     def __init__(self, x, fiber, x_dot, fiber_dot):
         super().__init__(None, x, fiber, x_dot, fiber_dot)
 
-    def bundle_point(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, self.fiber
-
-    def base_tangent(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, self.x_dot
-
 
 class CotangentPoint(Record):
     """Element of T*(A): a covector (cov_x, cov_fiber) at the point (x, fiber)."""
@@ -54,9 +48,6 @@ class CotangentPoint(Record):
 
     def __init__(self, x, fiber, cov_x, cov_fiber):
         super().__init__(None, x, fiber, cov_x, cov_fiber)
-
-    def bundle_point(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, self.fiber
 
 
 class ProlongationDual(Record):
@@ -76,14 +67,9 @@ class ProlongationDual(Record):
 
 # -- lifts to the double tangent bundle ---------------------------------------
 
-def _check_field(x_field: SmoothMap) -> None:
-    if x_field.codomain_dim != x_field.domain_dim:
-        raise DimensionMismatch("expected a vector field on the chart")
-
-
 def complete_lift(x_field: SmoothMap, x, v) -> TangentPoint:
     """Complete lift of X at (x, v) in TM: (x, v; X(x), DX(x) v)."""
-    _check_field(x_field)
+    _check_vector_field(x_field)
     v = np.asarray(v, dtype=float)
     return TangentPoint(x, v, x_field(x), jacobian(x_field, x) @ v)
 
@@ -168,8 +154,8 @@ def linear_field_pair(field: LinearVectorField) -> LinearSectionA:
 
 def double_tangent_grid(x_field: SmoothMap, y_field: SmoothMap) -> Grid:
     """Grid on T(TM): tangent lift of Y against the complete lift of X."""
-    _check_field(x_field)
-    _check_field(y_field)
+    _check_vector_field(x_field)
+    _check_vector_field(y_field)
     if x_field.domain_dim != y_field.domain_dim:
         raise DimensionMismatch("vector fields live on different charts")
     n = x_field.domain_dim

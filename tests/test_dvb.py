@@ -66,10 +66,9 @@ def test_shape_validation():
 def test_element_outline_and_repr():
     shape = DvbShape(1, 2, 1, 1)
     d = DvbElement(shape, [0.5], [1.0], [2.0, 3.0], [4.0])
-    a, b, m = d.outline()
-    assert a.tolist() == [1.0]
-    assert b.tolist() == [2.0, 3.0]
-    assert m.tolist() == [0.5]
+    assert d.a.tolist() == [1.0]
+    assert d.b.tolist() == [2.0, 3.0]
+    assert d.m.tolist() == [0.5]
     assert "a=" in repr(d)
 
 

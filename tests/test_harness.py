@@ -377,6 +377,8 @@ def test_cli_overflow_reported_as_domain_error(tmp_path, expression):
         pytest.param({"chart": {"dim": 1, "box": [[-float("inf"), 1.0]]}}, (), id="box-inf"),
         pytest.param({"chart": {"dim": 1, "box": [[-1e308, 1e308]]}}, (), id="box-width-overflows"),
         pytest.param({"chart": {"dim": 1, "box": [[0, 10**400]]}}, (), id="box-int-overflows"),
+        pytest.param({}, ("--seed", "-1"), id="cli-seed-negative"),
+        pytest.param({}, ("--samples", "0"), id="cli-samples-zero"),
     ],
 )
 def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv):
@@ -385,3 +387,26 @@ def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv)
     assert code == 2
     assert "spec error:" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+def test_cli_unwritable_json_out_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    code = cli.main(["verify", "--demo", "--samples", "2", "--json-out", str(missing)])
+    assert code == 2
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not missing.exists()
+
+
+def test_cli_repeated_suite_runs_once(tmp_path):
+    report_path = tmp_path / "report.json"
+    code = cli.main(
+        ["verify", "--demo", "--suite", "bracket", "--suite", "bracket", "--samples", "3",
+         "--quiet", "--json-out", str(report_path)]
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["config_echo"]["suites"] == ["bracket"]
+    assert [c["name"] for c in report["checks"]] == ["field-pairs", "random-polynomials"]
