@@ -12,15 +12,14 @@ from .cotangent import (
     canonical_two_form,
     connection_pairing_check,
     cotangent_flip,
-    cotangent_pairing,
     diagram_check,
     dnu_sharp,
     dual_horizontal_field,
     ell_differential,
     flip_relation_residual,
     i_components,
-    i_map,
     j_star,
+    momentum_function,
     squarecap_complete_lift,
     squarecap_horizontal,
     squarecap_tangent_lift,
@@ -85,10 +84,6 @@ from .smoothmaps import (
     lie_bracket,
 )
 from .tangent import (
-    CotangentPoint,
-    LinearVectorField,
-    ProlongationDual,
-    TangentPoint,
     canonical_involution,
     complete_lift,
     connection_grid,

@@ -1,8 +1,22 @@
 """Cotangent models: the canonical flip T*(A*) -> T*(A) and its pairings.
 
-Coordinates: a point of T*(A*) over a trivialized bundle A of rank k on an
-n-chart is (x, psi; chi, Y) with chi the base covector part and Y (a fiber
-vector of A) the part dual to psi.  The canonical flip sends it to
+Coordinates: tangent vectors and covectors are ``dvb`` elements of the
+shape of T(A) (sides A and TM, core A; see ``tangent``), which is also the
+shape of T(A*) for the dual bundle A* of the same rank:
+
+    tangent vector (x, fiber; x_dot, fiber_dot)
+        = DvbElement(shape, m=x, a=fiber, b=x_dot, c=fiber_dot)
+    covector (x, fiber; cov_x, cov_fiber)
+        = DualAElement(shape, m=x, a=fiber, beta=cov_x, kappa=cov_fiber)
+
+A covector evaluates on a tangent vector at the same point by
+``dvb.pair_a``, and negation of tangent vectors is ``scale_over_a(-1, .)``.
+An element of T(A*) read as a functional on T(A) over TM (``i_components``)
+is the DualBElement (m=x, kappa=fiber, alpha=fiber_dot, b=x_dot).
+
+A point of T*(A*) over a trivialized bundle A of rank k on an n-chart is
+(x, psi; chi, Y) with chi the base covector part and Y (a fiber vector of
+A) the part dual to psi.  The canonical flip sends it to
 
     (x, Y; -chi, psi)  in  T*(A),
 
@@ -33,63 +47,58 @@ import numpy as np
 
 from . import jets
 from .charts import Connection, TrivialBundle
+from .dvb import DualAElement, DualBElement, DvbElement, pair_a, scale_over_a
 from .jets import Scalar
+from .sections import LinearSectionA
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
-from .tangent import (
-    CotangentPoint,
-    LinearVectorField,
-    ProlongationDual,
-    TangentPoint,
-)
+from .tangent import _shape, tangent_bundle_shape
 
 DNU_SHARP_SIGN = 1.0
 
-
-def cotangent_pairing(cov: CotangentPoint, tan: TangentPoint) -> float:
-    """Evaluate a covector on a tangent vector at the same bundle point."""
-    if not (np.array_equal(cov.x, tan.x) and np.array_equal(cov.fiber, tan.fiber)):
-        raise DimensionMismatch("covector and tangent vector sit at different points")
-    return float(cov.cov_x @ tan.x_dot + cov.cov_fiber @ tan.fiber_dot)
+# How far an extending section may miss the point it must pass through.
+_PASS_THROUGH_TOL = 1e-9
 
 
-def tangent_pairing(xc: TangentPoint, xi: TangentPoint) -> float:
-    """Tangent pairing of T(A*) with T(A) over a shared base tangent."""
-    if not np.array_equal(xc.x, xi.x):
-        raise DimensionMismatch("tangent vectors sit over different base points")
-    if not np.array_equal(xc.x_dot, xi.x_dot):
-        raise DimensionMismatch("tangent vectors have different base velocities")
-    if xc.fiber.shape != xi.fiber.shape:
-        raise DimensionMismatch("fiber dimensions disagree")
-    return float(xc.fiber_dot @ xi.fiber + xc.fiber @ xi.fiber_dot)
+def momentum_function(mu: SmoothMap) -> Callable[[Sequence[Scalar]], Scalar]:
+    """ell_mu(x, kappa) = <kappa, mu(x)> on flat coordinates (x, kappa) of the dual bundle.
 
-
-def tangent_pairing_via_sections(
-    xc: TangentPoint,
-    xi: TangentPoint,
-    mu: SmoothMap,
-    phi: SmoothMap,
-    tol: float = 1e-9,
-) -> float:
-    """The tangent pairing computed from extending sections.
-
-    mu must pass through xi's fiber point and phi through xc's, up to tol.
-    The value Xc(ell_mu) + xi(ell_phi) - x(<phi, mu>) does not depend on
-    the choice of extensions.
+    Generic, so jets pass through.
     """
-    x = xc.x
-    n, k = x.size, xc.fiber.size
-    if np.max(np.abs(mu(x) - xi.fiber), initial=0.0) > tol:
-        raise ValueError("section mu does not pass through the tangent vector's point")
-    if np.max(np.abs(phi(x) - xc.fiber), initial=0.0) > tol:
-        raise ValueError("section phi does not pass through the covector's point")
+    n, k = mu.domain_dim, mu.codomain_dim
 
-    def ell_mu(vals: Sequence[Scalar]) -> Scalar:
+    def ell(vals: Sequence[Scalar]) -> Scalar:
         mus = mu.eval_generic(list(vals[:n]))
         return sum(vals[n + i] * mus[i] for i in range(k))
 
-    def ell_phi(vals: Sequence[Scalar]) -> Scalar:
-        phis = phi.eval_generic(list(vals[:n]))
-        return sum(phis[i] * vals[n + i] for i in range(k))
+    return ell
+
+
+def tangent_pairing(xc: DvbElement, xi: DvbElement) -> float:
+    """Tangent pairing of T(A*) with T(A) over a shared base tangent."""
+    if not np.array_equal(xc.m, xi.m):
+        raise DimensionMismatch("tangent vectors sit over different base points")
+    if not np.array_equal(xc.b, xi.b):
+        raise DimensionMismatch("tangent vectors have different base velocities")
+    if xc.a.shape != xi.a.shape:
+        raise DimensionMismatch("fiber dimensions disagree")
+    return float(xc.c @ xi.a + xc.a @ xi.c)
+
+
+def tangent_pairing_via_sections(
+    xc: DvbElement, xi: DvbElement, mu: SmoothMap, phi: SmoothMap
+) -> float:
+    """The tangent pairing computed from extending sections.
+
+    mu must pass through xi's fiber point and phi through xc's, up to
+    _PASS_THROUGH_TOL.  The value Xc(ell_mu) + xi(ell_phi) - x(<phi, mu>)
+    does not depend on the choice of extensions.
+    """
+    x = xc.m
+    k = xc.a.size
+    if np.max(np.abs(mu(x) - xi.a), initial=0.0) > _PASS_THROUGH_TOL:
+        raise ValueError("section mu does not pass through the tangent vector's point")
+    if np.max(np.abs(phi(x) - xc.a), initial=0.0) > _PASS_THROUGH_TOL:
+        raise ValueError("section phi does not pass through the covector's point")
 
     def phi_dot_mu(vals: Sequence[Scalar]) -> Scalar:
         mus = mu.eval_generic(list(vals))
@@ -97,40 +106,40 @@ def tangent_pairing_via_sections(
         return sum(phis[i] * mus[i] for i in range(k))
 
     first = jets.jet_directional(
-        ell_mu, list(x) + list(xc.fiber), list(xc.x_dot) + list(xc.fiber_dot)
+        momentum_function(mu), list(x) + list(xc.a), list(xc.b) + list(xc.c)
     )
     second = jets.jet_directional(
-        ell_phi, list(x) + list(xi.fiber), list(xi.x_dot) + list(xi.fiber_dot)
+        momentum_function(phi), list(x) + list(xi.a), list(xi.b) + list(xi.c)
     )
-    third = jets.jet_directional(phi_dot_mu, list(x), list(xc.x_dot))
+    third = jets.jet_directional(phi_dot_mu, list(x), list(xc.b))
     return float(first + second - third)
 
 
-def i_map(xc: TangentPoint) -> Callable[[TangentPoint], float]:
-    """Realize a T(A*) element as a functional on compatible T(A) elements."""
-    return lambda xi: tangent_pairing(xc, xi)
+def i_components(xc: DvbElement) -> DualBElement:
+    """xc in T(A*) as a functional on T(A) over TM, read off against basis vectors.
 
-
-def i_components(xc: TangentPoint) -> ProlongationDual:
-    """Coordinates of i_map(xc) read off against basis double tangent vectors."""
-    functional = i_map(xc)
-    k = xc.fiber.size
+    The functional is the tangent pairing with xc; it lands in the dual of
+    T(A) over TM, with alpha pairing the fiber and kappa the fiber_dot.
+    """
+    k = xc.shape.dim_a
     zeros = np.zeros(k)
-    sigma_fiber = [
-        functional(TangentPoint(xc.x, np.eye(k)[i], xc.x_dot, zeros)) for i in range(k)
+    alpha = [
+        tangent_pairing(xc, DvbElement(xc.shape, xc.m, np.eye(k)[i], xc.b, zeros))
+        for i in range(k)
     ]
-    sigma_fiber_dot = [
-        functional(TangentPoint(xc.x, zeros, xc.x_dot, np.eye(k)[i])) for i in range(k)
+    kappa = [
+        tangent_pairing(xc, DvbElement(xc.shape, xc.m, zeros, xc.b, np.eye(k)[i]))
+        for i in range(k)
     ]
-    return ProlongationDual(xc.x, xc.x_dot, sigma_fiber, sigma_fiber_dot)
+    return DualBElement(xc.shape, xc.m, kappa, alpha, xc.b)
 
 
-def j_star(pd: ProlongationDual) -> CotangentPoint:
+def j_star(psi: DualBElement) -> DualAElement:
     """Transpose of the canonical involution: reread the functional as a covector.
 
     The output covector lives at the tangent-bundle point (x, x_dot).
     """
-    return CotangentPoint(pd.x, pd.x_dot, pd.sigma_fiber, pd.sigma_fiber_dot)
+    return DualAElement(psi.shape, psi.m, psi.b, psi.alpha, psi.kappa)
 
 
 # -- the canonical flip --------------------------------------------------------
@@ -144,19 +153,17 @@ def flip_coords(vals: Sequence[Scalar], n: int, k: int) -> list[Scalar]:
     return x + y + [-c for c in chi] + psi
 
 
-def cotangent_flip(f: CotangentPoint) -> CotangentPoint:
+def cotangent_flip(f: DualAElement) -> DualAElement:
     """The canonical map T*(A*) -> T*(A): (x, psi; chi, Y) -> (x, Y; -chi, psi)."""
-    return CotangentPoint(f.x, f.cov_fiber, -f.cov_x, f.fiber)
+    return DualAElement(f.shape, f.m, f.kappa, -f.beta, f.a)
 
 
-def flip_relation_residual(
-    f: CotangentPoint, x_dot, psi_dot, a_dot
-) -> float:
+def flip_relation_residual(f: DualAElement, x_dot, psi_dot, a_dot) -> float:
     """Defect in the defining relation of the flip for one compatible pair."""
     g = cotangent_flip(f)
-    xc = TangentPoint(f.x, f.fiber, x_dot, psi_dot)
-    xi = TangentPoint(g.x, g.fiber, x_dot, a_dot)
-    lhs = cotangent_pairing(f, xc) + cotangent_pairing(g, xi)
+    xc = DvbElement(f.shape, f.m, f.a, x_dot, psi_dot)
+    xi = DvbElement(g.shape, g.m, g.a, x_dot, a_dot)
+    lhs = pair_a(f, xc) + pair_a(g, xi)
     return abs(lhs - tangent_pairing(xc, xi))
 
 
@@ -223,52 +230,42 @@ def symplectic_checks(bundle: TrivialBundle, samples: int, rng: np.random.Genera
 
 # -- sharp map and induced sections of the iterated duals -----------------------
 
-def dnu_sharp(f: CotangentPoint, sign: float | None = None) -> TangentPoint:
+def dnu_sharp(f: DualAElement, sign: float | None = None) -> DvbElement:
     """Invert the canonical two-form: covector (sigma_q, sigma_p) to a tangent vector.
 
     With the pinned sign the image is (sigma_p, -sigma_q).
     """
     s = DNU_SHARP_SIGN if sign is None else float(sign)
-    return TangentPoint(f.x, f.fiber, s * f.cov_fiber, -s * f.cov_x)
+    return DvbElement(f.shape, f.m, f.a, s * f.kappa, -s * f.beta)
 
 
-def ell_differential(mu: SmoothMap, x, kappa) -> CotangentPoint:
+def ell_differential(mu: SmoothMap, x, kappa) -> DualAElement:
     """d of the momentum function ell_mu(x, kappa) = <kappa, mu(x)> on the dual bundle."""
     x = np.asarray(x, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     n, k = x.size, kappa.size
     if mu.domain_dim != n or mu.codomain_dim != k:
         raise DimensionMismatch("section does not match the chart or fiber")
-
-    def ell(vals: Sequence[Scalar]) -> Scalar:
-        mus = mu.eval_generic(list(vals[:n]))
-        return sum(vals[n + i] * mus[i] for i in range(k))
-
-    grad = jets.jet_gradient(ell, list(x) + list(kappa))
-    return CotangentPoint(x, kappa, grad[:n], grad[n:])
+    grad = jets.jet_gradient(momentum_function(mu), list(x) + list(kappa))
+    return DualAElement(_shape(n, k), x, kappa, grad[:n], grad[n:])
 
 
-def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> CotangentPoint:
+def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> DualAElement:
     """Induced section of T*(T*M) attached to the tangent lift of Y: d ell_Y."""
     _check_vector_field(y_field)
     return ell_differential(y_field, x, p)
 
 
-def negate_tangent(t: TangentPoint) -> TangentPoint:
-    """Negation in the tangent bundle of the total space."""
-    return TangentPoint(t.x, t.fiber, -t.x_dot, -t.fiber_dot)
-
-
 def squarecap_complete_lift(
     x_field: SmoothMap, x, p, sign: float | None = None
-) -> TangentPoint:
+) -> DvbElement:
     """Induced section attached to the complete lift of X, as a T(T*M) element.
 
     Equals minus the Hamiltonian vector field of ell_X; in coordinates
     (-X(x), DX(x)^T p) under the pinned sharp sign.
     """
     _check_vector_field(x_field)
-    return negate_tangent(dnu_sharp(ell_differential(x_field, x, p), sign))
+    return scale_over_a(-1.0, dnu_sharp(ell_differential(x_field, x, p), sign))
 
 
 def bracket_pairing_check(
@@ -280,7 +277,7 @@ def bracket_pairing_check(
     pinned sharp sign and disagree under the opposite one.
     """
     p = np.asarray(p, dtype=float)
-    lhs = cotangent_pairing(
+    lhs = pair_a(
         squarecap_tangent_lift(y_field, x, p),
         squarecap_complete_lift(x_field, x, p, sign),
     )
@@ -288,42 +285,42 @@ def bracket_pairing_check(
     return lhs, rhs
 
 
-def diagram_check(f: CotangentPoint) -> tuple[CotangentPoint, CotangentPoint, float]:
+def diagram_check(f: DualAElement) -> tuple[DualAElement, DualAElement, float]:
     """Compose sharp, the functional reading, and the involution transpose.
 
     Returns (composite image, direct flip image, max coordinate defect);
     the triangle commutes on T*(T*M).
     """
-    if f.x.shape != f.fiber.shape:
+    if f.m.shape != f.a.shape:
         raise DimensionMismatch("diagram check lives on the double cotangent of a chart")
     composite = j_star(i_components(dnu_sharp(f)))
     direct = cotangent_flip(f)
     residual = max(
         float(np.max(np.abs(getattr(composite, name) - getattr(direct, name)), initial=0.0))
-        for name, _ in CotangentPoint._fields
+        for name, _ in DualAElement._fields
     )
     return composite, direct, residual
 
 
 # -- connection pairing on the dual bundle --------------------------------------
 
-def dual_horizontal_field(conn: Connection, x_field: SmoothMap) -> LinearVectorField:
+def dual_horizontal_field(conn: Connection, x_field: SmoothMap) -> LinearSectionA:
     """Horizontal lift of X to the dual bundle: fiber part +omega(X)^T kappa.
 
     Characterized by sending the momentum function of a section mu to the
     momentum function of nabla_X mu.
     """
     k = conn.bundle.fiber_dim
-    return LinearVectorField(
-        conn.bundle,
+    return LinearSectionA(
+        tangent_bundle_shape(conn.bundle),
         x_field,
         MatrixMap(k, k, lambda m: conn.omega(x_field, m).T),
     )
 
 
-def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> TangentPoint:
+def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> DvbElement:
     """Induced section attached to the horizontal lift: minus the dual horizontal lift."""
-    return negate_tangent(dual_horizontal_field(conn, x_field)(x, kappa))
+    return scale_over_a(-1.0, dual_horizontal_field(conn, x_field)(x, kappa))
 
 
 def connection_pairing_check(
@@ -334,7 +331,7 @@ def connection_pairing_check(
     Returns (pairing value, -<kappa, nabla_X mu  at x>); the two agree.
     """
     kappa = np.asarray(kappa, dtype=float)
-    lhs = cotangent_pairing(
+    lhs = pair_a(
         ell_differential(mu, x, kappa),
         squarecap_horizontal(conn, x_field, x, kappa),
     )

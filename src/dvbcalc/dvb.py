@@ -60,24 +60,19 @@ def _same(u: np.ndarray, v: np.ndarray, what: str) -> None:
 class Record:
     """A point in decomposed form: named coordinate vectors, each read-only.
 
-    ``_fields`` pairs each component name with a length key.  A key that
-    is an attribute of ``shape`` fixes the component's length; any other
-    key is fixed by the first component that carries it, and later
-    components with the same key must match it.
+    ``_fields`` pairs each component name with the ``DvbShape`` attribute
+    that fixes its length.
     """
 
     __slots__ = ("shape",)
 
     _fields: tuple[tuple[str, str], ...] = ()
 
-    def __init__(self, shape, *values) -> None:
+    def __init__(self, shape: DvbShape, *values) -> None:
         self.shape = shape
-        lengths: dict[str, int] = {}
         for (name, key), value in zip(self._fields, values):
             arr = np.array(value, dtype=float).reshape(-1)
-            dim = getattr(shape, key, None)
-            if dim is None:
-                dim = lengths.setdefault(key, arr.size)
+            dim = getattr(shape, key)
             if arr.shape != (dim,):
                 raise DimensionMismatch(f"{name} must have length {dim}, got {arr.shape}")
             arr.flags.writeable = False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -56,31 +57,28 @@ def run_verify(args) -> int:
     try:
         spec = _load_spec(args)
         run = resolve_run(spec, args.suite, args.samples, args.seed, args.tol)
-        # Non-finite values fail their checks, so numpy's warnings about
-        # them would only add noise on stderr.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            checks = run_suites(spec, *run)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
 
-    report = build_report(checks, run._asdict())
-    rendered = render_json(report)
-
-    if args.json_out:
-        try:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
-            return 2
-
-    if not args.quiet:
-        for line in check_lines(checks):
-            print(line)
-        print(f"overall: {report['overall']}")
-    if not args.json_out:
-        sys.stdout.write(rendered)
+    try:
+        # The report path is opened before any suite runs, so an unwritable
+        # path costs no run; a spec error above leaves no file.
+        target = open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext(sys.stdout)
+        with target as out:
+            # Non-finite values fail their checks, so numpy's warnings about
+            # them would only add noise on stderr.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                checks = run_suites(spec, *run)
+            report = build_report(checks, run._asdict())
+            if not args.quiet:
+                for line in check_lines(checks):
+                    print(line)
+                print(f"overall: {report['overall']}")
+            out.write(render_json(report))
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
 
     return 0 if report["overall"] == "pass" else 1
 

@@ -359,13 +359,8 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         a = _rand_vec(rng, k)
         lift = tangent.horizontal_lift(conn, z_field, point, a)
         phi = _poly_map(rng, n, k)
-
-        def ell_phi(vals):
-            phis = phi.eval_generic(list(vals[:n]))
-            return sum(phis[j] * vals[n + j] for j in range(k))
-
         derived = jet_directional(
-            ell_phi, list(point) + list(a), list(lift.x_dot) + list(lift.fiber_dot)
+            ct.momentum_function(phi), list(point) + list(a), list(lift.b) + list(lift.c)
         )
         momentum.add(derived - float(conn.dual_nabla(z_field, phi, point) @ a))
 
@@ -373,7 +368,7 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         pulled = jet_directional(
             lambda vals: f.eval_generic(list(vals[:n]))[0],
             list(point) + list(a),
-            list(lift.x_dot) + list(lift.fiber_dot),
+            list(lift.b) + list(lift.c),
         )
         pullback.add(pulled - directional_derivative(f, z_field, point))
 
@@ -398,11 +393,12 @@ def _run_cotangent_duality(spec: ProblemSpec, samples: int, rng) -> list[_Residu
     n = spec.chart.dim
     for fiber_dim in (1, 2, 3):
         bundle = TrivialBundle(spec.chart, fiber_dim)
+        shape = tangent.tangent_bundle_shape(bundle)
         per = max(1, samples // 3)
         for _ in range(per):
             x = spec.chart.sample(rng)
-            f = tangent.CotangentPoint(
-                x, _rand_vec(rng, fiber_dim), _rand_vec(rng, n), _rand_vec(rng, fiber_dim)
+            f = dvb.DualAElement(
+                shape, x, _rand_vec(rng, fiber_dim), _rand_vec(rng, n), _rand_vec(rng, fiber_dim)
             )
             relation.add(
                 ct.flip_relation_residual(
@@ -410,10 +406,10 @@ def _run_cotangent_duality(spec: ProblemSpec, samples: int, rng) -> list[_Residu
                 )
             )
             flat_image = ct.flip_coords(
-                list(f.x) + list(f.fiber) + list(f.cov_x) + list(f.cov_fiber), n, fiber_dim
+                list(f.m) + list(f.a) + list(f.beta) + list(f.kappa), n, fiber_dim
             )
             direct = ct.cotangent_flip(f)
-            direct_flat = list(direct.x) + list(direct.fiber) + list(direct.cov_x) + list(direct.cov_fiber)
+            direct_flat = list(direct.m) + list(direct.a) + list(direct.beta) + list(direct.kappa)
             local.add(np.subtract(flat_image, direct_flat))
         report = ct.symplectic_checks(bundle, samples=per, rng=rng)
         anti.add(report["antisymplectomorphism"])
@@ -433,22 +429,24 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
                        "the tangent pairing is nondegenerate on the fiber coordinates", exact=True)
 
     n = spec.chart.dim
+    double = tangent.tangent_bundle_shape(TrivialBundle(spec.chart, n))
     for _ in range(samples):
         x = spec.chart.sample(rng)
-        f = tangent.CotangentPoint(x, _rand_vec(rng, n), _rand_vec(rng, n), _rand_vec(rng, n))
+        f = dvb.DualAElement(double, x, _rand_vec(rng, n), _rand_vec(rng, n), _rand_vec(rng, n))
         _, _, residual = ct.diagram_check(f)
         triangle.add(residual)
 
     for _ in range(max(1, samples // 4)):
         x = spec.chart.sample(rng)
         k = int(rng.integers(1, 4))
+        shape = tangent.tangent_bundle_shape(TrivialBundle(spec.chart, k))
         x_dot = _rand_vec(rng, n)
-        xc = tangent.TangentPoint(x, _rand_vec(rng, k), x_dot, _rand_vec(rng, k))
-        xi = tangent.TangentPoint(x, _rand_vec(rng, k), x_dot, _rand_vec(rng, k))
+        xc = dvb.DvbElement(shape, x, _rand_vec(rng, k), x_dot, _rand_vec(rng, k))
+        xi = dvb.DvbElement(shape, x, _rand_vec(rng, k), x_dot, _rand_vec(rng, k))
         direct = ct.tangent_pairing(xc, xi)
         for _ in range(3):
-            mu = _shifted_section(rng, n, k, x, xi.fiber)
-            phi = _shifted_section(rng, n, k, x, xc.fiber)
+            mu = _shifted_section(rng, n, k, x, xi.a)
+            phi = _shifted_section(rng, n, k, x, xc.a)
             independence.add(ct.tangent_pairing_via_sections(xc, xi, mu, phi) - direct)
 
         matrix = np.zeros((2 * k, 2 * k))
@@ -456,12 +454,12 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         for row in range(2 * k):
             fiber = np.eye(k)[row] if row < k else zeros
             fiber_dot = np.eye(k)[row - k] if row >= k else zeros
-            probe = tangent.TangentPoint(x, fiber, x_dot, fiber_dot)
+            probe = dvb.DvbElement(shape, x, fiber, x_dot, fiber_dot)
             for col in range(2 * k):
                 pfiber = np.eye(k)[col] if col < k else zeros
                 pfiber_dot = np.eye(k)[col - k] if col >= k else zeros
                 matrix[row, col] = ct.tangent_pairing(
-                    tangent.TangentPoint(x, pfiber, x_dot, pfiber_dot), probe
+                    dvb.DvbElement(shape, x, pfiber, x_dot, pfiber_dot), probe
                 )
         ranks.add(2 * k - np.linalg.matrix_rank(matrix))
 
@@ -500,22 +498,22 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         momentum.add(lhs - rhs)
 
         cap_y = ct.squarecap_tangent_lift(y_field, x, p)
-        closed.add(cap_y.cov_x - jacobian(y_field, x).T @ p)
-        closed.add(cap_y.cov_fiber - y_field(x))
+        closed.add(cap_y.beta - jacobian(y_field, x).T @ p)
+        closed.add(cap_y.kappa - y_field(x))
         cap_x = ct.squarecap_complete_lift(x_field, x, p)
-        closed.add(cap_x.x_dot + x_field(x))
-        closed.add(cap_x.fiber_dot - jacobian(x_field, x).T @ p)
+        closed.add(cap_x.b + x_field(x))
+        closed.add(cap_x.c - jacobian(x_field, x).T @ p)
 
         grid = tangent.double_tangent_grid(x_field, y_field)
         dec_lhs, dec_rhs = sections.warp_pairing_check(grid, x, p)
         cross.add(dec_lhs - lhs)
         cross.add(dec_rhs - rhs)
         cap_b = sections.squarecap_b(grid.xi, x, p)
-        cross.add(cap_b.beta - cap_y.cov_x)
-        cross.add(cap_b.a - cap_y.cov_fiber)
+        cross.add(cap_b.beta - cap_y.beta)
+        cross.add(cap_b.a - cap_y.kappa)
         cap_a = sections.squarecap_a(grid.eta, x, p)
-        cross.add(cap_a.b + cap_x.x_dot)
-        cross.add(cap_a.alpha - cap_x.fiber_dot)
+        cross.add(cap_a.b + cap_x.b)
+        cross.add(cap_a.alpha - cap_x.c)
 
         wrong_lhs, wrong_rhs = ct.bracket_pairing_check(x_field, y_field, x, p, sign=-1.0)
         guard.add_flipped(wrong_lhs - wrong_rhs)
@@ -557,8 +555,8 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
         cross.add(dec_rhs - rhs)
         cap_a = sections.squarecap_a(grid.eta, x, kappa)
         lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
-        cross.add(cap_a.b + lifted.x_dot)
-        cross.add(cap_a.alpha - lifted.fiber_dot)
+        cross.add(cap_a.b + lifted.b)
+        cross.add(cap_a.alpha - lifted.c)
 
     return [momentum, flat, cross]
 

@@ -1,11 +1,24 @@
 """Tangent bundles of vector bundles in chart coordinates.
 
-The tangent bundle of a trivialized bundle A over an n-chart is the double
-vector bundle with sides A and TM and core the A-fiber; an element is
-stored as (x, fiber, x_dot, fiber_dot).  The double tangent bundle is the
-special case fiber = x-velocity.
+The tangent bundle T(A) of a trivialized bundle A of rank k over an n-chart
+is the double vector bundle with sides A and TM and core the A-fiber, of
+shape ``tangent_bundle_shape(bundle)``.  Its points, and the covectors of
+T*(A), are the decomposed elements of that shape:
 
-The decomposed grids built here are the two standard ones:
+    point (x, fiber; x_dot, fiber_dot) of T(A)
+        = DvbElement(shape, m=x, a=fiber, b=x_dot, c=fiber_dot)
+    covector (x, fiber; cov_x, cov_fiber) of T*(A)
+        = DualAElement(shape, m=x, a=fiber, beta=cov_x, kappa=cov_fiber)
+
+so a covector evaluates on a tangent vector at the same point by
+``dvb.pair_a``.  The double tangent bundle T(TM) is the case A = TM, where
+fiber is the second velocity.
+
+Lifts are linear sections of T(A): the tangent lift T(mu) of a section is
+linear over TM (a ``LinearSectionB``), and the complete lift of a vector
+field and the horizontal lift of a connection are linear over A (a
+``LinearSectionA``, i.e. a linear vector field on A).  The decomposed
+grids built here are the two standard ones:
 
   * on T(TM): the tangent lift of a vector field Y paired with the
     complete lift of X; the warp is the Lie bracket [X, Y];
@@ -15,162 +28,93 @@ The decomposed grids built here are the two standard ones:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .charts import Connection, TrivialBundle
-from .dvb import DvbShape, Record
+from .dvb import DvbElement, DvbShape
 from .sections import Grid, LinearSectionA, LinearSectionB, warp
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, jacobian
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field
 
 
-class TangentPoint(Record):
-    """Element (x, fiber; x_dot, fiber_dot) of T(A) for a trivialized bundle A.
-
-    Outline: projects to the bundle point (x, fiber) and to the base
-    tangent (x, x_dot); the core component is fiber_dot.
-    """
-
-    __slots__ = ("x", "fiber", "x_dot", "fiber_dot")
-    _fields = (("x", "n"), ("fiber", "k"), ("x_dot", "n"), ("fiber_dot", "k"))
-
-    def __init__(self, x, fiber, x_dot, fiber_dot):
-        super().__init__(None, x, fiber, x_dot, fiber_dot)
+def _shape(n: int, k: int) -> DvbShape:
+    """The shape of T(A) for a rank-k bundle over an n-chart."""
+    return DvbShape(dim_a=k, dim_b=n, dim_c=k, base_dim=n)
 
 
-class CotangentPoint(Record):
-    """Element of T*(A): a covector (cov_x, cov_fiber) at the point (x, fiber)."""
-
-    __slots__ = ("x", "fiber", "cov_x", "cov_fiber")
-    _fields = (("x", "n"), ("fiber", "k"), ("cov_x", "n"), ("cov_fiber", "k"))
-
-    def __init__(self, x, fiber, cov_x, cov_fiber):
-        super().__init__(None, x, fiber, cov_x, cov_fiber)
+def tangent_bundle_shape(bundle: TrivialBundle) -> DvbShape:
+    """The shape of T(A): sides A and TM, core the A fiber."""
+    return _shape(bundle.chart.dim, bundle.fiber_dim)
 
 
-class ProlongationDual(Record):
-    """Functional on double tangent vectors sharing the base tangent (x, x_dot).
-
-    Pairs (sigma_fiber, sigma_fiber_dot) against the (fiber, fiber_dot)
-    components; this is the dual of T(TM) over TM through the tangent
-    projection.
-    """
-
-    __slots__ = ("x", "x_dot", "sigma_fiber", "sigma_fiber_dot")
-    _fields = (("x", "n"), ("x_dot", "n"), ("sigma_fiber", "n"), ("sigma_fiber_dot", "n"))
-
-    def __init__(self, x, x_dot, sigma_fiber, sigma_fiber_dot):
-        super().__init__(None, x, x_dot, sigma_fiber, sigma_fiber_dot)
+def _tangent_lift(shape: DvbShape, mu: SmoothMap) -> LinearSectionB:
+    """T(mu) over TM: x_dot over x goes to (x, mu(x); x_dot, Dmu(x) x_dot)."""
+    return LinearSectionB(shape, mu, MatrixMap.from_jacobian(mu))
 
 
-# -- lifts to the double tangent bundle ---------------------------------------
-
-def complete_lift(x_field: SmoothMap, x, v) -> TangentPoint:
-    """Complete lift of X at (x, v) in TM: (x, v; X(x), DX(x) v)."""
+def _complete_lift(x_field: SmoothMap) -> LinearSectionA:
+    """The complete lift of X over TM: v over x goes to (x, v; X(x), DX(x) v)."""
     _check_vector_field(x_field)
-    v = np.asarray(v, dtype=float)
-    return TangentPoint(x, v, x_field(x), jacobian(x_field, x) @ v)
+    n = x_field.domain_dim
+    return LinearSectionA(_shape(n, n), x_field, MatrixMap.from_jacobian(x_field))
 
 
-def canonical_involution(t: TangentPoint) -> TangentPoint:
+# -- lifts to the tangent bundle ------------------------------------------------
+
+def complete_lift(x_field: SmoothMap, x, v) -> DvbElement:
+    """Complete lift of X at (x, v) in TM: (x, v; X(x), DX(x) v)."""
+    return _complete_lift(x_field)(x, v)
+
+
+def canonical_involution(t: DvbElement) -> DvbElement:
     """Swap the two tangent slots of a double tangent vector."""
-    if t.fiber.shape != t.x_dot.shape:
+    if t.shape.dim_a != t.shape.dim_b:
         raise DimensionMismatch("canonical involution needs a double tangent vector")
-    return TangentPoint(t.x, t.x_dot, t.fiber, t.fiber_dot)
+    return DvbElement(t.shape, t.m, t.b, t.a, t.c)
 
 
-def tangent_section_lift(mu: SmoothMap, x, x_dot) -> TangentPoint:
+def tangent_section_lift(mu: SmoothMap, x, x_dot) -> DvbElement:
     """Tangent of a section: T(mu)(x, x_dot) = (x, mu(x); x_dot, Dmu(x) x_dot)."""
-    x_dot = np.asarray(x_dot, dtype=float)
-    return TangentPoint(x, mu(x), x_dot, jacobian(mu, x) @ x_dot)
+    return _tangent_lift(_shape(mu.domain_dim, mu.codomain_dim), mu)(x, x_dot)
 
 
-# -- linear vector fields and horizontal lifts ---------------------------------
-
-@dataclass(frozen=True)
-class LinearVectorField:
-    """Vector field on a trivialized bundle, linear over the base field.
-
-    At (x, a) the value is (base_field(x), fiber_matrix(x) a), a tangent
-    vector to the total space.
-    """
-
-    bundle: TrivialBundle
-    base_field: SmoothMap
-    fiber_matrix: MatrixMap
-
-    def __post_init__(self):
-        n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        if self.base_field.domain_dim != n or self.base_field.codomain_dim != n:
-            raise DimensionMismatch("base field must be a vector field on the chart")
-        if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (k, k):
-            raise DimensionMismatch("fiber matrix must act on the fiber")
-
-    def __call__(self, x, a) -> TangentPoint:
-        a = np.asarray(a, dtype=float)
-        return TangentPoint(x, a, self.base_field(x), self.fiber_matrix(x) @ a)
-
-
-def horizontal_field(conn: Connection, z_field: SmoothMap) -> LinearVectorField:
+def horizontal_field(conn: Connection, z_field: SmoothMap) -> LinearSectionA:
     """Horizontal lift of Z as a linear vector field: fiber part -omega(Z) a."""
     k = conn.bundle.fiber_dim
-    return LinearVectorField(
-        conn.bundle,
+    return LinearSectionA(
+        tangent_bundle_shape(conn.bundle),
         z_field,
         MatrixMap(k, k, lambda m: -conn.omega(z_field, m)),
     )
 
 
-def horizontal_lift(conn: Connection, z_field: SmoothMap, x, a) -> TangentPoint:
+def horizontal_lift(conn: Connection, z_field: SmoothMap, x, a) -> DvbElement:
     """Value of the horizontal lift of Z at the bundle point (x, a)."""
     return horizontal_field(conn, z_field)(x, a)
 
 
 # -- decomposed grids on tangent bundles ---------------------------------------
 
-def tangent_bundle_shape(bundle: TrivialBundle) -> DvbShape:
-    """The shape of T(A): sides A and TM, core the A fiber."""
-    n, k = bundle.chart.dim, bundle.fiber_dim
-    return DvbShape(dim_a=k, dim_b=n, dim_c=k, base_dim=n)
-
-
 def section_lift_pair(bundle: TrivialBundle, mu: SmoothMap) -> LinearSectionB:
     """The linear section (T(mu), mu) of T(A) over TM in decomposed form."""
-    if mu.domain_dim != bundle.chart.dim or mu.codomain_dim != bundle.fiber_dim:
-        raise DimensionMismatch("section must map the chart into the fiber")
-    return LinearSectionB(
-        tangent_bundle_shape(bundle), mu, MatrixMap.from_jacobian(mu)
-    )
-
-
-def linear_field_pair(field: LinearVectorField) -> LinearSectionA:
-    """A linear vector field on A as a linear section of T(A) over A."""
-    return LinearSectionA(
-        tangent_bundle_shape(field.bundle), field.base_field, field.fiber_matrix
-    )
+    return _tangent_lift(tangent_bundle_shape(bundle), mu)
 
 
 def double_tangent_grid(x_field: SmoothMap, y_field: SmoothMap) -> Grid:
     """Grid on T(TM): tangent lift of Y against the complete lift of X."""
-    _check_vector_field(x_field)
+    eta = _complete_lift(x_field)
     _check_vector_field(y_field)
     if x_field.domain_dim != y_field.domain_dim:
         raise DimensionMismatch("vector fields live on different charts")
-    n = x_field.domain_dim
-    shape = DvbShape(dim_a=n, dim_b=n, dim_c=n, base_dim=n)
-    return Grid(
-        xi=LinearSectionB(shape, y_field, MatrixMap.from_jacobian(y_field)),
-        eta=LinearSectionA(shape, x_field, MatrixMap.from_jacobian(x_field)),
-    )
+    return Grid(xi=_tangent_lift(eta.shape, y_field), eta=eta)
 
 
 def connection_grid(conn: Connection, z_field: SmoothMap, mu: SmoothMap) -> Grid:
     """Grid on T(A): tangent lift of mu against the horizontal lift of Z."""
     return Grid(
         xi=section_lift_pair(conn.bundle, mu),
-        eta=linear_field_pair(horizontal_field(conn, z_field)),
+        eta=horizontal_field(conn, z_field),
     )
 
 
@@ -187,7 +131,7 @@ def covariant_derivative_via_warp(
 
 
 def linear_vector_field_operator(
-    field: LinearVectorField,
+    field: LinearSectionA,
 ) -> Callable[[SmoothMap, np.ndarray], np.ndarray]:
     """The first-order operator on sections attached to a linear vector field.
 
@@ -196,10 +140,6 @@ def linear_vector_field_operator(
     """
 
     def apply(mu: SmoothMap, m) -> np.ndarray:
-        grid = Grid(
-            xi=section_lift_pair(field.bundle, mu),
-            eta=linear_field_pair(field),
-        )
-        return warp(grid, m)
+        return warp(Grid(xi=_tangent_lift(field.shape, mu), eta=field), m)
 
     return apply

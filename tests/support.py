@@ -1,8 +1,18 @@
-"""Shared random generators for the tests: the harness's own, plus a constant grid."""
+"""Shared helpers for the tests: the harness's random generators, a constant
+grid, and tangent points and covectors of T(A) from their coordinates."""
 
 import numpy as np
 
-from dvbcalc import Grid, LinearSectionA, LinearSectionB, MatrixMap, SmoothMap
+from dvbcalc import (
+    DualAElement,
+    DvbElement,
+    DvbShape,
+    Grid,
+    LinearSectionA,
+    LinearSectionB,
+    MatrixMap,
+    SmoothMap,
+)
 from dvbcalc.harness.suites import (  # noqa: F401
     _matrix_map as matrix_map,
     _poly_expr as poly_expr,
@@ -27,3 +37,15 @@ def constant_grid(shape, x_value, y_value, lam, mu):
             MatrixMap.constant(np.asarray(mu, dtype=float)),
         ),
     )
+
+
+def tangent_point(x, fiber, x_dot, fiber_dot):
+    """The point (x, fiber; x_dot, fiber_dot) of T(A), A of rank len(fiber) over a len(x)-chart."""
+    n, k = len(x), len(fiber)
+    return DvbElement(DvbShape(k, n, k, n), x, fiber, x_dot, fiber_dot)
+
+
+def covector(x, fiber, cov_x, cov_fiber):
+    """The covector (x, fiber; cov_x, cov_fiber) of T*(A), A of rank len(fiber) over a len(x)-chart."""
+    n, k = len(x), len(fiber)
+    return DualAElement(DvbShape(k, n, k, n), x, fiber, cov_x, cov_fiber)

@@ -10,7 +10,6 @@ from dvbcalc.cotangent import (
     canonical_two_form,
     connection_pairing_check,
     cotangent_flip,
-    cotangent_pairing,
     diagram_check,
     dnu_sharp,
     dual_horizontal_field,
@@ -27,6 +26,7 @@ from dvbcalc.cotangent import (
     tangent_pairing,
     tangent_pairing_via_sections,
 )
+from dvbcalc.dvb import IncompatibleElements, pair_a
 from dvbcalc.expressions import Add, Num
 from dvbcalc.sections import squarecap_a, squarecap_b, squarecap_pairing, warp_pairing_check
 from dvbcalc.smoothmaps import (
@@ -35,13 +35,7 @@ from dvbcalc.smoothmaps import (
     jacobian,
     lie_bracket,
 )
-from dvbcalc.tangent import (
-    CotangentPoint,
-    TangentPoint,
-    connection_grid,
-    double_tangent_grid,
-    horizontal_field,
-)
+from dvbcalc.tangent import connection_grid, double_tangent_grid
 
 import support
 
@@ -49,7 +43,7 @@ RNG = np.random.default_rng(20240819)
 
 
 def _random_cotangent(rng, n, k):
-    return CotangentPoint(
+    return support.covector(
         support.rand_vec(rng, n),
         support.rand_vec(rng, k),
         support.rand_vec(rng, n),
@@ -69,21 +63,21 @@ def _random_connection(rng, bundle):
 
 
 def test_flip_formula():
-    f = CotangentPoint([1.0, 2.0], [3.0], [4.0, 5.0], [6.0])
+    f = support.covector([1.0, 2.0], [3.0], [4.0, 5.0], [6.0])
     g = cotangent_flip(f)
-    assert g.x.tolist() == [1.0, 2.0]
-    assert g.fiber.tolist() == [6.0]
-    assert g.cov_x.tolist() == [-4.0, -5.0]
-    assert g.cov_fiber.tolist() == [3.0]
+    assert g.m.tolist() == [1.0, 2.0]
+    assert g.a.tolist() == [6.0]
+    assert g.beta.tolist() == [-4.0, -5.0]
+    assert g.kappa.tolist() == [3.0]
 
 
 def test_flip_coords_matches_point_flip():
     for _ in range(5):
         n, k = int(RNG.integers(1, 4)), int(RNG.integers(1, 4))
         f = _random_cotangent(RNG, n, k)
-        flat = list(f.x) + list(f.fiber) + list(f.cov_x) + list(f.cov_fiber)
+        flat = list(f.m) + list(f.a) + list(f.beta) + list(f.kappa)
         g = cotangent_flip(f)
-        expected = list(g.x) + list(g.fiber) + list(g.cov_x) + list(g.cov_fiber)
+        expected = list(g.m) + list(g.a) + list(g.beta) + list(g.kappa)
         assert flip_coords(flat, n, k) == expected
 
 
@@ -101,17 +95,17 @@ def test_flip_relation_random():
 
 
 def test_tangent_pairing_frozen_example():
-    xc = TangentPoint([0.5], [2.0], [1.0], [3.0])
-    xi = TangentPoint([0.5], [5.0], [1.0], [7.0])
+    xc = support.tangent_point([0.5], [2.0], [1.0], [3.0])
+    xi = support.tangent_point([0.5], [5.0], [1.0], [7.0])
     assert tangent_pairing(xc, xi) == 29.0
 
 
 def test_tangent_pairing_requires_shared_base_tangent():
-    xc = TangentPoint([0.5], [2.0], [1.0], [3.0])
+    xc = support.tangent_point([0.5], [2.0], [1.0], [3.0])
     with pytest.raises(DimensionMismatch):
-        tangent_pairing(xc, TangentPoint([0.6], [5.0], [1.0], [7.0]))
+        tangent_pairing(xc, support.tangent_point([0.6], [5.0], [1.0], [7.0]))
     with pytest.raises(DimensionMismatch):
-        tangent_pairing(xc, TangentPoint([0.5], [5.0], [2.0], [7.0]))
+        tangent_pairing(xc, support.tangent_point([0.5], [5.0], [2.0], [7.0]))
 
 
 def test_tangent_pairing_via_sections_is_extension_independent():
@@ -119,21 +113,21 @@ def test_tangent_pairing_via_sections_is_extension_independent():
     for _ in range(5):
         x = support.rand_vec(RNG, n)
         x_dot = support.rand_vec(RNG, n)
-        xc = TangentPoint(x, support.rand_vec(RNG, k), x_dot, support.rand_vec(RNG, k))
-        xi = TangentPoint(x, support.rand_vec(RNG, k), x_dot, support.rand_vec(RNG, k))
+        xc = support.tangent_point(x, support.rand_vec(RNG, k), x_dot, support.rand_vec(RNG, k))
+        xi = support.tangent_point(x, support.rand_vec(RNG, k), x_dot, support.rand_vec(RNG, k))
         direct = tangent_pairing(xc, xi)
         for _ in range(3):
-            mu = _section_through(RNG, n, k, x, xi.fiber)
-            phi = _section_through(RNG, n, k, x, xc.fiber)
+            mu = _section_through(RNG, n, k, x, xi.a)
+            phi = _section_through(RNG, n, k, x, xc.a)
             routed = tangent_pairing_via_sections(xc, xi, mu, phi)
             assert abs(routed - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_tangent_pairing_via_sections_checks_the_points():
     x = np.array([0.1, 0.2])
-    xc = TangentPoint(x, [1.0, 1.0], [0.5, 0.5], [0.0, 0.0])
-    xi = TangentPoint(x, [2.0, 2.0], [0.5, 0.5], [0.0, 0.0])
-    good_mu = _section_through(RNG, 2, 2, x, xi.fiber)
+    xc = support.tangent_point(x, [1.0, 1.0], [0.5, 0.5], [0.0, 0.0])
+    xi = support.tangent_point(x, [2.0, 2.0], [0.5, 0.5], [0.0, 0.0])
+    good_mu = _section_through(RNG, 2, 2, x, xi.a)
     bad = SmoothMap.constant([9.0, 9.0], 2)
     with pytest.raises(ValueError):
         tangent_pairing_via_sections(xc, xi, bad, good_mu)
@@ -142,26 +136,26 @@ def test_tangent_pairing_via_sections_checks_the_points():
 
 
 def test_i_components_and_j_star_read_the_functional():
-    xc = TangentPoint([0.1, 0.2], [1.0, 2.0], [0.3, 0.4], [5.0, 6.0])
-    pd = i_components(xc)
-    assert np.array_equal(pd.sigma_fiber, xc.fiber_dot)
-    assert np.array_equal(pd.sigma_fiber_dot, xc.fiber)
-    cov = j_star(pd)
-    assert np.array_equal(cov.x, xc.x)
-    assert np.array_equal(cov.fiber, xc.x_dot)
-    assert np.array_equal(cov.cov_x, xc.fiber_dot)
-    assert np.array_equal(cov.cov_fiber, xc.fiber)
+    xc = support.tangent_point([0.1, 0.2], [1.0, 2.0], [0.3, 0.4], [5.0, 6.0])
+    psi = i_components(xc)
+    assert np.array_equal(psi.alpha, xc.c)
+    assert np.array_equal(psi.kappa, xc.a)
+    cov = j_star(psi)
+    assert np.array_equal(cov.m, xc.m)
+    assert np.array_equal(cov.a, xc.b)
+    assert np.array_equal(cov.beta, xc.c)
+    assert np.array_equal(cov.kappa, xc.a)
 
 
 def test_dnu_sharp_pinned_sign():
     assert DNU_SHARP_SIGN == 1.0
-    f = CotangentPoint([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0])
+    f = support.covector([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0])
     sharp = dnu_sharp(f)
-    assert sharp.x_dot.tolist() == [7.0, 8.0]
-    assert sharp.fiber_dot.tolist() == [-5.0, -6.0]
+    assert sharp.b.tolist() == [7.0, 8.0]
+    assert sharp.c.tolist() == [-5.0, -6.0]
     flipped = dnu_sharp(f, sign=-1.0)
-    assert flipped.x_dot.tolist() == [-7.0, -8.0]
-    assert flipped.fiber_dot.tolist() == [5.0, 6.0]
+    assert flipped.b.tolist() == [-7.0, -8.0]
+    assert flipped.c.tolist() == [5.0, 6.0]
 
 
 def test_dnu_sharp_inverts_the_two_form():
@@ -170,21 +164,21 @@ def test_dnu_sharp_inverts_the_two_form():
         d = int(RNG.integers(1, 4))
         f = _random_cotangent(RNG, d, d)
         sharp = dnu_sharp(f)
-        point = list(f.x) + list(f.fiber)
-        sharp_dir = list(sharp.x_dot) + list(sharp.fiber_dot)
+        point = list(f.m) + list(f.a)
+        sharp_dir = list(sharp.b) + list(sharp.c)
         w = support.rand_vec(RNG, 2 * d)
         value = canonical_two_form(point, list(w), sharp_dir)
-        expected = float(f.cov_x @ w[:d] + f.cov_fiber @ w[d:])
+        expected = float(f.beta @ w[:d] + f.kappa @ w[d:])
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_squarecap_tangent_lift_frozen_example():
     y_field = SmoothMap.parse(["0", "x0"], 2)
     cap = squarecap_tangent_lift(y_field, [2.0, 3.0], [5.0, 7.0])
-    assert cap.x.tolist() == [2.0, 3.0]
-    assert cap.fiber.tolist() == [5.0, 7.0]
-    assert cap.cov_x.tolist() == [7.0, 0.0]
-    assert cap.cov_fiber.tolist() == [0.0, 2.0]
+    assert cap.m.tolist() == [2.0, 3.0]
+    assert cap.a.tolist() == [5.0, 7.0]
+    assert cap.beta.tolist() == [7.0, 0.0]
+    assert cap.kappa.tolist() == [0.0, 2.0]
     with pytest.raises(DimensionMismatch):
         squarecap_tangent_lift(SmoothMap.parse(["x0"], 2), [1.0, 1.0], [1.0, 1.0])
 
@@ -192,8 +186,8 @@ def test_squarecap_tangent_lift_frozen_example():
 def test_squarecap_tangent_lift_constant_field():
     y_field = SmoothMap.constant([2.0, -1.0], 2)
     cap = squarecap_tangent_lift(y_field, [0.3, 0.4], [1.0, 2.0])
-    assert cap.cov_x.tolist() == [0.0, 0.0]
-    assert cap.cov_fiber.tolist() == [2.0, -1.0]
+    assert cap.beta.tolist() == [0.0, 0.0]
+    assert cap.kappa.tolist() == [2.0, -1.0]
 
 
 def test_squarecap_complete_lift_closed_form():
@@ -203,12 +197,12 @@ def test_squarecap_complete_lift_closed_form():
         x = support.rand_vec(RNG, n)
         p = support.rand_vec(RNG, n)
         cap = squarecap_complete_lift(x_field, x, p)
-        assert np.allclose(cap.x_dot, -x_field(x), rtol=0.0, atol=1e-13)
-        assert np.allclose(cap.fiber_dot, jacobian(x_field, x).T @ p, rtol=0.0, atol=1e-12)
+        assert np.allclose(cap.b, -x_field(x), rtol=0.0, atol=1e-13)
+        assert np.allclose(cap.c, jacobian(x_field, x).T @ p, rtol=0.0, atol=1e-12)
     constant = SmoothMap.constant([1.0, -2.0], 2)
     cap = squarecap_complete_lift(constant, [0.1, 0.2], [0.3, 0.4])
-    assert cap.x_dot.tolist() == [-1.0, 2.0]
-    assert cap.fiber_dot.tolist() == [0.0, 0.0]
+    assert cap.b.tolist() == [-1.0, 2.0]
+    assert cap.c.tolist() == [0.0, 0.0]
 
 
 def test_bracket_pairing_identity():
@@ -243,18 +237,18 @@ def test_diagram_commutes():
         f = _random_cotangent(RNG, n, n)
         composite, direct, residual = diagram_check(f)
         assert residual <= 1e-12
-        assert np.array_equal(direct.cov_fiber, f.fiber)
+        assert np.array_equal(direct.kappa, f.a)
     with pytest.raises(DimensionMismatch):
-        diagram_check(CotangentPoint([1.0, 2.0], [3.0], [4.0, 5.0], [6.0]))
+        diagram_check(support.covector([1.0, 2.0], [3.0], [4.0, 5.0], [6.0]))
 
 
 def test_diagram_fails_with_opposite_sharp_sign():
-    f = CotangentPoint([0.1, 0.2], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    f = support.covector([0.1, 0.2], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
     wrong = j_star(i_components(dnu_sharp(f, sign=-1.0)))
     direct = cotangent_flip(f)
     defect = max(
         float(np.max(np.abs(getattr(wrong, name) - getattr(direct, name))))
-        for name in ("x", "fiber", "cov_x", "cov_fiber")
+        for name in ("m", "a", "beta", "kappa")
     )
     assert defect >= 1.0
 
@@ -303,8 +297,8 @@ def test_ell_differential_formula_and_validation():
     x = support.rand_vec(RNG, 2)
     kappa = support.rand_vec(RNG, 3)
     cap = ell_differential(mu, x, kappa)
-    assert np.allclose(cap.cov_x, jacobian(mu, x).T @ kappa, rtol=0.0, atol=1e-12)
-    assert np.allclose(cap.cov_fiber, mu(x), rtol=0.0, atol=1e-13)
+    assert np.allclose(cap.beta, jacobian(mu, x).T @ kappa, rtol=0.0, atol=1e-12)
+    assert np.allclose(cap.kappa, mu(x), rtol=0.0, atol=1e-13)
     with pytest.raises(DimensionMismatch):
         ell_differential(mu, [1.0, 2.0, 3.0], kappa)
 
@@ -341,7 +335,7 @@ def test_dual_horizontal_field_momentum_characterization():
         x = support.rand_vec(RNG, 2)
         kappa = support.rand_vec(RNG, 2)
         at_point = lift(x, kappa)
-        direction = list(at_point.x_dot) + list(at_point.fiber_dot)
+        direction = list(at_point.b) + list(at_point.c)
 
         def ell_mu(vals):
             mus = mu.eval_generic(list(vals[:2]))
@@ -360,8 +354,8 @@ def test_squarecap_horizontal_formula():
     kappa = support.rand_vec(RNG, 2)
     cap = squarecap_horizontal(conn, x_field, x, kappa)
     omega = conn.omega(x_field, x)
-    assert np.array_equal(cap.x_dot, -x_field(x))
-    assert np.allclose(cap.fiber_dot, -(omega.T @ kappa), rtol=0.0, atol=1e-13)
+    assert np.array_equal(cap.b, -x_field(x))
+    assert np.allclose(cap.c, -(omega.T @ kappa), rtol=0.0, atol=1e-13)
 
 
 def test_bracket_sections_match_decomposed_grid():
@@ -375,10 +369,10 @@ def test_bracket_sections_match_decomposed_grid():
         cap_a = squarecap_a(grid.eta, x, p)
         cap_y = squarecap_tangent_lift(y_field, x, p)
         cap_x = squarecap_complete_lift(x_field, x, p)
-        assert np.allclose(cap_b.beta, cap_y.cov_x, rtol=0.0, atol=1e-12)
-        assert np.allclose(cap_b.a, cap_y.cov_fiber, rtol=0.0, atol=1e-13)
-        assert np.allclose(cap_a.b, -cap_x.x_dot, rtol=0.0, atol=1e-13)
-        assert np.allclose(cap_a.alpha, cap_x.fiber_dot, rtol=0.0, atol=1e-12)
+        assert np.allclose(cap_b.beta, cap_y.beta, rtol=0.0, atol=1e-12)
+        assert np.allclose(cap_b.a, cap_y.kappa, rtol=0.0, atol=1e-13)
+        assert np.allclose(cap_a.b, -cap_x.b, rtol=0.0, atol=1e-13)
+        assert np.allclose(cap_a.alpha, cap_x.c, rtol=0.0, atol=1e-12)
         lhs, rhs = bracket_pairing_check(x_field, y_field, x, p)
         paired = squarecap_pairing(cap_b, cap_a)
         scale = max(1.0, abs(lhs), abs(paired))
@@ -399,8 +393,8 @@ def test_connection_sections_match_decomposed_grid():
         kappa = support.rand_vec(RNG, 2)
         cap_h = squarecap_horizontal(conn, x_field, x, kappa)
         cap_a = squarecap_a(grid.eta, x, kappa)
-        assert np.allclose(cap_a.alpha, cap_h.fiber_dot, rtol=0.0, atol=1e-12)
-        assert np.allclose(cap_a.b, -cap_h.x_dot, rtol=0.0, atol=1e-13)
+        assert np.allclose(cap_a.alpha, cap_h.c, rtol=0.0, atol=1e-12)
+        assert np.allclose(cap_a.b, -cap_h.b, rtol=0.0, atol=1e-13)
         lhs, rhs = connection_pairing_check(conn, x_field, mu, x, kappa)
         glhs, grhs = warp_pairing_check(grid, x, kappa)
         scale = max(1.0, abs(lhs), abs(rhs))
@@ -409,7 +403,7 @@ def test_connection_sections_match_decomposed_grid():
 
 
 def test_cotangent_pairing_requires_matching_point():
-    cov = CotangentPoint([0.0], [1.0], [2.0], [3.0])
-    tan = TangentPoint([0.0], [5.0], [1.0], [1.0])
-    with pytest.raises(DimensionMismatch):
-        cotangent_pairing(cov, tan)
+    cov = support.covector([0.0], [1.0], [2.0], [3.0])
+    tan = support.tangent_point([0.0], [5.0], [1.0], [1.0])
+    with pytest.raises(IncompatibleElements):
+        pair_a(cov, tan)

@@ -151,18 +151,25 @@ def test_print_parse_idempotent_on_hand_built_negatives():
     assert parse(to_string(once), 1) == once
 
 
-_exprs = st.deferred(
-    lambda: st.one_of(
+def _nodes(children):
+    return st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Neg, children),
+        st.builds(Pow, children, st.integers(min_value=-3, max_value=3)),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "log"]), children),
+    )
+
+
+_exprs = st.recursive(
+    st.one_of(
         st.builds(Num, st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(abs)),
         st.builds(Var, st.integers(min_value=0, max_value=2)),
-        st.builds(Add, _exprs, _exprs),
-        st.builds(Sub, _exprs, _exprs),
-        st.builds(Mul, _exprs, _exprs),
-        st.builds(Div, _exprs, _exprs),
-        st.builds(Neg, _exprs),
-        st.builds(Pow, _exprs, st.integers(min_value=-3, max_value=3)),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "log"]), _exprs),
-    )
+    ),
+    _nodes,
+    max_leaves=50,
 )
 
 

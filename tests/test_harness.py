@@ -400,6 +400,16 @@ def test_cli_unwritable_json_out_exits_two(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_cli_unwritable_json_out_exits_before_any_suite(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the report path was opened")
+
+    monkeypatch.setattr(cli, "run_suites", no_run)
+    missing = tmp_path / "no-such-dir" / "report.json"
+    assert cli.main(["verify", "--demo", "--json-out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the report")
+
+
 def test_cli_repeated_suite_runs_once(tmp_path):
     report_path = tmp_path / "report.json"
     code = cli.main(

@@ -3,7 +3,7 @@ import pytest
 
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
-from dvbcalc.dvb import DvbShape, elements_equal
+from dvbcalc.dvb import DualAElement, DvbShape, IncompatibleElements, elements_equal
 from dvbcalc.expressions import Add
 from dvbcalc.smoothmaps import (
     DimensionMismatch,
@@ -13,9 +13,8 @@ from dvbcalc.smoothmaps import (
     jacobian,
     lie_bracket,
 )
+from dvbcalc.sections import LinearSectionA
 from dvbcalc.tangent import (
-    LinearVectorField,
-    TangentPoint,
     canonical_involution,
     complete_lift,
     connection_grid,
@@ -24,7 +23,6 @@ from dvbcalc.tangent import (
     horizontal_field,
     horizontal_lift,
     lie_bracket_via_warp,
-    linear_field_pair,
     linear_vector_field_operator,
     section_lift_pair,
     tangent_bundle_shape,
@@ -49,10 +47,10 @@ def _random_connection(rng, bundle):
 def test_complete_lift_formula():
     x_field = SmoothMap.parse(["x1", "-x0"], 2)
     lifted = complete_lift(x_field, [1.0, 2.0], [3.0, 4.0])
-    assert lifted.x.tolist() == [1.0, 2.0]
-    assert lifted.fiber.tolist() == [3.0, 4.0]
-    assert lifted.x_dot.tolist() == [2.0, -1.0]
-    assert lifted.fiber_dot.tolist() == [4.0, -3.0]
+    assert lifted.m.tolist() == [1.0, 2.0]
+    assert lifted.a.tolist() == [3.0, 4.0]
+    assert lifted.b.tolist() == [2.0, -1.0]
+    assert lifted.c.tolist() == [4.0, -3.0]
 
 
 def test_complete_lift_is_involution_of_tangent_lift():
@@ -67,13 +65,13 @@ def test_complete_lift_is_involution_of_tangent_lift():
 
 
 def test_involution_is_involutive():
-    t = TangentPoint([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0])
+    t = support.tangent_point([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0])
     swapped = canonical_involution(t)
-    assert swapped.fiber.tolist() == [5.0, 6.0]
-    assert swapped.x_dot.tolist() == [3.0, 4.0]
-    assert swapped.fiber_dot.tolist() == [7.0, 8.0]
+    assert swapped.a.tolist() == [5.0, 6.0]
+    assert swapped.b.tolist() == [3.0, 4.0]
+    assert swapped.c.tolist() == [7.0, 8.0]
     assert elements_equal(canonical_involution(swapped), t)
-    rectangular = TangentPoint([1.0, 2.0], [3.0], [5.0, 6.0], [7.0])
+    rectangular = support.tangent_point([1.0, 2.0], [3.0], [5.0, 6.0], [7.0])
     with pytest.raises(DimensionMismatch):
         canonical_involution(rectangular)
 
@@ -81,25 +79,23 @@ def test_involution_is_involutive():
 def test_constant_field_lifts_with_zero_core():
     x_field = SmoothMap.constant([2.0, -1.0], 2)
     lifted = complete_lift(x_field, [0.3, 0.4], [1.0, 1.0])
-    assert lifted.x_dot.tolist() == [2.0, -1.0]
-    assert lifted.fiber_dot.tolist() == [0.0, 0.0]
+    assert lifted.b.tolist() == [2.0, -1.0]
+    assert lifted.c.tolist() == [0.0, 0.0]
 
 
 def test_tangent_point_validation():
     with pytest.raises(DimensionMismatch):
-        TangentPoint([1.0, 2.0], [3.0], [5.0], [7.0])
+        support.tangent_point([1.0, 2.0], [3.0], [5.0], [7.0])
     with pytest.raises(DimensionMismatch):
         complete_lift(SmoothMap.parse(["x0", "x0"], 1), [1.0], [1.0])
 
 
 def test_points_equal_tolerance_and_types():
-    t = TangentPoint([1.0], [2.0], [3.0], [4.0])
-    nudged = TangentPoint([1.0], [2.0], [3.0], [4.0 + 1e-12])
+    t = support.tangent_point([1.0], [2.0], [3.0], [4.0])
+    nudged = support.tangent_point([1.0], [2.0], [3.0], [4.0 + 1e-12])
     assert not elements_equal(t, nudged)
-    assert elements_equal(t, TangentPoint([1.0], [2.0], [3.0], [4.0]))
-    from dvbcalc.tangent import CotangentPoint
-
-    cot = CotangentPoint([1.0], [2.0], [3.0], [4.0])
+    assert elements_equal(t, support.tangent_point([1.0], [2.0], [3.0], [4.0]))
+    cot = DualAElement(t.shape, [1.0], [2.0], [3.0], [4.0])
     assert not elements_equal(t, cot)
 
 
@@ -133,18 +129,18 @@ def test_horizontal_lift_formula():
     a = support.rand_vec(RNG, 2)
     lifted = horizontal_lift(conn, z_field, x, a)
     omega = np.tensordot(z_field(x), tensor, axes=(0, 0))
-    assert np.array_equal(lifted.x_dot, z_field(x))
-    assert np.allclose(lifted.fiber_dot, -omega @ a, rtol=0.0, atol=1e-14)
+    assert np.array_equal(lifted.b, z_field(x))
+    assert np.allclose(lifted.c, -omega @ a, rtol=0.0, atol=1e-14)
     a2 = support.rand_vec(RNG, 2)
     summed = horizontal_lift(conn, z_field, x, a + a2)
     assert np.allclose(
-        summed.fiber_dot,
-        lifted.fiber_dot + horizontal_lift(conn, z_field, x, a2).fiber_dot,
+        summed.c,
+        lifted.c + horizontal_lift(conn, z_field, x, a2).c,
         rtol=0.0,
         atol=1e-12,
     )
     flat = Connection.flat(bundle)
-    assert horizontal_lift(flat, z_field, x, a).fiber_dot.tolist() == [0.0, 0.0]
+    assert horizontal_lift(flat, z_field, x, a).c.tolist() == [0.0, 0.0]
 
 
 def test_horizontal_lift_is_a_derivation_on_momentum_functions():
@@ -158,7 +154,7 @@ def test_horizontal_lift_is_a_derivation_on_momentum_functions():
     x = support.rand_vec(RNG, 2)
     a = support.rand_vec(RNG, 2)
     lifted = horizontal_lift(conn, z_field, x, a)
-    direction = np.concatenate([lifted.x_dot, lifted.fiber_dot])
+    direction = np.concatenate([lifted.b, lifted.c])
 
     def momentum(vals):
         phi_vals = phi.eval_generic(vals[:2])
@@ -212,15 +208,16 @@ def test_linear_vector_field_operator_closed_form():
     bundle = _bundle(2, 2)
     base = support.poly_map(RNG, 2, 2)
     matrix = support.matrix_map(RNG, 2, 2, 2)
-    field = LinearVectorField(bundle, base, matrix)
+    shape = tangent_bundle_shape(bundle)
+    field = LinearSectionA(shape, base, matrix)
     mu = support.poly_map(RNG, 2, 2)
     m = support.rand_vec(RNG, 2)
     operator = linear_vector_field_operator(field)
     expected = jacobian(mu, m) @ base(m) - matrix(m) @ mu(m)
     assert np.allclose(operator(mu, m), expected, rtol=0.0, atol=1e-12)
 
-    zero_field = LinearVectorField(
-        bundle, SmoothMap.constant([0.0, 0.0], 2), MatrixMap.constant(np.zeros((2, 2)))
+    zero_field = LinearSectionA(
+        shape, SmoothMap.constant([0.0, 0.0], 2), MatrixMap.constant(np.zeros((2, 2)))
     )
     assert linear_vector_field_operator(zero_field)(mu, m).tolist() == [0.0, 0.0]
 
@@ -250,34 +247,28 @@ def test_tangent_bundle_shape():
     assert tangent_bundle_shape(_bundle(3, 2)) == DvbShape(2, 3, 2, 3)
 
 
-def test_section_lift_pair_matches_tangent_lift():
-    bundle = _bundle(2, 3)
+def test_section_lift_pair_rejects_a_mismatched_section():
+    with pytest.raises(IncompatibleElements):
+        section_lift_pair(_bundle(2, 3), support.poly_map(RNG, 2, 2))
+
+
+def test_lifts_equal_their_linear_sections():
+    # Each lift is bitwise the value of the linear section that the grids use.
+    x_field = support.poly_map(RNG, 2, 2)
     mu = support.poly_map(RNG, 2, 3)
-    section = section_lift_pair(bundle, mu)
-    m = support.rand_vec(RNG, 2)
-    x_dot = support.rand_vec(RNG, 2)
-    element = section(m, x_dot)
-    point = tangent_section_lift(mu, m, x_dot)
-    assert np.array_equal(element.a, point.fiber)
-    assert np.array_equal(element.b, point.x_dot)
-    assert np.array_equal(element.c, point.fiber_dot)
-    with pytest.raises(DimensionMismatch):
-        section_lift_pair(bundle, support.poly_map(RNG, 2, 2))
-
-
-def test_linear_field_pair_matches_field():
-    bundle = _bundle(2, 2)
-    conn = _random_connection(RNG, bundle)
-    z_field = support.poly_map(RNG, 2, 2)
-    field = horizontal_field(conn, z_field)
-    section = linear_field_pair(field)
-    m = support.rand_vec(RNG, 2)
-    a = support.rand_vec(RNG, 2)
-    element = section(m, a)
-    point = field(m, a)
-    assert np.array_equal(element.a, point.fiber)
-    assert np.array_equal(element.b, point.x_dot)
-    assert np.array_equal(element.c, point.fiber_dot)
+    conn = _random_connection(RNG, _bundle(2, 3))
+    for _ in range(5):
+        m = support.rand_vec(RNG, 2)
+        v = support.rand_vec(RNG, 2)
+        a = support.rand_vec(RNG, 3)
+        grid = double_tangent_grid(x_field, support.poly_map(RNG, 2, 2))
+        assert elements_equal(complete_lift(x_field, m, v), grid.eta(m, v))
+        assert elements_equal(
+            tangent_section_lift(mu, m, v), section_lift_pair(conn.bundle, mu)(m, v)
+        )
+        assert elements_equal(
+            horizontal_lift(conn, x_field, m, a), horizontal_field(conn, x_field)(m, a)
+        )
 
 
 def test_connection_grid_shape_and_warp():
@@ -305,9 +296,12 @@ def test_double_tangent_grid_validation():
 
 def test_linear_vector_field_validation():
     bundle = _bundle(2, 2)
-    with pytest.raises(DimensionMismatch):
-        LinearVectorField(bundle, SmoothMap.parse(["x0"], 2), MatrixMap.constant(np.zeros((2, 2))))
-    with pytest.raises(DimensionMismatch):
-        LinearVectorField(
-            bundle, support.poly_map(RNG, 2, 2), MatrixMap.constant(np.zeros((1, 2)))
+    shape = tangent_bundle_shape(bundle)
+    with pytest.raises(IncompatibleElements):
+        LinearSectionA(shape, SmoothMap.parse(["x0"], 2), MatrixMap.constant(np.zeros((2, 2))))
+    with pytest.raises(IncompatibleElements):
+        LinearSectionA(
+            shape, support.poly_map(RNG, 2, 2), MatrixMap.constant(np.zeros((1, 2)))
         )
+    with pytest.raises(IncompatibleElements):
+        horizontal_field(Connection.flat(bundle), SmoothMap.parse(["x0"], 2))
