@@ -95,9 +95,12 @@ def tangent_pairing_via_sections(
     """
     x = xc.m
     k = xc.a.size
-    if np.max(np.abs(mu(x) - xi.a), initial=0.0) > _PASS_THROUGH_TOL:
+    mu_x, phi_x = mu(x), phi(x)
+    if mu_x.shape != xi.a.shape or phi_x.shape != xc.a.shape:
+        raise DimensionMismatch("extending sections must take values in the points' fibers")
+    if np.max(np.abs(mu_x - xi.a), initial=0.0) > _PASS_THROUGH_TOL:
         raise ValueError("section mu does not pass through the tangent vector's point")
-    if np.max(np.abs(phi(x) - xc.a), initial=0.0) > _PASS_THROUGH_TOL:
+    if np.max(np.abs(phi_x - xc.a), initial=0.0) > _PASS_THROUGH_TOL:
         raise ValueError("section phi does not pass through the covector's point")
 
     def phi_dot_mu(vals: Sequence[Scalar]) -> Scalar:

@@ -21,6 +21,16 @@ Pairings follow the decomposed formulas
 Compatibility of base points and shared side components is checked by
 exact float equality; elements meant to interact must be built from the
 same arrays.
+
+Batches.  A component is either one vector of shape (dim,) or a batch of N
+vectors of shape (N, dim); every batched component of one record has the
+same N, and the record's ``batch`` is that N (None when nothing is
+batched).  An unbatched component, such as a shared base point, stands for
+every row of a batch: it is compared against a batch by broadcasting over
+the leading axis only, and the trailing lengths must agree exactly.  The
+four pairings return a float for single elements and an (N,) array, one
+value per row, when either argument is a batch.  Two batches that interact
+must have the same N.  A batched record is built, and traced, once.
 """
 
 from __future__ import annotations
@@ -53,30 +63,59 @@ class DvbShape:
 
 
 def _same(u: np.ndarray, v: np.ndarray, what: str) -> None:
-    if not np.array_equal(u, v):
+    """Exact equality of two components, a single vector standing for every row of a batch."""
+    if u.shape != v.shape and (u.shape[-1] != v.shape[-1] or u.ndim == v.ndim):
+        raise IncompatibleElements(f"elements disagree on {what}: shapes {u.shape} vs {v.shape}")
+    if not (u == v).all():
         raise IncompatibleElements(f"elements disagree on {what}: {u} vs {v}")
 
 
+def _dot(u: np.ndarray, v: np.ndarray):
+    """<u, v>: a float for two vectors, one value per row when either is a batch."""
+    if u.ndim == v.ndim == 1:
+        return float(u @ v)
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _per_row(value, batch: int | None):
+    """A pairing's value, repeated over the rows of a batch if no batched component entered it."""
+    if batch is None or np.ndim(value) == 1:
+        return value
+    return np.full(batch, value)
+
+
 class Record:
-    """A point in decomposed form: named coordinate vectors, each read-only.
+    """A point in decomposed form, or a batch of them: named coordinate arrays, each read-only.
 
     ``_fields`` pairs each component name with the ``DvbShape`` attribute
-    that fixes its length.
+    that fixes its length.  ``batch`` is the common leading length of the
+    batched components, or None.
     """
 
-    __slots__ = ("shape",)
+    __slots__ = ("shape", "batch")
 
     _fields: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, shape: DvbShape, *values) -> None:
         self.shape = shape
+        batch = None
         for (name, key), value in zip(self._fields, values):
-            arr = np.array(value, dtype=float).reshape(-1)
+            arr = np.array(value, dtype=float)
             dim = getattr(shape, key)
             if arr.shape != (dim,):
-                raise DimensionMismatch(f"{name} must have length {dim}, got {arr.shape}")
+                if arr.ndim != 2 or arr.shape[1] != dim:
+                    raise DimensionMismatch(
+                        f"{name} must have shape ({dim},) or (N, {dim}), got {arr.shape}"
+                    )
+                if batch is None:
+                    batch = arr.shape[0]
+                elif arr.shape[0] != batch:
+                    raise DimensionMismatch(
+                        f"{name} has {arr.shape[0]} rows, other components have {batch}"
+                    )
             arr.flags.writeable = False
             setattr(self, name, arr)
+        self.batch = batch
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{name}={getattr(self, name)}" for name, _ in self._fields)
@@ -148,10 +187,18 @@ def elements_equal(x: Record, y: Record) -> bool:
     )
 
 
-def _common(x, y):
+def _common(x, y) -> int | None:
+    """Check that x and y can interact; return their batch length, or None."""
     if x.shape != y.shape:
         raise IncompatibleElements(f"shape mismatch: {x.shape} vs {y.shape}")
+    if x.batch is None:
+        batch = y.batch
+    elif y.batch is None or y.batch == x.batch:
+        batch = x.batch
+    else:
+        raise IncompatibleElements(f"batches of {x.batch} and {y.batch} rows")
     _same(x.m, y.m, "base point")
+    return batch
 
 
 # -- additive structure on D -------------------------------------------------
@@ -214,32 +261,32 @@ def core_difference(d1: DvbElement, d2: DvbElement) -> np.ndarray:
 
 # -- pairings ----------------------------------------------------------------
 
-def pair_a(phi: DualAElement, d: DvbElement) -> float:
+def pair_a(phi: DualAElement, d: DvbElement) -> float | np.ndarray:
     """Duality of D over A: <(a, beta, kappa), (a, b, c)> = <beta, b> + <kappa, c>."""
-    _common(phi, d)
+    batch = _common(phi, d)
     _same(phi.a, d.a, "a side")
-    return float(phi.beta @ d.b + phi.kappa @ d.c)
+    return _per_row(_dot(phi.beta, d.b) + _dot(phi.kappa, d.c), batch)
 
 
-def pair_b(psi: DualBElement, d: DvbElement) -> float:
+def pair_b(psi: DualBElement, d: DvbElement) -> float | np.ndarray:
     """Duality of D over B: <(kappa, alpha, b), (a, b, c)> = <kappa, c> + <alpha, a>."""
-    _common(psi, d)
+    batch = _common(psi, d)
     _same(psi.b, d.b, "b side")
-    return float(psi.kappa @ d.c + psi.alpha @ d.a)
+    return _per_row(_dot(psi.kappa, d.c) + _dot(psi.alpha, d.a), batch)
 
 
-def pair_cstar_b(mb: IterBCElement, psi: DualBElement) -> float:
+def pair_cstar_b(mb: IterBCElement, psi: DualBElement) -> float | np.ndarray:
     """Duality over C* between the iterated dual and the dual over B."""
-    _common(mb, psi)
+    batch = _common(mb, psi)
     _same(mb.kappa, psi.kappa, "kappa")
-    return float(mb.beta @ psi.b + psi.alpha @ mb.a)
+    return _per_row(_dot(mb.beta, psi.b) + _dot(psi.alpha, mb.a), batch)
 
 
-def pair_cstar_a(ma: IterACElement, phi: DualAElement) -> float:
+def pair_cstar_a(ma: IterACElement, phi: DualAElement) -> float | np.ndarray:
     """Duality over C* between the iterated dual and the dual over A."""
-    _common(ma, phi)
+    batch = _common(ma, phi)
     _same(ma.kappa, phi.kappa, "kappa")
-    return float(ma.alpha @ phi.a + phi.beta @ ma.b)
+    return _per_row(_dot(ma.alpha, phi.a) + _dot(phi.beta, ma.b), batch)
 
 
 # -- the canonical isomorphisms between iterated duals and duals -------------
@@ -262,37 +309,28 @@ def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
 
     Probes the identity <mb, psi>_C* + <phi, d>_A = <psi, d>_B with basis
     choices of psi and d and solves the assembled system for the unknown
-    coordinates (a, beta, kappa) of phi.  Serves as an independent check on
-    the closed form; the system is square and always nonsingular.
+    coordinates (a, beta, kappa) of phi.  The probes are the rows of one
+    batch: row i * (size + 1) takes (alpha, b, c) the i-th unit vector and
+    phi = 0, row i * (size + 1) + 1 + j the same (alpha, b, c) and phi the
+    j-th unit vector, so the identity is evaluated once, through the
+    batched pairings.  Serves as an independent check on the closed form;
+    the system is square and always nonsingular.
     """
     shape = mb.shape
     da, db, dc = shape.dim_a, shape.dim_b, shape.dim_c
     size = da + db + dc
 
-    def residual(u: np.ndarray, alpha: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-        phi = DualAElement(shape, mb.m, u[:da], u[da:da + db], u[da + db:])
-        psi = DualBElement(shape, mb.m, mb.kappa, alpha, b)
-        d = DvbElement(shape, mb.m, phi.a, b, c)
-        return pair_cstar_b(mb, psi) + pair_a(phi, d) - pair_b(psi, d)
+    probes = np.repeat(np.eye(size), size + 1, axis=0)
+    unknowns = np.tile(np.vstack([np.zeros(size), np.eye(size)]), (size, 1))
+    phi = DualAElement(shape, mb.m, unknowns[:, :da], unknowns[:, da:da + db], unknowns[:, da + db:])
+    psi = DualBElement(shape, mb.m, mb.kappa, probes[:, :da], probes[:, da:da + db])
+    d = DvbElement(shape, mb.m, phi.a, psi.b, probes[:, da + db:])
+    residual = pair_cstar_b(mb, psi) + pair_a(phi, d) - pair_b(psi, d)
+    residual = residual.reshape(size, size + 1)
 
-    probes = []
-    for i in range(da):
-        probes.append((np.eye(da)[i], np.zeros(db), np.zeros(dc)))
-    for i in range(db):
-        probes.append((np.zeros(da), np.eye(db)[i], np.zeros(dc)))
-    for i in range(dc):
-        probes.append((np.zeros(da), np.zeros(db), np.eye(dc)[i]))
-
-    matrix = np.zeros((size, size))
-    rhs = np.zeros(size)
-    zero = np.zeros(size)
-    for row, (alpha, b, c) in enumerate(probes):
-        base = residual(zero, alpha, b, c)
-        rhs[row] = -base
-        for col in range(size):
-            matrix[row, col] = residual(np.eye(size)[col], alpha, b, c) - base
+    base = residual[:, 0]
     try:
-        solution = np.linalg.solve(matrix, rhs)
+        solution = np.linalg.solve(residual[:, 1:] - base[:, None], -base)
     except np.linalg.LinAlgError as err:  # pragma: no cover
         raise RuntimeError("duality system unexpectedly singular") from err
     return DualAElement(shape, mb.m, solution[:da], solution[da:da + db], solution[da + db:])

@@ -9,6 +9,7 @@ problem description could not be used or the report could not be written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -66,10 +67,17 @@ def run_verify(args) -> int:
         # path costs no run; a spec error above leaves no file.
         target = open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext(sys.stdout)
         with target as out:
-            # Non-finite values fail their checks, so numpy's warnings about
-            # them would only add noise on stderr.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                checks = run_suites(spec, *run)
+            try:
+                # Non-finite values fail their checks, so numpy's warnings
+                # about them would only add noise on stderr.
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    checks = run_suites(spec, *run)
+            except BaseException:
+                # Only a finished run leaves a report.
+                if args.json_out:
+                    out.close()
+                    os.remove(args.json_out)
+                raise
             report = build_report(checks, run._asdict())
             if not args.quiet:
                 for line in check_lines(checks):

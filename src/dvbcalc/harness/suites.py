@@ -98,13 +98,15 @@ class _Residuals:
         self.count = 0
         self.finite = True
 
-    def add(self, *parts) -> None:
-        """Record one sample: the largest absolute entry of its parts.
+    def add(self, *parts, samples: int = 1) -> None:
+        """Record samples: the largest absolute entry of their parts.
 
         A part is a float, a numpy scalar or an array; an empty array
-        counts as 0.  A non-finite part fails the check.
+        counts as 0.  A non-finite part fails the check.  A batch of N
+        samples, e.g. an (N,) residual array, is recorded by one call
+        with ``samples=N``.
         """
-        self.count += 1
+        self.count += samples
         for part in parts:
             if isinstance(part, float):
                 value = abs(part)
@@ -228,26 +230,32 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 
     for i in range(samples):
         shape = spec.dvb_shapes[i % len(spec.dvb_shapes)]
+        da, db = shape.dim_a, shape.dim_b
         grid = _random_grid(rng, shape)
         m = _rand_vec(rng, shape.base_dim)
         kappa = _rand_vec(rng, shape.dim_c)
+        # Each section is evaluated once at m; everything below reuses it.
+        at_m = grid.at(m)
 
-        lhs, rhs = sections.warp_pairing_check(grid, m, kappa)
+        lhs, rhs = sections.warp_pairing_check(at_m, m, kappa)
         identity.add(lhs - rhs)
 
-        flipped = sections.swap_grid(grid)
+        flipped = sections.swap_grid(grid).at(m)
         lhs2, rhs2 = sections.warp_pairing_check(flipped, m, kappa)
         swap.add(lhs2 + lhs)
         swap.add(rhs2 + rhs)
-        swap.add(sections.warp(flipped, m) + sections.warp(grid, m))
+        swap.add(sections.warp(flipped, m) + sections.warp(at_m, m))
 
-        cap_b = sections.squarecap_b(grid.xi, m, kappa)
-        cap_a = sections.squarecap_a(grid.eta, m, kappa)
-        for _ in range(20):
-            psi = dvb.DualBElement(shape, m, kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
-            defining.add(dvb.pair_cstar_b(cap_b, psi) - sections.ell_b(grid.xi, psi))
-            phi = dvb.DualAElement(shape, m, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b), kappa)
-            defining.add(dvb.pair_cstar_a(cap_a, phi) - sections.ell_a(grid.eta, phi))
+        cap_b = sections.squarecap_b(at_m.xi, m, kappa)
+        cap_a = sections.squarecap_a(at_m.eta, m, kappa)
+        # 20 draws of (psi, phi), one batch of each.  Row j holds draw j's
+        # psi.alpha, psi.b, phi.a and phi.beta, so the random stream is that
+        # of 20 separate draws.
+        draws = rng.uniform(-1.0, 1.0, (20, 2 * (da + db)))
+        psi = dvb.DualBElement(shape, m, kappa, draws[:, :da], draws[:, da:da + db])
+        phi = dvb.DualAElement(shape, m, draws[:, da + db:2 * da + db], draws[:, 2 * da + db:], kappa)
+        defining.add(dvb.pair_cstar_b(cap_b, psi) - sections.ell_b(at_m.xi, psi), samples=20)
+        defining.add(dvb.pair_cstar_a(cap_a, phi) - sections.ell_a(at_m.eta, phi), samples=20)
 
         ints = lambda n: rng.integers(-8, 9, n).astype(float)
         a1, a2 = ints(shape.dim_a), ints(shape.dim_a)
@@ -272,10 +280,10 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 
         psi = dvb.DualBElement(shape, m, kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
         recovered = sections.cstar_projection(psi)
-        for j in range(shape.dim_c):
-            core = dvb.core_embed(shape, m, np.eye(shape.dim_c)[j])
-            carried = dvb.add_over_a(dvb.zero_over_b(shape, m, psi.b), core)
-            projection.add(dvb.pair_b(psi, carried) - recovered[j])
+        # Row j carries the j-th basis core vector.
+        cores = dvb.core_embed(shape, m, np.eye(shape.dim_c))
+        carried = dvb.add_over_a(dvb.zero_over_b(shape, m, psi.b), cores)
+        projection.add(dvb.pair_b(psi, carried) - recovered, samples=shape.dim_c)
 
     return [identity, swap, defining, interchange, routes, projection]
 

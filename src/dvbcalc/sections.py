@@ -14,11 +14,19 @@ composite through the B-side section enters with the positive sign.
 Each linear section induces a section of the matching iterated dual over
 C* (its "squarecap"); pairing the two squarecaps of a grid recovers the
 warp with a minus sign, evaluated against kappa.
+
+``section.at(m)`` evaluates a linear section's two maps at m once and
+returns a ``SectionAt``, the fiber-linear map over m.  Its own ``at(m)`` is
+itself, so every function here that takes a section (or a grid) and a
+point also takes its value at that point, and repeated use at one point
+costs no further map evaluation.  Fibers and kappa may be (N, dim)
+batches; see ``dvb``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +38,8 @@ from .dvb import (
     IncompatibleElements,
     IterACElement,
     IterBCElement,
+    _dot,
+    _same,
     core_difference,
     dual_iso_a,
     pair_a,
@@ -55,11 +65,12 @@ class LinearSectionB:
         if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (self.shape.dim_c, self.shape.dim_b):
             raise IncompatibleElements("fiber matrix must map the B fiber to the core")
 
+    def at(self, m) -> SectionAt:
+        m = np.asarray(m, dtype=float)
+        return SectionAt(self, m, self.base_section(m), self.fiber_matrix(m))
+
     def __call__(self, m, b) -> DvbElement:
-        b = np.asarray(b, dtype=float)
-        return DvbElement(
-            self.shape, m, self.base_section(m), b, self.fiber_matrix(m) @ b
-        )
+        return self.at(m)(b)
 
 
 @dataclass(frozen=True)
@@ -78,17 +89,56 @@ class LinearSectionA:
         if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (self.shape.dim_c, self.shape.dim_a):
             raise IncompatibleElements("fiber matrix must map the A fiber to the core")
 
+    def at(self, m) -> SectionAt:
+        m = np.asarray(m, dtype=float)
+        return SectionAt(self, m, self.base_section(m), self.fiber_matrix(m))
+
     def __call__(self, m, a) -> DvbElement:
-        a = np.asarray(a, dtype=float)
-        return DvbElement(
-            self.shape, m, a, self.base_section(m), self.fiber_matrix(m) @ a
-        )
+        return self.at(m)(a)
+
+
+def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v, row by row for an (N, dim) batch."""
+    return matrix @ v if v.ndim == 1 else v @ matrix.T
+
+
+class SectionAt(NamedTuple):
+    """A linear section at one base point m: its base value and fiber matrix there.
+
+    Called on a fiber vector, or an (N, dim) batch of them, it gives the
+    section's element over it: (m; base, b, matrix b) for a LinearSectionB,
+    (m; a, base, matrix a) for a LinearSectionA.
+    """
+
+    section: LinearSectionA | LinearSectionB
+    m: np.ndarray
+    base: np.ndarray
+    matrix: np.ndarray
+
+    @property
+    def shape(self) -> DvbShape:
+        return self.section.shape
+
+    def at(self, m) -> SectionAt:
+        """Itself; m must be the point it was evaluated at."""
+        if m is not self.m:
+            _same(np.asarray(m, dtype=float), self.m, "base point")
+        return self
+
+    def __call__(self, fiber) -> DvbElement:
+        fiber = np.asarray(fiber, dtype=float)
+        core = _apply(self.matrix, fiber)
+        if isinstance(self.section, LinearSectionB):
+            return DvbElement(self.shape, self.m, self.base, fiber, core)
+        return DvbElement(self.shape, self.m, fiber, self.base, core)
 
 
 @dataclass(frozen=True)
 class Grid:
-    xi: LinearSectionB
-    eta: LinearSectionA
+    """One linear section of each kind, or both sections' values at one point (``at``)."""
+
+    xi: LinearSectionB | SectionAt
+    eta: LinearSectionA | SectionAt
 
     def __post_init__(self):
         if self.xi.shape != self.eta.shape:
@@ -98,9 +148,16 @@ class Grid:
     def shape(self) -> DvbShape:
         return self.xi.shape
 
+    def at(self, m) -> Grid:
+        """Both sections evaluated once at m."""
+        return Grid(self.xi.at(m), self.eta.at(m))
+
 
 def swap_grid(grid: Grid) -> Grid:
-    """Exchange the roles of the two sides; the warp changes sign."""
+    """Exchange the roles of the two sides; the warp changes sign.
+
+    Takes a grid of sections, not of their values at a point.
+    """
     old = grid.shape
     shape = DvbShape(old.dim_b, old.dim_a, old.dim_c, old.base_dim)
     return Grid(
@@ -111,44 +168,39 @@ def swap_grid(grid: Grid) -> Grid:
 
 def warp(grid: Grid, m) -> np.ndarray:
     """Core difference of the two ways around the grid square at m."""
-    a_val = grid.xi.base_section(m)
-    b_val = grid.eta.base_section(m)
-    through_b = grid.xi(m, b_val)
-    through_a = grid.eta(m, a_val)
-    return core_difference(through_b, through_a)
+    xi, eta = grid.xi.at(m), grid.eta.at(m)
+    return core_difference(xi(eta.base), eta(xi.base))
 
 
-def squarecap_b(xi: LinearSectionB, m, kappa) -> IterBCElement:
+def squarecap_b(xi: LinearSectionB | SectionAt, m, kappa) -> IterBCElement:
     """Section of the iterated dual over C* induced by a B-side linear section.
 
     Characterized by <squarecap_b(xi, m, kappa), psi>_C* = ell_b(xi, psi)
     for every psi over kappa.
     """
+    xi = xi.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterBCElement(
-        xi.shape, m, kappa, xi.fiber_matrix(m).T @ kappa, xi.base_section(m)
-    )
+    return IterBCElement(xi.shape, xi.m, kappa, _apply(xi.matrix.T, kappa), xi.base)
 
 
-def squarecap_a(eta: LinearSectionA, m, kappa) -> IterACElement:
+def squarecap_a(eta: LinearSectionA | SectionAt, m, kappa) -> IterACElement:
     """A-side analogue of squarecap_b, landing in the other iterated dual."""
+    eta = eta.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterACElement(
-        eta.shape, m, kappa, eta.fiber_matrix(m).T @ kappa, eta.base_section(m)
-    )
+    return IterACElement(eta.shape, eta.m, kappa, _apply(eta.matrix.T, kappa), eta.base)
 
 
-def ell_b(xi: LinearSectionB, psi: DualBElement) -> float:
+def ell_b(xi: LinearSectionB | SectionAt, psi: DualBElement) -> float | np.ndarray:
     """The linear function on the dual over B attached to a B-side section."""
-    return pair_b(psi, xi(psi.m, psi.b))
+    return pair_b(psi, xi.at(psi.m)(psi.b))
 
 
-def ell_a(eta: LinearSectionA, phi: DualAElement) -> float:
+def ell_a(eta: LinearSectionA | SectionAt, phi: DualAElement) -> float | np.ndarray:
     """The linear function on the dual over A attached to an A-side section."""
-    return pair_a(phi, eta(phi.m, phi.a))
+    return pair_a(phi, eta.at(phi.m)(phi.a))
 
 
-def squarecap_pairing(mb: IterBCElement, ma: IterACElement) -> float:
+def squarecap_pairing(mb: IterBCElement, ma: IterACElement) -> float | np.ndarray:
     """Pairing of the two iterated duals over C*, routed through dual_iso_a.
 
     Decomposes as <alpha, a> - <beta, b>.
@@ -156,17 +208,19 @@ def squarecap_pairing(mb: IterBCElement, ma: IterACElement) -> float:
     return pair_cstar_a(ma, dual_iso_a(mb))
 
 
-def warp_pairing_check(grid: Grid, m, kappa) -> tuple[float, float]:
+def warp_pairing_check(grid: Grid, m, kappa) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Both sides of the squarecap-pairing identity at kappa over m.
 
     Left: the pairing of the grid's two squarecaps.  Right: kappa paired
-    with minus the warp.  The two agree up to rounding.
+    with minus the warp.  The two agree up to rounding.  For an (N, dim)
+    batch of kappa both sides are (N,) arrays.
     """
+    grid = grid.at(m)
     kappa = np.asarray(kappa, dtype=float)
     lhs = squarecap_pairing(
         squarecap_b(grid.xi, m, kappa), squarecap_a(grid.eta, m, kappa)
     )
-    rhs = float(kappa @ -warp(grid, m))
+    rhs = _dot(kappa, -warp(grid, m))
     return lhs, rhs
 
 

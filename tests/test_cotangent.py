@@ -135,6 +135,20 @@ def test_tangent_pairing_via_sections_checks_the_points():
         tangent_pairing_via_sections(xc, xi, good_mu, bad)
 
 
+def test_tangent_pairing_via_sections_rejects_a_section_of_another_rank():
+    # A rank-1 section whose value equals every entry of a rank-2 fiber point
+    # must not pass the pass-through check by broadcasting.
+    x = np.array([0.1, 0.2])
+    xc = support.tangent_point(x, [1.0, 1.0], [0.5, 0.5], [0.0, 0.0])
+    xi = support.tangent_point(x, [2.0, 2.0], [0.5, 0.5], [0.0, 0.0])
+    good_phi = _section_through(RNG, 2, 2, x, xc.a)
+    good_mu = _section_through(RNG, 2, 2, x, xi.a)
+    with pytest.raises(DimensionMismatch):
+        tangent_pairing_via_sections(xc, xi, SmoothMap.constant([2.0], 2), good_phi)
+    with pytest.raises(DimensionMismatch):
+        tangent_pairing_via_sections(xc, xi, good_mu, SmoothMap.constant([1.0], 2))
+
+
 def test_i_components_and_j_star_read_the_functional():
     xc = support.tangent_point([0.1, 0.2], [1.0, 2.0], [0.3, 0.4], [5.0, 6.0])
     psi = i_components(xc)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvbcalc import dvb
 from dvbcalc.dvb import (
     DualAElement,
     DualBElement,
@@ -11,6 +12,7 @@ from dvbcalc.dvb import (
     IncompatibleElements,
     IterACElement,
     IterBCElement,
+    _same,
     add_over_a,
     add_over_b,
     core_difference,
@@ -36,6 +38,8 @@ from dvbcalc.dvb import (
     zero_over_a,
     zero_over_b,
 )
+from dvbcalc.harness.problem import DEFAULT_SHAPES
+from dvbcalc.smoothmaps import DimensionMismatch
 
 import support
 
@@ -437,3 +441,125 @@ def test_dual_iso_a_additive_in_both_structures():
     scaled = IterBCElement(shape, m, kappa, t * beta1, t * a1)
     expected_scaled = DualAElement(shape, m, t * a1, t * (-beta1), kappa)
     assert elements_equal(dual_iso_a(scaled), expected_scaled)
+
+
+# -- the batch axis ------------------------------------------------------------
+
+def _batched_operands(shape, rows, draw):
+    """A batch of each record type over one shared base point and kappa, with their rows."""
+    m = draw(shape.base_dim)
+    kappa = draw(shape.dim_c)
+    a, b, c = draw((rows, shape.dim_a)), draw((rows, shape.dim_b)), draw((rows, shape.dim_c))
+    alpha, beta = draw((rows, shape.dim_a)), draw((rows, shape.dim_b))
+    batched = (
+        DualAElement(shape, m, a, beta, c),
+        DualBElement(shape, m, c, alpha, b),
+        DvbElement(shape, m, a, b, c),
+        IterBCElement(shape, m, kappa, beta, a),
+        IterACElement(shape, m, kappa, alpha, b),
+        DualBElement(shape, m, kappa, alpha, b),
+        DualAElement(shape, m, a, beta, kappa),
+    )
+    single = [
+        (
+            DualAElement(shape, m, a[i], beta[i], c[i]),
+            DualBElement(shape, m, c[i], alpha[i], b[i]),
+            DvbElement(shape, m, a[i], b[i], c[i]),
+            IterBCElement(shape, m, kappa, beta[i], a[i]),
+            IterACElement(shape, m, kappa, alpha[i], b[i]),
+            DualBElement(shape, m, kappa, alpha[i], b[i]),
+            DualAElement(shape, m, a[i], beta[i], kappa),
+        )
+        for i in range(rows)
+    ]
+    return batched, single
+
+
+def _pairings(phi, psi, d, mb, ma, psi_k, phi_k):
+    return (
+        pair_a(phi, d),
+        pair_b(psi, d),
+        pair_cstar_b(mb, psi_k),
+        pair_cstar_a(ma, phi_k),
+    )
+
+
+def test_batched_pairings_equal_their_rows():
+    rows = 7
+    integers = lambda size: RNG.integers(-8, 9, size).astype(float)
+    for draw, exact in ((integers, True), (lambda size: support.rand_vec(RNG, size), False)):
+        for _ in range(10):
+            shape = support.random_shape(RNG)
+            batched, single = _batched_operands(shape, rows, draw)
+            values = _pairings(*batched)
+            for value in values:
+                assert isinstance(value, np.ndarray) and value.shape == (rows,)
+            for i, row in enumerate(single):
+                for value, expected in zip(values, _pairings(*row)):
+                    assert type(expected) is float
+                    if exact:
+                        assert value[i] == expected
+                    else:
+                        assert abs(value[i] - expected) <= 1e-15 * max(1.0, abs(expected))
+
+
+def test_batch_with_a_single_element_broadcasts():
+    shape = DvbShape(2, 3, 1, 1)
+    m = [0.5]
+    phi = DualAElement(shape, m, [1.0, 2.0], [1.0, 0.0, -1.0], [2.0])
+    d = DvbElement(shape, m, [1.0, 2.0], [[1.0, 1.0, 1.0], [0.0, 0.0, 2.0]], [[3.0], [4.0]])
+    assert phi.batch is None and d.batch == 2
+    assert pair_a(phi, d).tolist() == [0.0 + 6.0, -2.0 + 8.0]
+
+
+def test_unequal_batch_lengths_raise():
+    shape = DvbShape(1, 2, 1, 1)
+    with pytest.raises(DimensionMismatch):
+        DvbElement(shape, [0.0], np.zeros((3, 1)), np.zeros((4, 2)), np.zeros(1))
+    with pytest.raises(DimensionMismatch):
+        DvbElement(shape, [0.0], np.zeros((3, 1, 1)), np.zeros(2), np.zeros(1))
+    phi = DualAElement(shape, [0.0], np.zeros((3, 1)), np.zeros(2), np.zeros(1))
+    d = DvbElement(shape, [0.0], np.zeros((4, 1)), np.zeros(2), np.zeros(1))
+    with pytest.raises(IncompatibleElements):
+        pair_a(phi, d)
+
+
+def test_same_is_exact_and_rejects_a_wrong_trailing_length():
+    with pytest.raises(IncompatibleElements):
+        _same(np.zeros(1), np.zeros((3, 2)), "a side")
+    with pytest.raises(IncompatibleElements):
+        _same(np.zeros((2, 2)), np.zeros((3, 2)), "a side")
+    _same(np.zeros(2), np.zeros((3, 2)), "a side")
+
+    shape = DvbShape(1, 1, 1, 2)
+    m = np.array([0.25, -0.5])
+    d = DvbElement(shape, m, [1.0], [1.0], [1.0])
+    for row in range(4):
+        for col in range(2):
+            ms = np.tile(m, (4, 1))
+            ms[row, col] = np.nextafter(ms[row, col], 1.0)
+            phi = DualAElement(shape, ms, np.ones((4, 1)), [1.0], [1.0])
+            with pytest.raises(IncompatibleElements):
+                pair_a(phi, d)
+    assert pair_a(DualAElement(shape, np.tile(m, (4, 1)), np.ones((4, 1)), [1.0], [1.0]), d).tolist() == [2.0] * 4
+
+
+def test_solve_uses_only_the_pairings(monkeypatch):
+    closed_form = {}
+    for shape in DEFAULT_SHAPES:
+        m = support.rand_vec(RNG, shape.base_dim)
+        mb = IterBCElement(
+            shape,
+            m,
+            support.rand_vec(RNG, shape.dim_c),
+            support.rand_vec(RNG, shape.dim_b),
+            support.rand_vec(RNG, shape.dim_a),
+        )
+        closed_form[shape] = (mb, dual_iso_a(mb))
+
+    def forbidden(mb):
+        raise AssertionError("the solve must not use the closed form")
+
+    monkeypatch.setattr(dvb, "dual_iso_a", forbidden)
+    for mb, closed in closed_form.values():
+        assert elements_equal(solve_dual_iso_a(mb), closed)

@@ -15,7 +15,7 @@ from dvbcalc.harness import (
     render_json,
     run_suites,
 )
-from dvbcalc.harness import cli
+from dvbcalc.harness import cli, suites
 from dvbcalc.harness.problem import DEFAULT_SHAPES
 
 
@@ -408,6 +408,26 @@ def test_cli_unwritable_json_out_exits_before_any_suite(tmp_path, monkeypatch, c
     missing = tmp_path / "no-such-dir" / "report.json"
     assert cli.main(["verify", "--demo", "--json-out", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write the report")
+
+
+def test_cli_crashed_run_leaves_no_report(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("suite crashed")
+
+    monkeypatch.setattr(cli, "run_suites", crash)
+    report_path = tmp_path / "report.json"
+    with pytest.raises(RuntimeError, match="suite crashed"):
+        cli.main(["verify", "--demo", "--json-out", str(report_path)])
+    assert not report_path.exists()
+
+
+def test_residuals_count_a_batch_as_its_samples():
+    res = suites._Residuals("batched", "a batch of residuals")
+    res.add(0.5)
+    res.add(np.array([0.25, -2.0, 1.0]), samples=3)
+    res.add(np.array([[0.0, 1.5]]), -0.75, samples=2)
+    result = res.result("suite", 1e-9)
+    assert (result.samples, result.max_residual, result.passed) == (6, 2.0, False)
 
 
 def test_cli_repeated_suite_runs_once(tmp_path):

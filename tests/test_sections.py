@@ -212,3 +212,114 @@ def test_linear_section_validation():
     eta = LinearSectionA(other, good_base, MatrixMap.constant(np.zeros((2, 2))))
     with pytest.raises(IncompatibleElements):
         Grid(xi=xi, eta=eta)
+
+
+# -- one evaluation per point ----------------------------------------------------
+
+def _count_map_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    original = SmoothMap.__call__
+
+    def counted(self, point):
+        calls[0] += 1
+        return original(self, point)
+
+    monkeypatch.setattr(SmoothMap, "__call__", counted)
+    return calls
+
+
+def test_at_evaluates_each_section_map_once(monkeypatch):
+    calls = _count_map_calls(monkeypatch)
+    for _ in range(10):
+        shape = support.random_shape(RNG)
+        grid = support.random_grid(RNG, shape)
+        m = support.rand_vec(RNG, shape.base_dim)
+        kappa = support.rand_vec(RNG, shape.dim_c)
+        psi = DualBElement(
+            shape, m, kappa,
+            support.rand_vec(RNG, (20, shape.dim_a)), support.rand_vec(RNG, (20, shape.dim_b)),
+        )
+        phi = DualAElement(
+            shape, m,
+            support.rand_vec(RNG, (20, shape.dim_a)), support.rand_vec(RNG, (20, shape.dim_b)), kappa,
+        )
+
+        calls[0] = 0
+        at_m = grid.at(m)
+        # Two maps per section: the base section and the fiber matrix.
+        assert calls[0] == 4
+        warp(at_m, m)
+        squarecap_b(at_m.xi, m, kappa)
+        squarecap_a(at_m.eta, m, kappa)
+        ell_b(at_m.xi, psi)
+        ell_a(at_m.eta, phi)
+        warp_pairing_check(at_m, m, kappa)
+        at_m.xi(psi.b)
+        at_m.eta(phi.a)
+        assert calls[0] == 4
+
+        calls[0] = 0
+        warp(grid, m)
+        assert calls[0] == 4
+
+
+def test_section_at_rejects_another_point():
+    shape = DvbShape(1, 1, 1, 1)
+    grid = support.random_grid(RNG, shape)
+    at_m = grid.at([0.5])
+    assert at_m.at(np.array([0.5])) == at_m
+    with pytest.raises(IncompatibleElements):
+        warp(at_m, [0.25])
+    with pytest.raises(IncompatibleElements):
+        squarecap_b(at_m.xi, [0.25], [1.0])
+
+
+def test_section_values_equal_their_formulas_bitwise():
+    for _ in range(20):
+        shape = support.random_shape(RNG)
+        grid = support.random_grid(RNG, shape)
+        m = support.rand_vec(RNG, shape.base_dim)
+        kappa = support.rand_vec(RNG, shape.dim_c)
+        x_val, lam = grid.xi.base_section(m), grid.xi.fiber_matrix(m)
+        y_val, mu = grid.eta.base_section(m), grid.eta.fiber_matrix(m)
+
+        assert np.array_equal(warp(grid, m), lam @ y_val - mu @ x_val)
+        assert elements_equal(
+            squarecap_b(grid.xi, m, kappa), IterBCElement(shape, m, kappa, lam.T @ kappa, x_val)
+        )
+        assert elements_equal(
+            squarecap_a(grid.eta, m, kappa), IterACElement(shape, m, kappa, mu.T @ kappa, y_val)
+        )
+        alpha, b = support.rand_vec(RNG, shape.dim_a), support.rand_vec(RNG, shape.dim_b)
+        psi = DualBElement(shape, m, kappa, alpha, b)
+        assert ell_b(grid.xi, psi) == float(kappa @ (lam @ b)) + float(alpha @ x_val)
+        a, beta = support.rand_vec(RNG, shape.dim_a), support.rand_vec(RNG, shape.dim_b)
+        phi = DualAElement(shape, m, a, beta, kappa)
+        assert ell_a(grid.eta, phi) == float(beta @ y_val) + float(kappa @ (mu @ a))
+
+
+def test_batched_fibers_equal_their_rows():
+    rows = 6
+    for _ in range(20):
+        shape = support.random_shape(RNG)
+        grid = support.random_grid(RNG, shape)
+        m = support.rand_vec(RNG, shape.base_dim)
+        at_m = grid.at(m)
+        kappas = support.rand_vec(RNG, (rows, shape.dim_c))
+        psi = DualBElement(
+            shape, m, kappas,
+            support.rand_vec(RNG, (rows, shape.dim_a)), support.rand_vec(RNG, (rows, shape.dim_b)),
+        )
+        lhs, rhs = warp_pairing_check(at_m, m, kappas)
+        ells = ell_b(at_m.xi, psi)
+        caps = squarecap_a(at_m.eta, m, kappas)
+        assert lhs.shape == rhs.shape == ells.shape == (rows,)
+        for i in range(rows):
+            row_lhs, row_rhs = warp_pairing_check(grid, m, kappas[i])
+            row_psi = DualBElement(shape, m, kappas[i], psi.alpha[i], psi.b[i])
+            row_cap = squarecap_a(grid.eta, m, kappas[i])
+            for value, expected in ((lhs[i], row_lhs), (rhs[i], row_rhs),
+                                    (ells[i], ell_b(grid.xi, row_psi))):
+                assert abs(value - expected) <= 2e-15 * max(1.0, abs(expected))
+            assert np.allclose(caps.alpha[i], row_cap.alpha, rtol=2e-15, atol=2e-15)
+            assert np.array_equal(caps.b, row_cap.b)
