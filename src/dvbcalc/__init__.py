@@ -90,11 +90,9 @@ from .tangent import (
     covariant_derivative_via_warp,
     double_tangent_grid,
     horizontal_field,
-    horizontal_lift,
     lie_bracket_via_warp,
     linear_vector_field_operator,
-    section_lift_pair,
-    tangent_section_lift,
+    tangent_lift,
 )
 
 __version__ = "0.1.0"

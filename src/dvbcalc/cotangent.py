@@ -12,7 +12,8 @@ shape of T(A*) for the dual bundle A* of the same rank:
 A covector evaluates on a tangent vector at the same point by
 ``dvb.pair_a``, and negation of tangent vectors is ``scale_over_a(-1, .)``.
 An element of T(A*) read as a functional on T(A) over TM (``i_components``)
-is the DualBElement (m=x, kappa=fiber, alpha=fiber_dot, b=x_dot).
+is the DualBElement (m=x, kappa=fiber, alpha=fiber_dot, b=x_dot); the
+tangent pairing is its ``dvb.pair_b``, T(A*) being the dual of T(A) over TM.
 
 A point of T*(A*) over a trivialized bundle A of rank k on an n-chart is
 (x, psi; chi, Y) with chi the base covector part and Y (a fiber vector of
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import jets
 from .charts import Connection, TrivialBundle
-from .dvb import DualAElement, DualBElement, DvbElement, pair_a, scale_over_a
+from .dvb import DualAElement, DualBElement, DvbElement, pair_a, pair_b, scale_over_a
 from .jets import Scalar
 from .sections import LinearSectionA
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
@@ -73,15 +74,18 @@ def momentum_function(mu: SmoothMap) -> Callable[[Sequence[Scalar]], Scalar]:
     return ell
 
 
-def tangent_pairing(xc: DvbElement, xi: DvbElement) -> float:
-    """Tangent pairing of T(A*) with T(A) over a shared base tangent."""
-    if not np.array_equal(xc.m, xi.m):
-        raise DimensionMismatch("tangent vectors sit over different base points")
-    if not np.array_equal(xc.b, xi.b):
-        raise DimensionMismatch("tangent vectors have different base velocities")
-    if xc.a.shape != xi.a.shape:
-        raise DimensionMismatch("fiber dimensions disagree")
-    return float(xc.c @ xi.a + xc.a @ xi.c)
+def i_components(xc: DvbElement) -> DualBElement:
+    """xc in T(A*) as a functional on T(A) over TM: the tangent pairing with xc.
+
+    It lands in the dual of T(A) over TM, with alpha pairing the fiber and
+    kappa the fiber_dot.
+    """
+    return DualBElement(xc.shape, xc.m, kappa=xc.a, alpha=xc.c, b=xc.b)
+
+
+def tangent_pairing(xc: DvbElement, xi: DvbElement) -> float | np.ndarray:
+    """Tangent pairing of T(A*) with T(A) over a shared base tangent; batches pair by row."""
+    return pair_b(i_components(xc), xi)
 
 
 def tangent_pairing_via_sections(
@@ -116,25 +120,6 @@ def tangent_pairing_via_sections(
     )
     third = jets.jet_directional(phi_dot_mu, list(x), list(xc.b))
     return float(first + second - third)
-
-
-def i_components(xc: DvbElement) -> DualBElement:
-    """xc in T(A*) as a functional on T(A) over TM, read off against basis vectors.
-
-    The functional is the tangent pairing with xc; it lands in the dual of
-    T(A) over TM, with alpha pairing the fiber and kappa the fiber_dot.
-    """
-    k = xc.shape.dim_a
-    zeros = np.zeros(k)
-    alpha = [
-        tangent_pairing(xc, DvbElement(xc.shape, xc.m, np.eye(k)[i], xc.b, zeros))
-        for i in range(k)
-    ]
-    kappa = [
-        tangent_pairing(xc, DvbElement(xc.shape, xc.m, zeros, xc.b, np.eye(k)[i]))
-        for i in range(k)
-    ]
-    return DualBElement(xc.shape, xc.m, kappa, alpha, xc.b)
 
 
 def j_star(psi: DualBElement) -> DualAElement:

@@ -365,7 +365,7 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         flat.add(flat_value - jacobian(mu, point) @ z_field(point))
 
         a = _rand_vec(rng, k)
-        lift = tangent.horizontal_lift(conn, z_field, point, a)
+        lift = tangent.horizontal_field(conn, z_field)(point, a)
         phi = _poly_map(rng, n, k)
         derived = jet_directional(
             ct.momentum_function(phi), list(point) + list(a), list(lift.b) + list(lift.c)
@@ -457,18 +457,13 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
             phi = _shifted_section(rng, n, k, x, xc.a)
             independence.add(ct.tangent_pairing_via_sections(xc, xi, mu, phi) - direct)
 
-        matrix = np.zeros((2 * k, 2 * k))
-        zeros = np.zeros(k)
-        for row in range(2 * k):
-            fiber = np.eye(k)[row] if row < k else zeros
-            fiber_dot = np.eye(k)[row - k] if row >= k else zeros
-            probe = dvb.DvbElement(shape, x, fiber, x_dot, fiber_dot)
-            for col in range(2 * k):
-                pfiber = np.eye(k)[col] if col < k else zeros
-                pfiber_dot = np.eye(k)[col - k] if col >= k else zeros
-                matrix[row, col] = ct.tangent_pairing(
-                    dvb.DvbElement(shape, x, pfiber, x_dot, pfiber_dot), probe
-                )
+        # Entry (row, col) pairs unit probe col of T(A*) with unit probe row of T(A).
+        cols = np.tile(np.eye(2 * k), (2 * k, 1))
+        rows = np.repeat(np.eye(2 * k), 2 * k, axis=0)
+        matrix = ct.tangent_pairing(
+            dvb.DvbElement(shape, x, cols[:, :k], x_dot, cols[:, k:]),
+            dvb.DvbElement(shape, x, rows[:, :k], x_dot, rows[:, k:]),
+        ).reshape(2 * k, 2 * k)
         ranks.add(2 * k - np.linalg.matrix_rank(matrix))
 
     return [triangle, independence, ranks]

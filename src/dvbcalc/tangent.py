@@ -14,11 +14,11 @@ so a covector evaluates on a tangent vector at the same point by
 ``dvb.pair_a``.  The double tangent bundle T(TM) is the case A = TM, where
 fiber is the second velocity.
 
-Lifts are linear sections of T(A): the tangent lift T(mu) of a section is
-linear over TM (a ``LinearSectionB``), and the complete lift of a vector
-field and the horizontal lift of a connection are linear over A (a
-``LinearSectionA``, i.e. a linear vector field on A).  The decomposed
-grids built here are the two standard ones:
+Lifts are linear sections of T(A), one function each: ``tangent_lift(mu)``
+is linear over TM (a ``LinearSectionB``), while ``complete_lift(X)`` and
+``horizontal_field(conn, Z)`` are linear over A (``LinearSectionA``s, i.e.
+linear vector fields on A).  A lift's value over a point is the section
+called there, e.g. ``complete_lift(X)(x, v)``.  The grids built here are:
 
   * on T(TM): the tangent lift of a vector field Y paired with the
     complete lift of X; the warp is the Lie bracket [X, Y];
@@ -48,35 +48,18 @@ def tangent_bundle_shape(bundle: TrivialBundle) -> DvbShape:
     return _shape(bundle.chart.dim, bundle.fiber_dim)
 
 
-def _tangent_lift(shape: DvbShape, mu: SmoothMap) -> LinearSectionB:
+# -- lifts to the tangent bundle ------------------------------------------------
+
+def tangent_lift(mu: SmoothMap) -> LinearSectionB:
     """T(mu) over TM: x_dot over x goes to (x, mu(x); x_dot, Dmu(x) x_dot)."""
-    return LinearSectionB(shape, mu, MatrixMap.from_jacobian(mu))
+    return LinearSectionB(_shape(mu.domain_dim, mu.codomain_dim), mu, MatrixMap.from_jacobian(mu))
 
 
-def _complete_lift(x_field: SmoothMap) -> LinearSectionA:
+def complete_lift(x_field: SmoothMap) -> LinearSectionA:
     """The complete lift of X over TM: v over x goes to (x, v; X(x), DX(x) v)."""
     _check_vector_field(x_field)
     n = x_field.domain_dim
     return LinearSectionA(_shape(n, n), x_field, MatrixMap.from_jacobian(x_field))
-
-
-# -- lifts to the tangent bundle ------------------------------------------------
-
-def complete_lift(x_field: SmoothMap, x, v) -> DvbElement:
-    """Complete lift of X at (x, v) in TM: (x, v; X(x), DX(x) v)."""
-    return _complete_lift(x_field)(x, v)
-
-
-def canonical_involution(t: DvbElement) -> DvbElement:
-    """Swap the two tangent slots of a double tangent vector."""
-    if t.shape.dim_a != t.shape.dim_b:
-        raise DimensionMismatch("canonical involution needs a double tangent vector")
-    return DvbElement(t.shape, t.m, t.b, t.a, t.c)
-
-
-def tangent_section_lift(mu: SmoothMap, x, x_dot) -> DvbElement:
-    """Tangent of a section: T(mu)(x, x_dot) = (x, mu(x); x_dot, Dmu(x) x_dot)."""
-    return _tangent_lift(_shape(mu.domain_dim, mu.codomain_dim), mu)(x, x_dot)
 
 
 def horizontal_field(conn: Connection, z_field: SmoothMap) -> LinearSectionA:
@@ -89,33 +72,27 @@ def horizontal_field(conn: Connection, z_field: SmoothMap) -> LinearSectionA:
     )
 
 
-def horizontal_lift(conn: Connection, z_field: SmoothMap, x, a) -> DvbElement:
-    """Value of the horizontal lift of Z at the bundle point (x, a)."""
-    return horizontal_field(conn, z_field)(x, a)
+def canonical_involution(t: DvbElement) -> DvbElement:
+    """Swap the two tangent slots of a double tangent vector."""
+    if t.shape.dim_a != t.shape.dim_b:
+        raise DimensionMismatch("canonical involution needs a double tangent vector")
+    return DvbElement(t.shape, t.m, t.b, t.a, t.c)
 
 
 # -- decomposed grids on tangent bundles ---------------------------------------
 
-def section_lift_pair(bundle: TrivialBundle, mu: SmoothMap) -> LinearSectionB:
-    """The linear section (T(mu), mu) of T(A) over TM in decomposed form."""
-    return _tangent_lift(tangent_bundle_shape(bundle), mu)
-
-
 def double_tangent_grid(x_field: SmoothMap, y_field: SmoothMap) -> Grid:
     """Grid on T(TM): tangent lift of Y against the complete lift of X."""
-    eta = _complete_lift(x_field)
+    eta = complete_lift(x_field)
     _check_vector_field(y_field)
     if x_field.domain_dim != y_field.domain_dim:
         raise DimensionMismatch("vector fields live on different charts")
-    return Grid(xi=_tangent_lift(eta.shape, y_field), eta=eta)
+    return Grid(xi=tangent_lift(y_field), eta=eta)
 
 
 def connection_grid(conn: Connection, z_field: SmoothMap, mu: SmoothMap) -> Grid:
     """Grid on T(A): tangent lift of mu against the horizontal lift of Z."""
-    return Grid(
-        xi=section_lift_pair(conn.bundle, mu),
-        eta=horizontal_field(conn, z_field),
-    )
+    return Grid(xi=tangent_lift(mu), eta=horizontal_field(conn, z_field))
 
 
 def lie_bracket_via_warp(x_field: SmoothMap, y_field: SmoothMap, m) -> np.ndarray:
@@ -140,6 +117,6 @@ def linear_vector_field_operator(
     """
 
     def apply(mu: SmoothMap, m) -> np.ndarray:
-        return warp(Grid(xi=_tangent_lift(field.shape, mu), eta=field), m)
+        return warp(Grid(xi=tangent_lift(mu), eta=field), m)
 
     return apply

@@ -26,7 +26,16 @@ from dvbcalc.cotangent import (
     tangent_pairing,
     tangent_pairing_via_sections,
 )
-from dvbcalc.dvb import IncompatibleElements, pair_a
+from dvbcalc.dvb import (
+    DualAElement,
+    DvbElement,
+    DvbShape,
+    IncompatibleElements,
+    IterBCElement,
+    dual_iso_a,
+    elements_equal,
+    pair_a,
+)
 from dvbcalc.expressions import Add, Num
 from dvbcalc.sections import squarecap_a, squarecap_b, squarecap_pairing, warp_pairing_check
 from dvbcalc.smoothmaps import (
@@ -35,7 +44,7 @@ from dvbcalc.smoothmaps import (
     jacobian,
     lie_bracket,
 )
-from dvbcalc.tangent import connection_grid, double_tangent_grid
+from dvbcalc.tangent import connection_grid, double_tangent_grid, tangent_bundle_shape
 
 import support
 
@@ -102,10 +111,58 @@ def test_tangent_pairing_frozen_example():
 
 def test_tangent_pairing_requires_shared_base_tangent():
     xc = support.tangent_point([0.5], [2.0], [1.0], [3.0])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IncompatibleElements):
         tangent_pairing(xc, support.tangent_point([0.6], [5.0], [1.0], [7.0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IncompatibleElements):
         tangent_pairing(xc, support.tangent_point([0.5], [5.0], [2.0], [7.0]))
+    with pytest.raises(IncompatibleElements):
+        tangent_pairing(xc, support.tangent_point([0.5], [5.0, 1.0], [1.0], [7.0, 1.0]))
+
+
+def test_batched_tangent_pairing_equals_its_rows():
+    # Exact on integer-valued samples; otherwise the batched sum may round
+    # in another order, as for the dvb pairings.
+    n, k, rows = 2, 3, 6
+    integers = lambda size: RNG.integers(-8, 9, size).astype(float)
+    floats = lambda size: RNG.uniform(-1.0, 1.0, size)
+    for draw, exact in ((integers, True), (floats, False)):
+        x, x_dot = draw(n), draw(n)
+        shape = DvbShape(k, n, k, n)
+        xc = DvbElement(shape, x, draw((rows, k)), x_dot, draw((rows, k)))
+        xi = DvbElement(shape, x, draw((rows, k)), x_dot, draw((rows, k)))
+        one = support.tangent_point(x, xc.a[0], x_dot, xc.c[0])
+        batched, broadcast = tangent_pairing(xc, xi), tangent_pairing(one, xi)
+        assert batched.shape == broadcast.shape == (rows,)
+        for j in range(rows):
+            row_xc = support.tangent_point(x, xc.a[j], x_dot, xc.c[j])
+            row_xi = support.tangent_point(x, xi.a[j], x_dot, xi.c[j])
+            # A single element pairs with every row of a batch.
+            for value, expected in (
+                (batched[j], tangent_pairing(row_xc, row_xi)),
+                (broadcast[j], tangent_pairing(one, row_xi)),
+            ):
+                assert type(expected) is float
+                if exact:
+                    assert value == expected
+                else:
+                    assert abs(value - expected) <= 1e-15 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cotangent_flip_is_the_iterated_dual_isomorphism(k):
+    # Mackenzie-Xu's flip T*(A*) -> T*(A) is dual_iso_a at the shape of T(A):
+    # (x, psi; chi, Y) read as (m; kappa=psi, beta=chi, a=Y) in the iterated dual.
+    shape = tangent_bundle_shape(TrivialBundle(Chart(2), k))
+    for _ in range(5):
+        f = DualAElement(
+            shape,
+            support.rand_vec(RNG, 2),
+            support.rand_vec(RNG, k),
+            support.rand_vec(RNG, 2),
+            support.rand_vec(RNG, k),
+        )
+        iso = dual_iso_a(IterBCElement(f.shape, f.m, f.a, f.beta, f.kappa))
+        assert elements_equal(cotangent_flip(f), iso)
 
 
 def test_tangent_pairing_via_sections_is_extension_independent():

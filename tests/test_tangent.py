@@ -21,12 +21,10 @@ from dvbcalc.tangent import (
     covariant_derivative_via_warp,
     double_tangent_grid,
     horizontal_field,
-    horizontal_lift,
     lie_bracket_via_warp,
     linear_vector_field_operator,
-    section_lift_pair,
     tangent_bundle_shape,
-    tangent_section_lift,
+    tangent_lift,
 )
 
 import support
@@ -46,7 +44,7 @@ def _random_connection(rng, bundle):
 
 def test_complete_lift_formula():
     x_field = SmoothMap.parse(["x1", "-x0"], 2)
-    lifted = complete_lift(x_field, [1.0, 2.0], [3.0, 4.0])
+    lifted = complete_lift(x_field)([1.0, 2.0], [3.0, 4.0])
     assert lifted.m.tolist() == [1.0, 2.0]
     assert lifted.a.tolist() == [3.0, 4.0]
     assert lifted.b.tolist() == [2.0, -1.0]
@@ -59,8 +57,8 @@ def test_complete_lift_is_involution_of_tangent_lift():
         x_field = support.poly_map(RNG, n, n)
         x = support.rand_vec(RNG, n)
         v = support.rand_vec(RNG, n)
-        direct = complete_lift(x_field, x, v)
-        routed = canonical_involution(tangent_section_lift(x_field, x, v))
+        direct = complete_lift(x_field)(x, v)
+        routed = canonical_involution(tangent_lift(x_field)(x, v))
         assert elements_equal(direct, routed)
 
 
@@ -78,7 +76,7 @@ def test_involution_is_involutive():
 
 def test_constant_field_lifts_with_zero_core():
     x_field = SmoothMap.constant([2.0, -1.0], 2)
-    lifted = complete_lift(x_field, [0.3, 0.4], [1.0, 1.0])
+    lifted = complete_lift(x_field)([0.3, 0.4], [1.0, 1.0])
     assert lifted.b.tolist() == [2.0, -1.0]
     assert lifted.c.tolist() == [0.0, 0.0]
 
@@ -87,7 +85,7 @@ def test_tangent_point_validation():
     with pytest.raises(DimensionMismatch):
         support.tangent_point([1.0, 2.0], [3.0], [5.0], [7.0])
     with pytest.raises(DimensionMismatch):
-        complete_lift(SmoothMap.parse(["x0", "x0"], 1), [1.0], [1.0])
+        complete_lift(SmoothMap.parse(["x0", "x0"], 1))
 
 
 def test_points_equal_tolerance_and_types():
@@ -127,20 +125,21 @@ def test_horizontal_lift_formula():
     z_field = support.poly_map(RNG, 2, 2)
     x = support.rand_vec(RNG, 2)
     a = support.rand_vec(RNG, 2)
-    lifted = horizontal_lift(conn, z_field, x, a)
+    lift = horizontal_field(conn, z_field)
+    lifted = lift(x, a)
     omega = np.tensordot(z_field(x), tensor, axes=(0, 0))
     assert np.array_equal(lifted.b, z_field(x))
     assert np.allclose(lifted.c, -omega @ a, rtol=0.0, atol=1e-14)
     a2 = support.rand_vec(RNG, 2)
-    summed = horizontal_lift(conn, z_field, x, a + a2)
+    summed = lift(x, a + a2)
     assert np.allclose(
         summed.c,
-        lifted.c + horizontal_lift(conn, z_field, x, a2).c,
+        lifted.c + lift(x, a2).c,
         rtol=0.0,
         atol=1e-12,
     )
     flat = Connection.flat(bundle)
-    assert horizontal_lift(flat, z_field, x, a).c.tolist() == [0.0, 0.0]
+    assert horizontal_field(flat, z_field)(x, a).c.tolist() == [0.0, 0.0]
 
 
 def test_horizontal_lift_is_a_derivation_on_momentum_functions():
@@ -153,7 +152,7 @@ def test_horizontal_lift_is_a_derivation_on_momentum_functions():
     phi = support.poly_map(RNG, 2, 2)
     x = support.rand_vec(RNG, 2)
     a = support.rand_vec(RNG, 2)
-    lifted = horizontal_lift(conn, z_field, x, a)
+    lifted = horizontal_field(conn, z_field)(x, a)
     direction = np.concatenate([lifted.b, lifted.c])
 
     def momentum(vals):
@@ -247,28 +246,29 @@ def test_tangent_bundle_shape():
     assert tangent_bundle_shape(_bundle(3, 2)) == DvbShape(2, 3, 2, 3)
 
 
-def test_section_lift_pair_rejects_a_mismatched_section():
+def test_connection_grid_rejects_a_section_of_another_rank():
+    conn = _random_connection(RNG, _bundle(2, 3))
     with pytest.raises(IncompatibleElements):
-        section_lift_pair(_bundle(2, 3), support.poly_map(RNG, 2, 2))
+        connection_grid(conn, support.poly_map(RNG, 2, 2), support.poly_map(RNG, 2, 2))
 
 
 def test_lifts_equal_their_linear_sections():
-    # Each lift is bitwise the value of the linear section that the grids use.
+    # The grids are built from the lifts: each grid section is bitwise the lift.
     x_field = support.poly_map(RNG, 2, 2)
+    y_field = support.poly_map(RNG, 2, 2)
     mu = support.poly_map(RNG, 2, 3)
     conn = _random_connection(RNG, _bundle(2, 3))
+    assert tangent_lift(mu).shape == tangent_bundle_shape(conn.bundle)
     for _ in range(5):
         m = support.rand_vec(RNG, 2)
         v = support.rand_vec(RNG, 2)
         a = support.rand_vec(RNG, 3)
-        grid = double_tangent_grid(x_field, support.poly_map(RNG, 2, 2))
-        assert elements_equal(complete_lift(x_field, m, v), grid.eta(m, v))
-        assert elements_equal(
-            tangent_section_lift(mu, m, v), section_lift_pair(conn.bundle, mu)(m, v)
-        )
-        assert elements_equal(
-            horizontal_lift(conn, x_field, m, a), horizontal_field(conn, x_field)(m, a)
-        )
+        grid = double_tangent_grid(x_field, y_field)
+        assert elements_equal(complete_lift(x_field)(m, v), grid.eta(m, v))
+        assert elements_equal(tangent_lift(y_field)(m, v), grid.xi(m, v))
+        grid = connection_grid(conn, x_field, mu)
+        assert elements_equal(tangent_lift(mu)(m, v), grid.xi(m, v))
+        assert elements_equal(horizontal_field(conn, x_field)(m, a), grid.eta(m, a))
 
 
 def test_connection_grid_shape_and_warp():
