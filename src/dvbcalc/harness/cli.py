@@ -54,6 +54,11 @@ def _load_spec(args) -> ProblemSpec:
     return ProblemSpec.from_file(args.spec)
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write the report: {exc}", file=sys.stderr)
+    return 2
+
+
 def run_verify(args) -> int:
     try:
         spec = _load_spec(args)
@@ -62,31 +67,36 @@ def run_verify(args) -> int:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
 
+    # Only opening and writing the report count as write errors; an OSError
+    # raised inside a suite propagates like any other crash.
     try:
         # The report path is opened before any suite runs, so an unwritable
         # path costs no run; a spec error above leaves no file.
         target = open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext(sys.stdout)
-        with target as out:
-            try:
-                # Non-finite values fail their checks, so numpy's warnings
-                # about them would only add noise on stderr.
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    checks = run_suites(spec, *run)
-            except BaseException:
-                # Only a finished run leaves a report.
-                if args.json_out:
-                    out.close()
-                    os.remove(args.json_out)
-                raise
-            report = build_report(checks, run._asdict())
-            if not args.quiet:
-                for line in check_lines(checks):
-                    print(line)
-                print(f"overall: {report['overall']}")
-            out.write(render_json(report))
     except OSError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 2
+        return _cannot_write(exc)
+    with target as out:
+        try:
+            # Non-finite values fail their checks, so numpy's warnings
+            # about them would only add noise on stderr.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                checks = run_suites(spec, *run)
+        except BaseException:
+            # Only a finished run leaves a report.
+            if args.json_out:
+                out.close()
+                os.remove(args.json_out)
+            raise
+        report = build_report(checks, run._asdict())
+        if not args.quiet:
+            for line in check_lines(checks):
+                print(line)
+            print(f"overall: {report['overall']}")
+        try:
+            out.write(render_json(report))
+            out.flush()
+        except OSError as exc:
+            return _cannot_write(exc)
 
     return 0 if report["overall"] == "pass" else 1
 

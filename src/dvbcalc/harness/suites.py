@@ -337,6 +337,15 @@ def _spec_connections(spec: ProblemSpec, rng, count: int) -> list[Connection]:
     return conns
 
 
+def _section(spec: ProblemSpec, rng, i: int, n: int, k: int) -> SmoothMap:
+    """On even samples the first spec section of rank k, if any; else a random one."""
+    if i % 2 == 0:
+        for mu in spec.sections.values():
+            if mu.codomain_dim == k:
+                return mu
+    return _poly_map(rng, n, k)
+
+
 def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     covariant = _Residuals("covariant-derivative",
                            "warp of the connection grid equals the covariant derivative")
@@ -354,7 +363,7 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         conn = conns[i % len(conns)]
         n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
         z_field = _poly_map(rng, n, n)
-        mu = _poly_map(rng, n, k)
+        mu = _section(spec, rng, i, n, k)
         point = conn.bundle.chart.sample(rng)
 
         via_warp = tangent.covariant_derivative_via_warp(conn, z_field, mu, point)
@@ -540,7 +549,7 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
         conn = conns[i % len(conns)]
         n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
         x_field = _poly_map(rng, n, n)
-        mu = _poly_map(rng, n, k)
+        mu = _section(spec, rng, i, n, k)
         x = conn.bundle.chart.sample(rng)
         kappa = _rand_vec(rng, k)
 

@@ -273,6 +273,22 @@ def test_cli_domain_error_reported_as_failing_check(tmp_path):
     assert "error" in failing[0]["details"]
 
 
+def test_cli_spec_section_leaving_its_domain_is_a_domain_error(tmp_path):
+    # The connection suites use a spec section on even samples, so one that
+    # leaves its domain must fail them, not pass unseen.
+    code, report_path = _verify_spec(
+        tmp_path,
+        {"chart": {"dim": 1}, "sections": {"bad": ["log(x0 - 5)"]}, "samples": 2},
+        "--suite", "connection", "--suite", "connection-pairing",
+    )
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert [(c["suite"], c["name"], c["passed"]) for c in report["checks"]] == [
+        ("connection", "domain-error", False),
+        ("connection-pairing", "domain-error", False),
+    ]
+
+
 def test_sharp_sign_guard_details():
     checks = run_suites(_demo_spec(), suite_names=["bracket-pairing"], samples=10)
     by_name = {c.name: c for c in checks}
@@ -419,6 +435,18 @@ def test_cli_crashed_run_leaves_no_report(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="suite crashed"):
         cli.main(["verify", "--demo", "--json-out", str(report_path)])
     assert not report_path.exists()
+
+
+def test_cli_os_error_inside_a_suite_is_not_a_write_error(tmp_path, monkeypatch, capsys):
+    def denied(*args, **kwargs):
+        raise PermissionError("denied inside a suite")
+
+    monkeypatch.setattr(cli, "run_suites", denied)
+    report_path = tmp_path / "report.json"
+    with pytest.raises(PermissionError, match="denied inside a suite"):
+        cli.main(["verify", "--demo", "--json-out", str(report_path)])
+    assert not report_path.exists()
+    assert "cannot write the report" not in capsys.readouterr().err
 
 
 def test_residuals_count_a_batch_as_its_samples():
