@@ -27,7 +27,6 @@ from dvbcalc.cotangent import (
     tangent_pairing_via_sections,
 )
 from dvbcalc.dvb import (
-    DualAElement,
     DvbElement,
     DvbShape,
     IncompatibleElements,
@@ -152,15 +151,9 @@ def test_batched_tangent_pairing_equals_its_rows():
 def test_cotangent_flip_is_the_iterated_dual_isomorphism(k):
     # Mackenzie-Xu's flip T*(A*) -> T*(A) is dual_iso_a at the shape of T(A):
     # (x, psi; chi, Y) read as (m; kappa=psi, beta=chi, a=Y) in the iterated dual.
-    shape = tangent_bundle_shape(TrivialBundle(Chart(2), k))
     for _ in range(5):
-        f = DualAElement(
-            shape,
-            support.rand_vec(RNG, 2),
-            support.rand_vec(RNG, k),
-            support.rand_vec(RNG, 2),
-            support.rand_vec(RNG, k),
-        )
+        f = _random_cotangent(RNG, 2, k)
+        assert f.shape == tangent_bundle_shape(TrivialBundle(Chart(2), k))
         iso = dual_iso_a(IterBCElement(f.shape, f.m, f.a, f.beta, f.kappa))
         assert elements_equal(cotangent_flip(f), iso)
 
