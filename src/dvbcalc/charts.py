@@ -57,25 +57,43 @@ class TrivialBundle:
 
 @dataclass(frozen=True)
 class Connection:
+    """A linear connection, given by its coefficient tensor as a function of the point.
+
+    Each connection keeps the tensor of its previous ``coefficient_tensor``
+    call, keyed by the exact bytes of the float point (so ``0.0`` and
+    ``-0.0`` are different points), and a call at that same point reuses
+    it.  The result is always a fresh array that the caller may modify,
+    and a call that raises stores nothing.
+    """
+
     bundle: TrivialBundle
     coefficients: Callable[[Sequence[float]], np.ndarray] = field(repr=False)
+    # (point bytes, tensor) of the last ``coefficient_tensor`` call.
+    _last_tensor: tuple[bytes, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def coefficient_tensor(self, m) -> np.ndarray:
+        key = np.asarray(m, dtype=float).tobytes()
+        last = self._last_tensor
+        if last is not None and last[0] == key:
+            return last[1].copy()
         n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        out = np.asarray(self.coefficients(m), dtype=float)
+        out = np.array(self.coefficients(m), dtype=float)
         if out.shape != (n, k, k):
             raise DimensionMismatch(
                 f"connection coefficients have shape {out.shape}, expected {(n, k, k)}"
             )
-        return out
+        object.__setattr__(self, "_last_tensor", (key, out))
+        return out.copy()
 
     def omega(self, z_field: SmoothMap, m) -> np.ndarray:
-        """The k x k matrix omega(Z)(m)."""
+        """The k x k matrix omega(Z)(m) = sum_j Z^j(m) omega_j(m)."""
         z_val = z_field(m)
         if z_field.codomain_dim != self.bundle.chart.dim:
             raise DimensionMismatch("vector field does not match the chart")
-        tensor = self.coefficient_tensor(m)
-        return np.tensordot(z_val, tensor, axes=(0, 0))
+        n, k = self.bundle.chart.dim, self.bundle.fiber_dim
+        return (z_val @ self.coefficient_tensor(m).reshape(n, k * k)).reshape(k, k)
 
     def nabla(self, z_field: SmoothMap, mu: SmoothMap, m) -> np.ndarray:
         """Covariant derivative of a section mu along Z at m."""

@@ -38,6 +38,15 @@ equivalently d nu(w, sharp(sigma)) = sigma(w); with this choice the induced
 section of a complete lift is minus the Hamiltonian field of its momentum
 function, and the triangle flip = j_star o i o sharp commutes.  The
 opposite sign breaks both, which the test suite checks explicitly.
+
+The two pairing checks, and the squarecaps they pair, take each field
+either as a map or as the piece it gives at the point, already evaluated
+there, as the ``sections`` functions take a ``SectionAt``: a vector field
+or a section as its d ell (``ell_differential``), a horizontal lift as its
+squarecap.  An evaluated piece must lie over the point it is used at.  A
+check given evaluated pieces also takes the value it pairs against (the
+bracket, or the covariant derivative), so a caller that needs the same
+pieces for several checks computes each one once.
 """
 
 from __future__ import annotations
@@ -48,7 +57,16 @@ import numpy as np
 
 from . import jets
 from .charts import Connection, TrivialBundle
-from .dvb import DualAElement, DualBElement, DvbElement, pair_a, pair_b, scale_over_a
+from .dvb import (
+    DualAElement,
+    DualBElement,
+    DvbElement,
+    Record,
+    _same,
+    pair_a,
+    pair_b,
+    scale_over_a,
+)
 from .jets import Scalar
 from .sections import LinearSectionA
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
@@ -238,38 +256,64 @@ def ell_differential(mu: SmoothMap, x, kappa) -> DualAElement:
     return DualAElement(_shape(n, k), x, kappa, grad[:n], grad[n:])
 
 
-def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> DualAElement:
-    """Induced section of T*(T*M) attached to the tangent lift of Y: d ell_Y."""
-    _check_vector_field(y_field)
-    return ell_differential(y_field, x, p)
+def _lies_at(piece: Record, x, kappa) -> Record:
+    """An evaluated piece, checked to lie over the point (x, kappa) it is used at."""
+    _same(np.asarray(x, dtype=float), piece.m, "base point")
+    _same(np.asarray(kappa, dtype=float), piece.a, "fiber point")
+    return piece
+
+
+def _field_differential(x_field: SmoothMap | DualAElement, x, p) -> DualAElement:
+    """d ell_X at (x, p) of a vector field, or that covector itself if given."""
+    if isinstance(x_field, DualAElement):
+        return _lies_at(x_field, x, p)
+    _check_vector_field(x_field)
+    return ell_differential(x_field, x, p)
+
+
+def squarecap_tangent_lift(y_field: SmoothMap | DualAElement, x, p) -> DualAElement:
+    """Induced section of T*(T*M) attached to the tangent lift of Y: d ell_Y.
+
+    y_field may be d ell_Y at (x, p) already, which is returned as it is.
+    """
+    return _field_differential(y_field, x, p)
 
 
 def squarecap_complete_lift(
-    x_field: SmoothMap, x, p, sign: float | None = None
+    x_field: SmoothMap | DualAElement, x, p, sign: float | None = None
 ) -> DvbElement:
     """Induced section attached to the complete lift of X, as a T(T*M) element.
 
     Equals minus the Hamiltonian vector field of ell_X; in coordinates
-    (-X(x), DX(x)^T p) under the pinned sharp sign.
+    (-X(x), DX(x)^T p) under the pinned sharp sign.  x_field may be d ell_X
+    at (x, p) already.
     """
-    _check_vector_field(x_field)
-    return scale_over_a(-1.0, dnu_sharp(ell_differential(x_field, x, p), sign))
+    return scale_over_a(-1.0, dnu_sharp(_field_differential(x_field, x, p), sign))
 
 
 def bracket_pairing_check(
-    x_field: SmoothMap, y_field: SmoothMap, x, p, sign: float | None = None
+    x_field: SmoothMap | DualAElement,
+    y_field: SmoothMap | DualAElement,
+    x,
+    p,
+    sign: float | None = None,
+    bracket=None,
 ) -> tuple[float, float]:
     """Pair the two induced sections on T*M against minus the bracket momentum.
 
     Returns (pairing value, -<p, [X, Y](x)>); the two agree under the
-    pinned sharp sign and disagree under the opposite one.
+    pinned sharp sign and disagree under the opposite one.  Either field
+    may be given as its d ell at (x, p); then ``bracket``, the value
+    [X, Y](x), must be given too.
     """
     p = np.asarray(p, dtype=float)
     lhs = pair_a(
         squarecap_tangent_lift(y_field, x, p),
         squarecap_complete_lift(x_field, x, p, sign),
     )
-    rhs = -float(p @ lie_bracket(x_field, y_field, x))
+    if bracket is None:
+        bracket = lie_bracket(x_field, y_field, x)
+    rhs = -float(p @ bracket)
     return lhs, rhs
 
 
@@ -306,22 +350,41 @@ def dual_horizontal_field(conn: Connection, x_field: SmoothMap) -> LinearSection
     )
 
 
-def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> DvbElement:
-    """Induced section attached to the horizontal lift: minus the dual horizontal lift."""
+def squarecap_horizontal(
+    conn: Connection, x_field: SmoothMap | DvbElement, x, kappa
+) -> DvbElement:
+    """Induced section attached to the horizontal lift: minus the dual horizontal lift.
+
+    x_field may be this squarecap at (x, kappa) already, which is returned
+    as it is.
+    """
+    if isinstance(x_field, DvbElement):
+        return _lies_at(x_field, x, kappa)
     return scale_over_a(-1.0, dual_horizontal_field(conn, x_field)(x, kappa))
 
 
 def connection_pairing_check(
-    conn: Connection, x_field: SmoothMap, mu: SmoothMap, x, kappa
+    conn: Connection,
+    x_field: SmoothMap | DvbElement,
+    mu: SmoothMap | DualAElement,
+    x,
+    kappa,
+    nabla=None,
 ) -> tuple[float, float]:
     """Pair d ell_mu with the horizontal squarecap on the dual bundle.
 
     Returns (pairing value, -<kappa, nabla_X mu  at x>); the two agree.
+    x_field may be given as its horizontal squarecap at (x, kappa) and mu
+    as d ell_mu there; then ``nabla``, the value nabla_X mu at x, must be
+    given too.
     """
     kappa = np.asarray(kappa, dtype=float)
-    lhs = pair_a(
-        ell_differential(mu, x, kappa),
-        squarecap_horizontal(conn, x_field, x, kappa),
-    )
-    rhs = -float(kappa @ conn.nabla(x_field, mu, x))
+    if isinstance(mu, DualAElement):
+        dell = _lies_at(mu, x, kappa)
+    else:
+        dell = ell_differential(mu, x, kappa)
+    lhs = pair_a(dell, squarecap_horizontal(conn, x_field, x, kappa))
+    if nabla is None:
+        nabla = conn.nabla(x_field, mu, x)
+    rhs = -float(kappa @ nabla)
     return lhs, rhs

@@ -12,6 +12,11 @@ Grammar (whitespace insignificant)::
 Unary minus binds to a single factor, so ``-a/b`` parses as ``(-a)/b``.
 Variable indices are checked against the declared chart dimension at parse
 time.  Syntax errors report the byte offset where scanning stopped.
+
+An expression may nest at most ``MAX_DEPTH`` levels: its tree may be at
+most that deep, and so may its nesting of parentheses, function calls and
+unary minuses.  The walkers here recurse once per level, so a deeper
+expression would exhaust Python's stack; the parser rejects it instead.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ Expr = Union[Num, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 
+MAX_DEPTH = 100
+
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INTEGER = re.compile(r"-?\d+")
@@ -95,6 +102,7 @@ class _Parser:
         self.text = text
         self.dim = dim
         self.pos = 0
+        self.level = 0
 
     def error(self, message: str, offset: int | None = None) -> ParseError:
         return ParseError(message, self.pos if offset is None else offset)
@@ -117,11 +125,25 @@ class _Parser:
         if not self.take(char):
             raise self.error(f"expected '{char}'")
 
+    def too_deep(self) -> ParseError:
+        return self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+
+    def nested(self, parse) -> Expr:
+        """parse() one level of parentheses, call or unary minus deeper."""
+        if self.level == MAX_DEPTH:
+            raise self.too_deep()
+        self.level += 1
+        node = parse()
+        self.level -= 1
+        return node
+
     def parse(self) -> Expr:
         node = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("unexpected trailing input")
+        if _depth(node) > MAX_DEPTH:
+            raise self.too_deep()
         return node
 
     def expr(self) -> Expr:
@@ -146,7 +168,7 @@ class _Parser:
 
     def factor(self) -> Expr:
         if self.take("-"):
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor))
         node = self.atom()
         if self.take("^"):
             self.skip_ws()
@@ -161,7 +183,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         m = _NUMBER.match(self.text, self.pos)
@@ -175,7 +197,7 @@ class _Parser:
             if name in FUNCTIONS:
                 self.pos = m.end()
                 self.expect("(")
-                node = self.expr()
+                node = self.nested(self.expr)
                 self.expect(")")
                 return Call(name, node)
             if re.fullmatch(r"x\d+", name):
@@ -196,6 +218,23 @@ def parse(text: str, dim: int) -> Expr:
     if dim < 0:
         raise ValueError("dimension must be non-negative")
     return _Parser(text, dim).parse()
+
+
+def _depth(expr: Expr) -> int:
+    """Levels of the tree, a leaf being one; walked without recursion."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        kind = type(node)
+        if kind in (Add, Mul, Sub, Div):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif kind in (Neg, Call):
+            stack.append((node.arg, depth + 1))
+        elif kind is Pow:
+            stack.append((node.base, depth + 1))
+    return deepest
 
 
 def max_var_index(expr: Expr) -> int:

@@ -367,14 +367,16 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         point = conn.bundle.chart.sample(rng)
 
         via_warp = tangent.covariant_derivative_via_warp(conn, z_field, mu, point)
-        covariant.add(via_warp - conn.nabla(z_field, mu, point))
+        nabla = conn.nabla(z_field, mu, point)
+        covariant.add(via_warp - nabla)
 
         flat_conn = Connection.flat(conn.bundle)
         flat_value = tangent.covariant_derivative_via_warp(flat_conn, z_field, mu, point)
         flat.add(flat_value - jacobian(mu, point) @ z_field(point))
 
         a = _rand_vec(rng, k)
-        lift = tangent.horizontal_field(conn, z_field)(point, a)
+        horizontal = tangent.horizontal_field(conn, z_field).at(point)
+        lift = horizontal(a)
         phi = _poly_map(rng, n, k)
         derived = jet_directional(
             ct.momentum_function(phi), list(point) + list(a), list(lift.b) + list(lift.c)
@@ -389,8 +391,8 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         )
         pullback.add(pulled - directional_derivative(f, z_field, point))
 
-        apply_op = tangent.linear_vector_field_operator(tangent.horizontal_field(conn, z_field))
-        operator.add(apply_op(mu, point) - conn.nabla(z_field, mu, point))
+        apply_op = tangent.linear_vector_field_operator(horizontal)
+        operator.add(apply_op(mu, point) - nabla)
 
     return [covariant, flat, momentum, pullback, operator]
 
@@ -506,28 +508,34 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         x = spec.chart.sample(rng)
         p = _rand_vec(rng, n)
 
-        lhs, rhs = ct.bracket_pairing_check(x_field, y_field, x, p)
+        # d ell_Y, d ell_X, the bracket and the grid's sections are each
+        # evaluated once at (x, p); every check below reuses them.
+        cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
+        dell_x = ct.ell_differential(x_field, x, p)
+        bracket = lie_bracket(x_field, y_field, x)
+        lhs, rhs = ct.bracket_pairing_check(dell_x, cap_y, x, p, bracket=bracket)
         momentum.add(lhs - rhs)
 
-        cap_y = ct.squarecap_tangent_lift(y_field, x, p)
-        closed.add(cap_y.beta - jacobian(y_field, x).T @ p)
-        closed.add(cap_y.kappa - y_field(x))
-        cap_x = ct.squarecap_complete_lift(x_field, x, p)
-        closed.add(cap_x.b + x_field(x))
-        closed.add(cap_x.c - jacobian(x_field, x).T @ p)
+        at = tangent.double_tangent_grid(x_field, y_field).at(x)
+        closed.add(cap_y.beta - at.xi.matrix.T @ p)
+        closed.add(cap_y.kappa - at.xi.base)
+        cap_x = ct.squarecap_complete_lift(dell_x, x, p)
+        closed.add(cap_x.b + at.eta.base)
+        closed.add(cap_x.c - at.eta.matrix.T @ p)
 
-        grid = tangent.double_tangent_grid(x_field, y_field)
-        dec_lhs, dec_rhs = sections.warp_pairing_check(grid, x, p)
+        dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, p)
         cross.add(dec_lhs - lhs)
         cross.add(dec_rhs - rhs)
-        cap_b = sections.squarecap_b(grid.xi, x, p)
+        cap_b = sections.squarecap_b(at.xi, x, p)
         cross.add(cap_b.beta - cap_y.beta)
         cross.add(cap_b.a - cap_y.kappa)
-        cap_a = sections.squarecap_a(grid.eta, x, p)
+        cap_a = sections.squarecap_a(at.eta, x, p)
         cross.add(cap_a.b + cap_x.b)
         cross.add(cap_a.alpha - cap_x.c)
 
-        wrong_lhs, wrong_rhs = ct.bracket_pairing_check(x_field, y_field, x, p, sign=-1.0)
+        wrong_lhs, wrong_rhs = ct.bracket_pairing_check(
+            dell_x, cap_y, x, p, sign=-1.0, bracket=bracket
+        )
         guard.add_flipped(wrong_lhs - wrong_rhs)
         guard.add(lhs - rhs)
 
@@ -553,20 +561,26 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
         x = conn.bundle.chart.sample(rng)
         kappa = _rand_vec(rng, k)
 
-        lhs, rhs = ct.connection_pairing_check(conn, x_field, mu, x, kappa)
+        # d ell_mu, the horizontal squarecap, nabla_X mu and the grid's
+        # sections are each evaluated once at (x, kappa).
+        dell_mu = ct.ell_differential(mu, x, kappa)
+        lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
+        nabla = conn.nabla(x_field, mu, x)
+        lhs, rhs = ct.connection_pairing_check(conn, lifted, dell_mu, x, kappa, nabla=nabla)
         momentum.add(lhs - rhs)
 
+        at = tangent.connection_grid(conn, x_field, mu).at(x)
         flat_conn = Connection.flat(conn.bundle)
-        flat_lhs, flat_rhs = ct.connection_pairing_check(flat_conn, x_field, mu, x, kappa)
+        flat_lhs, flat_rhs = ct.connection_pairing_check(
+            flat_conn, x_field, dell_mu, x, kappa, nabla=flat_conn.nabla(x_field, mu, x)
+        )
         flat.add(flat_lhs - flat_rhs)
-        flat.add(flat_rhs + float(kappa @ (jacobian(mu, x) @ x_field(x))))
+        flat.add(flat_rhs + float(kappa @ (at.xi.matrix @ at.eta.base)))
 
-        grid = tangent.connection_grid(conn, x_field, mu)
-        dec_lhs, dec_rhs = sections.warp_pairing_check(grid, x, kappa)
+        dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, kappa)
         cross.add(dec_lhs - lhs)
         cross.add(dec_rhs - rhs)
-        cap_a = sections.squarecap_a(grid.eta, x, kappa)
-        lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
+        cap_a = sections.squarecap_a(at.eta, x, kappa)
         cross.add(cap_a.b + lifted.b)
         cross.add(cap_a.alpha - lifted.c)
 

@@ -42,40 +42,61 @@ class Jet:
         # Split an operand into value and partials of matching arity.
         if isinstance(other, Jet):
             if other.arity != self.arity:
-                raise ValueError(
-                    f"jet arity mismatch: {self.arity} vs {other.arity}"
-                )
+                raise _arity_mismatch(self, other)
             return other.value, other.partials
         return other, (0.0,) * self.arity
 
+    # The ring operations build partials directly.  A scalar operand has
+    # zero partials, so each partial is still computed as p + 0.0, p - 0.0
+    # or p*c + v*0.0, and signed zeros and NaNs come out as in the general
+    # product rule.
+
     def __add__(self, other):
-        if not isinstance(other, (Jet, int, float)):
-            return NotImplemented
-        ov, op = self._paired(other)
-        return Jet(self.value + ov, tuple(p + q for p, q in zip(self.partials, op)))
+        if isinstance(other, Jet):
+            if len(other.partials) != len(self.partials):
+                raise _arity_mismatch(self, other)
+            return Jet(
+                self.value + other.value,
+                [p + q for p, q in zip(self.partials, other.partials)],
+            )
+        if isinstance(other, (int, float)):
+            return Jet(self.value + other, [p + 0.0 for p in self.partials])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value, tuple(-p for p in self.partials))
+        return Jet(-self.value, [-p for p in self.partials])
 
     def __sub__(self, other):
-        if not isinstance(other, (Jet, int, float)):
-            return NotImplemented
-        ov, op = self._paired(other)
-        return Jet(self.value - ov, tuple(p - q for p, q in zip(self.partials, op)))
+        if isinstance(other, Jet):
+            if len(other.partials) != len(self.partials):
+                raise _arity_mismatch(self, other)
+            return Jet(
+                self.value - other.value,
+                [p - q for p, q in zip(self.partials, other.partials)],
+            )
+        if isinstance(other, (int, float)):
+            return Jet(self.value - other, [p - 0.0 for p in self.partials])
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, (Jet, int, float)):
-            return NotImplemented
-        ov, op = self._paired(other)
-        return Jet(
-            self.value * ov,
-            tuple(p * ov + self.value * q for p, q in zip(self.partials, op)),
-        )
+        v = self.value
+        if isinstance(other, Jet):
+            if len(other.partials) != len(self.partials):
+                raise _arity_mismatch(self, other)
+            ov = other.value
+            return Jet(
+                v * ov,
+                [p * ov + v * q for p, q in zip(self.partials, other.partials)],
+            )
+        if isinstance(other, (int, float)):
+            zero = v * 0.0
+            return Jet(v * other, [p * other + zero for p in self.partials])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -102,6 +123,10 @@ class Jet:
         if not isinstance(exponent, int):
             return NotImplemented
         return powi(self, exponent)
+
+
+def _arity_mismatch(u: Jet, w: Jet) -> ValueError:
+    return ValueError(f"jet arity mismatch: {u.arity} vs {w.arity}")
 
 
 def deep_value(u: Scalar) -> float:

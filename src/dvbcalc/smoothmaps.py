@@ -2,9 +2,10 @@
 
 A ``SmoothMap`` is a list of coordinate expressions.  Jacobians and
 directional derivatives are computed by evaluating the expressions over
-seeded jets, so they are exact up to rounding.  ``lie_bracket`` keeps the
-generic (jet-friendly) code path available so brackets can themselves be
-differentiated, e.g. for Jacobi-identity checks.
+seeded jets, so they are exact up to rounding.  ``lie_bracket_generic``
+also takes jets, so brackets can themselves be differentiated, e.g. for
+Jacobi-identity checks; ``lie_bracket`` at float points shares its formula
+and takes its Jacobians from the memoized ``jacobian``.
 """
 
 from __future__ import annotations
@@ -109,27 +110,36 @@ def _check_vector_field(x_field: SmoothMap) -> None:
         raise DimensionMismatch("expected a vector field on the chart")
 
 
-def lie_bracket_generic(
-    x_field: SmoothMap, y_field: SmoothMap, values: Sequence[Scalar]
-) -> list[Scalar]:
-    """[X,Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j over floats or jets."""
-    n = x_field.domain_dim
-    xv = x_field.eval_generic(values)
-    yv = y_field.eval_generic(values)
-    jx = jets.generic_jacobian(x_field.eval_generic, values)
-    jy = jets.generic_jacobian(y_field.eval_generic, values)
+def _bracket(xv: Sequence[Scalar], yv: Sequence[Scalar], jx, jy) -> list[Scalar]:
+    """[X,Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j from values and Jacobian rows."""
     out = []
-    for i in range(n):
+    for i in range(len(xv)):
         acc = 0.0
-        for j in range(n):
+        for j in range(len(xv)):
             acc = acc + jy[i][j] * xv[j] - jx[i][j] * yv[j]
         out.append(acc)
     return out
 
 
+def lie_bracket_generic(
+    x_field: SmoothMap, y_field: SmoothMap, values: Sequence[Scalar]
+) -> list[Scalar]:
+    """The bracket over floats or jets, with Jacobians from seeded jets."""
+    xv = x_field.eval_generic(values)
+    yv = y_field.eval_generic(values)
+    jx = jets.generic_jacobian(x_field.eval_generic, values)
+    jy = jets.generic_jacobian(y_field.eval_generic, values)
+    return _bracket(xv, yv, jx, jy)
+
+
 def lie_bracket(
     x_field: SmoothMap, y_field: SmoothMap, point: Sequence[float]
 ) -> np.ndarray:
+    """[X, Y] at a float point.
+
+    The Jacobians come from ``jacobian``, so a field already differentiated
+    at this point is not differentiated again.
+    """
     _check_vector_field(x_field)
     _check_vector_field(y_field)
     if x_field.domain_dim != y_field.domain_dim:
@@ -139,7 +149,11 @@ def lie_bracket(
         raise DimensionMismatch(
             f"expected point of dimension {x_field.domain_dim}, got {len(values)}"
         )
-    return np.array(lie_bracket_generic(x_field, y_field, values), dtype=float)
+    xv = x_field.eval_generic(values)
+    yv = y_field.eval_generic(values)
+    jx = jacobian(x_field, values).tolist()
+    jy = jacobian(y_field, values).tolist()
+    return np.array(_bracket(xv, yv, jx, jy), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .charts import Connection, TrivialBundle
 from .dvb import DvbElement, DvbShape
-from .sections import Grid, LinearSectionA, LinearSectionB, warp
+from .sections import Grid, LinearSectionA, LinearSectionB, SectionAt, warp
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field
 
 
@@ -82,12 +82,12 @@ def canonical_involution(t: DvbElement) -> DvbElement:
 # -- decomposed grids on tangent bundles ---------------------------------------
 
 def double_tangent_grid(x_field: SmoothMap, y_field: SmoothMap) -> Grid:
-    """Grid on T(TM): tangent lift of Y against the complete lift of X."""
-    eta = complete_lift(x_field)
-    _check_vector_field(y_field)
-    if x_field.domain_dim != y_field.domain_dim:
-        raise DimensionMismatch("vector fields live on different charts")
-    return Grid(xi=tangent_lift(y_field), eta=eta)
+    """Grid on T(TM): tangent lift of Y against the complete lift of X.
+
+    A Y that is not a vector field on X's chart gives a tangent lift of
+    another shape, which ``Grid`` rejects.
+    """
+    return Grid(xi=tangent_lift(y_field), eta=complete_lift(x_field))
 
 
 def connection_grid(conn: Connection, z_field: SmoothMap, mu: SmoothMap) -> Grid:
@@ -108,12 +108,14 @@ def covariant_derivative_via_warp(
 
 
 def linear_vector_field_operator(
-    field: LinearSectionA,
+    field: LinearSectionA | SectionAt,
 ) -> Callable[[SmoothMap, np.ndarray], np.ndarray]:
     """The first-order operator on sections attached to a linear vector field.
 
     For field (x, a) -> (X(x), L(x) a) the operator sends mu to
     Dmu X - L mu, realized as the warp of the grid (T(mu), mu), (field, X).
+    The field may be its value at one point (``field.at(m)``); the operator
+    then applies at that point only.
     """
 
     def apply(mu: SmoothMap, m) -> np.ndarray:

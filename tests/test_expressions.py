@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dvbcalc import jets
 from dvbcalc.expressions import (
+    MAX_DEPTH,
     Add,
     Call,
     Div,
@@ -177,3 +178,36 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_round_trip_random_trees(ast):
     assert parse(to_string(ast), 3) == ast
+
+
+def test_parse_accepts_expressions_at_the_depth_bound():
+    deep = [
+        "+".join(["x0"] * MAX_DEPTH),
+        "(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH,
+        "-" * (MAX_DEPTH - 1) + "x0",
+        "sin(" * (MAX_DEPTH - 1) + "x0" + ")" * (MAX_DEPTH - 1),
+    ]
+    for text in deep:
+        expr = parse(text, 1)
+        assert parse(to_string(expr), 1) == expr
+        evaluate(expr, jets.seed([0.5]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+".join(["x0"] * (MAX_DEPTH + 1)),
+        "*".join(["x0"] * (MAX_DEPTH + 1)),
+        "(" * (MAX_DEPTH + 1) + "x0" + ")" * (MAX_DEPTH + 1),
+        "-" * MAX_DEPTH + "x0",
+        "exp(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH,
+        "(" * 3000 + "x0" + ")" * 3000,
+        "-" * 3000 + "x0",
+        "+".join(["x0"] * 3000),
+    ],
+    ids=["sum", "product", "parentheses", "unary-minus", "calls", "parentheses-3000",
+         "unary-minus-3000", "sum-3000"],
+)
+def test_parse_rejects_expressions_nested_past_the_depth_bound(text):
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse(text, 1)

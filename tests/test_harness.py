@@ -1,6 +1,7 @@
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from dvbcalc.harness import (
     render_json,
     run_suites,
 )
+from dvbcalc import cotangent, jets
+from dvbcalc.charts import Connection
 from dvbcalc.harness import cli, suites
 from dvbcalc.harness.problem import DEFAULT_SHAPES
 
@@ -468,3 +471,66 @@ def test_cli_repeated_suite_runs_once(tmp_path):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["config_echo"]["suites"] == ["bracket"]
     assert [c["name"] for c in report["checks"]] == ["field-pairs", "random-polynomials"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 3000 + "x0" + ")" * 3000,
+        "-" * 3000 + "x0",
+        "+".join(["x0"] * 990),
+        "+".join(["x0"] * 980),
+    ],
+    ids=["parentheses", "unary-minus", "sum-990", "sum-980"],
+)
+def test_cli_spec_nested_past_the_depth_bound_exits_two(tmp_path, capsys, text):
+    data = demo_spec_dict()
+    data["fields"]["X"] = [text, "0"]
+    spec_path, out = tmp_path / "deep.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["verify", str(spec_path), "--samples", "2", "--json-out", str(out)]) == 2
+    assert "spec error: fields.X: expression nested deeper than" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bracket_pairing_sample_differentiates_each_field_once(monkeypatch):
+    spec = _demo_spec()
+    x_field, y_field = spec.fields["X"], spec.fields["Y"]
+    differentials, jacobian_maps = [], []
+    ell_differential, generic_jacobian = cotangent.ell_differential, jets.generic_jacobian
+
+    def counted_ell(mu, x, kappa):
+        differentials.append(mu)
+        return ell_differential(mu, x, kappa)
+
+    def counted_jacobian(fn, values):
+        # A map's own Jacobian seeds its bound eval_generic.
+        jacobian_maps.append(getattr(fn, "__self__", None))
+        return generic_jacobian(fn, values)
+
+    monkeypatch.setattr(cotangent, "ell_differential", counted_ell)
+    monkeypatch.setattr(jets, "generic_jacobian", counted_jacobian)
+    # Sample 0 uses the spec's fields X and Y.
+    checks = suites._run_bracket_pairing(spec, 1, np.random.default_rng(0))
+    assert all(check.passes(1e-9) for check in checks)
+    assert [mu is y_field for mu in differentials] == [True, False]
+    assert [mu is x_field for mu in differentials] == [False, True]
+    assert sum(m is x_field for m in jacobian_maps) == 1
+    assert sum(m is y_field for m in jacobian_maps) == 1
+
+
+@pytest.mark.parametrize("suite", ["connection", "connection-pairing"])
+def test_connection_sample_evaluates_the_coefficients_once_per_point(suite):
+    spec = _demo_spec()
+    coefficients = spec.connection.coefficients
+    points = []
+
+    def counted(m):
+        points.append(np.asarray(m, dtype=float).tobytes())
+        return coefficients(m)
+
+    spec = replace(spec, connection=Connection(spec.connection.bundle, counted))
+    # The suite cycles through three connections; samples 0 and 3 use the spec's.
+    checks = suites.SUITES[suite][1](spec, 4, np.random.default_rng(0))
+    assert all(check.passes(1e-9) for check in checks)
+    assert len(points) == len(set(points)) == 2

@@ -175,3 +175,85 @@ def test_scalar_mixing():
 
 def test_constant_function_has_zero_derivative():
     assert jet_gradient(lambda v: 5.0, [1.0, 2.0]).tolist() == [0.0, 0.0]
+
+
+# -- the ring operations against the general product rule ----------------------
+
+def _general(op, u, w):
+    """u op w by the general rule, a scalar standing for a jet of zero partials."""
+    if isinstance(w, Jet):
+        if w.arity != u.arity:
+            raise ValueError(f"jet arity mismatch: {u.arity} vs {w.arity}")
+        wv, wp = w.value, w.partials
+    else:
+        wv, wp = w, (0.0,) * u.arity
+    if op == "add":
+        return Jet(u.value + wv, tuple(p + q for p, q in zip(u.partials, wp)))
+    if op == "sub":
+        return Jet(u.value - wv, tuple(p - q for p, q in zip(u.partials, wp)))
+    return Jet(u.value * wv, tuple(p * wv + u.value * q for p, q in zip(u.partials, wp)))
+
+
+def _bits(u):
+    """Type and exact bytes of every float inside a possibly nested jet.
+
+    Any NaN reads the same: CPython's specialized and generic float paths
+    may pick different operands' NaN when adding two NaNs.
+    """
+    if isinstance(u, Jet):
+        return ("jet", _bits(u.value), tuple(_bits(p) for p in u.partials))
+    return (type(u).__name__, "nan" if math.isnan(u) else np.float64(u).tobytes())
+
+
+_SPECIAL = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]
+
+
+def _special_jet(rng, arity, nested=False):
+    pick = lambda: _SPECIAL[int(rng.integers(len(_SPECIAL)))]
+    if nested:
+        return Jet(_special_jet(rng, arity), [_special_jet(rng, arity) for _ in range(arity)])
+    return Jet(pick(), [pick() for _ in range(arity)])
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_ring_operations_match_the_general_rule_bitwise(nested):
+    rng = np.random.default_rng(8)
+    scalars = [0.0, -0.0, 2, -3, 0, np.float64(-0.0), np.float64(2.5), math.inf, math.nan, True]
+    with np.errstate(all="ignore"):
+        for _ in range(300):
+            arity = int(rng.integers(0, 4))
+            u = _special_jet(rng, arity, nested)
+            others = [_special_jet(rng, arity, nested)] + scalars
+            for w in others:
+                assert _bits(u + w) == _bits(_general("add", u, w))
+                assert _bits(u - w) == _bits(_general("sub", u, w))
+                assert _bits(u * w) == _bits(_general("mul", u, w))
+                if type(w) in (int, float, bool):  # numpy scalars dispatch reflected ops themselves
+                    assert _bits(w + u) == _bits(_general("add", u, w))
+                    assert _bits(w * u) == _bits(_general("mul", u, w))
+            assert _bits(-u) == _bits(Jet(-u.value, tuple(-p for p in u.partials)))
+
+
+def test_scalar_operand_keeps_signed_zero_and_nan_partials():
+    u = Jet(-1.0, (0.0,))
+    assert math.copysign(1.0, (u * 0.0).partials[0]) == 1.0  # 0*0 + (-1)*0 = 0 + -0 = 0
+    assert math.copysign(1.0, (Jet(-1.0, (-0.0,)) * 2).partials[0]) == -1.0
+    assert (Jet(-0.0, (-0.0,)) + 0).partials == (0.0,)
+    assert math.copysign(1.0, (Jet(-0.0, (-0.0,)) - 0.0).partials[0]) == -1.0
+    assert math.isnan((Jet(math.inf, (1.0,)) * 2.0).partials[0])
+
+
+def test_arity_mismatch_message():
+    a, b = Jet(1.0, (1.0, 0.0)), Jet(1.0, (1.0,))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(ValueError, match=r"^jet arity mismatch: 2 vs 1$"):
+            op()
+    with pytest.raises(ValueError, match=r"^jet arity mismatch: 1 vs 2$"):
+        b * a
+
+
+def test_ring_operations_leave_other_operands_to_them():
+    u = Jet(1.0, (1.0,))
+    assert u.__add__("x") is NotImplemented
+    assert u.__sub__([1.0]) is NotImplemented
+    assert u.__mul__(np.array([1.0])) is NotImplemented

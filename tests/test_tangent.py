@@ -288,9 +288,10 @@ def test_connection_grid_shape_and_warp():
 
 
 def test_double_tangent_grid_validation():
-    with pytest.raises(DimensionMismatch):
+    # Grid's shape check rejects a Y on another chart and a Y that is not a vector field.
+    with pytest.raises(IncompatibleElements):
         double_tangent_grid(SmoothMap.parse(["x0"], 1), SmoothMap.parse(["x0", "x1"], 2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IncompatibleElements):
         double_tangent_grid(SmoothMap.parse(["x0", "x1"], 2), SmoothMap.parse(["x0", "x0", "x1"], 2))
 
 
