@@ -7,9 +7,12 @@ harness over all of it.
 
 from .charts import Chart, Connection, TrivialBundle
 from .cotangent import (
+    bracket_pairing,
     bracket_pairing_check,
     canonical_one_form,
     canonical_two_form,
+    complete_lift_squarecap,
+    connection_pairing,
     connection_pairing_check,
     cotangent_flip,
     diagram_check,

@@ -39,14 +39,12 @@ section of a complete lift is minus the Hamiltonian field of its momentum
 function, and the triangle flip = j_star o i o sharp commutes.  The
 opposite sign breaks both, which the test suite checks explicitly.
 
-The two pairing checks, and the squarecaps they pair, take each field
-either as a map or as the piece it gives at the point, already evaluated
-there, as the ``sections`` functions take a ``SectionAt``: a vector field
-or a section as its d ell (``ell_differential``), a horizontal lift as its
-squarecap.  An evaluated piece must lie over the point it is used at.  A
-check given evaluated pieces also takes the value it pairs against (the
-bracket, or the covariant derivative), so a caller that needs the same
-pieces for several checks computes each one once.
+The two pairing checks take maps and evaluate what they pair at the
+point; ``bracket_pairing`` and ``connection_pairing`` pair pieces already
+evaluated there (a d ell from ``ell_differential``, a squarecap, and the
+bracket or covariant derivative), as the ``sections`` functions take a
+``SectionAt``.  A caller that needs the same pieces for several checks
+computes each one once and pairs them with these.
 """
 
 from __future__ import annotations
@@ -57,16 +55,7 @@ import numpy as np
 
 from . import jets
 from .charts import Connection, TrivialBundle
-from .dvb import (
-    DualAElement,
-    DualBElement,
-    DvbElement,
-    Record,
-    _same,
-    pair_a,
-    pair_b,
-    scale_over_a,
-)
+from .dvb import DualAElement, DualBElement, DvbElement, _same, pair_a, pair_b, scale_over_a
 from .jets import Scalar
 from .sections import LinearSectionA
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
@@ -256,65 +245,54 @@ def ell_differential(mu: SmoothMap, x, kappa) -> DualAElement:
     return DualAElement(_shape(n, k), x, kappa, grad[:n], grad[n:])
 
 
-def _lies_at(piece: Record, x, kappa) -> Record:
-    """An evaluated piece, checked to lie over the point (x, kappa) it is used at."""
-    _same(np.asarray(x, dtype=float), piece.m, "base point")
-    _same(np.asarray(kappa, dtype=float), piece.a, "fiber point")
-    return piece
+def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> DualAElement:
+    """Induced section of T*(T*M) attached to the tangent lift of Y: d ell_Y."""
+    _check_vector_field(y_field)
+    return ell_differential(y_field, x, p)
 
 
-def _field_differential(x_field: SmoothMap | DualAElement, x, p) -> DualAElement:
-    """d ell_X at (x, p) of a vector field, or that covector itself if given."""
-    if isinstance(x_field, DualAElement):
-        return _lies_at(x_field, x, p)
-    _check_vector_field(x_field)
-    return ell_differential(x_field, x, p)
-
-
-def squarecap_tangent_lift(y_field: SmoothMap | DualAElement, x, p) -> DualAElement:
-    """Induced section of T*(T*M) attached to the tangent lift of Y: d ell_Y.
-
-    y_field may be d ell_Y at (x, p) already, which is returned as it is.
-    """
-    return _field_differential(y_field, x, p)
+def complete_lift_squarecap(dell_x: DualAElement, sign: float | None = None) -> DvbElement:
+    """The complete-lift squarecap from d ell_X at its point: minus sharp of d ell_X."""
+    return scale_over_a(-1.0, dnu_sharp(dell_x, sign))
 
 
 def squarecap_complete_lift(
-    x_field: SmoothMap | DualAElement, x, p, sign: float | None = None
+    x_field: SmoothMap, x, p, sign: float | None = None
 ) -> DvbElement:
     """Induced section attached to the complete lift of X, as a T(T*M) element.
 
     Equals minus the Hamiltonian vector field of ell_X; in coordinates
-    (-X(x), DX(x)^T p) under the pinned sharp sign.  x_field may be d ell_X
-    at (x, p) already.
+    (-X(x), DX(x)^T p) under the pinned sharp sign.
     """
-    return scale_over_a(-1.0, dnu_sharp(_field_differential(x_field, x, p), sign))
+    _check_vector_field(x_field)
+    return complete_lift_squarecap(ell_differential(x_field, x, p), sign)
+
+
+def bracket_pairing(
+    dell_x: DualAElement, dell_y: DualAElement, bracket, p, sign: float | None = None
+) -> tuple[float, float]:
+    """The bracket pairing of d ell_X, d ell_Y and [X, Y](x), evaluated at (x, p).
+
+    The two differentials must lie over (x, p).
+    """
+    p = np.asarray(p, dtype=float)
+    _same(p, dell_y.a, "fiber point")
+    lhs = pair_a(dell_y, complete_lift_squarecap(dell_x, sign))
+    return lhs, -float(p @ bracket)
 
 
 def bracket_pairing_check(
-    x_field: SmoothMap | DualAElement,
-    y_field: SmoothMap | DualAElement,
-    x,
-    p,
-    sign: float | None = None,
-    bracket=None,
+    x_field: SmoothMap, y_field: SmoothMap, x, p, sign: float | None = None
 ) -> tuple[float, float]:
     """Pair the two induced sections on T*M against minus the bracket momentum.
 
     Returns (pairing value, -<p, [X, Y](x)>); the two agree under the
-    pinned sharp sign and disagree under the opposite one.  Either field
-    may be given as its d ell at (x, p); then ``bracket``, the value
-    [X, Y](x), must be given too.
+    pinned sharp sign and disagree under the opposite one.
     """
-    p = np.asarray(p, dtype=float)
-    lhs = pair_a(
-        squarecap_tangent_lift(y_field, x, p),
-        squarecap_complete_lift(x_field, x, p, sign),
-    )
-    if bracket is None:
-        bracket = lie_bracket(x_field, y_field, x)
-    rhs = -float(p @ bracket)
-    return lhs, rhs
+    dell_y = squarecap_tangent_lift(y_field, x, p)
+    _check_vector_field(x_field)
+    dell_x = ell_differential(x_field, x, p)
+    return bracket_pairing(dell_x, dell_y, lie_bracket(x_field, y_field, x), p, sign)
 
 
 def diagram_check(f: DualAElement) -> tuple[DualAElement, DualAElement, float]:
@@ -350,41 +328,33 @@ def dual_horizontal_field(conn: Connection, x_field: SmoothMap) -> LinearSection
     )
 
 
-def squarecap_horizontal(
-    conn: Connection, x_field: SmoothMap | DvbElement, x, kappa
-) -> DvbElement:
-    """Induced section attached to the horizontal lift: minus the dual horizontal lift.
-
-    x_field may be this squarecap at (x, kappa) already, which is returned
-    as it is.
-    """
-    if isinstance(x_field, DvbElement):
-        return _lies_at(x_field, x, kappa)
+def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> DvbElement:
+    """Induced section attached to the horizontal lift: minus the dual horizontal lift."""
     return scale_over_a(-1.0, dual_horizontal_field(conn, x_field)(x, kappa))
 
 
+def connection_pairing(
+    dell_mu: DualAElement, cap_h: DvbElement, nabla, kappa
+) -> tuple[float, float]:
+    """The connection pairing of d ell_mu, the horizontal squarecap and nabla_X mu, at (x, kappa).
+
+    The two pieces must lie over (x, kappa).
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    _same(kappa, dell_mu.a, "fiber point")
+    return pair_a(dell_mu, cap_h), -float(kappa @ nabla)
+
+
 def connection_pairing_check(
-    conn: Connection,
-    x_field: SmoothMap | DvbElement,
-    mu: SmoothMap | DualAElement,
-    x,
-    kappa,
-    nabla=None,
+    conn: Connection, x_field: SmoothMap, mu: SmoothMap, x, kappa
 ) -> tuple[float, float]:
     """Pair d ell_mu with the horizontal squarecap on the dual bundle.
 
     Returns (pairing value, -<kappa, nabla_X mu  at x>); the two agree.
-    x_field may be given as its horizontal squarecap at (x, kappa) and mu
-    as d ell_mu there; then ``nabla``, the value nabla_X mu at x, must be
-    given too.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    if isinstance(mu, DualAElement):
-        dell = _lies_at(mu, x, kappa)
-    else:
-        dell = ell_differential(mu, x, kappa)
-    lhs = pair_a(dell, squarecap_horizontal(conn, x_field, x, kappa))
-    if nabla is None:
-        nabla = conn.nabla(x_field, mu, x)
-    rhs = -float(kappa @ nabla)
-    return lhs, rhs
+    return connection_pairing(
+        ell_differential(mu, x, kappa),
+        squarecap_horizontal(conn, x_field, x, kappa),
+        conn.nabla(x_field, mu, x),
+        kappa,
+    )

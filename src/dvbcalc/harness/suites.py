@@ -513,16 +513,16 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
         dell_x = ct.ell_differential(x_field, x, p)
         bracket = lie_bracket(x_field, y_field, x)
-        lhs, rhs = ct.bracket_pairing_check(dell_x, cap_y, x, p, bracket=bracket)
+        lhs, rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p)
         momentum.add(lhs - rhs)
 
-        at = tangent.double_tangent_grid(x_field, y_field).at(x)
-        closed.add(cap_y.beta - at.xi.matrix.T @ p)
-        closed.add(cap_y.kappa - at.xi.base)
-        cap_x = ct.squarecap_complete_lift(dell_x, x, p)
-        closed.add(cap_x.b + at.eta.base)
-        closed.add(cap_x.c - at.eta.matrix.T @ p)
+        closed.add(cap_y.beta - jacobian(y_field, x).T @ p)
+        closed.add(cap_y.kappa - y_field(x))
+        cap_x = ct.complete_lift_squarecap(dell_x)
+        closed.add(cap_x.b + x_field(x))
+        closed.add(cap_x.c - jacobian(x_field, x).T @ p)
 
+        at = tangent.double_tangent_grid(x_field, y_field).at(x)
         dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, p)
         cross.add(dec_lhs - lhs)
         cross.add(dec_rhs - rhs)
@@ -533,9 +533,7 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         cross.add(cap_a.b + cap_x.b)
         cross.add(cap_a.alpha - cap_x.c)
 
-        wrong_lhs, wrong_rhs = ct.bracket_pairing_check(
-            dell_x, cap_y, x, p, sign=-1.0, bracket=bracket
-        )
+        wrong_lhs, wrong_rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p, sign=-1.0)
         guard.add_flipped(wrong_lhs - wrong_rhs)
         guard.add(lhs - rhs)
 
@@ -561,22 +559,24 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
         x = conn.bundle.chart.sample(rng)
         kappa = _rand_vec(rng, k)
 
-        # d ell_mu, the horizontal squarecap, nabla_X mu and the grid's
-        # sections are each evaluated once at (x, kappa).
+        # d ell_mu and the horizontal squarecap are each evaluated once at
+        # (x, kappa), and the grid's sections once at x.
         dell_mu = ct.ell_differential(mu, x, kappa)
         lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
-        nabla = conn.nabla(x_field, mu, x)
-        lhs, rhs = ct.connection_pairing_check(conn, lifted, dell_mu, x, kappa, nabla=nabla)
+        lhs, rhs = ct.connection_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
         momentum.add(lhs - rhs)
 
-        at = tangent.connection_grid(conn, x_field, mu).at(x)
         flat_conn = Connection.flat(conn.bundle)
-        flat_lhs, flat_rhs = ct.connection_pairing_check(
-            flat_conn, x_field, dell_mu, x, kappa, nabla=flat_conn.nabla(x_field, mu, x)
+        flat_lhs, flat_rhs = ct.connection_pairing(
+            dell_mu,
+            ct.squarecap_horizontal(flat_conn, x_field, x, kappa),
+            flat_conn.nabla(x_field, mu, x),
+            kappa,
         )
         flat.add(flat_lhs - flat_rhs)
-        flat.add(flat_rhs + float(kappa @ (at.xi.matrix @ at.eta.base)))
+        flat.add(flat_rhs + float(kappa @ (jacobian(mu, x) @ x_field(x))))
 
+        at = tangent.connection_grid(conn, x_field, mu).at(x)
         dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, kappa)
         cross.add(dec_lhs - lhs)
         cross.add(dec_rhs - rhs)

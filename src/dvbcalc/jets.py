@@ -38,14 +38,6 @@ class Jet:
     def __repr__(self) -> str:
         return f"Jet({self.value!r}, {self.partials!r})"
 
-    def _paired(self, other: Scalar) -> tuple[Scalar, tuple[Scalar, ...]]:
-        # Split an operand into value and partials of matching arity.
-        if isinstance(other, Jet):
-            if other.arity != self.arity:
-                raise _arity_mismatch(self, other)
-            return other.value, other.partials
-        return other, (0.0,) * self.arity
-
     # The ring operations build partials directly.  A scalar operand has
     # zero partials, so each partial is still computed as p + 0.0, p - 0.0
     # or p*c + v*0.0, and signed zeros and NaNs come out as in the general
@@ -101,9 +93,14 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (Jet, int, float)):
+        if isinstance(other, Jet):
+            if len(other.partials) != len(self.partials):
+                raise _arity_mismatch(self, other)
+            ov, op = other.value, other.partials
+        elif isinstance(other, (int, float)):
+            ov, op = other, (0.0,) * len(self.partials)
+        else:
             return NotImplemented
-        ov, op = self._paired(other)
         _guard_divisor(ov)
         den = ov * ov
         return Jet(

@@ -5,9 +5,12 @@ from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.cotangent import (
     DNU_SHARP_SIGN,
+    bracket_pairing,
     bracket_pairing_check,
     canonical_one_form,
     canonical_two_form,
+    complete_lift_squarecap,
+    connection_pairing,
     connection_pairing_check,
     cotangent_flip,
     diagram_check,
@@ -293,6 +296,76 @@ def test_bracket_pairing_flipped_sign_fails():
     flipped_lhs, flipped_rhs = bracket_pairing_check(x_field, y_field, x, p, sign=-1.0)
     assert flipped_rhs == pytest.approx(rhs, abs=1e-14)
     assert abs(flipped_lhs - flipped_rhs) == pytest.approx(1.4, abs=1e-12)
+
+
+def test_bracket_pairing_of_pieces_is_the_check_bitwise():
+    for _ in range(10):
+        n = int(RNG.integers(1, 4))
+        x_field = support.poly_map(RNG, n, n)
+        y_field = support.poly_map(RNG, n, n)
+        x = support.rand_vec(RNG, n)
+        p = support.rand_vec(RNG, n)
+        dell_x = ell_differential(x_field, x, p)
+        dell_y = ell_differential(y_field, x, p)
+        bracket = lie_bracket(x_field, y_field, x)
+        for sign in (None, -1.0):
+            assert bracket_pairing(dell_x, dell_y, bracket, p, sign) == bracket_pairing_check(
+                x_field, y_field, x, p, sign
+            )
+        cap = complete_lift_squarecap(dell_x)
+        assert elements_equal(cap, squarecap_complete_lift(x_field, x, p))
+
+
+def test_bracket_pairing_pieces_must_lie_over_the_point():
+    x_field = support.poly_map(RNG, 2, 2)
+    y_field = support.poly_map(RNG, 2, 2)
+    x, other_x = np.array([0.5, 0.25]), np.array([0.5, -0.25])
+    p, other_p = np.array([0.3, 0.7]), np.array([0.3, -0.7])
+    dell_x = ell_differential(x_field, x, p)
+    dell_y = ell_differential(y_field, x, p)
+    bracket = lie_bracket(x_field, y_field, x)
+    with pytest.raises(IncompatibleElements, match="base point"):
+        bracket_pairing(ell_differential(x_field, other_x, p), dell_y, bracket, p)
+    with pytest.raises(IncompatibleElements, match="a side"):
+        bracket_pairing(dell_x, ell_differential(y_field, x, other_p), bracket, other_p)
+    with pytest.raises(IncompatibleElements, match="fiber point"):
+        bracket_pairing(dell_x, dell_y, bracket, other_p)
+
+
+def test_connection_pairing_of_pieces_is_the_check_bitwise():
+    bundle = TrivialBundle(Chart(2), 2)
+    conn = _random_connection(RNG, bundle)
+    x_field = support.poly_map(RNG, 2, 2)
+    mu = support.poly_map(RNG, 2, 2)
+    for _ in range(5):
+        x = support.rand_vec(RNG, 2)
+        kappa = support.rand_vec(RNG, 2)
+        pieces = (
+            ell_differential(mu, x, kappa),
+            squarecap_horizontal(conn, x_field, x, kappa),
+            conn.nabla(x_field, mu, x),
+        )
+        assert connection_pairing(*pieces, kappa) == connection_pairing_check(
+            conn, x_field, mu, x, kappa
+        )
+
+
+def test_connection_pairing_pieces_must_lie_over_the_point():
+    bundle = TrivialBundle(Chart(2), 2)
+    conn = _random_connection(RNG, bundle)
+    x_field = support.poly_map(RNG, 2, 2)
+    mu = support.poly_map(RNG, 2, 2)
+    x, other_x = np.array([0.5, 0.25]), np.array([0.5, -0.25])
+    kappa, other_kappa = np.array([0.3, 0.7]), np.array([0.3, -0.7])
+    dell_mu = ell_differential(mu, x, kappa)
+    cap_h = squarecap_horizontal(conn, x_field, x, kappa)
+    nabla = conn.nabla(x_field, mu, x)
+    with pytest.raises(IncompatibleElements, match="base point"):
+        connection_pairing(dell_mu, squarecap_horizontal(conn, x_field, other_x, kappa), nabla, kappa)
+    with pytest.raises(IncompatibleElements, match="a side"):
+        connection_pairing(ell_differential(mu, x, other_kappa), cap_h, nabla, other_kappa)
+    with pytest.raises(IncompatibleElements, match="fiber point"):
+        connection_pairing(dell_mu, cap_h, nabla, other_kappa)
 
 
 def test_diagram_commutes():
