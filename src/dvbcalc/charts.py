@@ -26,6 +26,9 @@ class Chart:
 
     dim: int
     box: tuple[tuple[float, float], ...] = ()
+    # The box's lower corner and side lengths, as arrays for ``sample``.
+    lows: np.ndarray = field(init=False, repr=False, compare=False)
+    spans: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 0:
@@ -38,11 +41,16 @@ class Chart:
         ):
             raise ValueError("box must give one finite (lo, hi) interval with lo < hi per axis")
         object.__setattr__(self, "box", box)
+        lows = np.array([lo for lo, _ in box])
+        spans = np.array([hi for _, hi in box]) - lows
+        lows.flags.writeable = spans.flags.writeable = False
+        object.__setattr__(self, "lows", lows)
+        object.__setattr__(self, "spans", spans)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        lows = np.array([lo for lo, _ in self.box])
-        highs = np.array([hi for _, hi in self.box])
-        return rng.uniform(lows, highs) if self.dim else np.zeros(0)
+        """A uniform point of the box: bitwise ``rng.uniform(lows, highs)``,
+        which numpy computes as low + (high - low) * next_double."""
+        return self.lows + self.spans * rng.random(self.dim)
 
 
 @dataclass(frozen=True)

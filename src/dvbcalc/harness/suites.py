@@ -33,22 +33,27 @@ def _rand_vec(rng, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n)
 
 
-def _poly_expr(rng, dim: int, degree: int = 2):
-    expr = Num(float(rng.uniform(-1.0, 1.0)))
-    if dim == 0:
-        return expr
-    for i in range(dim):
-        expr = Add(expr, Mul(Num(float(rng.uniform(-1.0, 1.0))), Var(i)))
-    if degree >= 2:
-        for _ in range(dim):
-            i, j = rng.integers(0, dim, 2)
-            term = Mul(Mul(Num(float(rng.uniform(-1.0, 1.0))), Var(int(i))), Var(int(j)))
-            expr = Add(expr, term)
-    return expr
-
-
 def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
-    return SmoothMap(dim, tuple(_poly_expr(rng, dim, degree) for _ in range(codim)))
+    """A random polynomial map: each component is a constant, dim linear
+    terms and, for degree 2, dim products x_i x_j with random (i, j).
+
+    Row c of one uniform draw holds component c's coefficients in that
+    order, and one integer draw gives every (i, j).  For dim 0 or degree 1
+    the draw is the stream of one uniform draw per coefficient.
+    """
+    quad = dim if degree >= 2 else 0
+    coeffs = rng.uniform(-1.0, 1.0, (codim, 1 + dim + quad)).tolist()
+    pairs = rng.integers(0, dim, (codim, dim, 2)).tolist() if quad else [()] * codim
+    var = [Var(i) for i in range(dim)]
+    comps = []
+    for row, ij in zip(coeffs, pairs):
+        expr = Num(row[0])
+        for i in range(dim):
+            expr = Add(expr, Mul(Num(row[1 + i]), var[i]))
+        for t, (i, j) in enumerate(ij):
+            expr = Add(expr, Mul(Mul(Num(row[1 + dim + t]), var[i]), var[j]))
+        comps.append(expr)
+    return SmoothMap(dim, tuple(comps))
 
 
 def _matrix_map(rng, dim: int, rows: int, cols: int) -> MatrixMap:
@@ -356,7 +361,8 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     pullback = _Residuals("horizontal-pullback",
                           "the horizontal lift acts on pullbacks as the base field")
     operator = _Residuals("linear-operator",
-                          "the operator of the horizontal field is the covariant derivative")
+                          "the operator of the horizontal field plus a constant fiber matrix S "
+                          "is the covariant derivative minus S")
 
     conns = _spec_connections(spec, rng, 3)
     for i in range(samples):
@@ -391,8 +397,14 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         )
         pullback.add(pulled - directional_derivative(f, z_field, point))
 
-        apply_op = tangent.linear_vector_field_operator(horizontal)
-        operator.add(apply_op(mu, point) - nabla)
+        # The horizontal field's own operator is the warp that
+        # covariant-derivative checks, so apply that of a field which is no
+        # horizontal lift: fiber matrix -omega(Z) + S sends mu to
+        # nabla_Z mu - S mu.
+        shift = rng.uniform(-1.0, 1.0, (k, k))
+        shifted = horizontal._replace(matrix=horizontal.matrix + shift)
+        apply_op = tangent.linear_vector_field_operator(shifted)
+        operator.add(apply_op(mu, point) - (nabla - shift @ mu(point)))
 
     return [covariant, flat, momentum, pullback, operator]
 

@@ -102,7 +102,7 @@ class Jet:
         else:
             return NotImplemented
         _guard_divisor(ov)
-        den = ov * ov
+        den = _square_divisor(ov)
         return Jet(
             _div(self.value, ov),
             tuple(_div(p * ov - self.value * q, den) for p, q in zip(self.partials, op)),
@@ -110,7 +110,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         _guard_divisor(self.value)
-        den = self.value * self.value
+        den = _square_divisor(self.value)
         return Jet(
             _div(other, self.value),
             tuple(_div(-other * p, den) for p in self.partials),
@@ -145,6 +145,18 @@ def partials_of(u: Scalar, arity: int) -> tuple[Scalar, ...]:
 def _guard_divisor(v: Scalar) -> None:
     if deep_value(v) == 0.0:
         raise DomainError("division by zero")
+
+
+def _square_divisor(v: Scalar) -> Scalar:
+    """v*v, the quotient rule's denominator, for a nonzero divisor v.
+
+    A tiny float v squares to 0.0; that is a domain error, as overflow is,
+    not a ZeroDivisionError.  A jet square is guarded by its own division.
+    """
+    den = v * v
+    if den == 0.0:
+        raise DomainError(f"divisor {v!r} underflows to zero when squared")
+    return den
 
 
 def _div(num: Scalar, den: Scalar):

@@ -15,7 +15,6 @@ from dvbcalc import (
 )
 from dvbcalc.harness.suites import (  # noqa: F401
     _matrix_map as matrix_map,
-    _poly_expr as poly_expr,
     _poly_map as poly_map,
     _rand_vec as rand_vec,
     _random_grid as random_grid,

@@ -2,6 +2,7 @@ import json
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ from dvbcalc.harness import (
     render_json,
     run_suites,
 )
-from dvbcalc import cotangent, jets
-from dvbcalc.charts import Connection
+from dvbcalc import cotangent, jets, tangent
+from dvbcalc.charts import Chart, Connection
+from dvbcalc.expressions import Add, Mul, Num, Var
+from dvbcalc.smoothmaps import SmoothMap, jacobian
 from dvbcalc.harness import cli, suites
 from dvbcalc.harness.problem import DEFAULT_SHAPES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _demo_spec(**overrides):
@@ -534,3 +539,123 @@ def test_connection_sample_evaluates_the_coefficients_once_per_point(suite):
     checks = suites.SUITES[suite][1](spec, 4, np.random.default_rng(0))
     assert all(check.passes(1e-9) for check in checks)
     assert len(points) == len(set(points)) == 2
+
+
+def test_cli_divisor_whose_square_underflows_is_a_domain_error(tmp_path):
+    # x0 is nonzero on this box, but the quotient rule for 1/x0 divides by
+    # x0*x0, which underflows to 0.0.
+    code, report_path = _verify_spec(
+        tmp_path,
+        {"chart": {"dim": 2, "box": [[1e-320, 2e-320], [0, 1]]},
+         "fields": {"X": ["1/x0", "1"], "Y": ["log(x0)", "x1"]}},
+        "--samples", "4", "--seed", "1",
+    )
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    failing = [(c["suite"], c["name"]) for c in report["checks"] if not c["passed"]]
+    assert failing == [("bracket", "domain-error"), ("bracket-pairing", "domain-error")]
+
+
+def _poly_map_per_coefficient(rng, dim, codim, degree):
+    """The random polynomial map as drawn one coefficient at a time: the
+    reference stream that _poly_map's single draw must keep for dim 0 and
+    degree 1."""
+
+    def component():
+        expr = Num(float(rng.uniform(-1.0, 1.0)))
+        if dim == 0:
+            return expr
+        for i in range(dim):
+            expr = Add(expr, Mul(Num(float(rng.uniform(-1.0, 1.0))), Var(i)))
+        if degree >= 2:
+            for _ in range(dim):
+                i, j = rng.integers(0, dim, 2)
+                term = Mul(Mul(Num(float(rng.uniform(-1.0, 1.0))), Var(int(i))), Var(int(j)))
+                expr = Add(expr, term)
+        return expr
+
+    return SmoothMap(dim, tuple(component() for _ in range(codim)))
+
+
+@pytest.mark.parametrize(
+    "dim, codim, degree", [(0, 3, 2), (0, 4, 1), (1, 1, 1), (2, 3, 1), (3, 27, 1)]
+)
+def test_poly_map_keeps_the_per_coefficient_stream(dim, codim, degree):
+    ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+    assert suites._poly_map(ours, dim, codim, degree) == _poly_map_per_coefficient(
+        reference, dim, codim, degree
+    )
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def _summands(expr):
+    """The terms of a left-nested sum, first term first."""
+    terms = []
+    while isinstance(expr, Add):
+        terms.append(expr.right)
+        expr = expr.left
+    return [expr] + terms[::-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_degree_two_components_are_the_rows_of_one_draw(dim):
+    codim = 5
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    poly = suites._poly_map(rng, dim, codim)
+    coeffs = replay.uniform(-1.0, 1.0, (codim, 1 + 2 * dim)).tolist()
+    pairs = replay.integers(0, dim, (codim, dim, 2)).tolist()
+    assert rng.bit_generator.state == replay.bit_generator.state
+    for comp, row, ij in zip(poly.components, coeffs, pairs, strict=True):
+        terms = _summands(comp)
+        assert len(terms) == 1 + 2 * dim
+        assert terms[0] == Num(row[0])
+        assert terms[1:1 + dim] == [Mul(Num(row[1 + i]), Var(i)) for i in range(dim)]
+        for t, term in enumerate(terms[1 + dim:]):
+            i, j = term.left.right.index, term.right.index
+            assert 0 <= i < dim and 0 <= j < dim and [i, j] == ij[t]
+            assert term == Mul(Mul(Num(row[1 + dim + t]), Var(i)), Var(j))
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        pytest.param(_demo_spec().chart, id="demo"),
+        pytest.param(
+            ProblemSpec.from_file(str(ROOT / "perfbench" / "named_maps.json")).chart,
+            id="named-maps",
+        ),
+        pytest.param(Chart(0), id="dim-0"),
+    ],
+)
+def test_chart_sample_is_bitwise_uniform_over_the_box(chart):
+    lows = [lo for lo, _ in chart.box]
+    highs = [hi for _, hi in chart.box]
+    ours, reference = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        point = chart.sample(ours)
+        assert point.tobytes() == reference.uniform(lows, highs).tobytes()
+    assert ours.uniform() == reference.uniform()
+
+
+def _operator_without_fiber_matrix(field):
+    # Dmu X: the operator as if the field's fiber matrix were zero.
+    return lambda mu, m: jacobian(mu, m) @ field.base
+
+
+_LINEAR_VECTOR_FIELD_OPERATOR = tangent.linear_vector_field_operator
+
+
+def _operator_of_the_horizontal_lift(field):
+    # The operator of the section the field was evaluated from, i.e. the
+    # horizontal lift's, whatever fiber matrix the field carries.
+    return _LINEAR_VECTOR_FIELD_OPERATOR(field.section)
+
+
+@pytest.mark.parametrize(
+    "operator", [_operator_without_fiber_matrix, _operator_of_the_horizontal_lift]
+)
+def test_linear_operator_check_fails_on_its_own(monkeypatch, operator):
+    monkeypatch.setattr(tangent, "linear_vector_field_operator", operator)
+    checks = suites._run_connection(_demo_spec(), 6, np.random.default_rng(0))
+    failing = [check.name for check in checks if not check.passes(1e-9)]
+    assert failing == ["linear-operator"]

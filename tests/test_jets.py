@@ -86,6 +86,17 @@ def test_division_by_zero_raises():
         x / (x * 0.0)
 
 
+def test_divisor_whose_square_underflows_raises_domain_error():
+    # 1e-170 is nonzero, but the quotient rule divides by its square, 0.0.
+    (x,) = seed([1e-170])
+    with pytest.raises(DomainError):
+        1.0 / x
+    with pytest.raises(DomainError):
+        x / x
+    with pytest.raises(DomainError):
+        Jet(1.0, (1.0,)) / 1e-170
+
+
 def test_log_domain():
     with pytest.raises(DomainError):
         jets.log(0.0)
