@@ -63,10 +63,14 @@ class DvbShape:
 
 
 def _same(u: np.ndarray, v: np.ndarray, what: str) -> None:
-    """Exact equality of two components, a single vector standing for every row of a batch."""
+    """Exact equality of two components, a single vector standing for every row of a batch.
+
+    NaN matches NaN in the same position: both arrays then come from the
+    same value, and the NaN is left to the residual that carries it.
+    """
     if u.shape != v.shape and (u.shape[-1] != v.shape[-1] or u.ndim == v.ndim):
         raise IncompatibleElements(f"elements disagree on {what}: shapes {u.shape} vs {v.shape}")
-    if not (u == v).all():
+    if not (u == v).all() and not ((u == v) | (np.isnan(u) & np.isnan(v))).all():
         raise IncompatibleElements(f"elements disagree on {what}: {u} vs {v}")
 
 
@@ -179,12 +183,18 @@ class IterACElement(Record):
 
 
 def elements_equal(x: Record, y: Record) -> bool:
-    """Same type, same shape, and bitwise-equal components."""
+    """Same type, same shape, and bitwise-equal components.
+
+    An unbatched component equals a batched one when it equals every row;
+    two batches of different lengths are never equal.
+    """
     if type(x) is not type(y) or x.shape != y.shape:
         return False
-    return all(
-        np.array_equal(getattr(x, name), getattr(y, name)) for name, _ in x._fields
-    )
+    for name, _ in x._fields:
+        u, v = getattr(x, name), getattr(y, name)
+        if (u.shape != v.shape and u.ndim == v.ndim) or not (u == v).all():
+            return False
+    return True
 
 
 def _common(x, y) -> int | None:
@@ -304,6 +314,12 @@ def dual_iso_a_inverse(phi: DualAElement) -> IterBCElement:
     return IterBCElement(phi.shape, phi.m, phi.kappa, -phi.beta, phi.a)
 
 
+# A batch of n rows assembles n * size**2 * (size + 1) probe entries; a
+# batch larger than this budget is solved in chunks of rows, so memory stays
+# bounded whatever the batch length.
+SOLVE_CHUNK_ENTRIES = 100_000
+
+
 def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
     """Recover dual_iso_a(mb) from its defining property by a dense linear solve.
 
@@ -313,27 +329,52 @@ def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
     batch: row i * (size + 1) takes (alpha, b, c) the i-th unit vector and
     phi = 0, row i * (size + 1) + 1 + j the same (alpha, b, c) and phi the
     j-th unit vector, so the identity is evaluated once, through the
-    batched pairings.  Serves as an independent check on the closed form;
-    the system is square and always nonsingular.
+    batched pairings.  A batched mb repeats each of its rows over a block
+    of probes, and every row's system goes into one stacked solve (one per
+    chunk of SOLVE_CHUNK_ENTRIES).  Serves as an independent check on the
+    closed form; the system is square and always nonsingular.
     """
     shape = mb.shape
-    da, db, dc = shape.dim_a, shape.dim_b, shape.dim_c
-    size = da + db + dc
+    da, db = shape.dim_a, shape.dim_b
+    size = da + db + shape.dim_c
+    rows = 1 if mb.batch is None else mb.batch
+    chunk = max(1, SOLVE_CHUNK_ENTRIES // (size * size * (size + 1)))
+    solution = np.concatenate(
+        [_solve_rows(mb, start, min(start + chunk, rows)) for start in range(0, rows, chunk)]
+    )
+    if mb.batch is None:
+        solution = solution[0]
+    return DualAElement(shape, mb.m, solution[..., :da], solution[..., da:da + db], solution[..., da + db:])
 
-    probes = np.repeat(np.eye(size), size + 1, axis=0)
-    unknowns = np.tile(np.vstack([np.zeros(size), np.eye(size)]), (size, 1))
+
+def _solve_rows(mb: IterBCElement, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, size) solutions for rows start:stop of mb (0:1 if unbatched).
+
+    Each row of a batched mb is repeated over its own block of probes.
+    """
+    shape = mb.shape
+    da, db = shape.dim_a, shape.dim_b
+    size = da + db + shape.dim_c
+    n, per_row = stop - start, size * (size + 1)
+
+    def repeat(x):
+        return x if x.ndim == 1 else np.repeat(x[start:stop], per_row, axis=0)
+
+    probes = np.tile(np.repeat(np.eye(size), size + 1, axis=0), (n, 1))
+    unknowns = np.tile(np.vstack([np.zeros(size), np.eye(size)]), (n * size, 1))
+    if mb.batch is not None:
+        mb = IterBCElement(shape, repeat(mb.m), repeat(mb.kappa), repeat(mb.beta), repeat(mb.a))
     phi = DualAElement(shape, mb.m, unknowns[:, :da], unknowns[:, da:da + db], unknowns[:, da + db:])
     psi = DualBElement(shape, mb.m, mb.kappa, probes[:, :da], probes[:, da:da + db])
     d = DvbElement(shape, mb.m, phi.a, psi.b, probes[:, da + db:])
     residual = pair_cstar_b(mb, psi) + pair_a(phi, d) - pair_b(psi, d)
-    residual = residual.reshape(size, size + 1)
+    residual = residual.reshape(n, size, size + 1)
 
-    base = residual[:, 0]
+    base = residual[:, :, :1]
     try:
-        solution = np.linalg.solve(residual[:, 1:] - base[:, None], -base)
+        return np.linalg.solve(residual[:, :, 1:] - base, -base)[:, :, 0]
     except np.linalg.LinAlgError as err:  # pragma: no cover
         raise RuntimeError("duality system unexpectedly singular") from err
-    return DualAElement(shape, mb.m, solution[:da], solution[da:da + db], solution[da + db:])
 
 
 def dual_iso_b(ma: IterACElement) -> DualBElement:

@@ -33,6 +33,21 @@ def _rand_vec(rng, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n)
 
 
+def _columns(block: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """An (n, sum(dims)) block cut into its (n, dim) column blocks, in order."""
+    return np.split(block, np.cumsum(dims)[:-1], axis=1)
+
+
+def _uniform_rows(rng, n: int, *dims: int) -> list[np.ndarray]:
+    """n rows of uniform [-1, 1) vectors of each length in dims, from one draw."""
+    return _columns(rng.uniform(-1.0, 1.0, (n, sum(dims))), dims)
+
+
+def _integer_rows(rng, n: int, *dims: int) -> list[np.ndarray]:
+    """n rows of integer vectors in [-8, 8] of each length in dims, as floats, from one draw."""
+    return _columns(rng.integers(-8, 9, (n, sum(dims))).astype(float), dims)
+
+
 def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
     """A random polynomial map: each component is a constant, dim linear
     terms and, for degree 2, dim products x_i x_j with random (i, j).
@@ -155,10 +170,28 @@ class _SignGuard(_Residuals):
         return super().passes(tol) and self.details["max_flipped_residual"] > 100 * tol
 
 
+# Samples one batch of the algebra suites holds at most.  A batch keeps
+# each of its samples' grids and rows alive until it is done, so the cap
+# bounds their memory whatever the sample count.
+_MAX_BATCH = 64
+
+
+def _shape_batches(shapes: Sequence[dvb.DvbShape], samples: int):
+    """Batches of samples of one shape: (shape, n) pairs, n at most _MAX_BATCH.
+
+    Sample i takes shapes[i % len(shapes)].  The samples of each entry of
+    shapes form consecutive batches, entry by entry; an entry with no
+    sample gives none.  The algebra suites run each batch as n rows.
+    """
+    for k, shape in enumerate(shapes):
+        count = len(range(k, samples, len(shapes)))
+        for start in range(0, count, _MAX_BATCH):
+            yield shape, min(_MAX_BATCH, count - start)
+
+
 # -- suite: duality-solve --------------------------------------------------------
 
 def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
-    shapes = spec.dvb_shapes
     solve = _Residuals("solve-vs-closed-form",
                        "brute-force duality solve matches the closed-form isomorphism")
     defining = _Residuals("defining-identity",
@@ -169,55 +202,83 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]
     pairing = _Residuals("dual-pairing",
                          "pairing of duals: decomposed formula, sign conventions, induced maps")
 
-    for i in range(samples):
-        shape = shapes[i % len(shapes)]
-        m = _rand_vec(rng, shape.base_dim)
-        mb = dvb.IterBCElement(
-            shape, m, _rand_vec(rng, shape.dim_c), _rand_vec(rng, shape.dim_b), _rand_vec(rng, shape.dim_a)
+    for shape, n in _shape_batches(spec.dvb_shapes, samples):
+        da, db, dc = shape.dim_a, shape.dim_b, shape.dim_c
+        # Row j of every block belongs to the batch's j-th sample.
+        m, kappa, beta, a, psi_alpha, psi_b, c, ma_alpha, ma_b, a2, beta2, alpha2, b2 = _uniform_rows(
+            rng, n, shape.base_dim, dc, db, da, da, db, dc, da, db, da, db, da, db
         )
+        mb = dvb.IterBCElement(shape, m, kappa, beta, a)
         phi = dvb.dual_iso_a(mb)
         solved = dvb.solve_dual_iso_a(mb)
-        solve.add(solved.a - phi.a, solved.beta - phi.beta, solved.kappa - phi.kappa)
+        solve.add(solved.a - phi.a, solved.beta - phi.beta, solved.kappa - phi.kappa, samples=n)
 
-        psi = dvb.DualBElement(shape, m, mb.kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
-        d = dvb.DvbElement(shape, m, phi.a, psi.b, _rand_vec(rng, shape.dim_c))
+        psi = dvb.DualBElement(shape, m, mb.kappa, psi_alpha, psi_b)
+        d = dvb.DvbElement(shape, m, phi.a, psi.b, c)
         defining.add(
-            dvb.pair_cstar_b(mb, psi) + dvb.pair_a(phi, d) - dvb.pair_b(psi, d)
+            dvb.pair_cstar_b(mb, psi) + dvb.pair_a(phi, d) - dvb.pair_b(psi, d), samples=n
         )
 
         back = dvb.dual_iso_a_inverse(phi)
-        round_trip.add(0.0 if dvb.elements_equal(back, mb) else 1.0)
-        ma = dvb.IterACElement(shape, m, mb.kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
+        round_trip.add(0.0 if dvb.elements_equal(back, mb) else 1.0, samples=n)
+        ma = dvb.IterACElement(shape, m, mb.kappa, ma_alpha, ma_b)
         round_trip.add(
-            0.0 if dvb.elements_equal(dvb.dual_iso_b_inverse(dvb.dual_iso_b(ma)), ma) else 1.0
+            0.0 if dvb.elements_equal(dvb.dual_iso_b_inverse(dvb.dual_iso_b(ma)), ma) else 1.0,
+            samples=n,
         )
 
         second_iso.add(
-            dvb.pair_cstar_b(mb, dvb.dual_iso_b(ma)) - dvb.pair_cstar_a(ma, phi)
+            dvb.pair_cstar_b(mb, dvb.dual_iso_b(ma)) - dvb.pair_cstar_a(ma, phi), samples=n
         )
 
-        phi2 = dvb.DualAElement(shape, m, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b), mb.kappa)
-        psi2 = dvb.DualBElement(shape, m, mb.kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
+        phi2 = dvb.DualAElement(shape, m, a2, beta2, mb.kappa)
+        psi2 = dvb.DualBElement(shape, m, mb.kappa, alpha2, b2)
         ba = dvb.pair_duals_ba(phi2, psi2)
         # The pairing must not depend on the d it is evaluated through.
-        d_ones = dvb.DvbElement(shape, m, phi2.a, psi2.b, np.ones(shape.dim_c))
+        d_ones = dvb.DvbElement(shape, m, phi2.a, psi2.b, np.ones(dc))
         through_ones = dvb.pair_b(psi2, d_ones) - dvb.pair_a(phi2, d_ones)
+        decomposed = (psi2.alpha * phi2.a).sum(axis=1) - (phi2.beta * psi2.b).sum(axis=1)
+        pairing.add(ba - decomposed, through_ones - ba, samples=n)
+        pairing.add(dvb.pair_duals_ab(phi2, psi2) + ba, samples=n)
         pairing.add(
-            ba - (float(psi2.alpha @ phi2.a) - float(phi2.beta @ psi2.b)),
-            through_ones - ba,
+            dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2) - dvb.pair_duals_ab(phi2, psi2),
+            samples=n,
         )
-        pairing.add(dvb.pair_duals_ab(phi2, psi2) + ba)
-        pairing.add(dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2) - dvb.pair_duals_ab(phi2, psi2))
-        pairing.add(dvb.pair_cstar_a(dvb.pairing_map_b(psi2), phi2) - dvb.pair_duals_ab(phi2, psi2))
+        pairing.add(
+            dvb.pair_cstar_a(dvb.pairing_map_b(psi2), phi2) - dvb.pair_duals_ab(phi2, psi2),
+            samples=n,
+        )
         pairing.add(
             dvb.pair_cstar_b(dvb.dual_iso_a_inverse(phi2), psi2)
-            + dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2)
+            + dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2),
+            samples=n,
         )
 
     return [solve, defining, round_trip, second_iso, pairing]
 
 
 # -- suite: warp-pairing ----------------------------------------------------------
+
+# Draws of (psi, phi) per sample in the squarecap-defining check.
+_SQUARECAP_DRAWS = 20
+
+
+def _stack_grids(values: Sequence[sections.Grid]) -> sections.Grid:
+    """One grid value whose row j is values[j]."""
+    return sections.Grid(
+        sections.stack([value.xi for value in values]),
+        sections.stack([value.eta for value in values]),
+    )
+
+
+def _repeat_rows(value: sections.SectionAt, k: int) -> sections.SectionAt:
+    """A batched section value with each row repeated k times in place."""
+    return value._replace(
+        m=np.repeat(value.m, k, axis=0),
+        base=np.repeat(value.base, k, axis=0),
+        matrix=np.repeat(value.matrix, k, axis=0),
+    )
+
 
 def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     identity = _Residuals("pairing-identity",
@@ -233,62 +294,66 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     projection = _Residuals("cstar-projection",
                             "the C* projection is recovered by pairing with carried core vectors")
 
-    for i in range(samples):
-        shape = spec.dvb_shapes[i % len(spec.dvb_shapes)]
-        da, db = shape.dim_a, shape.dim_b
-        grid = _random_grid(rng, shape)
-        m = _rand_vec(rng, shape.base_dim)
-        kappa = _rand_vec(rng, shape.dim_c)
-        # Each section is evaluated once at m; everything below reuses it.
-        at_m = grid.at(m)
+    for shape, n in _shape_batches(spec.dvb_shapes, samples):
+        da, db, dc = shape.dim_a, shape.dim_b, shape.dim_c
+        grids = [_random_grid(rng, shape) for _ in range(n)]
+        # Row j of every block belongs to the batch's j-th sample.
+        m, kappa, draws, psi_alpha, psi_b, c1, c2 = _uniform_rows(
+            rng, n, shape.base_dim, dc, _SQUARECAP_DRAWS * 2 * (da + db), da, db, dc, dc
+        )
+        a1, a2, b1, b2, c11, c12, c21, c22 = _integer_rows(rng, n, da, da, db, db, dc, dc, dc, dc)
+
+        # Each sample's sections are evaluated once at its point, and the
+        # swapped grid's once more; everything below reuses the two batches.
+        at_m = _stack_grids([grid.at(row) for grid, row in zip(grids, m)])
+        flipped = _stack_grids([sections.swap_grid(grid).at(row) for grid, row in zip(grids, m)])
 
         lhs, rhs = sections.warp_pairing_check(at_m, m, kappa)
-        identity.add(lhs - rhs)
+        identity.add(lhs - rhs, samples=n)
 
-        flipped = sections.swap_grid(grid).at(m)
         lhs2, rhs2 = sections.warp_pairing_check(flipped, m, kappa)
-        swap.add(lhs2 + lhs)
-        swap.add(rhs2 + rhs)
-        swap.add(sections.warp(flipped, m) + sections.warp(at_m, m))
+        swap.add(lhs2 + lhs, samples=n)
+        swap.add(rhs2 + rhs, samples=n)
+        swap.add(sections.warp(flipped, m) + sections.warp(at_m, m), samples=n)
 
-        cap_b = sections.squarecap_b(at_m.xi, m, kappa)
-        cap_a = sections.squarecap_a(at_m.eta, m, kappa)
-        # 20 draws of (psi, phi), one batch of each.  Row j holds draw j's
-        # psi.alpha, psi.b, phi.a and phi.beta, so the random stream is that
-        # of 20 separate draws.
-        draws = rng.uniform(-1.0, 1.0, (20, 2 * (da + db)))
-        psi = dvb.DualBElement(shape, m, kappa, draws[:, :da], draws[:, da:da + db])
-        phi = dvb.DualAElement(shape, m, draws[:, da + db:2 * da + db], draws[:, 2 * da + db:], kappa)
-        defining.add(dvb.pair_cstar_b(cap_b, psi) - sections.ell_b(at_m.xi, psi), samples=20)
-        defining.add(dvb.pair_cstar_a(cap_a, phi) - sections.ell_a(at_m.eta, phi), samples=20)
+        # Row k * j + t of these batches holds sample j's draw t of psi.alpha,
+        # psi.b, phi.a and phi.beta.
+        k = _SQUARECAP_DRAWS
+        xi, eta = _repeat_rows(at_m.xi, k), _repeat_rows(at_m.eta, k)
+        kappas = np.repeat(kappa, k, axis=0)
+        draws = draws.reshape(k * n, 2 * (da + db))
+        cap_b = sections.squarecap_b(xi, xi.m, kappas)
+        cap_a = sections.squarecap_a(eta, xi.m, kappas)
+        psi = dvb.DualBElement(shape, xi.m, kappas, draws[:, :da], draws[:, da:da + db])
+        phi = dvb.DualAElement(shape, xi.m, draws[:, da + db:2 * da + db], draws[:, 2 * da + db:], kappas)
+        defining.add(dvb.pair_cstar_b(cap_b, psi) - sections.ell_b(xi, psi), samples=k * n)
+        defining.add(dvb.pair_cstar_a(cap_a, phi) - sections.ell_a(eta, phi), samples=k * n)
 
-        ints = lambda n: rng.integers(-8, 9, n).astype(float)
-        a1, a2 = ints(shape.dim_a), ints(shape.dim_a)
-        b1, b2 = ints(shape.dim_b), ints(shape.dim_b)
-        d11 = dvb.DvbElement(shape, m, a1, b1, ints(shape.dim_c))
-        d12 = dvb.DvbElement(shape, m, a1, b2, ints(shape.dim_c))
-        d21 = dvb.DvbElement(shape, m, a2, b1, ints(shape.dim_c))
-        d22 = dvb.DvbElement(shape, m, a2, b2, ints(shape.dim_c))
+        d11 = dvb.DvbElement(shape, m, a1, b1, c11)
+        d12 = dvb.DvbElement(shape, m, a1, b2, c12)
+        d21 = dvb.DvbElement(shape, m, a2, b1, c21)
+        d22 = dvb.DvbElement(shape, m, a2, b2, c22)
         left = dvb.add_over_b(dvb.add_over_a(d11, d12), dvb.add_over_a(d21, d22))
         right = dvb.add_over_a(dvb.add_over_b(d11, d21), dvb.add_over_b(d12, d22))
-        interchange.add(0.0 if dvb.elements_equal(left, right) else 1.0)
+        interchange.add(0.0 if dvb.elements_equal(left, right) else 1.0, samples=n)
 
-        base = dvb.DvbElement(shape, m, a1, b1, _rand_vec(rng, shape.dim_c))
-        other = dvb.DvbElement(shape, m, a1, b1, _rand_vec(rng, shape.dim_c))
+        base = dvb.DvbElement(shape, m, a1, b1, c1)
+        other = dvb.DvbElement(shape, m, a1, b1, c2)
         diff = dvb.core_difference(base, other)
         via_a = dvb.sub_over_a(base, other)
         via_b = dvb.sub_over_b(base, other)
         rebuilt_a = dvb.add_over_b(dvb.core_embed(shape, m, via_a.c), dvb.zero_over_a(shape, m, a1))
         rebuilt_b = dvb.add_over_a(dvb.core_embed(shape, m, via_b.c), dvb.zero_over_b(shape, m, b1))
         decomposed = dvb.elements_equal(via_a, rebuilt_a) and dvb.elements_equal(via_b, rebuilt_b)
-        routes.add(via_a.c - diff, via_b.c - diff, 0.0 if decomposed else 1.0)
+        routes.add(via_a.c - diff, via_b.c - diff, 0.0 if decomposed else 1.0, samples=n)
 
-        psi = dvb.DualBElement(shape, m, kappa, _rand_vec(rng, shape.dim_a), _rand_vec(rng, shape.dim_b))
+        psi = dvb.DualBElement(shape, m, kappa, psi_alpha, psi_b)
         recovered = sections.cstar_projection(psi)
-        # Row j carries the j-th basis core vector.
-        cores = dvb.core_embed(shape, m, np.eye(shape.dim_c))
-        carried = dvb.add_over_a(dvb.zero_over_b(shape, m, psi.b), cores)
-        projection.add(dvb.pair_b(psi, carried) - recovered, samples=shape.dim_c)
+        # Row dc * j + i carries sample j's psi and the i-th basis core vector.
+        rows = dvb.DualBElement(shape, *(np.repeat(x, dc, axis=0) for x in (m, kappa, psi_alpha, psi_b)))
+        cores = dvb.core_embed(shape, rows.m, np.tile(np.eye(dc), (n, 1)))
+        carried = dvb.add_over_a(dvb.zero_over_b(shape, rows.m, rows.b), cores)
+        projection.add(dvb.pair_b(rows, carried).reshape(n, dc) - recovered, samples=n * dc)
 
     return [identity, swap, defining, interchange, routes, projection]
 

@@ -171,14 +171,20 @@ def sin(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         c = cos(u.value)
         return Jet(sin(u.value), tuple(c * p for p in u.partials))
-    return math.sin(u)
+    try:
+        return math.sin(u)
+    except ValueError:  # an infinite argument
+        raise DomainError(f"sin of non-finite value {u}") from None
 
 
 def cos(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         s = sin(u.value)
         return Jet(cos(u.value), tuple(-s * p for p in u.partials))
-    return math.cos(u)
+    try:
+        return math.cos(u)
+    except ValueError:  # an infinite argument
+        raise DomainError(f"cos of non-finite value {u}") from None
 
 
 def exp(u: Scalar) -> Scalar:

@@ -20,13 +20,15 @@ returns a ``SectionAt``, the fiber-linear map over m.  Its own ``at(m)`` is
 itself, so every function here that takes a section (or a grid) and a
 point also takes its value at that point, and repeated use at one point
 costs no further map evaluation.  Fibers and kappa may be (N, dim)
-batches; see ``dvb``.
+batches; see ``dvb``.  ``stack`` turns the values of N sections of one
+kind, each at its own point, into one batched ``SectionAt``, and every
+function here that takes a value also takes such a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,8 +100,12 @@ class LinearSectionA:
 
 
 def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """matrix @ v, row by row for an (N, dim) batch."""
-    return matrix @ v if v.ndim == 1 else v @ matrix.T
+    """matrix @ v, row by row when either is a batch: (N, rows, cols) matrices, (N, cols) vectors."""
+    if v.ndim == 1:
+        return matrix @ v
+    if matrix.ndim == 2:
+        return v @ matrix.T
+    return (matrix @ v[:, :, None])[:, :, 0]
 
 
 class SectionAt(NamedTuple):
@@ -108,6 +114,10 @@ class SectionAt(NamedTuple):
     Called on a fiber vector, or an (N, dim) batch of them, it gives the
     section's element over it: (m; base, b, matrix b) for a LinearSectionB,
     (m; a, base, matrix a) for a LinearSectionA.
+
+    A batch (see ``stack``) holds N such values: m, base and matrix carry a
+    leading axis of length N, and row i is one section at one point.  Its
+    ``section`` is row 0's, which fixes the kind and shape of every row.
     """
 
     section: LinearSectionA | LinearSectionB
@@ -131,6 +141,20 @@ class SectionAt(NamedTuple):
         if isinstance(self.section, LinearSectionB):
             return DvbElement(self.shape, self.m, self.base, fiber, core)
         return DvbElement(self.shape, self.m, fiber, self.base, core)
+
+
+def stack(values: Sequence[SectionAt]) -> SectionAt:
+    """One batch whose row i is values[i]: sections of one kind and shape, each at its own point."""
+    first = values[0].section
+    for value in values:
+        if type(value.section) is not type(first) or value.shape != first.shape:
+            raise IncompatibleElements("stacked sections differ in kind or shape")
+    return SectionAt(
+        first,
+        np.stack([value.m for value in values]),
+        np.stack([value.base for value in values]),
+        np.stack([value.matrix for value in values]),
+    )
 
 
 @dataclass(frozen=True)
@@ -180,14 +204,14 @@ def squarecap_b(xi: LinearSectionB | SectionAt, m, kappa) -> IterBCElement:
     """
     xi = xi.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterBCElement(xi.shape, xi.m, kappa, _apply(xi.matrix.T, kappa), xi.base)
+    return IterBCElement(xi.shape, xi.m, kappa, _apply(np.swapaxes(xi.matrix, -1, -2), kappa), xi.base)
 
 
 def squarecap_a(eta: LinearSectionA | SectionAt, m, kappa) -> IterACElement:
     """A-side analogue of squarecap_b, landing in the other iterated dual."""
     eta = eta.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterACElement(eta.shape, eta.m, kappa, _apply(eta.matrix.T, kappa), eta.base)
+    return IterACElement(eta.shape, eta.m, kappa, _apply(np.swapaxes(eta.matrix, -1, -2), kappa), eta.base)
 
 
 def ell_b(xi: LinearSectionB | SectionAt, psi: DualBElement) -> float | np.ndarray:

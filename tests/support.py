@@ -1,18 +1,23 @@
 """Shared helpers for the tests: the harness's random generators, a constant
-grid, and tangent points and covectors of T(A) from their coordinates."""
+grid, tangent points and covectors of T(A) from their coordinates, and a
+change of decomposition."""
 
 import numpy as np
 
 from dvbcalc import (
     DualAElement,
+    DualBElement,
     DvbElement,
     DvbShape,
     Grid,
+    IterACElement,
+    IterBCElement,
     LinearSectionA,
     LinearSectionB,
     MatrixMap,
     SmoothMap,
 )
+from dvbcalc.sections import SectionAt
 from dvbcalc.harness.suites import (  # noqa: F401
     _matrix_map as matrix_map,
     _poly_map as poly_map,
@@ -48,3 +53,52 @@ def covector(x, fiber, cov_x, cov_fiber):
     """The covector (x, fiber; cov_x, cov_fiber) of T*(A), A of rank len(fiber) over a len(x)-chart."""
     n, k = len(x), len(fiber)
     return DualAElement(DvbShape(k, n, k, n), x, fiber, cov_x, cov_fiber)
+
+
+# -- a change of decomposition -------------------------------------------------
+#
+# sigma is a bilinear map A x B -> C at the point in question, held as a
+# (dim_c, dim_a, dim_b) array: sigma(a, b)_k = sum_ij sigma[k, i, j] a_i b_j.
+# It changes the decomposition by (a, b, c) -> (a, b, c + sigma(a, b)).
+
+
+def sigma_of(sigma, a, b):
+    """sigma(a, b), in C."""
+    return np.einsum("kij,i,j->k", sigma, a, b)
+
+
+def sigma_a_dual(sigma, a, kappa):
+    """sigma(a, .)^T kappa, in B*."""
+    return np.einsum("kij,i,k->j", sigma, a, kappa)
+
+
+def sigma_b_dual(sigma, b, kappa):
+    """sigma(., b)^T kappa, in A*."""
+    return np.einsum("kij,j,k->i", sigma, b, kappa)
+
+
+def change_decomposition(sigma, x):
+    """x written in the decomposition changed by sigma.
+
+    On D: c -> c + sigma(a, b).  On the duals: beta -> beta - sigma(a, .)^T kappa
+    and alpha -> alpha - sigma(., b)^T kappa, which keep the pairings with D.
+    On the iterated duals: the opposite shifts, which keep their C*-pairings.
+    On linear sections at a point: Lambda -> Lambda + sigma(X, .) and
+    Mu -> Mu + sigma(., Y).
+    """
+    if isinstance(x, SectionAt):
+        if isinstance(x.section, LinearSectionB):
+            return x._replace(matrix=x.matrix + np.einsum("kij,i->kj", sigma, x.base))
+        return x._replace(matrix=x.matrix + np.einsum("kij,j->ki", sigma, x.base))
+    shape, m = x.shape, x.m
+    if isinstance(x, DvbElement):
+        return DvbElement(shape, m, x.a, x.b, x.c + sigma_of(sigma, x.a, x.b))
+    if isinstance(x, DualAElement):
+        return DualAElement(shape, m, x.a, x.beta - sigma_a_dual(sigma, x.a, x.kappa), x.kappa)
+    if isinstance(x, DualBElement):
+        return DualBElement(shape, m, x.kappa, x.alpha - sigma_b_dual(sigma, x.b, x.kappa), x.b)
+    if isinstance(x, IterBCElement):
+        return IterBCElement(shape, m, x.kappa, x.beta + sigma_a_dual(sigma, x.a, x.kappa), x.a)
+    if isinstance(x, IterACElement):
+        return IterACElement(shape, m, x.kappa, x.alpha + sigma_b_dual(sigma, x.b, x.kappa), x.b)
+    raise TypeError(f"no change of decomposition for {type(x).__name__}")

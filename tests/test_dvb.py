@@ -563,3 +563,77 @@ def test_solve_uses_only_the_pairings(monkeypatch):
     monkeypatch.setattr(dvb, "dual_iso_a", forbidden)
     for mb, closed in closed_form.values():
         assert elements_equal(solve_dual_iso_a(mb), closed)
+
+
+def _random_iter_bc(shape, rows):
+    draw = lambda dim: support.rand_vec(RNG, (rows, dim))
+    return IterBCElement(shape, draw(shape.base_dim), draw(shape.dim_c), draw(shape.dim_b), draw(shape.dim_a))
+
+
+def _row(x, i):
+    return type(x)(x.shape, *(getattr(x, name)[i] for name, _ in x._fields))
+
+
+def test_batched_solve_equals_its_rows():
+    rows = 6
+    for shape in DEFAULT_SHAPES:
+        mb = _random_iter_bc(shape, rows)
+        solved = solve_dual_iso_a(mb)
+        assert solved.batch == rows
+        for i in range(rows):
+            single = solve_dual_iso_a(_row(mb, i))
+            for name, _ in single._fields:
+                assert np.max(np.abs(getattr(solved, name)[i] - getattr(single, name)), initial=0.0) <= 1e-12
+    # Unbatched components stand for every row.
+    shape = DvbShape(2, 1, 2, 1)
+    m, kappa = support.rand_vec(RNG, 1), support.rand_vec(RNG, 2)
+    beta, a = support.rand_vec(RNG, (3, 1)), support.rand_vec(RNG, (3, 2))
+    solved = solve_dual_iso_a(IterBCElement(shape, m, kappa, beta, a))
+    for i in range(3):
+        closed = dual_iso_a(IterBCElement(shape, m, kappa, beta[i], a[i]))
+        assert np.allclose(solved.beta[i], closed.beta, rtol=0, atol=1e-12)
+        assert np.allclose(solved.a[i], closed.a, rtol=0, atol=1e-12)
+
+
+def test_batched_solve_splits_into_chunks_of_the_bound(monkeypatch):
+    shape = DvbShape(1, 1, 1)  # size 3: 36 probe entries per row
+    mb = _random_iter_bc(shape, 5)
+    whole = solve_dual_iso_a(mb)
+    chunks = []
+    solve_rows = dvb._solve_rows
+
+    def recording(mb, start, stop):
+        chunks.append(stop - start)
+        return solve_rows(mb, start, stop)
+
+    monkeypatch.setattr(dvb, "_solve_rows", recording)
+    monkeypatch.setattr(dvb, "SOLVE_CHUNK_ENTRIES", 2 * 36 + 35)
+    chunked = solve_dual_iso_a(mb)
+    assert chunks == [2, 2, 1]
+    assert elements_equal(chunked, whole)
+    chunks.clear()
+    monkeypatch.setattr(dvb, "SOLVE_CHUNK_ENTRIES", 1)  # below one row's cost: one row at a time
+    assert elements_equal(solve_dual_iso_a(mb), whole)
+    assert chunks == [1] * 5
+
+
+def test_elements_equal_lets_an_unbatched_component_stand_for_every_row():
+    shape = DvbShape(2, 1, 1, 1)
+    m, a = np.array([0.5]), np.array([1.0, -2.0])
+    single = DvbElement(shape, m, a, [3.0], [4.0])
+    batch = DvbElement(shape, np.tile(m, (3, 1)), np.tile(a, (3, 1)), [3.0], [[4.0]] * 3)
+    assert elements_equal(single, batch) and elements_equal(batch, single)
+    changed = np.tile(a, (3, 1))
+    changed[2, 1] = 0.0
+    assert not elements_equal(single, DvbElement(shape, m, changed, [3.0], [4.0]))
+    longer = DvbElement(shape, m, np.tile(a, (4, 1)), [3.0], [4.0])
+    assert not elements_equal(batch, longer)
+
+
+def test_same_matches_nan_in_the_same_positions_only():
+    nan = float("nan")
+    _same(np.array([nan, 1.0]), np.array([nan, 1.0]), "b side")
+    _same(np.array([nan, 1.0]), np.array([[nan, 1.0], [nan, 1.0]]), "b side")
+    for other in ([1.0, nan], [nan, 2.0], [0.0, 1.0], [[nan, 1.0], [nan, 0.0]]):
+        with pytest.raises(IncompatibleElements):
+            _same(np.array([nan, 1.0]), np.array(other), "b side")

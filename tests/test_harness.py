@@ -365,6 +365,17 @@ def test_cli_non_finite_values_raise_no_runtime_warning(tmp_path):
     assert ("bracket", "field-pairs") in failing
 
 
+def test_cli_nan_in_an_outline_component_fails_its_checks(tmp_path):
+    # inf - inf: the same NaN reaches both sides of each outline comparison.
+    data = {"chart": {"dim": 2}, "fields": {"X": ["x0*1e308*10 - x0*1e308*10", "x1"], "Y": ["0", "x0"]}}
+    code, report_path = _verify_spec(tmp_path, data, "--samples", "4")
+    assert code == 1
+    report = json.loads(report_path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    failing = {(c["suite"], c["name"]) for c in report["checks"] if not c["passed"]}
+    assert ("bracket", "field-pairs") in failing
+    assert all(name != "domain-error" for _, name in failing)
+
+
 def test_cli_report_is_valid_json_for_odd_names_and_values(tmp_path):
     data = {"chart": {"dim": 2}, "fields": {"A\nB": ["x0*1e308*10", "x1"], "Y": ["x1", "x0"]}}
     code, report_path = _verify_spec(tmp_path, data, "--suite", "bracket", "--samples", "4")
@@ -375,7 +386,10 @@ def test_cli_report_is_valid_json_for_odd_names_and_values(tmp_path):
     assert None in values["A\nB,Y"]
 
 
-@pytest.mark.parametrize("expression", ["exp(exp(exp(exp(x0*10))))", "(x0+10)^400"])
+@pytest.mark.parametrize(
+    "expression",
+    ["exp(exp(exp(exp(x0*10))))", "(x0+10)^400", "sin(x0*1e308*10)", "cos(x0*1e308*10)"],
+)
 def test_cli_overflow_reported_as_domain_error(tmp_path, expression):
     data = {
         "chart": {"dim": 1, "box": [[0.5, 1.0]]},
@@ -659,3 +673,32 @@ def test_linear_operator_check_fails_on_its_own(monkeypatch, operator):
     checks = suites._run_connection(_demo_spec(), 6, np.random.default_rng(0))
     failing = [check.name for check in checks if not check.passes(1e-9)]
     assert failing == ["linear-operator"]
+
+
+@pytest.mark.parametrize("max_batch", [None, 2])
+@pytest.mark.parametrize("samples", [1, 5, 6, 7, 13])
+def test_algebra_suites_count_every_sample_once(monkeypatch, samples, max_batch):
+    # Sample i takes DEFAULT_SHAPES[i % 6]; the suites batch samples by
+    # shape, so these cover shapes with 0, 1 and several samples, and with
+    # a lowered batch cap, shapes whose samples span several batches.
+    if max_batch is not None:
+        monkeypatch.setattr(suites, "_MAX_BATCH", max_batch)
+    shapes = [DEFAULT_SHAPES[i % len(DEFAULT_SHAPES)] for i in range(samples)]
+    n = samples
+    expected = {
+        ("duality-solve", "solve-vs-closed-form", n),
+        ("duality-solve", "defining-identity", n),
+        ("duality-solve", "iso-round-trips", 2 * n),
+        ("duality-solve", "second-iso-duality", n),
+        ("duality-solve", "dual-pairing", 5 * n),
+        ("warp-pairing", "pairing-identity", n),
+        ("warp-pairing", "swap-negation", 3 * n),
+        ("warp-pairing", "squarecap-defining", 40 * n),
+        ("warp-pairing", "interchange-law", n),
+        ("warp-pairing", "core-difference-routes", n),
+        ("warp-pairing", "cstar-projection", sum(shape.dim_c for shape in shapes)),
+    }
+    checks = run_suites(_demo_spec(), suite_names=["duality-solve", "warp-pairing"], samples=samples)
+    assert len(checks) == len(expected)
+    assert {(c.suite, c.name, c.samples) for c in checks} == expected
+    assert all(c.passed for c in checks)

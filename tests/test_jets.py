@@ -107,6 +107,18 @@ def test_log_domain():
     assert out.partials[0] == 0.5
 
 
+@pytest.mark.parametrize("fn", [jets.sin, jets.cos])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_sin_and_cos_of_an_infinite_argument_raise_domain_error(fn, value):
+    with pytest.raises(DomainError):
+        fn(value)
+    with pytest.raises(DomainError):
+        fn(seed([value])[0])
+    with pytest.raises(DomainError):
+        fn(seed(seed([value]))[0])
+    assert math.isnan(fn(math.nan))
+
+
 def test_domain_error_is_value_error():
     assert issubclass(DomainError, ValueError)
 

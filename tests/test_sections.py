@@ -26,6 +26,7 @@ from dvbcalc.sections import (
     squarecap_a,
     squarecap_b,
     squarecap_pairing,
+    stack,
     swap_grid,
     warp,
     warp_pairing_check,
@@ -323,3 +324,54 @@ def test_batched_fibers_equal_their_rows():
                 assert abs(value - expected) <= 2e-15 * max(1.0, abs(expected))
             assert np.allclose(caps.alpha[i], row_cap.alpha, rtol=2e-15, atol=2e-15)
             assert np.array_equal(caps.b, row_cap.b)
+
+
+def _close(value, expected):
+    return abs(value - expected) <= 2e-15 * max(1.0, abs(expected))
+
+
+def test_stacked_section_values_equal_their_rows():
+    rows = 5
+    for _ in range(20):
+        shape = support.random_shape(RNG)
+        grids = [support.random_grid(RNG, shape) for _ in range(rows)]
+        m = support.rand_vec(RNG, (rows, shape.base_dim))
+        kappa = support.rand_vec(RNG, (rows, shape.dim_c))
+        psi = DualBElement(shape, m, kappa, support.rand_vec(RNG, (rows, shape.dim_a)),
+                           support.rand_vec(RNG, (rows, shape.dim_b)))
+        phi = DualAElement(shape, m, support.rand_vec(RNG, (rows, shape.dim_a)),
+                           support.rand_vec(RNG, (rows, shape.dim_b)), kappa)
+        values = [grid.at(point) for grid, point in zip(grids, m)]
+        batch = Grid(stack([v.xi for v in values]), stack([v.eta for v in values]))
+        assert batch.xi.matrix.shape == (rows, shape.dim_c, shape.dim_b)
+
+        warps = warp(batch, m)
+        lhs, rhs = warp_pairing_check(batch, m, kappa)
+        cap_b, cap_a = squarecap_b(batch.xi, m, kappa), squarecap_a(batch.eta, m, kappa)
+        ells_b, ells_a = ell_b(batch.xi, psi), ell_a(batch.eta, phi)
+        assert lhs.shape == rhs.shape == ells_b.shape == ells_a.shape == (rows,)
+        for i, value in enumerate(values):
+            assert np.array_equal(warps[i], warp(value, m[i]))
+            row_lhs, row_rhs = warp_pairing_check(value, m[i], kappa[i])
+            assert _close(lhs[i], row_lhs) and _close(rhs[i], row_rhs)
+            row_b = squarecap_b(value.xi, m[i], kappa[i])
+            row_a = squarecap_a(value.eta, m[i], kappa[i])
+            for batched, row in ((cap_b, row_b), (cap_a, row_a)):
+                for name, _ in row._fields:
+                    assert np.array_equal(getattr(batched, name)[i], getattr(row, name))
+            row_psi = DualBElement(shape, m[i], kappa[i], psi.alpha[i], psi.b[i])
+            row_phi = DualAElement(shape, m[i], phi.a[i], phi.beta[i], kappa[i])
+            assert _close(ells_b[i], ell_b(value.xi, row_psi))
+            assert _close(ells_a[i], ell_a(value.eta, row_phi))
+
+
+def test_stack_rejects_mixed_kinds_and_shapes():
+    shape = DvbShape(2, 2, 1, 1)
+    grid = support.random_grid(RNG, shape)
+    other = support.random_grid(RNG, DvbShape(2, 2, 2, 1))
+    m = np.array([0.5])
+    assert stack([grid.xi.at(m)]).m.shape == (1, 1)
+    with pytest.raises(IncompatibleElements):
+        stack([grid.xi.at(m), grid.eta.at(m)])
+    with pytest.raises(IncompatibleElements):
+        stack([grid.xi.at(m), other.xi.at(m)])
