@@ -7,6 +7,9 @@ Z, omega(Z) = sum_j Z^j omega_j and
 
     nabla_Z mu  = Z(mu) + omega(Z) mu            (sections of the bundle)
     nabla*_Z phi = Z(phi) - omega(Z)^T phi       (sections of the dual)
+
+A connection's methods also take an (N, dim) batch of base points, as the
+maps of ``smoothmaps`` do, and return one result per row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .smoothmaps import DimensionMismatch, SmoothMap, jacobian
+from . import jets
+from .smoothmaps import DimensionMismatch, SmoothMap, _matvec, _point_key, jacobian
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,12 @@ class Connection:
     """A linear connection, given by its coefficient tensor as a function of the point.
 
     Each connection keeps the tensor of its previous ``coefficient_tensor``
-    call, keyed by the exact bytes of the float point (so ``0.0`` and
-    ``-0.0`` are different points), and a call at that same point reuses
-    it.  The result is always a fresh array that the caller may modify,
-    and a call that raises stores nothing.
+    call, keyed by the shape and exact bytes of the float point or batch
+    (so ``0.0`` and ``-0.0`` are different points), and a call at that same
+    point reuses it.  The result is always a fresh array that the caller
+    may modify, and a call that raises stores nothing.  At an (N, dim)
+    batch the tensor is (N, n, k, k); a coefficient function that returns
+    one (n, k, k) tensor, such as a constant, gives it for every row.
     """
 
     bundle: TrivialBundle
@@ -82,38 +88,57 @@ class Connection:
     )
 
     def coefficient_tensor(self, m) -> np.ndarray:
-        key = np.asarray(m, dtype=float).tobytes()
+        key = _point_key(m)
         last = self._last_tensor
         if last is not None and last[0] == key:
             return last[1].copy()
         n, k = self.bundle.chart.dim, self.bundle.fiber_dim
         out = np.array(self.coefficients(m), dtype=float)
-        if out.shape != (n, k, k):
+        expected = (n, k, k)
+        batch = jets._batch_of(m)
+        if batch is not None:
+            if out.shape == expected:
+                out = np.tile(out, (batch, 1, 1, 1))
+            expected = (batch, *expected)
+        if out.shape != expected:
             raise DimensionMismatch(
-                f"connection coefficients have shape {out.shape}, expected {(n, k, k)}"
+                f"connection coefficients have shape {out.shape}, expected {expected}"
             )
         object.__setattr__(self, "_last_tensor", (key, out))
         return out.copy()
 
     def omega(self, z_field: SmoothMap, m) -> np.ndarray:
         """The k x k matrix omega(Z)(m) = sum_j Z^j(m) omega_j(m)."""
-        z_val = z_field(m)
+        return self._omega_at(self._field_at(z_field, m), m)
+
+    def _field_at(self, z_field: SmoothMap, m) -> np.ndarray:
+        """Z(m) for a vector field Z on the chart."""
         if z_field.codomain_dim != self.bundle.chart.dim:
             raise DimensionMismatch("vector field does not match the chart")
+        return z_field(m)
+
+    def _omega_at(self, z_val: np.ndarray, m) -> np.ndarray:
+        """omega(Z)(m) from the value Z(m), or from its (N, n) values at a batch."""
         n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        return (z_val @ self.coefficient_tensor(m).reshape(n, k * k)).reshape(k, k)
+        tensor = self.coefficient_tensor(m)
+        if z_val.ndim == 1:
+            return (z_val @ tensor.reshape(n, k * k)).reshape(k, k)
+        return np.einsum("nj,njab->nab", z_val, tensor)
 
     def nabla(self, z_field: SmoothMap, mu: SmoothMap, m) -> np.ndarray:
-        """Covariant derivative of a section mu along Z at m."""
+        """Covariant derivative of a section mu along Z at m; Z is evaluated once."""
         if mu.codomain_dim != self.bundle.fiber_dim:
             raise DimensionMismatch("section does not take values in the fiber")
-        return jacobian(mu, m) @ z_field(m) + self.omega(z_field, m) @ mu(m)
+        z_val = self._field_at(z_field, m)
+        return _matvec(jacobian(mu, m), z_val) + _matvec(self._omega_at(z_val, m), mu(m))
 
     def dual_nabla(self, z_field: SmoothMap, phi: SmoothMap, m) -> np.ndarray:
-        """Covariant derivative on the dual bundle along Z at m."""
+        """Covariant derivative on the dual bundle along Z at m; Z is evaluated once."""
         if phi.codomain_dim != self.bundle.fiber_dim:
             raise DimensionMismatch("section does not take values in the dual fiber")
-        return jacobian(phi, m) @ z_field(m) - self.omega(z_field, m).T @ phi(m)
+        z_val = self._field_at(z_field, m)
+        omega_t = np.swapaxes(self._omega_at(z_val, m), -1, -2)
+        return _matvec(jacobian(phi, m), z_val) - _matvec(omega_t, phi(m))
 
     @classmethod
     def from_smooth_map(cls, bundle: TrivialBundle, coeff_map: SmoothMap) -> "Connection":
@@ -122,7 +147,12 @@ class Connection:
             raise DimensionMismatch(
                 f"coefficient map must have {n * k * k} components on the chart"
             )
-        return cls(bundle, lambda m: coeff_map(m).reshape(n, k, k))
+
+        def tensor(m):
+            out = coeff_map(m)
+            return out.reshape(n, k, k) if out.ndim == 1 else out.reshape(len(out), n, k, k)
+
+        return cls(bundle, tensor)
 
     @classmethod
     def constant(cls, bundle: TrivialBundle, tensor: np.ndarray) -> "Connection":

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import jets
 from .charts import Connection, TrivialBundle
-from .dvb import DualAElement, DualBElement, DvbElement, _same, pair_a, pair_b, scale_over_a
+from .dvb import DualAElement, DualBElement, DvbElement, _dot, _same, pair_a, pair_b, scale_over_a
 from .jets import Scalar
 from .sections import LinearSectionA
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
@@ -235,14 +235,17 @@ def dnu_sharp(f: DualAElement, sign: float | None = None) -> DvbElement:
 
 
 def ell_differential(mu: SmoothMap, x, kappa) -> DualAElement:
-    """d of the momentum function ell_mu(x, kappa) = <kappa, mu(x)> on the dual bundle."""
+    """d of the momentum function ell_mu(x, kappa) = <kappa, mu(x)> on the dual bundle.
+
+    x and kappa may be (N, dim) batches of one N; the differential is then one per row.
+    """
     x = np.asarray(x, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
-    n, k = x.size, kappa.size
+    n, k = x.shape[-1], kappa.shape[-1]
     if mu.domain_dim != n or mu.codomain_dim != k:
         raise DimensionMismatch("section does not match the chart or fiber")
-    grad = jets.jet_gradient(momentum_function(mu), list(x) + list(kappa))
-    return DualAElement(_shape(n, k), x, kappa, grad[:n], grad[n:])
+    grad = jets.jet_gradient(momentum_function(mu), np.concatenate([x, kappa], axis=-1))
+    return DualAElement(_shape(n, k), x, kappa, grad[..., :n], grad[..., n:])
 
 
 def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> DualAElement:
@@ -270,15 +273,16 @@ def squarecap_complete_lift(
 
 def bracket_pairing(
     dell_x: DualAElement, dell_y: DualAElement, bracket, p, sign: float | None = None
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """The bracket pairing of d ell_X, d ell_Y and [X, Y](x), evaluated at (x, p).
 
-    The two differentials must lie over (x, p).
+    The two differentials must lie over (x, p).  For (N, dim) batches both
+    values are (N,) arrays.
     """
     p = np.asarray(p, dtype=float)
     _same(p, dell_y.a, "fiber point")
     lhs = pair_a(dell_y, complete_lift_squarecap(dell_x, sign))
-    return lhs, -float(p @ bracket)
+    return lhs, -_dot(p, np.asarray(bracket, dtype=float))
 
 
 def bracket_pairing_check(
@@ -324,7 +328,7 @@ def dual_horizontal_field(conn: Connection, x_field: SmoothMap) -> LinearSection
     return LinearSectionA(
         tangent_bundle_shape(conn.bundle),
         x_field,
-        MatrixMap(k, k, lambda m: conn.omega(x_field, m).T),
+        MatrixMap(k, k, lambda m: np.swapaxes(conn.omega(x_field, m), -1, -2)),
     )
 
 
@@ -335,14 +339,15 @@ def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> DvbE
 
 def connection_pairing(
     dell_mu: DualAElement, cap_h: DvbElement, nabla, kappa
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """The connection pairing of d ell_mu, the horizontal squarecap and nabla_X mu, at (x, kappa).
 
-    The two pieces must lie over (x, kappa).
+    The two pieces must lie over (x, kappa).  For (N, dim) batches both
+    values are (N,) arrays.
     """
     kappa = np.asarray(kappa, dtype=float)
     _same(kappa, dell_mu.a, "fiber point")
-    return pair_a(dell_mu, cap_h), -float(kappa @ nabla)
+    return pair_a(dell_mu, cap_h), -_dot(kappa, np.asarray(nabla, dtype=float))
 
 
 def connection_pairing_check(

@@ -13,6 +13,10 @@ Unary minus binds to a single factor, so ``-a/b`` parses as ``(-a)/b``.
 Variable indices are checked against the declared chart dimension at parse
 time.  Syntax errors report the byte offset where scanning stopped.
 
+``evaluate`` takes floats, jets or (N,) arrays for a batch of N points,
+and a ``Num`` leaf may hold an (N,) array, one coefficient per row; see
+``jets`` for the batch rule.
+
 An expression may nest at most ``MAX_DEPTH`` levels: its tree may be at
 most that deep, and so may its nesting of parentheses, function calls and
 unary minuses.  The walkers here recurse once per level, so a deeper
@@ -37,7 +41,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Num:
-    value: float
+    value: float  # or an (N,) array: one coefficient per row of a family
 
 
 @dataclass(frozen=True)
@@ -256,6 +260,11 @@ def max_var_index(expr: Expr) -> int:
 def evaluate(expr: Expr, values: Sequence[Scalar]) -> Scalar:
     """Evaluate over floats or jets; jets carry derivatives through.
 
+    Values, and the values of ``Num`` leaves, may be (N,) arrays: one pass
+    then evaluates a batch of N points, or a family of N expressions of
+    one form whose leaves hold one coefficient per row (see ``jets``).  A
+    division by zero in any row raises ``DomainError``.
+
     Nodes are matched by exact type, so an instance of a subclass of a
     node class is rejected with ``TypeError`` like any other non-node.
     """
@@ -273,7 +282,7 @@ def evaluate(expr: Expr, values: Sequence[Scalar]) -> Scalar:
     if kind is Div:
         num = evaluate(expr.left, values)
         den = evaluate(expr.right, values)
-        if not isinstance(den, jets.Jet) and den == 0.0:
+        if not isinstance(den, jets.Jet) and jets._has_zero(den):
             raise jets.DomainError("division by zero")
         return num / den
     if kind is Neg:

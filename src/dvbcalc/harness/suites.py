@@ -6,6 +6,13 @@ numbers), samples the identities it is responsible for, and returns one
 _Residuals per identity holding the maximum absolute residual observed.
 run_suites turns each into a CheckResult under the suite's name and the
 run's tolerance.
+
+Six suites run their samples in batches of at most _MAX_BATCH: the two
+algebra suites by dvb shape, and bracket, connection, bracket-pairing and
+connection-pairing by chunk and form (see the comment above _run_bracket).
+A batch calls the library once on (N, dim) arrays and records each check
+with samples=N, so every check counts the samples it did one at a time.
+cotangent-duality and duality-diagram still run one sample at a time.
 """
 
 from __future__ import annotations
@@ -48,20 +55,27 @@ def _integer_rows(rng, n: int, *dims: int) -> list[np.ndarray]:
     return _columns(rng.integers(-8, 9, (n, sum(dims))).astype(float), dims)
 
 
-def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
-    """A random polynomial map: each component is a constant, dim linear
-    terms and, for degree 2, dim products x_i x_j with random (i, j).
+def _poly_draw(rng, dim: int, codim: int, degree: int = 2) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of one random polynomial map: its (codim, 1 + dim + quad)
+    coefficients and, for degree 2, its (codim, dim, 2) index pairs.
 
-    Row c of one uniform draw holds component c's coefficients in that
-    order, and one integer draw gives every (i, j).  For dim 0 or degree 1
-    the draw is the stream of one uniform draw per coefficient.
+    Row c of one uniform draw holds component c's coefficients: a constant,
+    dim linear terms and, for degree 2 (quad = dim), dim products x_i x_j,
+    whose (i, j) come from one integer draw.  For dim 0 or degree 1 the
+    draw is the stream of one uniform draw per coefficient.
     """
     quad = dim if degree >= 2 else 0
-    coeffs = rng.uniform(-1.0, 1.0, (codim, 1 + dim + quad)).tolist()
-    pairs = rng.integers(0, dim, (codim, dim, 2)).tolist() if quad else [()] * codim
+    coeffs = rng.uniform(-1.0, 1.0, (codim, 1 + dim + quad))
+    pairs = rng.integers(0, dim, (codim, dim, 2)) if quad else None
+    return coeffs, pairs
+
+
+def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
+    """A random polynomial map, drawn by ``_poly_draw``."""
+    coeffs, pairs = _poly_draw(rng, dim, codim, degree)
     var = [Var(i) for i in range(dim)]
     comps = []
-    for row, ij in zip(coeffs, pairs):
+    for row, ij in zip(coeffs.tolist(), [()] * codim if pairs is None else pairs.tolist()):
         expr = Num(row[0])
         for i in range(dim):
             expr = Add(expr, Mul(Num(row[1 + i]), var[i]))
@@ -71,14 +85,47 @@ def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
     return SmoothMap(dim, tuple(comps))
 
 
+def _poly_family(draws: Sequence[tuple[np.ndarray, np.ndarray | None]], dim: int) -> SmoothMap:
+    """The maps of N draws of one dim, codim and degree as one family: its
+    ``Num`` leaves hold (N,) arrays, and member r is the map of draws[r].
+
+    Component c is c0 + sum_i x_i (c_i + sum_j a_ij x_j) over pairs
+    i <= j.  A scatter sums each member's product coefficients on a pair,
+    duplicates included, into the pair's (N,) column a_ij, which is zero
+    for the members without that pair; component c keeps the pairs some
+    member uses.
+    """
+    # Entry [c, t] is the (N,) column of coefficient t of component c.
+    coeffs = np.stack([c for c, _ in draws], axis=-1)
+    codim, width, n = coeffs.shape
+    quad = np.zeros((codim, dim, dim, n))
+    used = np.zeros((codim, dim, dim), dtype=bool)
+    if draws[0][1] is not None:
+        ij = np.stack([p for _, p in draws], axis=-1)
+        lo, hi = ij.min(axis=2), ij.max(axis=2)  # (codim, dim, N)
+        comp, member = np.arange(codim)[:, None], np.arange(n)
+        for t in range(dim):
+            # Within one t every (component, member) cell is hit once.
+            quad[comp, lo[:, t], hi[:, t], member] += coeffs[:, 1 + dim + t]
+        used[comp[:, :, None], lo, hi] = True
+    linear = list(coeffs.reshape(-1, n))
+    products = list(quad.reshape(-1, n))
+    var = [Var(i) for i in range(dim)]
+    comps = []
+    for c, in_use in enumerate(used.tolist()):
+        expr = Num(linear[c * width])
+        for i in range(dim):
+            inner = Num(linear[c * width + 1 + i])
+            for j in range(i, dim):
+                if in_use[i][j]:
+                    inner = Add(inner, Mul(Num(products[(c * dim + i) * dim + j]), var[j]))
+            expr = Add(expr, Mul(inner, var[i]))
+        comps.append(expr)
+    return SmoothMap(dim, tuple(comps))
+
+
 def _matrix_map(rng, dim: int, rows: int, cols: int) -> MatrixMap:
     return MatrixMap.from_smooth_map(_poly_map(rng, dim, rows * cols, degree=1), rows, cols)
-
-
-def _random_shape(rng, max_dim: int = 4, max_base: int = 3) -> dvb.DvbShape:
-    dims = rng.integers(1, max_dim + 1, 3)
-    base = int(rng.integers(0, max_base + 1))
-    return dvb.DvbShape(int(dims[0]), int(dims[1]), int(dims[2]), base)
 
 
 def _random_grid(rng, shape: dvb.DvbShape) -> sections.Grid:
@@ -163,17 +210,35 @@ class _SignGuard(_Residuals):
         super().__init__(name, description)
         self.details = {"max_flipped_residual": 0.0}
 
-    def add_flipped(self, value: float) -> None:
-        self.details["max_flipped_residual"] = max(self.details["max_flipped_residual"], abs(value))
+    def add_flipped(self, value) -> None:
+        """Record flipped-sign residuals: a float or an (N,) batch; a NaN row is not recorded."""
+        # fmax skips NaN, as max(0.0, nan) did for one float.
+        current = self.details["max_flipped_residual"]
+        largest = np.fmax.reduce(np.abs(value), axis=None, initial=current)
+        self.details["max_flipped_residual"] = float(largest)
 
     def passes(self, tol: float) -> bool:
         return super().passes(tol) and self.details["max_flipped_residual"] > 100 * tol
 
 
-# Samples one batch of the algebra suites holds at most.  A batch keeps
-# each of its samples' grids and rows alive until it is done, so the cap
-# bounds their memory whatever the sample count.
+# Samples one batch holds at most.  A batch keeps each of its samples'
+# grids, maps and rows alive until it is done, so the cap bounds their
+# memory whatever the sample count.
 _MAX_BATCH = 64
+
+
+def _chunks(count: int):
+    """Consecutive sample indices, in ranges of at most _MAX_BATCH."""
+    for start in range(0, count, _MAX_BATCH):
+        yield range(start, min(start + _MAX_BATCH, count))
+
+
+def _grouped(rows) -> dict:
+    """(key, row) pairs as {key: [row, ...]}, keys and rows in the order given."""
+    groups: dict = {}
+    for key, row in rows:
+        groups.setdefault(key, []).append(row)
+    return groups
 
 
 def _shape_batches(shapes: Sequence[dvb.DvbShape], samples: int):
@@ -184,9 +249,8 @@ def _shape_batches(shapes: Sequence[dvb.DvbShape], samples: int):
     sample gives none.  The algebra suites run each batch as n rows.
     """
     for k, shape in enumerate(shapes):
-        count = len(range(k, samples, len(shapes)))
-        for start in range(0, count, _MAX_BATCH):
-            yield shape, min(_MAX_BATCH, count - start)
+        for chunk in _chunks(len(range(k, samples, len(shapes)))):
+            yield shape, len(chunk)
 
 
 # -- suite: duality-solve --------------------------------------------------------
@@ -359,6 +423,13 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 
 
 # -- suite: bracket ----------------------------------------------------------------
+#
+# The four calculus suites below take their samples in chunks of consecutive
+# indices (``_chunks``).  Within a chunk each sample makes exactly the draws
+# it would make alone, in index order; the samples are then grouped by what
+# makes them differ in form (chart dimension, connection, named or random
+# maps), and every check runs once per group on (N, dim) points.  Each
+# random map role of a group is one family (``_poly_family``).
 
 def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     checks: list[_Residuals] = []
@@ -369,28 +440,37 @@ def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         res = _Residuals("field-pairs", "warp of the double tangent grid equals the coordinate bracket")
         first_values: dict[str, list[float]] = {}
         res.details["first_point_values"] = first_values
-        points = [spec.chart.sample(rng) for _ in range(max(1, samples // max(1, len(pairs))))]
-        for a, b in pairs:
-            x_field, y_field = spec.fields[a], spec.fields[b]
-            for idx, point in enumerate(points):
-                via_warp = tangent.lie_bracket_via_warp(x_field, y_field, point)
-                direct = lie_bracket(x_field, y_field, point)
-                res.add(via_warp - direct)
-                if idx == 0:
-                    first_values[f"{a},{b}"] = [float(v) for v in via_warp]
+        for chunk in _chunks(max(1, samples // max(1, len(pairs)))):
+            points = np.stack([spec.chart.sample(rng) for _ in chunk])
+            # Each field's two lifts are evaluated once at the points; the
+            # double tangent grid of (X, Y) is Y's tangent lift against X's
+            # complete lift.
+            lifts = {
+                name: (tangent.tangent_lift(f).at(points), tangent.complete_lift(f).at(points))
+                for name, f in spec.fields.items()
+            }
+            for a, b in pairs:
+                via_warp = sections.warp(sections.Grid(lifts[b][0], lifts[a][1]), points)
+                direct = lie_bracket(spec.fields[a], spec.fields[b], points)
+                res.add(via_warp - direct, samples=len(chunk))
+                if chunk.start == 0:
+                    first_values[f"{a},{b}"] = [float(v) for v in via_warp[0]]
         checks.append(res)
 
     res = _Residuals("random-polynomials",
                      "warp route agrees with the bracket oracle on random polynomial fields")
-    for i in range(samples):
-        dim = 1 + i % 3
-        chart = Chart(dim)
-        x_field = _poly_map(rng, dim, dim)
-        y_field = _poly_map(rng, dim, dim)
-        point = chart.sample(rng)
-        via_warp = tangent.lie_bracket_via_warp(x_field, y_field, point)
-        direct = lie_bracket(x_field, y_field, point)
-        res.add(via_warp - direct)
+    charts = {dim: Chart(dim) for dim in (1, 2, 3)}
+    for chunk in _chunks(samples):
+        groups = _grouped(
+            (dim, (_poly_draw(rng, dim, dim), _poly_draw(rng, dim, dim), charts[dim].sample(rng)))
+            for dim in (1 + i % 3 for i in chunk)
+        )
+        for dim, rows in groups.items():
+            xs, ys, points = zip(*rows)
+            x_field, y_field = _poly_family(xs, dim), _poly_family(ys, dim)
+            points = np.stack(points)
+            via_warp = tangent.lie_bracket_via_warp(x_field, y_field, points)
+            res.add(via_warp - lie_bracket(x_field, y_field, points), samples=len(rows))
     checks.append(res)
     return checks
 
@@ -407,13 +487,24 @@ def _spec_connections(spec: ProblemSpec, rng, count: int) -> list[Connection]:
     return conns
 
 
-def _section(spec: ProblemSpec, rng, i: int, n: int, k: int) -> SmoothMap:
-    """On even samples the first spec section of rank k, if any; else a random one."""
+def _spec_section(spec: ProblemSpec, i: int, k: int) -> SmoothMap | None:
+    """On even samples the first spec section of rank k, if any; else None (a random one)."""
     if i % 2 == 0:
         for mu in spec.sections.values():
             if mu.codomain_dim == k:
                 return mu
-    return _poly_map(rng, n, k)
+    return None
+
+
+def _section_draw(spec: ProblemSpec, rng, i: int, n: int, k: int):
+    """Sample i's section: the spec's (``_spec_section``), or a random map's draws."""
+    mu = _spec_section(spec, i, k)
+    return _poly_draw(rng, n, k) if mu is None else mu
+
+
+def _section_of(rows: Sequence, n: int) -> SmoothMap:
+    """A group's section: the spec section all its rows share, or the family of their draws."""
+    return rows[0] if isinstance(rows[0], SmoothMap) else _poly_family(rows, n)
 
 
 def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
@@ -430,46 +521,60 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
                           "is the covariant derivative minus S")
 
     conns = _spec_connections(spec, rng, 3)
-    for i in range(samples):
-        conn = conns[i % len(conns)]
-        n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
-        z_field = _poly_map(rng, n, n)
-        mu = _section(spec, rng, i, n, k)
-        point = conn.bundle.chart.sample(rng)
 
-        via_warp = tangent.covariant_derivative_via_warp(conn, z_field, mu, point)
-        nabla = conn.nabla(z_field, mu, point)
-        covariant.add(via_warp - nabla)
-
-        flat_conn = Connection.flat(conn.bundle)
-        flat_value = tangent.covariant_derivative_via_warp(flat_conn, z_field, mu, point)
-        flat.add(flat_value - jacobian(mu, point) @ z_field(point))
-
-        a = _rand_vec(rng, k)
-        horizontal = tangent.horizontal_field(conn, z_field).at(point)
-        lift = horizontal(a)
-        phi = _poly_map(rng, n, k)
-        derived = jet_directional(
-            ct.momentum_function(phi), list(point) + list(a), list(lift.b) + list(lift.c)
-        )
-        momentum.add(derived - float(conn.dual_nabla(z_field, phi, point) @ a))
-
-        f = _poly_map(rng, n, 1)
-        pulled = jet_directional(
-            lambda vals: f.eval_generic(list(vals[:n]))[0],
-            list(point) + list(a),
-            list(lift.b) + list(lift.c),
-        )
-        pullback.add(pulled - directional_derivative(f, z_field, point))
-
-        # The horizontal field's own operator is the warp that
-        # covariant-derivative checks, so apply that of a field which is no
-        # horizontal lift: fiber matrix -omega(Z) + S sends mu to
-        # nabla_Z mu - S mu.
+    def draw(i: int):
+        c = i % len(conns)
+        n, k = conns[c].bundle.chart.dim, conns[c].bundle.fiber_dim
+        z = _poly_draw(rng, n, n)
+        mu = _section_draw(spec, rng, i, n, k)
+        point, a = conns[c].bundle.chart.sample(rng), _rand_vec(rng, k)
+        phi, f = _poly_draw(rng, n, k), _poly_draw(rng, n, 1)
         shift = rng.uniform(-1.0, 1.0, (k, k))
-        shifted = horizontal._replace(matrix=horizontal.matrix + shift)
-        apply_op = tangent.linear_vector_field_operator(shifted)
-        operator.add(apply_op(mu, point) - (nabla - shift @ mu(point)))
+        return (c, isinstance(mu, SmoothMap)), (z, mu, point, a, phi, f, shift)
+
+    for chunk in _chunks(samples):
+        for (c, _), rows in _grouped(draw(i) for i in chunk).items():
+            conn, size = conns[c], len(rows)
+            n = conn.bundle.chart.dim
+            zs, mus, point, a, phis, fs, shift = zip(*rows)
+            z_field, mu = _poly_family(zs, n), _section_of(mus, n)
+            phi, f = _poly_family(phis, n), _poly_family(fs, n)
+            point, a, shift = np.stack(point), np.stack(a), np.stack(shift)
+
+            # The tangent lift of mu (mu and Dmu) and the horizontal field
+            # (Z and the coefficient tensor) are evaluated once at the
+            # batch's points, and every grid below is built from those
+            # values; the references evaluate the maps themselves, the
+            # Jacobian and the tensor coming from the library's memos.
+            horizontal = tangent.horizontal_field(conn, z_field).at(point)
+            section = tangent.tangent_lift(mu).at(point)
+            nabla = conn.nabla(z_field, mu, point)
+            via_warp = sections.warp(sections.Grid(section, horizontal), point)
+            covariant.add(via_warp - nabla, samples=size)
+
+            flat_field = tangent.horizontal_field(Connection.flat(conn.bundle), z_field).at(point)
+            flat_value = sections.warp(sections.Grid(section, flat_field), point)
+            direct = np.einsum("nij,nj->ni", jacobian(mu, point), z_field(point))
+            flat.add(flat_value - direct, samples=size)
+
+            lift = horizontal(a)
+            tangents = np.concatenate([lift.b, lift.c], axis=1)
+            at = np.concatenate([point, a], axis=1)
+            derived = jet_directional(ct.momentum_function(phi), at, tangents)
+            dual = conn.dual_nabla(z_field, phi, point)
+            momentum.add(derived - (dual * a).sum(axis=1), samples=size)
+
+            pulled = jet_directional(lambda vals: f.eval_generic(vals[:n])[0], at, tangents)
+            pullback.add(pulled - directional_derivative(f, z_field, point), samples=size)
+
+            # The horizontal field's own operator is the warp that
+            # covariant-derivative checks, so apply that of a field which is no
+            # horizontal lift: fiber matrix -omega(Z) + S sends mu to
+            # nabla_Z mu - S mu.
+            shifted = horizontal._replace(matrix=horizontal.matrix + shift)
+            apply_op = tangent.linear_vector_field_operator(shifted)
+            shifted_nabla = nabla - np.einsum("nij,nj->ni", shift, mu(point))
+            operator.add(apply_op(mu, point) - shifted_nabla, samples=size)
 
     return [covariant, flat, momentum, pullback, operator]
 
@@ -577,42 +682,51 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
 
     n = spec.chart.dim
     named = [f for f in spec.fields.values() if f.codomain_dim == n]
-    for i in range(samples):
+
+    def draw(i: int):
         if len(named) >= 2 and i % 2 == 0:
-            x_field, y_field = named[0], named[1]
+            fields = None
         else:
-            x_field, y_field = _poly_map(rng, n, n), _poly_map(rng, n, n)
-        x = spec.chart.sample(rng)
-        p = _rand_vec(rng, n)
+            fields = (_poly_draw(rng, n, n), _poly_draw(rng, n, n))
+        return fields is None, (fields, spec.chart.sample(rng), _rand_vec(rng, n))
 
-        # d ell_Y, d ell_X, the bracket and the grid's sections are each
-        # evaluated once at (x, p); every check below reuses them.
-        cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
-        dell_x = ct.ell_differential(x_field, x, p)
-        bracket = lie_bracket(x_field, y_field, x)
-        lhs, rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p)
-        momentum.add(lhs - rhs)
+    for chunk in _chunks(samples):
+        for is_named, rows in _grouped(draw(i) for i in chunk).items():
+            fields, x, p = zip(*rows)
+            if is_named:
+                x_field, y_field = named[0], named[1]
+            else:
+                x_field, y_field = (_poly_family(draws, n) for draws in zip(*fields))
+            x, p, size = np.stack(x), np.stack(p), len(rows)
 
-        closed.add(cap_y.beta - jacobian(y_field, x).T @ p)
-        closed.add(cap_y.kappa - y_field(x))
-        cap_x = ct.complete_lift_squarecap(dell_x)
-        closed.add(cap_x.b + x_field(x))
-        closed.add(cap_x.c - jacobian(x_field, x).T @ p)
+            # d ell_Y, d ell_X, the bracket and the grid's sections are each
+            # evaluated once at (x, p); every check below reuses them.
+            cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
+            dell_x = ct.ell_differential(x_field, x, p)
+            bracket = lie_bracket(x_field, y_field, x)
+            lhs, rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p)
+            momentum.add(lhs - rhs, samples=size)
 
-        at = tangent.double_tangent_grid(x_field, y_field).at(x)
-        dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, p)
-        cross.add(dec_lhs - lhs)
-        cross.add(dec_rhs - rhs)
-        cap_b = sections.squarecap_b(at.xi, x, p)
-        cross.add(cap_b.beta - cap_y.beta)
-        cross.add(cap_b.a - cap_y.kappa)
-        cap_a = sections.squarecap_a(at.eta, x, p)
-        cross.add(cap_a.b + cap_x.b)
-        cross.add(cap_a.alpha - cap_x.c)
+            closed.add(cap_y.beta - np.einsum("nji,nj->ni", jacobian(y_field, x), p), samples=size)
+            closed.add(cap_y.kappa - y_field(x), samples=size)
+            cap_x = ct.complete_lift_squarecap(dell_x)
+            closed.add(cap_x.b + x_field(x), samples=size)
+            closed.add(cap_x.c - np.einsum("nji,nj->ni", jacobian(x_field, x), p), samples=size)
 
-        wrong_lhs, wrong_rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p, sign=-1.0)
-        guard.add_flipped(wrong_lhs - wrong_rhs)
-        guard.add(lhs - rhs)
+            at = tangent.double_tangent_grid(x_field, y_field).at(x)
+            dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, p)
+            cross.add(dec_lhs - lhs, samples=size)
+            cross.add(dec_rhs - rhs, samples=size)
+            cap_b = sections.squarecap_b(at.xi, x, p)
+            cross.add(cap_b.beta - cap_y.beta, samples=size)
+            cross.add(cap_b.a - cap_y.kappa, samples=size)
+            cap_a = sections.squarecap_a(at.eta, x, p)
+            cross.add(cap_a.b + cap_x.b, samples=size)
+            cross.add(cap_a.alpha - cap_x.c, samples=size)
+
+            wrong_lhs, wrong_rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p, sign=-1.0)
+            guard.add_flipped(wrong_lhs - wrong_rhs)
+            guard.add(lhs - rhs, samples=size)
 
     return [momentum, closed, cross, guard]
 
@@ -628,38 +742,48 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
                        "dual-bundle route agrees with the decomposed grid computation")
 
     conns = _spec_connections(spec, rng, 3)
-    for i in range(samples):
-        conn = conns[i % len(conns)]
-        n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
-        x_field = _poly_map(rng, n, n)
-        mu = _section(spec, rng, i, n, k)
-        x = conn.bundle.chart.sample(rng)
-        kappa = _rand_vec(rng, k)
 
-        # d ell_mu and the horizontal squarecap are each evaluated once at
-        # (x, kappa), and the grid's sections once at x.
-        dell_mu = ct.ell_differential(mu, x, kappa)
-        lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
-        lhs, rhs = ct.connection_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
-        momentum.add(lhs - rhs)
+    def draw(i: int):
+        c = i % len(conns)
+        n, k = conns[c].bundle.chart.dim, conns[c].bundle.fiber_dim
+        x_field = _poly_draw(rng, n, n)
+        mu = _section_draw(spec, rng, i, n, k)
+        row = (x_field, mu, conns[c].bundle.chart.sample(rng), _rand_vec(rng, k))
+        return (c, isinstance(mu, SmoothMap)), row
 
-        flat_conn = Connection.flat(conn.bundle)
-        flat_lhs, flat_rhs = ct.connection_pairing(
-            dell_mu,
-            ct.squarecap_horizontal(flat_conn, x_field, x, kappa),
-            flat_conn.nabla(x_field, mu, x),
-            kappa,
-        )
-        flat.add(flat_lhs - flat_rhs)
-        flat.add(flat_rhs + float(kappa @ (jacobian(mu, x) @ x_field(x))))
+    for chunk in _chunks(samples):
+        for (c, _), rows in _grouped(draw(i) for i in chunk).items():
+            conn, size = conns[c], len(rows)
+            n = conn.bundle.chart.dim
+            xs, mus, x, kappa = zip(*rows)
+            x_field, mu = _poly_family(xs, n), _section_of(mus, n)
+            x, kappa = np.stack(x), np.stack(kappa)
 
-        at = tangent.connection_grid(conn, x_field, mu).at(x)
-        dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, kappa)
-        cross.add(dec_lhs - lhs)
-        cross.add(dec_rhs - rhs)
-        cap_a = sections.squarecap_a(at.eta, x, kappa)
-        cross.add(cap_a.b + lifted.b)
-        cross.add(cap_a.alpha - lifted.c)
+            # d ell_mu and the horizontal squarecap are each evaluated once at
+            # (x, kappa), and the grid's sections once at x.
+            dell_mu = ct.ell_differential(mu, x, kappa)
+            lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
+            lhs, rhs = ct.connection_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
+            momentum.add(lhs - rhs, samples=size)
+
+            flat_conn = Connection.flat(conn.bundle)
+            flat_lhs, flat_rhs = ct.connection_pairing(
+                dell_mu,
+                ct.squarecap_horizontal(flat_conn, x_field, x, kappa),
+                flat_conn.nabla(x_field, mu, x),
+                kappa,
+            )
+            flat.add(flat_lhs - flat_rhs, samples=size)
+            directional = np.einsum("ni,nij,nj->n", kappa, jacobian(mu, x), x_field(x))
+            flat.add(flat_rhs + directional, samples=size)
+
+            at = tangent.connection_grid(conn, x_field, mu).at(x)
+            dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, kappa)
+            cross.add(dec_lhs - lhs, samples=size)
+            cross.add(dec_rhs - rhs, samples=size)
+            cap_a = sections.squarecap_a(at.eta, x, kappa)
+            cross.add(cap_a.b + lifted.b, samples=size)
+            cross.add(cap_a.alpha - lifted.c, samples=size)
 
     return [momentum, flat, cross]
 

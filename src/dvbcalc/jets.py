@@ -8,6 +8,16 @@ seed over already-seeded values and read the partials of the partials.
 
 Derivatives computed this way are exact up to float rounding; finite
 differences appear in this codebase only as a test oracle.
+
+Batches.  A value, a partial or a scalar operand may be a float or an (N,)
+array holding one value per row of a batch of N points; a float stands for
+every row.  Seeding over (N,) arrays carries all N points through one pass
+(vector-mode forward differentiation).  The float path calls ``math`` and
+is unchanged; an array goes through the matching numpy function.  Every
+guard applies row by row: if any row leaves a domain, the whole call
+raises the ``DomainError`` or ``OverflowError`` that a float would raise
+there.  ``Jet.__array_ufunc__`` is None, so numpy hands ``array * jet``
+back to the jet instead of building an object array.
 """
 
 from __future__ import annotations
@@ -17,7 +27,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-Scalar = Union[float, "Jet"]
+Scalar = Union[float, np.ndarray, "Jet"]
+
+# Operands that act as constants in jet arithmetic: floats and (N,) batches.
+_CONSTANTS = (int, float, np.ndarray)
 
 
 class DomainError(ValueError):
@@ -26,6 +39,7 @@ class DomainError(ValueError):
 
 class Jet:
     __slots__ = ("value", "partials")
+    __array_ufunc__ = None
 
     def __init__(self, value: Scalar, partials: Sequence[Scalar]):
         self.value = value
@@ -51,7 +65,7 @@ class Jet:
                 self.value + other.value,
                 [p + q for p, q in zip(self.partials, other.partials)],
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANTS):
             return Jet(self.value + other, [p + 0.0 for p in self.partials])
         return NotImplemented
 
@@ -68,7 +82,7 @@ class Jet:
                 self.value - other.value,
                 [p - q for p, q in zip(self.partials, other.partials)],
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANTS):
             return Jet(self.value - other, [p - 0.0 for p in self.partials])
         return NotImplemented
 
@@ -85,7 +99,7 @@ class Jet:
                 v * ov,
                 [p * ov + v * q for p, q in zip(self.partials, other.partials)],
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, _CONSTANTS):
             zero = v * 0.0
             return Jet(v * other, [p * other + zero for p in self.partials])
         return NotImplemented
@@ -97,7 +111,7 @@ class Jet:
             if len(other.partials) != len(self.partials):
                 raise _arity_mismatch(self, other)
             ov, op = other.value, other.partials
-        elif isinstance(other, (int, float)):
+        elif isinstance(other, _CONSTANTS):
             ov, op = other, (0.0,) * len(self.partials)
         else:
             return NotImplemented
@@ -126,11 +140,18 @@ def _arity_mismatch(u: Jet, w: Jet) -> ValueError:
     return ValueError(f"jet arity mismatch: {u.arity} vs {w.arity}")
 
 
-def deep_value(u: Scalar) -> float:
-    """The underlying float of a possibly nested jet."""
+def deep_value(u: Scalar) -> float | np.ndarray:
+    """The underlying float, or (N,) array, of a possibly nested jet."""
     while isinstance(u, Jet):
         u = u.value
-    return float(u)
+    return u if isinstance(u, np.ndarray) else float(u)
+
+
+def _has_zero(v) -> bool:
+    """v == 0.0 for a float; some row equal to 0.0 for an (N,) array."""
+    if isinstance(v, np.ndarray):
+        return np.count_nonzero(v) < v.size
+    return v == 0.0
 
 
 def partials_of(u: Scalar, arity: int) -> tuple[Scalar, ...]:
@@ -143,7 +164,7 @@ def partials_of(u: Scalar, arity: int) -> tuple[Scalar, ...]:
 
 
 def _guard_divisor(v: Scalar) -> None:
-    if deep_value(v) == 0.0:
+    if _has_zero(deep_value(v)):
         raise DomainError("division by zero")
 
 
@@ -154,9 +175,14 @@ def _square_divisor(v: Scalar) -> Scalar:
     not a ZeroDivisionError.  A jet square is guarded by its own division.
     """
     den = v * v
-    if den == 0.0:
-        raise DomainError(f"divisor {v!r} underflows to zero when squared")
+    if not isinstance(den, Jet) and _has_zero(den):
+        raise DomainError(f"divisor {_first(v, den == 0.0)!r} underflows to zero when squared")
     return den
+
+
+def _first(u, bad):
+    """u, or for an (N,) array its first row where bad holds: the value a message names."""
+    return u[bad][0] if isinstance(u, np.ndarray) else u
 
 
 def _div(num: Scalar, den: Scalar):
@@ -167,10 +193,30 @@ def _div(num: Scalar, den: Scalar):
     return num / den
 
 
+def _no_infinity(u: np.ndarray, name: str) -> np.ndarray:
+    """u, unless some row is infinite: there sin and cos leave their domain, as for a float."""
+    bad = np.isinf(u)
+    if np.count_nonzero(bad):
+        raise DomainError(f"{name} of non-finite value {_first(u, bad)}")
+    return u
+
+
+def _overflow_guard(result: np.ndarray, u: np.ndarray, what: str) -> np.ndarray:
+    """result, unless some row overflowed to infinity from a finite u, as a float would raise."""
+    bad = np.isinf(result)
+    if np.count_nonzero(bad):
+        bad &= np.isfinite(u)
+        if np.count_nonzero(bad):
+            raise OverflowError(f"{what} of {_first(u, bad)} overflows")
+    return result
+
+
 def sin(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         c = cos(u.value)
         return Jet(sin(u.value), tuple(c * p for p in u.partials))
+    if isinstance(u, np.ndarray):
+        return np.sin(_no_infinity(u, "sin"))
     try:
         return math.sin(u)
     except ValueError:  # an infinite argument
@@ -181,6 +227,8 @@ def cos(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         s = sin(u.value)
         return Jet(cos(u.value), tuple(-s * p for p in u.partials))
+    if isinstance(u, np.ndarray):
+        return np.cos(_no_infinity(u, "cos"))
     try:
         return math.cos(u)
     except ValueError:  # an infinite argument
@@ -191,6 +239,9 @@ def exp(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         e = exp(u.value)
         return Jet(e, tuple(e * p for p in u.partials))
+    if isinstance(u, np.ndarray):
+        with np.errstate(over="ignore"):
+            return _overflow_guard(np.exp(u), u, "exp")
     return math.exp(u)
 
 
@@ -198,6 +249,11 @@ def log(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         v = u.value
         return Jet(log(v), tuple(_div(p, v) for p in u.partials))
+    if isinstance(u, np.ndarray):
+        bad = u <= 0.0
+        if np.count_nonzero(bad):
+            raise DomainError(f"log of non-positive value {_first(u, bad)}")
+        return np.log(u)
     if u <= 0.0:
         raise DomainError(f"log of non-positive value {u}")
     return math.log(u)
@@ -214,14 +270,34 @@ def powi(u: Scalar, n: int) -> Scalar:
             powi(u.value, n),
             tuple(n * powi(u.value, n - 1) * p for p in u.partials),
         )
+    if isinstance(u, np.ndarray):
+        if n < 0 and _has_zero(u):
+            raise DomainError("zero raised to a negative power")
+        with np.errstate(over="ignore"):
+            return _overflow_guard(u ** n, u, f"power {n}")
     if n < 0 and u == 0.0:
         raise DomainError("zero raised to a negative power")
     return float(u) ** n
 
 
+def _vector_mode(values: Sequence[Scalar]) -> bool:
+    """Whether values are the (N,) coordinate arrays of a batch of points."""
+    return bool(values) and isinstance(values[0], np.ndarray)
+
+
 def seed(values: Sequence[Scalar]) -> list[Jet]:
-    """Wrap a point so each coordinate differentiates as itself."""
+    """Wrap a point so each coordinate differentiates as itself.
+
+    Over (N,) arrays the seeds are in vector mode: each jet has one
+    partial, an (n, N) block whose row j is the derivative along
+    coordinate j, so every operation carries all n directions at once.
+    """
     n = len(values)
+    if _vector_mode(values):
+        blocks = np.zeros((n, n, len(values[0])))
+        for i in range(n):
+            blocks[i, i] = 1.0
+        return [Jet(v, (block,)) for v, block in zip(values, blocks)]
     return [
         Jet(v, tuple(1.0 if j == i else 0.0 for j in range(n)))
         for i, v in enumerate(values)
@@ -231,31 +307,78 @@ def seed(values: Sequence[Scalar]) -> list[Jet]:
 VectorFn = Callable[[Sequence[Scalar]], Sequence[Scalar]]
 
 
+def _batch_of(point) -> int | None:
+    """N for an (N, dim) array of points, None for one point."""
+    if isinstance(point, np.ndarray) and point.ndim == 2:
+        return point.shape[0]
+    return None
+
+
+def _columns(point) -> list:
+    """A point's coordinates as floats, or an (N, dim) batch's as (N,) arrays, one per axis."""
+    if _batch_of(point) is None:
+        return [float(v) for v in point]
+    return list(np.ascontiguousarray(point.T))
+
+
+def _as_array(entries, batch: int | None, shape: tuple[int, ...]) -> np.ndarray:
+    """Entries, a list or a list of rows, as one float array of the given shape.
+
+    For a batch of N, entry i is a float standing for every row, an (N,)
+    array, or a block of shape shape[1:] + (N,); the result then has a
+    leading axis of length N.
+    """
+    if batch is None:
+        out = np.array(entries, dtype=float)
+        return out if out.shape == shape else out.reshape(shape)
+    out = np.empty((*shape, batch))
+    for i, entry in enumerate(entries):
+        out[i] = entry
+    return out.transpose(len(shape), *range(len(shape)))
+
+
 def generic_jacobian(fn: VectorFn, values: Sequence[Scalar]) -> list[list[Scalar]]:
-    """Rows of partials of ``fn`` at ``values``; entries stay jets when seeded over jets."""
+    """Rows of partials of ``fn`` at ``values``; entries stay jets when seeded over jets.
+
+    Over (N,) arrays (see ``seed``) row i is an (n, N) block, its entry j
+    the (N,) partials along coordinate j.
+    """
     n = len(values)
     outputs = fn(seed(values))
+    if _vector_mode(values):
+        zero = np.zeros((n, len(values[0])))
+        return [out.partials[0] if isinstance(out, Jet) else zero for out in outputs]
     return [list(partials_of(out, n)) for out in outputs]
 
 
-def jet_jacobian(fn: VectorFn, point: Sequence[float]) -> np.ndarray:
-    rows = generic_jacobian(fn, [float(v) for v in point])
-    return np.array(rows, dtype=float)
+def jet_jacobian(fn: VectorFn, point) -> np.ndarray:
+    """The Jacobian of fn at a point, or (N, rows, dim) at an (N, dim) batch."""
+    values = _columns(point)
+    rows = generic_jacobian(fn, values)
+    return _as_array(rows, _batch_of(point), (len(rows), len(values)))
 
 
-def jet_gradient(fn: Callable[[Sequence[Scalar]], Scalar], point: Sequence[float]) -> np.ndarray:
+def jet_gradient(fn: Callable[[Sequence[Scalar]], Scalar], point) -> np.ndarray:
     grad = jet_jacobian(lambda vs: [fn(vs)], point)
-    return grad[0]
+    return grad[..., 0, :]
 
 
 def jet_directional(
     fn: Callable[[Sequence[Scalar]], Scalar],
-    values: Sequence[Scalar],
-    direction: Sequence[Scalar],
+    values,
+    direction,
 ) -> Scalar:
-    """Derivative of ``fn`` at ``values`` along ``direction`` from a single seeded pass."""
+    """Derivative of ``fn`` at ``values`` along ``direction`` from a single seeded pass.
+
+    Values and direction may be (N, dim) batches; the result is then (N,).
+    """
+    batch = _batch_of(values)
+    if batch is not None:
+        values, direction = _columns(values), _columns(direction)
     if len(values) != len(direction):
         raise ValueError("point and direction dimensions differ")
     seeded = [Jet(v, (d,)) for v, d in zip(values, direction)]
-    out = fn(seeded)
-    return partials_of(out, 1)[0]
+    out = partials_of(fn(seeded), 1)[0]
+    if batch is None or isinstance(out, np.ndarray):
+        return out
+    return np.full(batch, float(out))

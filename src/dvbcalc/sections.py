@@ -48,7 +48,7 @@ from .dvb import (
     pair_b,
     pair_cstar_a,
 )
-from .smoothmaps import MatrixMap, SmoothMap
+from .smoothmaps import MatrixMap, SmoothMap, _matvec
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,6 @@ class LinearSectionA:
         return self.at(m)(a)
 
 
-def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """matrix @ v, row by row when either is a batch: (N, rows, cols) matrices, (N, cols) vectors."""
-    if v.ndim == 1:
-        return matrix @ v
-    if matrix.ndim == 2:
-        return v @ matrix.T
-    return (matrix @ v[:, :, None])[:, :, 0]
-
-
 class SectionAt(NamedTuple):
     """A linear section at one base point m: its base value and fiber matrix there.
 
@@ -137,7 +128,7 @@ class SectionAt(NamedTuple):
 
     def __call__(self, fiber) -> DvbElement:
         fiber = np.asarray(fiber, dtype=float)
-        core = _apply(self.matrix, fiber)
+        core = _matvec(self.matrix, fiber)
         if isinstance(self.section, LinearSectionB):
             return DvbElement(self.shape, self.m, self.base, fiber, core)
         return DvbElement(self.shape, self.m, fiber, self.base, core)
@@ -204,14 +195,14 @@ def squarecap_b(xi: LinearSectionB | SectionAt, m, kappa) -> IterBCElement:
     """
     xi = xi.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterBCElement(xi.shape, xi.m, kappa, _apply(np.swapaxes(xi.matrix, -1, -2), kappa), xi.base)
+    return IterBCElement(xi.shape, xi.m, kappa, _matvec(np.swapaxes(xi.matrix, -1, -2), kappa), xi.base)
 
 
 def squarecap_a(eta: LinearSectionA | SectionAt, m, kappa) -> IterACElement:
     """A-side analogue of squarecap_b, landing in the other iterated dual."""
     eta = eta.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterACElement(eta.shape, eta.m, kappa, _apply(np.swapaxes(eta.matrix, -1, -2), kappa), eta.base)
+    return IterACElement(eta.shape, eta.m, kappa, _matvec(np.swapaxes(eta.matrix, -1, -2), kappa), eta.base)
 
 
 def ell_b(xi: LinearSectionB | SectionAt, psi: DualBElement) -> float | np.ndarray:

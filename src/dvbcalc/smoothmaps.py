@@ -6,6 +6,15 @@ seeded jets, so they are exact up to rounding.  ``lie_bracket_generic``
 also takes jets, so brackets can themselves be differentiated, e.g. for
 Jacobi-identity checks; ``lie_bracket`` at float points shares its formula
 and takes its Jacobians from the memoized ``jacobian``.
+
+Batches.  Every function here that takes a point also takes an (N, dim)
+array of N points and returns its result with a leading axis of length N:
+``m(points)`` is (N, codomain_dim), ``jacobian`` (N, codomain_dim, dim),
+``lie_bracket`` (N, dim) and ``directional_derivative`` (N,).  One pass of
+the expressions over (N,) arrays evaluates all N points (see ``jets``); a
+single (dim,) point keeps the float path.  A map whose ``Num`` leaves hold
+(N,) arrays is a family of N maps of one form, and at an (N, dim) batch
+row i is member i at point i.
 """
 
 from __future__ import annotations
@@ -65,44 +74,60 @@ class SmoothMap:
             )
         return [expressions.evaluate(c, values) for c in self.components]
 
-    def __call__(self, point: Sequence[float]) -> np.ndarray:
-        return np.array(self.eval_generic([float(v) for v in point]), dtype=float)
+    def __call__(self, point) -> np.ndarray:
+        batch = jets._batch_of(point)
+        if batch is None:
+            return np.array(self.eval_generic([float(v) for v in point]), dtype=float)
+        values = self.eval_generic(jets._columns(point))
+        return jets._as_array(values, batch, (len(values),))
 
 
-def jacobian(m: SmoothMap, point: Sequence[float]) -> np.ndarray:
+def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v, row by row for (N, rows, cols) matrices or (N, cols) vectors."""
+    if v.ndim == 1:
+        return matrix @ v
+    if matrix.ndim == 2:
+        return v @ matrix.T
+    return (matrix @ v[:, :, None])[:, :, 0]
+
+
+def _point_key(point) -> tuple:
+    """A point, or a batch of points, as its shape and exact bytes (so 0.0 and -0.0 differ)."""
+    point = np.asarray(point, dtype=float)
+    return point.shape, point.tobytes()
+
+
+def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
-    Each map keeps the Jacobian of its previous call, keyed by the exact
-    bytes of the float point (so ``0.0`` and ``-0.0`` are different points).
-    A call at that same point reuses it.  The result is always a fresh
-    array that the caller may modify.
+    Each map keeps the Jacobian of its previous call, keyed by the shape
+    and exact bytes of the float point or batch (so ``0.0`` and ``-0.0``
+    are different points).  A call at that same point reuses it.  The
+    result is always a fresh array that the caller may modify.
     """
-    if len(point) != m.domain_dim:
-        raise DimensionMismatch(
-            f"expected point of dimension {m.domain_dim}, got {len(point)}"
-        )
-    values = [float(v) for v in point]
-    key = np.array(values, dtype=float).tobytes()
+    batch = jets._batch_of(point)
+    dim = len(point) if batch is None else point.shape[1]
+    if dim != m.domain_dim:
+        raise DimensionMismatch(f"expected point of dimension {m.domain_dim}, got {dim}")
+    if batch is None:
+        point = [float(v) for v in point]
+    key = _point_key(point)
     last = m._last_jacobian
     if last is not None and last[0] == key:
         return last[1].copy()
-    jac = jets.jet_jacobian(m.eval_generic, values)
+    jac = jets.jet_jacobian(m.eval_generic, point)
     object.__setattr__(m, "_last_jacobian", (key, jac))
     return jac.copy()
 
 
-def directional_derivative(
-    f: SmoothMap, x_field: SmoothMap, point: Sequence[float]
-) -> float:
+def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | np.ndarray:
     """<df, X> at ``point`` for scalar f and vector field X on the same chart."""
     if f.codomain_dim != 1:
         raise DimensionMismatch("directional derivative expects a scalar map")
     if f.domain_dim != x_field.domain_dim or x_field.codomain_dim != f.domain_dim:
         raise DimensionMismatch("vector field must match the chart dimension")
-    direction = x_field(point)
-    return float(
-        jets.jet_directional(lambda vs: f.eval_generic(vs)[0], list(point), direction)
-    )
+    out = jets.jet_directional(lambda vs: f.eval_generic(vs)[0], point, x_field(point))
+    return out if jets._batch_of(point) is not None else float(out)
 
 
 def _check_vector_field(x_field: SmoothMap) -> None:
@@ -132,10 +157,13 @@ def lie_bracket_generic(
     return _bracket(xv, yv, jx, jy)
 
 
-def lie_bracket(
-    x_field: SmoothMap, y_field: SmoothMap, point: Sequence[float]
-) -> np.ndarray:
-    """[X, Y] at a float point.
+def _entries(jac: np.ndarray, batch: int | None):
+    """A Jacobian's entries [i][j]: floats, or for a batch the (N,) arrays of their rows."""
+    return jac.tolist() if batch is None else np.moveaxis(jac, 0, -1)
+
+
+def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
+    """[X, Y] at a float point, or (N, dim) at an (N, dim) batch.
 
     The Jacobians come from ``jacobian``, so a field already differentiated
     at this point is not differentiated again.
@@ -144,16 +172,17 @@ def lie_bracket(
     _check_vector_field(y_field)
     if x_field.domain_dim != y_field.domain_dim:
         raise DimensionMismatch("vector fields live on different charts")
-    values = [float(v) for v in point]
+    batch = jets._batch_of(point)
+    values = jets._columns(point)
     if len(values) != x_field.domain_dim:
         raise DimensionMismatch(
             f"expected point of dimension {x_field.domain_dim}, got {len(values)}"
         )
     xv = x_field.eval_generic(values)
     yv = y_field.eval_generic(values)
-    jx = jacobian(x_field, values).tolist()
-    jy = jacobian(y_field, values).tolist()
-    return np.array(_bracket(xv, yv, jx, jy), dtype=float)
+    jx = _entries(jacobian(x_field, point), batch)
+    jy = _entries(jacobian(y_field, point), batch)
+    return jets._as_array(_bracket(xv, yv, jx, jy), batch, (len(values),))
 
 
 @dataclass(frozen=True)
@@ -168,12 +197,21 @@ class MatrixMap:
     cols: int
     fn: Callable[[Sequence[float]], np.ndarray] = field(repr=False)
 
-    def __call__(self, point: Sequence[float]) -> np.ndarray:
+    def __call__(self, point) -> np.ndarray:
+        """The matrix at a point, or the (N, rows, cols) matrices at an (N, dim) batch.
+
+        A function that returns one matrix for a batch, such as a constant,
+        gives that matrix for every row.
+        """
         out = np.asarray(self.fn(point), dtype=float)
-        if out.shape != (self.rows, self.cols):
-            raise DimensionMismatch(
-                f"matrix map returned shape {out.shape}, expected {(self.rows, self.cols)}"
-            )
+        expected = (self.rows, self.cols)
+        batch = jets._batch_of(point)
+        if batch is not None:
+            if out.shape == expected:
+                out = np.broadcast_to(out, (batch, *expected))
+            expected = (batch, *expected)
+        if out.shape != expected:
+            raise DimensionMismatch(f"matrix map returned shape {out.shape}, expected {expected}")
         return out
 
     @classmethod
@@ -182,7 +220,12 @@ class MatrixMap:
             raise DimensionMismatch(
                 f"need {rows * cols} components for a {rows}x{cols} matrix, got {m.codomain_dim}"
             )
-        return cls(rows, cols, lambda p: m(p).reshape(rows, cols))
+
+        def matrix(p):
+            out = m(p)
+            return out.reshape(rows, cols) if out.ndim == 1 else out.reshape(len(out), rows, cols)
+
+        return cls(rows, cols, matrix)
 
     @classmethod
     def from_jacobian(cls, m: SmoothMap) -> "MatrixMap":

@@ -23,8 +23,14 @@ from dvbcalc.harness.suites import (  # noqa: F401
     _poly_map as poly_map,
     _rand_vec as rand_vec,
     _random_grid as random_grid,
-    _random_shape as random_shape,
 )
+
+
+def random_shape(rng, max_dim: int = 4, max_base: int = 3) -> DvbShape:
+    """A random dvb shape: side and core dimensions in 1..max_dim, base in 0..max_base."""
+    dims = rng.integers(1, max_dim + 1, 3)
+    base = int(rng.integers(0, max_base + 1))
+    return DvbShape(int(dims[0]), int(dims[1]), int(dims[2]), base)
 
 
 def constant_grid(shape, x_value, y_value, lam, mu):

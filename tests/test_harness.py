@@ -652,8 +652,9 @@ def test_chart_sample_is_bitwise_uniform_over_the_box(chart):
 
 
 def _operator_without_fiber_matrix(field):
-    # Dmu X: the operator as if the field's fiber matrix were zero.
-    return lambda mu, m: jacobian(mu, m) @ field.base
+    # Dmu X: the operator as if the field's fiber matrix were zero, row by
+    # row over the suite's batch.
+    return lambda mu, m: np.einsum("nij,nj->ni", jacobian(mu, m), field.base)
 
 
 _LINEAR_VECTOR_FIELD_OPERATOR = tangent.linear_vector_field_operator
@@ -702,3 +703,166 @@ def test_algebra_suites_count_every_sample_once(monkeypatch, samples, max_batch)
     assert len(checks) == len(expected)
     assert {(c.suite, c.name, c.samples) for c in checks} == expected
     assert all(c.passed for c in checks)
+
+
+def test_sign_guard_records_a_batch_and_never_a_nan_row():
+    guard = suites._SignGuard("guard", "a flipped-sign check")
+    guard.add_flipped(np.array([0.5, -3.0, np.nan]))
+    assert guard.details["max_flipped_residual"] == 3.0
+    guard.add_flipped(np.array([np.nan, 1.0]))
+    guard.add_flipped(-2.0)
+    assert guard.details["max_flipped_residual"] == 3.0
+    assert type(guard.details["max_flipped_residual"]) is float
+    # As max(0.0, nan) does, a NaN row leaves the flipped residual at 0.0,
+    # so the check fails instead of counting it above 100 tolerances.
+    only_nan = suites._SignGuard("guard", "a flipped-sign check")
+    only_nan.add_flipped(np.array([np.nan, np.nan]))
+    only_nan.add(0.0)
+    assert only_nan.details["max_flipped_residual"] == 0.0
+    assert not only_nan.passes(1e-9)
+
+
+CALCULUS_BATCHED = ("bracket", "connection", "bracket-pairing", "connection-pairing")
+
+
+@pytest.mark.parametrize("max_batch", [None, 2])
+@pytest.mark.parametrize("samples", [1, 2, 5, 24, 65])
+def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, max_batch):
+    # The suites group a chunk's samples by dimension, connection and named
+    # or random maps; with the cap lowered, a group spans several batches.
+    if max_batch is not None:
+        monkeypatch.setattr(suites, "_MAX_BATCH", max_batch)
+    n = samples
+    expected = {
+        ("bracket", "field-pairs", 2 * max(1, n // 2)),
+        ("bracket", "random-polynomials", n),
+        ("connection", "covariant-derivative", n),
+        ("connection", "flat-reduction", n),
+        ("connection", "horizontal-momentum", n),
+        ("connection", "horizontal-pullback", n),
+        ("connection", "linear-operator", n),
+        ("bracket-pairing", "momentum-identity", n),
+        ("bracket-pairing", "closed-forms", 4 * n),
+        ("bracket-pairing", "decomposed-cross-check", 6 * n),
+        ("bracket-pairing", "sharp-sign-pinned", n),
+        ("connection-pairing", "momentum-identity", n),
+        ("connection-pairing", "flat-reduction", 2 * n),
+        ("connection-pairing", "decomposed-cross-check", 4 * n),
+    }
+    checks = run_suites(_demo_spec(), suite_names=CALCULUS_BATCHED, samples=samples)
+    assert len(checks) == len(expected)
+    assert {(c.suite, c.name, c.samples) for c in checks} == expected
+    assert all(c.passed for c in checks)
+
+
+def _per_sample_draws(suite, spec, samples, rng):
+    """The draws each sample of a batched calculus suite makes, one sample
+    after another in index order, without evaluating anything."""
+    conns = suites._spec_connections(spec, rng, 3) if "connection" in suite else []
+    if suite == "bracket":
+        for _ in range(max(1, samples // 2)):
+            spec.chart.sample(rng)
+    for i in range(samples):
+        if suite == "bracket":
+            dim = 1 + i % 3
+            suites._poly_draw(rng, dim, dim)
+            suites._poly_draw(rng, dim, dim)
+            Chart(dim).sample(rng)
+        elif suite == "bracket-pairing":
+            if i % 2:
+                suites._poly_draw(rng, 2, 2)
+                suites._poly_draw(rng, 2, 2)
+            spec.chart.sample(rng)
+            rng.uniform(-1.0, 1.0, 2)
+        else:
+            n, k = 2, conns[i % 3].bundle.fiber_dim
+            suites._poly_draw(rng, n, n)
+            if suites._spec_section(spec, i, k) is None:
+                suites._poly_draw(rng, n, k)
+            spec.chart.sample(rng)
+            rng.uniform(-1.0, 1.0, k)
+            if suite == "connection":
+                suites._poly_draw(rng, n, k)
+                suites._poly_draw(rng, n, 1)
+                rng.uniform(-1.0, 1.0, (k, k))
+
+
+@pytest.mark.parametrize("max_batch", [None, 2])
+@pytest.mark.parametrize("suite", CALCULUS_BATCHED)
+def test_batched_calculus_suites_draw_each_sample_as_alone(monkeypatch, suite, max_batch):
+    # Batching changes no draw: the stream ends where the per-sample draws end.
+    if max_batch is not None:
+        monkeypatch.setattr(suites, "_MAX_BATCH", max_batch)
+    spec = _demo_spec()
+    ours, reference = np.random.default_rng(4), np.random.default_rng(4)
+    suites.SUITES[suite][1](spec, 13, ours)
+    _per_sample_draws(suite, spec, 13, reference)
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def _spec_with_one_point_replaced(data, index, point):
+    """The spec of data, whose chart returns point at its index-th sample."""
+    spec = ProblemSpec.from_dict(data)
+    chart, calls = spec.chart, []
+
+    def sample(rng):
+        value = Chart.sample(chart, rng)
+        calls.append(None)
+        return np.array(point) if len(calls) == index + 1 else value
+
+    object.__setattr__(chart, "sample", sample)
+    return spec
+
+
+# (suite, samples, index of the sample whose point is replaced): the
+# replaced point is one row of a batch of several.
+_ONE_ROW = [
+    ("bracket", 8, 2),
+    ("bracket-pairing", 8, 2),
+    ("connection", 12, 6),
+    ("connection-pairing", 12, 6),
+]
+
+
+@pytest.mark.parametrize("suite, samples, index", _ONE_ROW)
+@pytest.mark.parametrize(
+    "expression, box, bad",
+    [
+        ("log(x0)", [0.5, 1.0], -1.0),
+        ("1/x0", [0.5, 1.0], 0.0),
+        ("exp(exp(exp(exp(x0*10))))", [-1.0, -0.5], 1.0),
+        ("(x0+10)^400", [-10.0, -9.5], 1.0),
+    ],
+)
+def test_one_row_leaving_its_domain_ends_the_batched_suite(
+    suite, samples, index, expression, box, bad
+):
+    data = {
+        "chart": {"dim": 1, "box": [box]},
+        "fields": {"X": [expression], "Y": ["1"]},
+        "sections": {"mu": [expression]},
+    }
+    healthy = run_suites(ProblemSpec.from_dict(data), suite_names=[suite], samples=samples)
+    assert all(c.passed for c in healthy)
+    spec = _spec_with_one_point_replaced(data, index, [bad])
+    with np.errstate(all="ignore"):
+        checks = run_suites(spec, suite_names=[suite], samples=samples)
+    assert [(c.name, c.passed) for c in checks] == [("domain-error", False)]
+
+
+@pytest.mark.parametrize("suite, samples, index", _ONE_ROW)
+def test_one_row_overflowing_a_product_fails_checks_of_the_batched_suite(suite, samples, index):
+    # On the box x0*x0 underflows to 0, and the derivative stays finite; at
+    # x0 = 1 the product overflows to inf, as x0*1e308*10 does.
+    data = {
+        "chart": {"dim": 1, "box": [[-1e-310, 1e-310]]},
+        "fields": {"X": ["x0*x0*1e308*10"], "Y": ["1"]},
+        "sections": {"mu": ["x0*x0*1e308*10"]},
+    }
+    healthy = run_suites(ProblemSpec.from_dict(data), suite_names=[suite], samples=samples)
+    assert all(c.passed for c in healthy)
+    spec = _spec_with_one_point_replaced(data, index, [1.0])
+    with np.errstate(all="ignore"):
+        checks = run_suites(spec, suite_names=[suite], samples=samples)
+    assert all(c.name != "domain-error" for c in checks)
+    assert not all(c.passed for c in checks)

@@ -279,4 +279,21 @@ def test_ring_operations_leave_other_operands_to_them():
     u = Jet(1.0, (1.0,))
     assert u.__add__("x") is NotImplemented
     assert u.__sub__([1.0]) is NotImplemented
-    assert u.__mul__(np.array([1.0])) is NotImplemented
+    assert u.__truediv__((1.0,)) is NotImplemented
+
+
+def test_an_array_is_a_constant_operand_on_either_side():
+    # An (N,) array holds one constant per row; numpy defers to the jet, so
+    # no order of operands builds an object array.
+    u, c = Jet(np.array([1.0, 2.0]), (1.0,)), np.array([3.0, 4.0])
+    for out, value, partial in [
+        (u * c, [3.0, 8.0], [3.0, 4.0]),
+        (c * u, [3.0, 8.0], [3.0, 4.0]),
+        (c + u, [4.0, 6.0], [1.0, 1.0]),
+        (c - u, [2.0, 2.0], [-1.0, -1.0]),
+        (c / u, [3.0, 2.0], [-3.0, -1.0]),
+        (u / c, [1 / 3, 0.5], [1 / 3, 0.25]),
+    ]:
+        assert isinstance(out, Jet)
+        np.testing.assert_allclose(out.value, value, rtol=1e-15)
+        np.testing.assert_allclose(out.partials[0], partial, rtol=1e-15)
