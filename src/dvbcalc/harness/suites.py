@@ -10,8 +10,11 @@ run's tolerance.
 Six suites run their samples in batches of at most _MAX_BATCH: the two
 algebra suites by dvb shape, and bracket, connection, bracket-pairing and
 connection-pairing by chunk and form (see the comment above _run_bracket).
-A batch calls the library once on (N, dim) arrays and records each check
-with samples=N, so every check counts the samples it did one at a time.
+Each of them evaluates each map role once per batch; a random role (the
+four maps of warp-pairing's grid, a calculus suite's random fields and
+sections) is one family of the batch's draws (``_poly_family``).  A batch
+calls the library once on (N, dim) arrays and records each check with
+samples=N, so every check counts the samples it did one at a time.
 cotangent-duality and duality-diagram still run one sample at a time.
 """
 
@@ -122,25 +125,6 @@ def _poly_family(draws: Sequence[tuple[np.ndarray, np.ndarray | None]], dim: int
             expr = Add(expr, Mul(inner, var[i]))
         comps.append(expr)
     return SmoothMap(dim, tuple(comps))
-
-
-def _matrix_map(rng, dim: int, rows: int, cols: int) -> MatrixMap:
-    return MatrixMap.from_smooth_map(_poly_map(rng, dim, rows * cols, degree=1), rows, cols)
-
-
-def _random_grid(rng, shape: dvb.DvbShape) -> sections.Grid:
-    return sections.Grid(
-        xi=sections.LinearSectionB(
-            shape,
-            _poly_map(rng, shape.base_dim, shape.dim_a, degree=1),
-            _matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_b),
-        ),
-        eta=sections.LinearSectionA(
-            shape,
-            _poly_map(rng, shape.base_dim, shape.dim_b, degree=1),
-            _matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_a),
-        ),
-    )
 
 
 def _random_connection(rng, chart: Chart, fiber_dim: int) -> Connection:
@@ -327,14 +311,6 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]
 _SQUARECAP_DRAWS = 20
 
 
-def _stack_grids(values: Sequence[sections.Grid]) -> sections.Grid:
-    """One grid value whose row j is values[j]."""
-    return sections.Grid(
-        sections.stack([value.xi for value in values]),
-        sections.stack([value.eta for value in values]),
-    )
-
-
 def _repeat_rows(value: sections.SectionAt, k: int) -> sections.SectionAt:
     """A batched section value with each row repeated k times in place."""
     return value._replace(
@@ -359,18 +335,28 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
                             "the C* projection is recovered by pairing with carried core vectors")
 
     for shape, n in _shape_batches(spec.dvb_shapes, samples):
-        da, db, dc = shape.dim_a, shape.dim_b, shape.dim_c
-        grids = [_random_grid(rng, shape) for _ in range(n)]
+        da, db, dc, dim = shape.dim_a, shape.dim_b, shape.dim_c, shape.base_dim
+        # Sample j draws its grid's X, Lambda, Y and Mu, in that order, and
+        # each of the four roles is one family whose member j is sample j's.
+        grid_draws = [
+            [_poly_draw(rng, dim, codim, degree=1) for codim in (da, dc * db, db, dc * da)]
+            for _ in range(n)
+        ]
+        x, lam, y, mu = (_poly_family(role, dim) for role in zip(*grid_draws))
+        grid = sections.Grid(
+            xi=sections.LinearSectionB(shape, x, MatrixMap.from_smooth_map(lam, dc, db)),
+            eta=sections.LinearSectionA(shape, y, MatrixMap.from_smooth_map(mu, dc, da)),
+        )
         # Row j of every block belongs to the batch's j-th sample.
         m, kappa, draws, psi_alpha, psi_b, c1, c2 = _uniform_rows(
-            rng, n, shape.base_dim, dc, _SQUARECAP_DRAWS * 2 * (da + db), da, db, dc, dc
+            rng, n, dim, dc, _SQUARECAP_DRAWS * 2 * (da + db), da, db, dc, dc
         )
         a1, a2, b1, b2, c11, c12, c21, c22 = _integer_rows(rng, n, da, da, db, db, dc, dc, dc, dc)
 
-        # Each sample's sections are evaluated once at its point, and the
-        # swapped grid's once more; everything below reuses the two batches.
-        at_m = _stack_grids([grid.at(row) for grid, row in zip(grids, m)])
-        flipped = _stack_grids([sections.swap_grid(grid).at(row) for grid, row in zip(grids, m)])
+        # The grid's sections are evaluated once at the batch's points, and
+        # the swapped grid's once more; everything below reuses the two values.
+        at_m = grid.at(m)
+        flipped = sections.swap_grid(grid).at(m)
 
         lhs, rhs = sections.warp_pairing_check(at_m, m, kappa)
         identity.add(lhs - rhs, samples=n)
@@ -429,7 +415,9 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 # it would make alone, in index order; the samples are then grouped by what
 # makes them differ in form (chart dimension, connection, named or random
 # maps), and every check runs once per group on (N, dim) points.  Each
-# random map role of a group is one family (``_poly_family``).
+# random map role of a group is one family (``_poly_family``), evaluated
+# once per group, as warp-pairing evaluates its grid's four families once
+# per batch.  Only cotangent-duality and duality-diagram run per sample.
 
 def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     checks: list[_Residuals] = []

@@ -20,15 +20,15 @@ returns a ``SectionAt``, the fiber-linear map over m.  Its own ``at(m)`` is
 itself, so every function here that takes a section (or a grid) and a
 point also takes its value at that point, and repeated use at one point
 costs no further map evaluation.  Fibers and kappa may be (N, dim)
-batches; see ``dvb``.  ``stack`` turns the values of N sections of one
-kind, each at its own point, into one batched ``SectionAt``, and every
-function here that takes a value also takes such a batch.
+batches; see ``dvb``.  At an (N, dim) batch of points ``at`` returns one
+batched ``SectionAt``, and every function here that takes a value also
+takes such a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +106,9 @@ class SectionAt(NamedTuple):
     section's element over it: (m; base, b, matrix b) for a LinearSectionB,
     (m; a, base, matrix a) for a LinearSectionA.
 
-    A batch (see ``stack``) holds N such values: m, base and matrix carry a
-    leading axis of length N, and row i is one section at one point.  Its
-    ``section`` is row 0's, which fixes the kind and shape of every row.
+    A batch, the value of ``section.at`` at (N, dim) points, holds N such
+    values: m, base and matrix carry a leading axis of length N, and row i
+    is the section at point i (member i's, if its maps are families).
     """
 
     section: LinearSectionA | LinearSectionB
@@ -132,20 +132,6 @@ class SectionAt(NamedTuple):
         if isinstance(self.section, LinearSectionB):
             return DvbElement(self.shape, self.m, self.base, fiber, core)
         return DvbElement(self.shape, self.m, fiber, self.base, core)
-
-
-def stack(values: Sequence[SectionAt]) -> SectionAt:
-    """One batch whose row i is values[i]: sections of one kind and shape, each at its own point."""
-    first = values[0].section
-    for value in values:
-        if type(value.section) is not type(first) or value.shape != first.shape:
-            raise IncompatibleElements("stacked sections differ in kind or shape")
-    return SectionAt(
-        first,
-        np.stack([value.m for value in values]),
-        np.stack([value.base for value in values]),
-        np.stack([value.matrix for value in values]),
-    )
 
 
 @dataclass(frozen=True)

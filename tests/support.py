@@ -1,6 +1,7 @@
-"""Shared helpers for the tests: the harness's random generators, a constant
-grid, tangent points and covectors of T(A) from their coordinates, and a
-change of decomposition."""
+"""Shared helpers for the tests: the harness's random generators, a random
+and a constant grid, a row-by-row check of batched results, tangent points
+and covectors of T(A) from their coordinates, and a change of
+decomposition."""
 
 import numpy as np
 
@@ -17,13 +18,33 @@ from dvbcalc import (
     MatrixMap,
     SmoothMap,
 )
+from dvbcalc.dvb import Record
 from dvbcalc.sections import SectionAt
-from dvbcalc.harness.suites import (  # noqa: F401
-    _matrix_map as matrix_map,
-    _poly_map as poly_map,
-    _rand_vec as rand_vec,
-    _random_grid as random_grid,
-)
+from dvbcalc.harness.suites import _poly_map as poly_map, _rand_vec as rand_vec  # noqa: F401
+
+
+EPS = np.finfo(float).eps
+
+
+def arrays_of(value) -> list[np.ndarray]:
+    """An array result as itself; a dvb record or a SectionAt as its arrays."""
+    if isinstance(value, Record):
+        return [getattr(value, name) for name, _ in value._fields]
+    if isinstance(value, SectionAt):
+        return [value.m, value.base, value.matrix]
+    return [np.asarray(value)]
+
+
+def assert_rows(batched, per_row, ulps: int = 16) -> None:
+    """Row r of each batched array equals per_row[r] within a few ulps of the row's scale."""
+    for r, single in enumerate(per_row):
+        for got, want in zip(arrays_of(batched), arrays_of(single), strict=True):
+            assert got.dtype == np.float64
+            want = np.asarray(want, dtype=float)
+            row = got[r] if got.ndim > want.ndim else got
+            assert row.shape == want.shape
+            scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+            assert np.max(np.abs(row - want), initial=0.0) <= ulps * EPS * scale
 
 
 def random_shape(rng, max_dim: int = 4, max_base: int = 3) -> DvbShape:
@@ -31,6 +52,28 @@ def random_shape(rng, max_dim: int = 4, max_base: int = 3) -> DvbShape:
     dims = rng.integers(1, max_dim + 1, 3)
     base = int(rng.integers(0, max_base + 1))
     return DvbShape(int(dims[0]), int(dims[1]), int(dims[2]), base)
+
+
+def matrix_map(rng, dim: int, rows: int, cols: int) -> MatrixMap:
+    """A random degree-1 rows x cols matrix map on a dim-chart, drawn by ``poly_map``."""
+    return MatrixMap.from_smooth_map(poly_map(rng, dim, rows * cols, degree=1), rows, cols)
+
+
+def random_grid(rng, shape: DvbShape) -> Grid:
+    """A random degree-1 grid: X, Lambda, Y and Mu drawn in that order, as
+    ``warp-pairing`` draws each sample's grid."""
+    return Grid(
+        xi=LinearSectionB(
+            shape,
+            poly_map(rng, shape.base_dim, shape.dim_a, degree=1),
+            matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_b),
+        ),
+        eta=LinearSectionA(
+            shape,
+            poly_map(rng, shape.base_dim, shape.dim_b, degree=1),
+            matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_a),
+        ),
+    )
 
 
 def constant_grid(shape, x_value, y_value, lam, mu):

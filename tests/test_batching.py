@@ -15,17 +15,17 @@ import pytest
 from dvbcalc import cotangent as ct
 from dvbcalc import expressions, jets, tangent
 from dvbcalc.charts import Chart, Connection, TrivialBundle
-from dvbcalc.dvb import Record
 from dvbcalc.harness import suites
 from dvbcalc.harness.problem import ProblemSpec
 from dvbcalc.jets import DomainError, Jet
 from dvbcalc.sections import SectionAt
 from dvbcalc.smoothmaps import MatrixMap, SmoothMap, directional_derivative, jacobian, lie_bracket
 
+import support
+
 ROOT = Path(__file__).resolve().parents[1]
 NAMED = ProblemSpec.from_file(str(ROOT / "perfbench" / "named_maps.json"))
 SIZES = [1, 2, 64, 65]
-EPS = np.finfo(float).eps
 
 
 class Case:
@@ -77,27 +77,6 @@ def _named_case(n: int) -> Case:
 
 
 CASES = {"family": _family_case, "named": _named_case}
-
-
-def _fields(value) -> list[np.ndarray]:
-    """An array result as itself; a dvb record or a SectionAt as its arrays."""
-    if isinstance(value, Record):
-        return [getattr(value, name) for name, _ in value._fields]
-    if isinstance(value, SectionAt):
-        return [value.m, value.base, value.matrix]
-    return [np.asarray(value)]
-
-
-def _assert_rows(batched, per_row, ulps: int = 16) -> None:
-    """Row r of each batched array equals per_row[r] within a few ulps of the row's scale."""
-    for r, single in enumerate(per_row):
-        for got, want in zip(_fields(batched), _fields(single), strict=True):
-            assert got.dtype == np.float64
-            want = np.asarray(want, dtype=float)
-            row = got[r] if got.ndim > want.ndim else got
-            assert row.shape == want.shape
-            scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
-            assert np.max(np.abs(row - want), initial=0.0) <= ulps * EPS * scale
 
 
 def _eval(m, x, v):
@@ -161,7 +140,7 @@ def test_batched_call_equals_its_rows(call, case, n):
     single_fn = single_fn or batched_fn
     batched = batched_fn(data.batch, data.point, data.fiber)
     per_row = [single_fn(maps, x, v) for maps, x, v in zip(data.rows, data.point, data.fiber)]
-    _assert_rows(batched, per_row)
+    support.assert_rows(batched, per_row)
 
 
 def test_a_batched_section_value_is_one_section_at():
@@ -178,7 +157,7 @@ def test_no_path_builds_an_object_array():
         assert value.value.dtype == np.float64 and value.partials[0].dtype == np.float64
     data = _named_case(3)
     for batched_fn, _ in CALLS.values():
-        for array in _fields(batched_fn(data.batch, data.point, data.fiber)):
+        for array in support.arrays_of(batched_fn(data.batch, data.point, data.fiber)):
             assert array.dtype == np.float64
 
 

@@ -26,11 +26,14 @@ from dvbcalc.sections import (
     squarecap_a,
     squarecap_b,
     squarecap_pairing,
-    stack,
     swap_grid,
     warp,
     warp_pairing_check,
 )
+from dvbcalc import sections
+from dvbcalc.charts import Chart
+from dvbcalc.harness import suites
+from dvbcalc.harness.problem import ProblemSpec
 from dvbcalc.smoothmaps import MatrixMap, SmoothMap
 
 import support
@@ -326,52 +329,62 @@ def test_batched_fibers_equal_their_rows():
             assert np.array_equal(caps.b, row_cap.b)
 
 
-def _close(value, expected):
-    return abs(value - expected) <= 2e-15 * max(1.0, abs(expected))
+def test_family_grid_values_equal_their_rows(monkeypatch):
+    """warp-pairing evaluates one grid of families per batch.  Replaying its
+    stream sample by sample gives each row's own grid and point: the row's
+    base values and fiber matrices must be that grid's there, bitwise, and
+    what is built from them must match the row's own within a few ulps."""
+    seen = []
 
+    def recorded(grid, m, kappa):
+        seen.append((grid, m, kappa))
+        return warp_pairing_check(grid, m, kappa)
 
-def test_stacked_section_values_equal_their_rows():
-    rows = 5
-    for _ in range(20):
-        shape = support.random_shape(RNG)
-        grids = [support.random_grid(RNG, shape) for _ in range(rows)]
-        m = support.rand_vec(RNG, (rows, shape.base_dim))
-        kappa = support.rand_vec(RNG, (rows, shape.dim_c))
-        psi = DualBElement(shape, m, kappa, support.rand_vec(RNG, (rows, shape.dim_a)),
-                           support.rand_vec(RNG, (rows, shape.dim_b)))
-        phi = DualAElement(shape, m, support.rand_vec(RNG, (rows, shape.dim_a)),
-                           support.rand_vec(RNG, (rows, shape.dim_b)), kappa)
-        values = [grid.at(point) for grid, point in zip(grids, m)]
-        batch = Grid(stack([v.xi for v in values]), stack([v.eta for v in values]))
-        assert batch.xi.matrix.shape == (rows, shape.dim_c, shape.dim_b)
+    monkeypatch.setattr(sections, "warp_pairing_check", recorded)
+    for samples in (1, 5, 65):
+        for _ in range(6):
+            shape = support.random_shape(RNG)
+            da, db, dc, dim = shape.dim_a, shape.dim_b, shape.dim_c, shape.base_dim
+            seed = int(RNG.integers(2**32))
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            seen.clear()
+            suites._run_warp_pairing(ProblemSpec(Chart(dim), dvb_shapes=(shape,)), samples, rng)
+            # Each batch checks its grid's values, then the swapped grid's.
+            batches = list(zip(seen[::2], seen[1::2], strict=True))
+            assert sum(len(m) for (_, m, _), _ in batches) == samples
 
-        warps = warp(batch, m)
-        lhs, rhs = warp_pairing_check(batch, m, kappa)
-        cap_b, cap_a = squarecap_b(batch.xi, m, kappa), squarecap_a(batch.eta, m, kappa)
-        ells_b, ells_a = ell_b(batch.xi, psi), ell_a(batch.eta, phi)
-        assert lhs.shape == rhs.shape == ells_b.shape == ells_a.shape == (rows,)
-        for i, value in enumerate(values):
-            assert np.array_equal(warps[i], warp(value, m[i]))
-            row_lhs, row_rhs = warp_pairing_check(value, m[i], kappa[i])
-            assert _close(lhs[i], row_lhs) and _close(rhs[i], row_rhs)
-            row_b = squarecap_b(value.xi, m[i], kappa[i])
-            row_a = squarecap_a(value.eta, m[i], kappa[i])
-            for batched, row in ((cap_b, row_b), (cap_a, row_a)):
-                for name, _ in row._fields:
-                    assert np.array_equal(getattr(batched, name)[i], getattr(row, name))
-            row_psi = DualBElement(shape, m[i], kappa[i], psi.alpha[i], psi.b[i])
-            row_phi = DualAElement(shape, m[i], phi.a[i], phi.beta[i], kappa[i])
-            assert _close(ells_b[i], ell_b(value.xi, row_psi))
-            assert _close(ells_a[i], ell_a(value.eta, row_phi))
+            for (value, m, kappa), (flipped, _, _) in batches:
+                rows = len(m)
+                grids = [support.random_grid(replay, shape) for _ in range(rows)]
+                width = dim + dc + suites._SQUARECAP_DRAWS * 2 * (da + db) + da + db + 2 * dc
+                block = replay.uniform(-1.0, 1.0, (rows, width))
+                replay.integers(-8, 9, (rows, 2 * (da + db) + 4 * dc))
+                assert np.array_equal(m, block[:, :dim])
+                assert np.array_equal(kappa, block[:, dim:dim + dc])
 
+                per_row = [grid.at(point) for grid, point in zip(grids, m)]
+                swapped = [swap_grid(grid).at(point) for grid, point in zip(grids, m)]
+                for batch, singles in ((value, per_row), (flipped, swapped)):
+                    for i, single in enumerate(singles):
+                        for got, want in ((batch.xi, single.xi), (batch.eta, single.eta)):
+                            assert np.array_equal(got.base[i], want.base)
+                            assert np.array_equal(got.matrix[i], want.matrix)
 
-def test_stack_rejects_mixed_kinds_and_shapes():
-    shape = DvbShape(2, 2, 1, 1)
-    grid = support.random_grid(RNG, shape)
-    other = support.random_grid(RNG, DvbShape(2, 2, 2, 1))
-    m = np.array([0.5])
-    assert stack([grid.xi.at(m)]).m.shape == (1, 1)
-    with pytest.raises(IncompatibleElements):
-        stack([grid.xi.at(m), grid.eta.at(m)])
-    with pytest.raises(IncompatibleElements):
-        stack([grid.xi.at(m), other.xi.at(m)])
+                psi = DualBElement(shape, m, kappa, support.rand_vec(RNG, (rows, da)),
+                                   support.rand_vec(RNG, (rows, db)))
+                phi = DualAElement(shape, m, support.rand_vec(RNG, (rows, da)),
+                                   support.rand_vec(RNG, (rows, db)), kappa)
+                row_psi = [DualBElement(shape, m[i], kappa[i], psi.alpha[i], psi.b[i]) for i in range(rows)]
+                row_phi = [DualAElement(shape, m[i], phi.a[i], phi.beta[i], kappa[i]) for i in range(rows)]
+                row_checks = [warp_pairing_check(v, m[i], kappa[i]) for i, v in enumerate(per_row)]
+                lhs, rhs = warp_pairing_check(value, m, kappa)
+                support.assert_rows(lhs, [check[0] for check in row_checks])
+                support.assert_rows(rhs, [check[1] for check in row_checks])
+                support.assert_rows(warp(value, m), [warp(v, m[i]) for i, v in enumerate(per_row)])
+                support.assert_rows(squarecap_b(value.xi, m, kappa),
+                                    [squarecap_b(v.xi, m[i], kappa[i]) for i, v in enumerate(per_row)])
+                support.assert_rows(squarecap_a(value.eta, m, kappa),
+                                    [squarecap_a(v.eta, m[i], kappa[i]) for i, v in enumerate(per_row)])
+                support.assert_rows(ell_b(value.xi, psi), [ell_b(v.xi, p) for v, p in zip(per_row, row_psi)])
+                support.assert_rows(ell_a(value.eta, phi), [ell_a(v.eta, p) for v, p in zip(per_row, row_phi)])
+            assert rng.bit_generator.state == replay.bit_generator.state
