@@ -19,6 +19,7 @@ from .cotangent import (
     dnu_sharp,
     dual_horizontal_field,
     ell_differential,
+    flip_form_defects,
     flip_relation_residual,
     i_components,
     j_star,
@@ -26,7 +27,6 @@ from .cotangent import (
     squarecap_complete_lift,
     squarecap_horizontal,
     squarecap_tangent_lift,
-    symplectic_checks,
     tangent_pairing,
     tangent_pairing_via_sections,
 )

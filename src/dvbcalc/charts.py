@@ -150,7 +150,7 @@ class Connection:
 
         def tensor(m):
             out = coeff_map(m)
-            return out.reshape(n, k, k) if out.ndim == 1 else out.reshape(len(out), n, k, k)
+            return out.reshape(*out.shape[:-1], n, k, k)
 
         return cls(bundle, tensor)
 

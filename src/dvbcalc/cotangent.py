@@ -58,7 +58,7 @@ from .charts import Connection, TrivialBundle
 from .dvb import DualAElement, DualBElement, DvbElement, _dot, _same, pair_a, pair_b, scale_over_a
 from .jets import Scalar
 from .sections import LinearSectionA
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, lie_bracket
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, _matvec, lie_bracket
 from .tangent import _shape, tangent_bundle_shape
 
 DNU_SHARP_SIGN = 1.0
@@ -97,15 +97,16 @@ def tangent_pairing(xc: DvbElement, xi: DvbElement) -> float | np.ndarray:
 
 def tangent_pairing_via_sections(
     xc: DvbElement, xi: DvbElement, mu: SmoothMap, phi: SmoothMap
-) -> float:
+) -> float | np.ndarray:
     """The tangent pairing computed from extending sections.
 
     mu must pass through xi's fiber point and phi through xc's, up to
     _PASS_THROUGH_TOL.  The value Xc(ell_mu) + xi(ell_phi) - x(<phi, mu>)
-    does not depend on the choice of extensions.
+    does not depend on the choice of extensions.  For (N, dim) batches the
+    value is (N,), and the sections may be families of N members.
     """
     x = xc.m
-    k = xc.a.size
+    k = xc.a.shape[-1]
     mu_x, phi_x = mu(x), phi(x)
     if mu_x.shape != xi.a.shape or phi_x.shape != xc.a.shape:
         raise DimensionMismatch("extending sections must take values in the points' fibers")
@@ -119,14 +120,14 @@ def tangent_pairing_via_sections(
         phis = phi.eval_generic(list(vals))
         return sum(phis[i] * mus[i] for i in range(k))
 
-    first = jets.jet_directional(
-        momentum_function(mu), list(x) + list(xc.a), list(xc.b) + list(xc.c)
-    )
-    second = jets.jet_directional(
-        momentum_function(phi), list(x) + list(xi.a), list(xi.b) + list(xi.c)
-    )
-    third = jets.jet_directional(phi_dot_mu, list(x), list(xc.b))
-    return float(first + second - third)
+    def along(ell, point: DvbElement):
+        return jets.jet_directional(
+            ell, np.concatenate([x, point.a], axis=-1), np.concatenate([point.b, point.c], axis=-1)
+        )
+
+    first = along(momentum_function(mu), xc)
+    second = along(momentum_function(phi), xi)
+    return first + second - jets.jet_directional(phi_dot_mu, x, xc.b)
 
 
 def j_star(psi: DualBElement) -> DualAElement:
@@ -153,31 +154,35 @@ def cotangent_flip(f: DualAElement) -> DualAElement:
     return DualAElement(f.shape, f.m, f.kappa, -f.beta, f.a)
 
 
-def flip_relation_residual(f: DualAElement, x_dot, psi_dot, a_dot) -> float:
-    """Defect in the defining relation of the flip for one compatible pair."""
+def flip_relation_residual(f: DualAElement, x_dot, psi_dot, a_dot) -> float | np.ndarray:
+    """Signed defect in the defining relation of the flip for one compatible
+    pair, or one per row of (N, dim) batches."""
     g = cotangent_flip(f)
     xc = DvbElement(f.shape, f.m, f.a, x_dot, psi_dot)
     xi = DvbElement(g.shape, g.m, g.a, x_dot, a_dot)
-    lhs = pair_a(f, xc) + pair_a(g, xi)
-    return abs(lhs - tangent_pairing(xc, xi))
+    return pair_a(f, xc) + pair_a(g, xi) - tangent_pairing(xc, xi)
 
 
 # -- canonical forms, evaluated through jets -----------------------------------
 
-def canonical_one_form(coords: Sequence[Scalar], w: Sequence[float]) -> Scalar:
-    """Liouville form of T*(N) at flat coordinates (q, p), evaluated on w."""
-    d = len(w) // 2
-    if len(coords) != 2 * d or len(w) != 2 * d:
+def canonical_one_form(coords: Sequence[Scalar], w) -> Scalar:
+    """Liouville form of T*(N) at flat coordinates (q, p), evaluated on w.
+
+    w may be an (N, 2d) batch; each coordinate is then an (N,) array or a
+    jet over (N,) arrays.
+    """
+    w = np.asarray(w, dtype=float)
+    d = w.shape[-1] // 2
+    if len(coords) != 2 * d or w.shape[-1] != 2 * d:
         raise DimensionMismatch("flat cotangent coordinates must split evenly")
-    return sum(coords[d + i] * w[i] for i in range(d))
+    return sum(coords[d + i] * w[..., i] for i in range(d))
 
 
-def canonical_two_form(point: Sequence[float], u: Sequence[float], v: Sequence[float]) -> float:
-    """d of the Liouville form on constant extensions of u and v."""
-    point = [float(t) for t in point]
+def canonical_two_form(point, u, v) -> float | np.ndarray:
+    """d of the Liouville form on constant extensions of u and v; (N,) at (N, dim) batches."""
     along_u = jets.jet_directional(lambda cs: canonical_one_form(cs, v), point, u)
     along_v = jets.jet_directional(lambda cs: canonical_one_form(cs, u), point, v)
-    return float(along_u - along_v)
+    return along_u - along_v
 
 
 def pairing_potential(vals: Sequence[Scalar], n: int, k: int) -> Scalar:
@@ -185,42 +190,28 @@ def pairing_potential(vals: Sequence[Scalar], n: int, k: int) -> Scalar:
     return sum(vals[n + i] * vals[2 * n + k + i] for i in range(k))
 
 
-def symplectic_checks(bundle: TrivialBundle, samples: int, rng: np.random.Generator) -> dict:
-    """Residual maxima for the two symplectic properties of the flip.
+def flip_form_defects(
+    bundle: TrivialBundle, point, u, v
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Signed defects of the flip's two symplectic properties at a flat point of T*(A*).
 
-    "antisymplectomorphism": the pullback along the flip of the canonical
-    two-form of T*(A) plus the canonical two-form of T*(A*).
-    "liouville": the defect in flip*(lambda_A) + lambda_{A*} = dP.
-    Both forms are evaluated through jets at uniform random points.
+    Returns (anti, liouville): the pullback along the flip of the canonical
+    two-form of T*(A), plus the canonical two-form of T*(A*), on (u, v);
+    and the defect in flip*(lambda_A) + lambda_{A*} = dP on u.  Both are
+    evaluated through jets; at (N, 2(n + k)) batches both are (N,) arrays.
     """
     n, k = bundle.chart.dim, bundle.fiber_dim
-    size = 2 * (n + k)
     flip_fn = lambda vals: flip_coords(vals, n, k)
-    anti = 0.0
-    liouville = 0.0
-    for _ in range(samples):
-        point = list(bundle.chart.sample(rng)) + list(rng.uniform(-1.0, 1.0, size - n))
-        jac = jets.jet_jacobian(flip_fn, point)
-        image = flip_fn(point)
-        u, v = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size)
-        pushed_u, pushed_v = jac @ u, jac @ v
-        anti = max(
-            anti,
-            abs(
-                canonical_two_form(image, pushed_u, pushed_v)
-                + canonical_two_form(point, u, v)
-            ),
-        )
-        grad_p = jets.jet_gradient(lambda vals: pairing_potential(vals, n, k), point)
-        liouville = max(
-            liouville,
-            abs(
-                canonical_one_form(image, pushed_u)
-                + canonical_one_form(point, u)
-                - float(grad_p @ u)
-            ),
-        )
-    return {"antisymplectomorphism": anti, "liouville": liouville, "samples": samples}
+    point, u, v = (np.asarray(w, dtype=float) for w in (point, u, v))
+    coords = jets._columns(point)
+    image_coords = flip_fn(coords)
+    image = np.stack(image_coords, axis=-1)
+    jac = jets.jet_jacobian(flip_fn, point)
+    pushed_u, pushed_v = _matvec(jac, u), _matvec(jac, v)
+    anti = canonical_two_form(image, pushed_u, pushed_v) + canonical_two_form(point, u, v)
+    grad_p = jets.jet_gradient(lambda vals: pairing_potential(vals, n, k), point)
+    liouville = canonical_one_form(image_coords, pushed_u) + canonical_one_form(coords, u)
+    return anti, liouville - _dot(grad_p, u)
 
 
 # -- sharp map and induced sections of the iterated duals -----------------------
@@ -299,21 +290,15 @@ def bracket_pairing_check(
     return bracket_pairing(dell_x, dell_y, lie_bracket(x_field, y_field, x), p, sign)
 
 
-def diagram_check(f: DualAElement) -> tuple[DualAElement, DualAElement, float]:
+def diagram_check(f: DualAElement) -> tuple[DualAElement, DualAElement]:
     """Compose sharp, the functional reading, and the involution transpose.
 
-    Returns (composite image, direct flip image, max coordinate defect);
-    the triangle commutes on T*(T*M).
+    Returns (composite image, direct flip image); the triangle commutes on
+    T*(T*M), so the two agree.
     """
     if f.m.shape != f.a.shape:
         raise DimensionMismatch("diagram check lives on the double cotangent of a chart")
-    composite = j_star(i_components(dnu_sharp(f)))
-    direct = cotangent_flip(f)
-    residual = max(
-        float(np.max(np.abs(getattr(composite, name) - getattr(direct, name)), initial=0.0))
-        for name, _ in DualAElement._fields
-    )
-    return composite, direct, residual
+    return j_star(i_components(dnu_sharp(f))), cotangent_flip(f)
 
 
 # -- connection pairing on the dual bundle --------------------------------------

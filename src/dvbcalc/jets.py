@@ -118,16 +118,16 @@ class Jet:
         _guard_divisor(ov)
         den = _square_divisor(ov)
         return Jet(
-            _div(self.value, ov),
-            tuple(_div(p * ov - self.value * q, den) for p, q in zip(self.partials, op)),
+            self.value / ov,
+            tuple((p * ov - self.value * q) / den for p, q in zip(self.partials, op)),
         )
 
     def __rtruediv__(self, other):
         _guard_divisor(self.value)
         den = _square_divisor(self.value)
         return Jet(
-            _div(other, self.value),
-            tuple(_div(-other * p, den) for p in self.partials),
+            other / self.value,
+            tuple(-other * p / den for p in self.partials),
         )
 
     def __pow__(self, exponent):
@@ -185,14 +185,6 @@ def _first(u, bad):
     return u[bad][0] if isinstance(u, np.ndarray) else u
 
 
-def _div(num: Scalar, den: Scalar):
-    if isinstance(num, Jet) or isinstance(den, Jet):
-        if not isinstance(num, Jet):
-            return den.__rtruediv__(num)
-        return num / den
-    return num / den
-
-
 def _no_infinity(u: np.ndarray, name: str) -> np.ndarray:
     """u, unless some row is infinite: there sin and cos leave their domain, as for a float."""
     bad = np.isinf(u)
@@ -248,7 +240,7 @@ def exp(u: Scalar) -> Scalar:
 def log(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         v = u.value
-        return Jet(log(v), tuple(_div(p, v) for p in u.partials))
+        return Jet(log(v), tuple(p / v for p in u.partials))
     if isinstance(u, np.ndarray):
         bad = u <= 0.0
         if np.count_nonzero(bad):

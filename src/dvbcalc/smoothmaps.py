@@ -223,7 +223,7 @@ class MatrixMap:
 
         def matrix(p):
             out = m(p)
-            return out.reshape(rows, cols) if out.ndim == 1 else out.reshape(len(out), rows, cols)
+            return out.reshape(*out.shape[:-1], rows, cols)
 
         return cls(rows, cols, matrix)
 

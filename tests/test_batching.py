@@ -15,6 +15,7 @@ import pytest
 from dvbcalc import cotangent as ct
 from dvbcalc import expressions, jets, tangent
 from dvbcalc.charts import Chart, Connection, TrivialBundle
+from dvbcalc.dvb import DualAElement, DvbElement
 from dvbcalc.harness import suites
 from dvbcalc.harness.problem import ProblemSpec
 from dvbcalc.jets import DomainError, Jet
@@ -101,6 +102,39 @@ def _gradient(m, x, v):
     return jets.jet_gradient(lambda vs: m["f"].eval_generic(vs)[0], x)
 
 
+def _cotangent_shape(k):
+    return tangent.tangent_bundle_shape(TrivialBundle(Chart(3), k))
+
+
+def _flat_cotangent_point(x, v):
+    """A flat point (x, psi; chi, Y) of T*(A*) over the fiber of v."""
+    return np.concatenate([x, v, x * 0.5, v[..., ::-1]], axis=-1)
+
+
+def _flip_form_defects(m, x, v):
+    at = _flat_cotangent_point(x, v)
+    bundle = TrivialBundle(Chart(3), v.shape[-1])
+    return np.stack(ct.flip_form_defects(bundle, at, at[..., ::-1], at * 0.5), axis=-1)
+
+
+def _canonical_two_form(m, x, v):
+    at = _flat_cotangent_point(x, v)
+    return ct.canonical_two_form(at, at[..., ::-1], at * 0.5)
+
+
+def _flip_relation(m, x, v):
+    f = DualAElement(_cotangent_shape(v.shape[-1]), x, v, x * 0.5, v[..., ::-1])
+    return ct.flip_relation_residual(f, x[..., ::-1], v * 0.5, v + 1.0)
+
+
+def _via_sections(m, x, v):
+    mu, phi = m["mu"], m["phi"]
+    shape = _cotangent_shape(mu.codomain_dim)
+    xc = DvbElement(shape, x, phi(x), x * 0.5, v)
+    xi = DvbElement(shape, x, mu(x), x * 0.5, v[..., ::-1])
+    return ct.tangent_pairing_via_sections(xc, xi, mu, phi)
+
+
 # Each call, made at all rows at once and at each row alone: (batched, single),
 # where single None means the same function at one point.
 CALLS = {
@@ -128,6 +162,10 @@ CALLS = {
     "squarecap_horizontal": (lambda m, x, v: ct.squarecap_horizontal(m["conn"], m["x"], x, v), None),
     "tangent_lift_at": (lambda m, x, v: tangent.tangent_lift(m["mu"]).at(x), None),
     "horizontal_field_at": (lambda m, x, v: tangent.horizontal_field(m["conn"], m["x"]).at(x), None),
+    "flip_form_defects": (_flip_form_defects, None),
+    "canonical_two_form": (_canonical_two_form, None),
+    "flip_relation_residual": (_flip_relation, None),
+    "tangent_pairing_via_sections": (_via_sections, None),
 }
 
 

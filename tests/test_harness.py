@@ -17,7 +17,7 @@ from dvbcalc.harness import (
     render_json,
     run_suites,
 )
-from dvbcalc import cotangent, jets, tangent
+from dvbcalc import cotangent, dvb, jets, tangent
 from dvbcalc.charts import Chart, Connection
 from dvbcalc.expressions import Add, Mul, Num, Var
 from dvbcalc.smoothmaps import SmoothMap, jacobian
@@ -630,17 +630,14 @@ def test_degree_two_components_are_the_rows_of_one_draw(dim):
             assert term == Mul(Mul(Num(row[1 + dim + t]), Var(i)), Var(j))
 
 
-@pytest.mark.parametrize(
-    "chart",
-    [
-        pytest.param(_demo_spec().chart, id="demo"),
-        pytest.param(
-            ProblemSpec.from_file(str(ROOT / "perfbench" / "named_maps.json")).chart,
-            id="named-maps",
-        ),
-        pytest.param(Chart(0), id="dim-0"),
-    ],
-)
+CHARTS = [
+    pytest.param(_demo_spec().chart, id="demo"),
+    pytest.param(ProblemSpec.from_file(str(ROOT / "perfbench" / "named_maps.json")).chart, id="named-maps"),
+    pytest.param(Chart(0), id="dim-0"),
+]
+
+
+@pytest.mark.parametrize("chart", CHARTS)
 def test_chart_sample_is_bitwise_uniform_over_the_box(chart):
     lows = [lo for lo, _ in chart.box]
     highs = [hi for _, hi in chart.box]
@@ -722,7 +719,9 @@ def test_sign_guard_records_a_batch_and_never_a_nan_row():
     assert not only_nan.passes(1e-9)
 
 
-CALCULUS_BATCHED = ("bracket", "connection", "bracket-pairing", "connection-pairing")
+CALCULUS_BATCHED = (
+    "bracket", "connection", "cotangent-duality", "duality-diagram", "bracket-pairing", "connection-pairing"
+)
 
 
 @pytest.mark.parametrize("max_batch", [None, 2])
@@ -741,6 +740,14 @@ def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, m
         ("connection", "horizontal-momentum", n),
         ("connection", "horizontal-pullback", n),
         ("connection", "linear-operator", n),
+        ("cotangent-duality", "flip-relation", 3 * max(1, n // 3)),
+        ("cotangent-duality", "flip-local-formula", 3 * max(1, n // 3)),
+        # One sample per fiber dimension, as perfbench/expected_checks.json pins.
+        ("cotangent-duality", "antisymplectomorphism", 3),
+        ("cotangent-duality", "liouville-relation", 3),
+        ("duality-diagram", "triangle", n),
+        ("duality-diagram", "pairing-section-independence", 3 * max(1, n // 4)),
+        ("duality-diagram", "functional-rank", max(1, n // 4)),
         ("bracket-pairing", "momentum-identity", n),
         ("bracket-pairing", "closed-forms", 4 * n),
         ("bracket-pairing", "decomposed-cross-check", 6 * n),
@@ -758,6 +765,27 @@ def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, m
 def _per_sample_draws(suite, spec, samples, rng):
     """The draws each sample of a batched calculus suite makes, one sample
     after another in index order, without evaluating anything."""
+    n = spec.chart.dim
+    if suite == "cotangent-duality":
+        per = max(1, samples // 3)
+        for k in (1, 2, 3):
+            # flip-relation and flip-local-formula, then the two symplectic checks.
+            for dims in [(k, n, k, n, k, k)] * per + [(n + 2 * k, 2 * (n + k), 2 * (n + k))] * per:
+                spec.chart.sample(rng)
+                for dim in dims:
+                    rng.uniform(-1.0, 1.0, dim)
+        return
+    if suite == "duality-diagram":
+        for _ in range(samples):
+            spec.chart.sample(rng)
+            rng.uniform(-1.0, 1.0, (3, n))
+        for _ in range(max(1, samples // 4)):
+            spec.chart.sample(rng)
+            k = int(rng.integers(1, 4))
+            rng.uniform(-1.0, 1.0, n + 4 * k)
+            for _ in range(6):
+                suites._poly_draw(rng, n, k)
+        return
     conns = suites._spec_connections(spec, rng, 3) if "connection" in suite else []
     if suite == "bracket":
         for _ in range(max(1, samples // 2)):
@@ -798,6 +826,56 @@ def test_batched_calculus_suites_draw_each_sample_as_alone(monkeypatch, suite, m
     suites.SUITES[suite][1](spec, 13, ours)
     _per_sample_draws(suite, spec, 13, reference)
     assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_chart_rows_are_bitwise_the_per_sample_draws(chart):
+    ours, reference = np.random.default_rng(8), np.random.default_rng(8)
+    point, a, b = suites._chart_rows(ours, 5, chart, 3, 1)
+    for j in range(5):
+        assert point[j].tobytes() == chart.sample(reference).tobytes()
+        assert a[j].tobytes() == reference.uniform(-1.0, 1.0, 3).tobytes()
+        assert b[j].tobytes() == reference.uniform(-1.0, 1.0, 1).tobytes()
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def _nan_last(value):
+    """value with its last entry NaN: the last row's for a batch, the last
+    component's for a dvb element."""
+    if isinstance(value, dvb.Record):
+        parts = [getattr(value, name) for name, _ in value._fields]
+        return type(value)(value.shape, *parts[:-1], _nan_last(parts[-1]))
+    value = np.array(value, dtype=float)
+    value.flat[-1] = np.nan
+    return value if value.ndim else float(value)
+
+
+def _nan_in_first_result(fn):
+    """fn, whose first result has a NaN in its last entry."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        calls.append(None)
+        return _nan_last(value) if len(calls) == 1 else value
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, failing",
+    [
+        # A NaN in the flip's kappa: in the last component compared.
+        ("duality-diagram", cotangent, "cotangent_flip", "triangle"),
+        ("cotangent-duality", cotangent, "canonical_two_form", "antisymplectomorphism"),
+        ("cotangent-duality", jets, "jet_gradient", "liouville-relation"),
+    ],
+)
+def test_a_nan_defect_in_one_row_fails_its_cotangent_check(monkeypatch, suite, module, name, failing):
+    monkeypatch.setattr(module, name, _nan_in_first_result(getattr(module, name)))
+    with np.errstate(invalid="ignore"):
+        checks = run_suites(_demo_spec(), suite_names=[suite], samples=12)
+    assert [c.name for c in checks if not c.passed] == [failing]
 
 
 def _spec_with_one_point_replaced(data, index, point):
