@@ -30,7 +30,7 @@ class Chart:
 
     dim: int
     box: tuple[tuple[float, float], ...] = ()
-    # The box's lower corner and side lengths, as arrays for ``sample``.
+    # The box's lower corner and side lengths, as arrays for sampling points.
     lows: np.ndarray = field(init=False, repr=False, compare=False)
     spans: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -50,11 +50,6 @@ class Chart:
         lows.flags.writeable = spans.flags.writeable = False
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "spans", spans)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """A uniform point of the box: bitwise ``rng.uniform(lows, highs)``,
-        which numpy computes as low + (high - low) * next_double."""
-        return self.lows + self.spans * rng.random(self.dim)
 
 
 @dataclass(frozen=True)

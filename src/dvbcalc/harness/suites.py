@@ -7,14 +7,18 @@ _Residuals per identity holding the maximum absolute residual observed.
 run_suites turns each into a CheckResult under the suite's name and the
 run's tolerance.
 
-Every suite runs its samples in batches of at most _MAX_BATCH: the two
-algebra suites by dvb shape, and the six calculus suites by chunk and form
-(see the comment above _run_bracket).  Each of them evaluates each map
-role once per batch; a random role (the four maps of warp-pairing's grid,
-a calculus suite's random fields and sections) is one family of the
-batch's draws (``_poly_family``).  A batch calls the library once on
-(N, dim) arrays, which returns one signed defect or both sides per row,
-and records each check with samples=N; only _Residuals reduces them.
+Every suite runs its samples in batches of at most _MAX_BATCH
+(``_batches``).  Sample i takes the form forms[i % len(forms)] of its
+suite (a dvb shape, a chart dimension, a connection and section, named or
+random fields, a fiber rank), and the samples of one form fill its
+batches in index order, so a sample is (form, batch, row).  A batch draws
+each random quantity as one block: its points and vectors as one
+``_chart_rows`` block, and each random map role (the four maps of
+warp-pairing's grid, a calculus suite's random fields and sections) as
+one family (``_poly_family``), whose member r is row r's map.  A batch
+calls the library once on (N, dim) arrays, which returns one signed
+defect or both sides per row, and records each check with samples=N; only
+_Residuals reduces them.
 """
 
 from __future__ import annotations
@@ -38,13 +42,9 @@ from .report import CheckResult
 
 # -- random data ---------------------------------------------------------------
 
-def _rand_vec(rng, n: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, n)
-
-
 def _columns(block: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    """An (n, sum(dims)) block cut into its (n, dim) column blocks, in order."""
-    return np.split(block, np.cumsum(dims)[:-1], axis=1)
+    """An (n, sum(dims)) block cut into its (n, dim) column blocks, in order; none for no dims."""
+    return np.split(block, np.cumsum(dims)[:-1], axis=1) if dims else []
 
 
 def _uniform_rows(rng, n: int, *dims: int) -> list[np.ndarray]:
@@ -58,35 +58,43 @@ def _integer_rows(rng, n: int, *dims: int) -> list[np.ndarray]:
 
 
 def _chart_rows(rng, n: int, chart: Chart, *dims: int) -> list[np.ndarray]:
-    """n rows of a chart point and uniform [-1, 1) vectors of each length in dims, from one
-    draw; row j is bitwise sample j's ``chart.sample(rng)`` and then its
-    ``rng.uniform(-1.0, 1.0, dim)`` per dim, drawn sample after sample."""
+    """n rows of a uniform point of the chart's box and uniform [-1, 1)
+    vectors of each length in dims, from one draw; [point] alone for no
+    dims.  Row j is bitwise ``rng.uniform(lows, highs)`` and then
+    ``rng.uniform(-1.0, 1.0, dim)`` per dim, drawn row after row."""
     block = rng.random((n, chart.dim + sum(dims)))
     point = chart.lows + chart.spans * block[:, :chart.dim]
     return [point, *_columns(-1.0 + 2.0 * block[:, chart.dim:], dims)]
 
 
-def _poly_draw(rng, dim: int, codim: int, degree: int = 2) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draws of one random polynomial map: its (codim, 1 + dim + quad)
-    coefficients and, for degree 2, its (codim, dim, 2) index pairs.
+def _poly_draw(rng, size: int, dim: int, codim: int, degree: int = 2) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of size random polynomial maps: their (size, codim,
+    1 + dim + quad) coefficients and, for degree 2 (quad = dim), their
+    (size, codim, dim, 2) index pairs.
 
-    Row c of one uniform draw holds component c's coefficients: a constant,
-    dim linear terms and, for degree 2 (quad = dim), dim products x_i x_j,
-    whose (i, j) come from one integer draw.  For dim 0 or degree 1 the
-    draw is the stream of one uniform draw per coefficient.
+    Row [r, c] of one uniform draw holds component c of map r's
+    coefficients: a constant, dim linear terms and, for degree 2, dim
+    products x_i x_j, whose (i, j) come from one integer draw.  For dim 0
+    or degree 1 the draw is the stream of one uniform draw per coefficient.
     """
     quad = dim if degree >= 2 else 0
-    coeffs = rng.uniform(-1.0, 1.0, (codim, 1 + dim + quad))
-    pairs = rng.integers(0, dim, (codim, dim, 2)) if quad else None
+    coeffs = rng.uniform(-1.0, 1.0, (size, codim, 1 + dim + quad))
+    pairs = rng.integers(0, dim, (size, codim, dim, 2)) if quad else None
     return coeffs, pairs
 
 
 def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
-    """A random polynomial map, drawn by ``_poly_draw``."""
-    coeffs, pairs = _poly_draw(rng, dim, codim, degree)
+    """A random polynomial map: the tree of one ``_poly_draw``."""
+    coeffs, pairs = _poly_draw(rng, 1, dim, codim, degree)
+    return _poly_tree(dim, coeffs[0], None if pairs is None else pairs[0])
+
+
+def _poly_tree(dim: int, coeffs: np.ndarray, pairs: np.ndarray | None) -> SmoothMap:
+    """The map of one draw's (codim, width) coefficients and (codim, dim, 2)
+    pairs, one float leaf per coefficient, in draw order."""
     var = [Var(i) for i in range(dim)]
     comps = []
-    for row, ij in zip(coeffs.tolist(), [()] * codim if pairs is None else pairs.tolist()):
+    for row, ij in zip(coeffs.tolist(), [()] * len(coeffs) if pairs is None else pairs.tolist()):
         expr = Num(row[0])
         for i in range(dim):
             expr = Add(expr, Mul(Num(row[1 + i]), var[i]))
@@ -96,24 +104,25 @@ def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
     return SmoothMap(dim, tuple(comps))
 
 
-def _poly_family(draws: Sequence[tuple[np.ndarray, np.ndarray | None]], dim: int) -> SmoothMap:
-    """The maps of N draws of one dim, codim and degree as one family: its
-    ``Num`` leaves hold (N,) arrays, and member r is the map of draws[r].
+def _poly_family(rng, n: int, dim: int, codim: int, degree: int = 2) -> SmoothMap:
+    """n random polynomial maps, from one ``_poly_draw``, as one family: its
+    ``Num`` leaves hold (n,) arrays, and member r is the map of row r.
 
     Component c is c0 + sum_i x_i (c_i + sum_j a_ij x_j) over pairs
     i <= j.  A scatter sums each member's product coefficients on a pair,
-    duplicates included, into the pair's (N,) column a_ij, which is zero
+    duplicates included, into the pair's (n,) column a_ij, which is zero
     for the members without that pair; component c keeps the pairs some
     member uses.
     """
-    # Entry [c, t] is the (N,) column of coefficient t of component c.
-    coeffs = np.stack([c for c, _ in draws], axis=-1)
-    codim, width, n = coeffs.shape
+    coeffs, pairs = _poly_draw(rng, n, dim, codim, degree)
+    # Entry [c, t] is the (n,) column of coefficient t of component c.
+    coeffs = np.moveaxis(coeffs, 0, -1)
+    width = coeffs.shape[1]
     quad = np.zeros((codim, dim, dim, n))
     used = np.zeros((codim, dim, dim), dtype=bool)
-    if draws[0][1] is not None:
-        ij = np.stack([p for _, p in draws], axis=-1)
-        lo, hi = ij.min(axis=2), ij.max(axis=2)  # (codim, dim, N)
+    if pairs is not None:
+        ij = np.moveaxis(pairs, 0, -1)
+        lo, hi = ij.min(axis=2), ij.max(axis=2)  # (codim, dim, n)
         comp, member = np.arange(codim)[:, None], np.arange(n)
         for t in range(dim):
             # Within one t every (component, member) cell is hit once.
@@ -219,30 +228,20 @@ class _SignGuard(_Residuals):
 _MAX_BATCH = 64
 
 
-def _chunks(count: int):
-    """Consecutive sample indices, in ranges of at most _MAX_BATCH."""
-    for start in range(0, count, _MAX_BATCH):
-        yield range(start, min(start + _MAX_BATCH, count))
+def _batches(forms: Sequence, samples: int):
+    """Batches of samples of one form: (form, n) pairs, n at most _MAX_BATCH.
 
-
-def _grouped(rows) -> dict:
-    """(key, row) pairs as {key: [row, ...]}, keys and rows in the order given."""
-    groups: dict = {}
-    for key, row in rows:
-        groups.setdefault(key, []).append(row)
-    return groups
-
-
-def _shape_batches(shapes: Sequence[dvb.DvbShape], samples: int):
-    """Batches of samples of one shape: (shape, n) pairs, n at most _MAX_BATCH.
-
-    Sample i takes shapes[i % len(shapes)].  The samples of each entry of
-    shapes form consecutive batches, entry by entry; an entry with no
-    sample gives none.  The algebra suites run each batch as n rows.
+    Sample i takes forms[i % len(forms)].  Equal forms are counted
+    together, in order of first appearance, and each form's samples fill
+    consecutive batches in index order; a form with no sample gives none.
+    A suite of one form passes it alone.
     """
-    for k, shape in enumerate(shapes):
-        for chunk in _chunks(len(range(k, samples, len(shapes)))):
-            yield shape, len(chunk)
+    counts: dict = {}
+    for k, form in enumerate(forms):
+        counts[form] = counts.get(form, 0) + len(range(k, samples, len(forms)))
+    for form, count in counts.items():
+        for start in range(0, count, _MAX_BATCH):
+            yield form, min(_MAX_BATCH, count - start)
 
 
 # -- suite: duality-solve --------------------------------------------------------
@@ -258,7 +257,7 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]
     pairing = _Residuals("dual-pairing",
                          "pairing of duals: decomposed formula, sign conventions, induced maps")
 
-    for shape, n in _shape_batches(spec.dvb_shapes, samples):
+    for shape, n in _batches(spec.dvb_shapes, samples):
         da, db, dc = shape.dim_a, shape.dim_b, shape.dim_c
         # Row j of every block belongs to the batch's j-th sample.
         m, kappa, beta, a, psi_alpha, psi_b, c, ma_alpha, ma_b, a2, beta2, alpha2, b2 = _uniform_rows(
@@ -342,15 +341,11 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     projection = _Residuals("cstar-projection",
                             "the C* projection is recovered by pairing with carried core vectors")
 
-    for shape, n in _shape_batches(spec.dvb_shapes, samples):
+    for shape, n in _batches(spec.dvb_shapes, samples):
         da, db, dc, dim = shape.dim_a, shape.dim_b, shape.dim_c, shape.base_dim
-        # Sample j draws its grid's X, Lambda, Y and Mu, in that order, and
-        # each of the four roles is one family whose member j is sample j's.
-        grid_draws = [
-            [_poly_draw(rng, dim, codim, degree=1) for codim in (da, dc * db, db, dc * da)]
-            for _ in range(n)
-        ]
-        x, lam, y, mu = (_poly_family(role, dim) for role in zip(*grid_draws))
+        # The grid's X, Lambda, Y and Mu, in that order, are one family
+        # each, whose member j is the batch's j-th sample's.
+        x, lam, y, mu = (_poly_family(rng, n, dim, codim, degree=1) for codim in (da, dc * db, db, dc * da))
         grid = sections.Grid(
             xi=sections.LinearSectionB(shape, x, MatrixMap.from_smooth_map(lam, dc, db)),
             eta=sections.LinearSectionA(shape, y, MatrixMap.from_smooth_map(mu, dc, da)),
@@ -418,15 +413,14 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 
 # -- suite: bracket ----------------------------------------------------------------
 #
-# The six calculus suites below take their samples in chunks of consecutive
-# indices (``_chunks``).  Within a chunk each sample makes exactly the draws
-# it would make alone, in index order (a sample that draws only doubles
-# takes one row of a ``_chart_rows`` block); the samples are then grouped
-# by what makes them differ in form (chart dimension, connection, fiber
-# rank, named or random maps), and every check runs once per group on
-# (N, dim) points.  Each random map role of a group is one family
-# (``_poly_family``), evaluated once per group, as warp-pairing evaluates
-# its grid's four families once per batch.
+# The six calculus suites below batch their samples by form (``_batches``),
+# as the algebra suites do by dvb shape: random-polynomials by chart
+# dimension, the connection suites by connection and spec section,
+# bracket-pairing by named or random fields, pairing-section-independence
+# by fiber rank; the other checks have one form.  Each batch draws its
+# points and vectors as one ``_chart_rows`` block and each random map role
+# as one family (``_poly_family``), evaluated once per batch, as
+# warp-pairing evaluates its grid's four families once per batch.
 
 def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     checks: list[_Residuals] = []
@@ -437,8 +431,8 @@ def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         res = _Residuals("field-pairs", "warp of the double tangent grid equals the coordinate bracket")
         first_values: dict[str, list[float]] = {}
         res.details["first_point_values"] = first_values
-        for chunk in _chunks(max(1, samples // max(1, len(pairs)))):
-            points = np.stack([spec.chart.sample(rng) for _ in chunk])
+        for _, size in _batches((None,), max(1, samples // len(pairs))):
+            points, = _chart_rows(rng, size, spec.chart)
             # Each field's two lifts are evaluated once at the points; the
             # double tangent grid of (X, Y) is Y's tangent lift against X's
             # complete lift.
@@ -449,59 +443,37 @@ def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
             for a, b in pairs:
                 via_warp = sections.warp(sections.Grid(lifts[b][0], lifts[a][1]), points)
                 direct = lie_bracket(spec.fields[a], spec.fields[b], points)
-                res.add(via_warp - direct, samples=len(chunk))
-                if chunk.start == 0:
-                    first_values[f"{a},{b}"] = [float(v) for v in via_warp[0]]
+                res.add(via_warp - direct, samples=size)
+                first_values.setdefault(f"{a},{b}", [float(v) for v in via_warp[0]])
         checks.append(res)
 
     res = _Residuals("random-polynomials",
                      "warp route agrees with the bracket oracle on random polynomial fields")
-    charts = {dim: Chart(dim) for dim in (1, 2, 3)}
-    for chunk in _chunks(samples):
-        groups = _grouped(
-            (dim, (_poly_draw(rng, dim, dim), _poly_draw(rng, dim, dim), charts[dim].sample(rng)))
-            for dim in (1 + i % 3 for i in chunk)
-        )
-        for dim, rows in groups.items():
-            xs, ys, points = zip(*rows)
-            x_field, y_field = _poly_family(xs, dim), _poly_family(ys, dim)
-            points = np.stack(points)
-            via_warp = tangent.lie_bracket_via_warp(x_field, y_field, points)
-            res.add(via_warp - lie_bracket(x_field, y_field, points), samples=len(rows))
+    for dim, size in _batches((1, 2, 3), samples):
+        x_field, y_field = _poly_family(rng, size, dim, dim), _poly_family(rng, size, dim, dim)
+        points, = _chart_rows(rng, size, Chart(dim))
+        via_warp = tangent.lie_bracket_via_warp(x_field, y_field, points)
+        res.add(via_warp - lie_bracket(x_field, y_field, points), samples=size)
     checks.append(res)
     return checks
 
 
 # -- suite: connection ---------------------------------------------------------------
 
-def _spec_connections(spec: ProblemSpec, rng, count: int) -> list[Connection]:
-    conns = []
-    if spec.connection is not None:
-        conns.append(spec.connection)
-    while len(conns) < count:
-        fiber_dim = 1 + len(conns) % 3
-        conns.append(_random_connection(rng, spec.chart, fiber_dim))
-    return conns
-
-
-def _spec_section(spec: ProblemSpec, i: int, k: int) -> SmoothMap | None:
-    """On even samples the first spec section of rank k, if any; else None (a random one)."""
-    if i % 2 == 0:
-        for mu in spec.sections.values():
-            if mu.codomain_dim == k:
-                return mu
-    return None
-
-
-def _section_draw(spec: ProblemSpec, rng, i: int, n: int, k: int):
-    """Sample i's section: the spec's (``_spec_section``), or a random map's draws."""
-    mu = _spec_section(spec, i, k)
-    return _poly_draw(rng, n, k) if mu is None else mu
-
-
-def _section_of(rows: Sequence, n: int) -> SmoothMap:
-    """A group's section: the spec section all its rows share, or the family of their draws."""
-    return rows[0] if isinstance(rows[0], SmoothMap) else _poly_family(rows, n)
+def _connection_forms(spec: ProblemSpec, rng) -> list[tuple[Connection, SmoothMap | None]]:
+    """The forms of a connection suite, one per residue of 6: sample i takes
+    connection i % 3 (the spec's, if any, then random ones of fiber rank 1,
+    2, 3 in turn) and, on even samples, the first spec section of its rank,
+    if any; else None, a random section."""
+    conns = [] if spec.connection is None else [spec.connection]
+    while len(conns) < 3:
+        conns.append(_random_connection(rng, spec.chart, 1 + len(conns) % 3))
+    forms = []
+    for i in range(6):
+        conn = conns[i % 3]
+        ranked = [mu for mu in spec.sections.values() if mu.codomain_dim == conn.bundle.fiber_dim]
+        forms.append((conn, ranked[0] if ranked and i % 2 == 0 else None))
+    return forms
 
 
 def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
@@ -517,61 +489,48 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
                           "the operator of the horizontal field plus a constant fiber matrix S "
                           "is the covariant derivative minus S")
 
-    conns = _spec_connections(spec, rng, 3)
+    for (conn, spec_mu), size in _batches(_connection_forms(spec, rng), samples):
+        n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
+        z_field = _poly_family(rng, size, n, n)
+        mu = _poly_family(rng, size, n, k) if spec_mu is None else spec_mu
+        point, a = _chart_rows(rng, size, conn.bundle.chart, k)
+        phi, f = _poly_family(rng, size, n, k), _poly_family(rng, size, n, 1)
+        shift = rng.uniform(-1.0, 1.0, (size, k, k))
 
-    def draw(i: int):
-        c = i % len(conns)
-        n, k = conns[c].bundle.chart.dim, conns[c].bundle.fiber_dim
-        z = _poly_draw(rng, n, n)
-        mu = _section_draw(spec, rng, i, n, k)
-        point, a = conns[c].bundle.chart.sample(rng), _rand_vec(rng, k)
-        phi, f = _poly_draw(rng, n, k), _poly_draw(rng, n, 1)
-        shift = rng.uniform(-1.0, 1.0, (k, k))
-        return (c, isinstance(mu, SmoothMap)), (z, mu, point, a, phi, f, shift)
+        # The tangent lift of mu (mu and Dmu) and the horizontal field
+        # (Z and the coefficient tensor) are evaluated once at the
+        # batch's points, and every grid below is built from those
+        # values; the references evaluate the maps themselves, the
+        # Jacobian and the tensor coming from the library's memos.
+        horizontal = tangent.horizontal_field(conn, z_field).at(point)
+        section = tangent.tangent_lift(mu).at(point)
+        nabla = conn.nabla(z_field, mu, point)
+        via_warp = sections.warp(sections.Grid(section, horizontal), point)
+        covariant.add(via_warp - nabla, samples=size)
 
-    for chunk in _chunks(samples):
-        for (c, _), rows in _grouped(draw(i) for i in chunk).items():
-            conn, size = conns[c], len(rows)
-            n = conn.bundle.chart.dim
-            zs, mus, point, a, phis, fs, shift = zip(*rows)
-            z_field, mu = _poly_family(zs, n), _section_of(mus, n)
-            phi, f = _poly_family(phis, n), _poly_family(fs, n)
-            point, a, shift = np.stack(point), np.stack(a), np.stack(shift)
+        flat_field = tangent.horizontal_field(Connection.flat(conn.bundle), z_field).at(point)
+        flat_value = sections.warp(sections.Grid(section, flat_field), point)
+        direct = np.einsum("nij,nj->ni", jacobian(mu, point), z_field(point))
+        flat.add(flat_value - direct, samples=size)
 
-            # The tangent lift of mu (mu and Dmu) and the horizontal field
-            # (Z and the coefficient tensor) are evaluated once at the
-            # batch's points, and every grid below is built from those
-            # values; the references evaluate the maps themselves, the
-            # Jacobian and the tensor coming from the library's memos.
-            horizontal = tangent.horizontal_field(conn, z_field).at(point)
-            section = tangent.tangent_lift(mu).at(point)
-            nabla = conn.nabla(z_field, mu, point)
-            via_warp = sections.warp(sections.Grid(section, horizontal), point)
-            covariant.add(via_warp - nabla, samples=size)
+        lift = horizontal(a)
+        tangents = np.concatenate([lift.b, lift.c], axis=1)
+        at = np.concatenate([point, a], axis=1)
+        derived = jet_directional(ct.momentum_function(phi), at, tangents)
+        dual = conn.dual_nabla(z_field, phi, point)
+        momentum.add(derived - (dual * a).sum(axis=1), samples=size)
 
-            flat_field = tangent.horizontal_field(Connection.flat(conn.bundle), z_field).at(point)
-            flat_value = sections.warp(sections.Grid(section, flat_field), point)
-            direct = np.einsum("nij,nj->ni", jacobian(mu, point), z_field(point))
-            flat.add(flat_value - direct, samples=size)
+        pulled = jet_directional(lambda vals: f.eval_generic(vals[:n])[0], at, tangents)
+        pullback.add(pulled - directional_derivative(f, z_field, point), samples=size)
 
-            lift = horizontal(a)
-            tangents = np.concatenate([lift.b, lift.c], axis=1)
-            at = np.concatenate([point, a], axis=1)
-            derived = jet_directional(ct.momentum_function(phi), at, tangents)
-            dual = conn.dual_nabla(z_field, phi, point)
-            momentum.add(derived - (dual * a).sum(axis=1), samples=size)
-
-            pulled = jet_directional(lambda vals: f.eval_generic(vals[:n])[0], at, tangents)
-            pullback.add(pulled - directional_derivative(f, z_field, point), samples=size)
-
-            # The horizontal field's own operator is the warp that
-            # covariant-derivative checks, so apply that of a field which is no
-            # horizontal lift: fiber matrix -omega(Z) + S sends mu to
-            # nabla_Z mu - S mu.
-            shifted = horizontal._replace(matrix=horizontal.matrix + shift)
-            apply_op = tangent.linear_vector_field_operator(shifted)
-            shifted_nabla = nabla - np.einsum("nij,nj->ni", shift, mu(point))
-            operator.add(apply_op(mu, point) - shifted_nabla, samples=size)
+        # The horizontal field's own operator is the warp that
+        # covariant-derivative checks, so apply that of a field which is no
+        # horizontal lift: fiber matrix -omega(Z) + S sends mu to
+        # nabla_Z mu - S mu.
+        shifted = horizontal._replace(matrix=horizontal.matrix + shift)
+        apply_op = tangent.linear_vector_field_operator(shifted)
+        shifted_nabla = nabla - np.einsum("nij,nj->ni", shift, mu(point))
+        operator.add(apply_op(mu, point) - shifted_nabla, samples=size)
 
     return [covariant, flat, momentum, pullback, operator]
 
@@ -597,22 +556,22 @@ def _run_cotangent_duality(spec: ProblemSpec, samples: int, rng) -> list[_Residu
     per = max(1, samples // 3)
     for k in (1, 2, 3):
         bundle = TrivialBundle(chart, k)
-        for chunk in _chunks(per):
-            x, a, beta, kappa, x_dot, psi_dot, a_dot = _chart_rows(rng, len(chunk), chart, k, n, k, n, k, k)
+        for _, size in _batches((k,), per):
+            x, a, beta, kappa, x_dot, psi_dot, a_dot = _chart_rows(rng, size, chart, k, n, k, n, k, k)
             f = dvb.DualAElement(tangent.tangent_bundle_shape(bundle), x, a, beta, kappa)
-            relation.add(ct.flip_relation_residual(f, x_dot, psi_dot, a_dot), samples=len(chunk))
+            relation.add(ct.flip_relation_residual(f, x_dot, psi_dot, a_dot), samples=size)
             flat_image = np.stack(ct.flip_coords(_flat(f).T, n, k), axis=1)
-            local.add(flat_image - _flat(ct.cotangent_flip(f)), samples=len(chunk))
+            local.add(flat_image - _flat(ct.cotangent_flip(f)), samples=size)
 
         # These two checks record one sample per fiber dimension, so a report
         # says 3 where 3 * per samples run: perfbench/expected_checks.json pins 3.
-        size = 2 * (n + k)
-        for chunk in _chunks(per):
-            x, rest, u, v = _chart_rows(rng, len(chunk), chart, size - n, size, size)
+        width = 2 * (n + k)
+        for batch, (_, size) in enumerate(_batches((k,), per)):
+            x, rest, u, v = _chart_rows(rng, size, chart, width - n, width, width)
             point = np.concatenate([x, rest], axis=1)
             anti_defect, liouville_defect = ct.flip_form_defects(bundle, point, u, v)
-            anti.add(anti_defect, samples=int(chunk.start == 0))
-            liouville.add(liouville_defect, samples=int(chunk.start == 0))
+            anti.add(anti_defect, samples=int(batch == 0))
+            liouville.add(liouville_defect, samples=int(batch == 0))
 
     return [relation, local, anti, liouville]
 
@@ -629,52 +588,43 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
 
     chart, n = spec.chart, spec.chart.dim
     double = tangent.tangent_bundle_shape(TrivialBundle(chart, n))
-    for chunk in _chunks(samples):
-        f = dvb.DualAElement(double, *_chart_rows(rng, len(chunk), chart, n, n, n))
+    for _, size in _batches((double,), samples):
+        f = dvb.DualAElement(double, *_chart_rows(rng, size, chart, n, n, n))
         composite, direct = ct.diagram_check(f)
-        triangle.add(_flat(composite) - _flat(direct), samples=len(chunk))
+        triangle.add(_flat(composite) - _flat(direct), samples=size)
 
-    def draw():
-        x = chart.sample(rng)
-        k = int(rng.integers(1, 4))
-        vectors = [_rand_vec(rng, dim) for dim in (n, k, k, k, k)]
-        # Three pairs of extending sections: the draws of mu, then of phi.
-        extensions = [(_poly_draw(rng, n, k), _poly_draw(rng, n, k)) for _ in range(3)]
-        return k, (x, *vectors, extensions)
+    # Sample i takes fiber rank k = 1 + i % 3.
+    for k, size in _batches((1, 2, 3), max(1, samples // 4)):
+        shape = tangent.tangent_bundle_shape(TrivialBundle(chart, k))
+        x, x_dot, *fibers = _chart_rows(rng, size, chart, n, k, k, k, k)
 
-    for chunk in _chunks(max(1, samples // 4)):
-        for k, rows in _grouped(draw() for _ in chunk).items():
-            shape = tangent.tangent_bundle_shape(TrivialBundle(chart, k))
-            size = len(rows)
-            *vectors, extensions = zip(*rows)
-            x, x_dot, *fibers = (np.stack(v) for v in vectors)
+        # Row 3 * j + t pairs sample j's points through its t-th pair of
+        # extending sections, mu's then phi's family.
+        at, dot, xc_a, xc_c, xi_a, xi_c = (np.repeat(v, 3, axis=0) for v in (x, x_dot, *fibers))
+        xc = dvb.DvbElement(shape, at, xc_a, dot, xc_c)
+        xi = dvb.DvbElement(shape, at, xi_a, dot, xi_c)
+        mu = _shifted_family(rng, n, k, at, xi.a)
+        phi = _shifted_family(rng, n, k, at, xc.a)
+        via_sections = ct.tangent_pairing_via_sections(xc, xi, mu, phi)
+        independence.add(via_sections - ct.tangent_pairing(xc, xi), samples=3 * size)
 
-            # Row 3 * j + t pairs sample j's points through its t-th pair of sections.
-            at, dot, xc_a, xc_c, xi_a, xi_c = (np.repeat(v, 3, axis=0) for v in (x, x_dot, *fibers))
-            xc = dvb.DvbElement(shape, at, xc_a, dot, xc_c)
-            xi = dvb.DvbElement(shape, at, xi_a, dot, xi_c)
-            mus, phis = zip(*(pair for sample in extensions for pair in sample))
-            mu, phi = _shifted_family(mus, n, at, xi.a), _shifted_family(phis, n, at, xc.a)
-            via_sections = ct.tangent_pairing_via_sections(xc, xi, mu, phi)
-            independence.add(via_sections - ct.tangent_pairing(xc, xi), samples=3 * size)
-
-            # Entry (row, col) of sample j's matrix pairs unit probe col of
-            # T(A*) with unit probe row of T(A).
-            probe_cols = np.tile(np.eye(2 * k), (2 * k * size, 1))
-            probe_rows = np.tile(np.repeat(np.eye(2 * k), 2 * k, axis=0), (size, 1))
-            at, dot = (np.repeat(v, 4 * k * k, axis=0) for v in (x, x_dot))
-            matrix = ct.tangent_pairing(
-                dvb.DvbElement(shape, at, probe_cols[:, :k], dot, probe_cols[:, k:]),
-                dvb.DvbElement(shape, at, probe_rows[:, :k], dot, probe_rows[:, k:]),
-            ).reshape(size, 2 * k, 2 * k)
-            ranks.add(2 * k - np.linalg.matrix_rank(matrix), samples=size)
+        # Entry (row, col) of sample j's matrix pairs unit probe col of
+        # T(A*) with unit probe row of T(A).
+        probe_cols = np.tile(np.eye(2 * k), (2 * k * size, 1))
+        probe_rows = np.tile(np.repeat(np.eye(2 * k), 2 * k, axis=0), (size, 1))
+        at, dot = (np.repeat(v, 4 * k * k, axis=0) for v in (x, x_dot))
+        matrix = ct.tangent_pairing(
+            dvb.DvbElement(shape, at, probe_cols[:, :k], dot, probe_cols[:, k:]),
+            dvb.DvbElement(shape, at, probe_rows[:, :k], dot, probe_rows[:, k:]),
+        ).reshape(size, 2 * k, 2 * k)
+        ranks.add(2 * k - np.linalg.matrix_rank(matrix), samples=size)
 
     return [triangle, independence, ranks]
 
 
-def _shifted_family(draws, dim: int, x: np.ndarray, value: np.ndarray) -> SmoothMap:
-    """The family of draws, member r shifted by a constant leaf to take value[r] at x[r]."""
-    base = _poly_family(draws, dim)
+def _shifted_family(rng, dim: int, codim: int, x: np.ndarray, value: np.ndarray) -> SmoothMap:
+    """A random family of len(x) maps, member r shifted by a constant leaf to take value[r] at x[r]."""
+    base = _poly_family(rng, len(x), dim, codim)
     offset = value - base(x)
     return SmoothMap(dim, tuple(Add(c, Num(o)) for c, o in zip(base.components, offset.T)))
 
@@ -693,50 +643,41 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
     n = spec.chart.dim
     named = [f for f in spec.fields.values() if f.codomain_dim == n]
 
-    def draw(i: int):
-        if len(named) >= 2 and i % 2 == 0:
-            fields = None
-        else:
-            fields = (_poly_draw(rng, n, n), _poly_draw(rng, n, n))
-        return fields is None, (fields, spec.chart.sample(rng), _rand_vec(rng, n))
+    # Even samples take the first two named fields, if there are two; the
+    # others take random ones.
+    forms = [(named[0], named[1]), None] if len(named) >= 2 else [None]
+    for fields, size in _batches(forms, samples):
+        x_field, y_field = fields or (_poly_family(rng, size, n, n), _poly_family(rng, size, n, n))
+        x, p = _chart_rows(rng, size, spec.chart, n)
 
-    for chunk in _chunks(samples):
-        for is_named, rows in _grouped(draw(i) for i in chunk).items():
-            fields, x, p = zip(*rows)
-            if is_named:
-                x_field, y_field = named[0], named[1]
-            else:
-                x_field, y_field = (_poly_family(draws, n) for draws in zip(*fields))
-            x, p, size = np.stack(x), np.stack(p), len(rows)
+        # d ell_Y, d ell_X, the bracket and the grid's sections are each
+        # evaluated once at (x, p); every check below reuses them.
+        cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
+        dell_x = ct.ell_differential(x_field, x, p)
+        bracket = lie_bracket(x_field, y_field, x)
+        lhs, rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p)
+        momentum.add(lhs - rhs, samples=size)
 
-            # d ell_Y, d ell_X, the bracket and the grid's sections are each
-            # evaluated once at (x, p); every check below reuses them.
-            cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
-            dell_x = ct.ell_differential(x_field, x, p)
-            bracket = lie_bracket(x_field, y_field, x)
-            lhs, rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p)
-            momentum.add(lhs - rhs, samples=size)
+        closed.add(cap_y.beta - np.einsum("nji,nj->ni", jacobian(y_field, x), p), samples=size)
+        closed.add(cap_y.kappa - y_field(x), samples=size)
+        cap_x = ct.complete_lift_squarecap(dell_x)
+        closed.add(cap_x.b + x_field(x), samples=size)
+        closed.add(cap_x.c - np.einsum("nji,nj->ni", jacobian(x_field, x), p), samples=size)
 
-            closed.add(cap_y.beta - np.einsum("nji,nj->ni", jacobian(y_field, x), p), samples=size)
-            closed.add(cap_y.kappa - y_field(x), samples=size)
-            cap_x = ct.complete_lift_squarecap(dell_x)
-            closed.add(cap_x.b + x_field(x), samples=size)
-            closed.add(cap_x.c - np.einsum("nji,nj->ni", jacobian(x_field, x), p), samples=size)
+        at = tangent.double_tangent_grid(x_field, y_field).at(x)
+        dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, p)
+        cross.add(dec_lhs - lhs, samples=size)
+        cross.add(dec_rhs - rhs, samples=size)
+        cap_b = sections.squarecap_b(at.xi, x, p)
+        cross.add(cap_b.beta - cap_y.beta, samples=size)
+        cross.add(cap_b.a - cap_y.kappa, samples=size)
+        cap_a = sections.squarecap_a(at.eta, x, p)
+        cross.add(cap_a.b + cap_x.b, samples=size)
+        cross.add(cap_a.alpha - cap_x.c, samples=size)
 
-            at = tangent.double_tangent_grid(x_field, y_field).at(x)
-            dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, p)
-            cross.add(dec_lhs - lhs, samples=size)
-            cross.add(dec_rhs - rhs, samples=size)
-            cap_b = sections.squarecap_b(at.xi, x, p)
-            cross.add(cap_b.beta - cap_y.beta, samples=size)
-            cross.add(cap_b.a - cap_y.kappa, samples=size)
-            cap_a = sections.squarecap_a(at.eta, x, p)
-            cross.add(cap_a.b + cap_x.b, samples=size)
-            cross.add(cap_a.alpha - cap_x.c, samples=size)
-
-            wrong_lhs, wrong_rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p, sign=-1.0)
-            guard.add_flipped(wrong_lhs - wrong_rhs)
-            guard.add(lhs - rhs, samples=size)
+        wrong_lhs, wrong_rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p, sign=-1.0)
+        guard.add_flipped(wrong_lhs - wrong_rhs)
+        guard.add(lhs - rhs, samples=size)
 
     return [momentum, closed, cross, guard]
 
@@ -751,49 +692,37 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
     cross = _Residuals("decomposed-cross-check",
                        "dual-bundle route agrees with the decomposed grid computation")
 
-    conns = _spec_connections(spec, rng, 3)
+    for (conn, spec_mu), size in _batches(_connection_forms(spec, rng), samples):
+        n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
+        x_field = _poly_family(rng, size, n, n)
+        mu = _poly_family(rng, size, n, k) if spec_mu is None else spec_mu
+        x, kappa = _chart_rows(rng, size, conn.bundle.chart, k)
 
-    def draw(i: int):
-        c = i % len(conns)
-        n, k = conns[c].bundle.chart.dim, conns[c].bundle.fiber_dim
-        x_field = _poly_draw(rng, n, n)
-        mu = _section_draw(spec, rng, i, n, k)
-        row = (x_field, mu, conns[c].bundle.chart.sample(rng), _rand_vec(rng, k))
-        return (c, isinstance(mu, SmoothMap)), row
+        # d ell_mu and the horizontal squarecap are each evaluated once at
+        # (x, kappa), and the grid's sections once at x.
+        dell_mu = ct.ell_differential(mu, x, kappa)
+        lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
+        lhs, rhs = ct.connection_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
+        momentum.add(lhs - rhs, samples=size)
 
-    for chunk in _chunks(samples):
-        for (c, _), rows in _grouped(draw(i) for i in chunk).items():
-            conn, size = conns[c], len(rows)
-            n = conn.bundle.chart.dim
-            xs, mus, x, kappa = zip(*rows)
-            x_field, mu = _poly_family(xs, n), _section_of(mus, n)
-            x, kappa = np.stack(x), np.stack(kappa)
+        flat_conn = Connection.flat(conn.bundle)
+        flat_lhs, flat_rhs = ct.connection_pairing(
+            dell_mu,
+            ct.squarecap_horizontal(flat_conn, x_field, x, kappa),
+            flat_conn.nabla(x_field, mu, x),
+            kappa,
+        )
+        flat.add(flat_lhs - flat_rhs, samples=size)
+        directional = np.einsum("ni,nij,nj->n", kappa, jacobian(mu, x), x_field(x))
+        flat.add(flat_rhs + directional, samples=size)
 
-            # d ell_mu and the horizontal squarecap are each evaluated once at
-            # (x, kappa), and the grid's sections once at x.
-            dell_mu = ct.ell_differential(mu, x, kappa)
-            lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
-            lhs, rhs = ct.connection_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
-            momentum.add(lhs - rhs, samples=size)
-
-            flat_conn = Connection.flat(conn.bundle)
-            flat_lhs, flat_rhs = ct.connection_pairing(
-                dell_mu,
-                ct.squarecap_horizontal(flat_conn, x_field, x, kappa),
-                flat_conn.nabla(x_field, mu, x),
-                kappa,
-            )
-            flat.add(flat_lhs - flat_rhs, samples=size)
-            directional = np.einsum("ni,nij,nj->n", kappa, jacobian(mu, x), x_field(x))
-            flat.add(flat_rhs + directional, samples=size)
-
-            at = tangent.connection_grid(conn, x_field, mu).at(x)
-            dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, kappa)
-            cross.add(dec_lhs - lhs, samples=size)
-            cross.add(dec_rhs - rhs, samples=size)
-            cap_a = sections.squarecap_a(at.eta, x, kappa)
-            cross.add(cap_a.b + lifted.b, samples=size)
-            cross.add(cap_a.alpha - lifted.c, samples=size)
+        at = tangent.connection_grid(conn, x_field, mu).at(x)
+        dec_lhs, dec_rhs = sections.warp_pairing_check(at, x, kappa)
+        cross.add(dec_lhs - lhs, samples=size)
+        cross.add(dec_rhs - rhs, samples=size)
+        cap_a = sections.squarecap_a(at.eta, x, kappa)
+        cross.add(cap_a.b + lifted.b, samples=size)
+        cross.add(cap_a.alpha - lifted.c, samples=size)
 
     return [momentum, flat, cross]
 

@@ -1,5 +1,5 @@
 """Shared helpers for the tests: the harness's random generators, a random
-and a constant grid, a row-by-row check of batched results, tangent points
+grid, the grid of given maps and a constant grid, a row-by-row check of batched results, tangent points
 and covectors of T(A) from their coordinates, and a change of
 decomposition."""
 
@@ -20,10 +20,15 @@ from dvbcalc import (
 )
 from dvbcalc.dvb import Record
 from dvbcalc.sections import SectionAt
-from dvbcalc.harness.suites import _poly_map as poly_map, _rand_vec as rand_vec  # noqa: F401
+from dvbcalc.harness.suites import _poly_map as poly_map, _poly_tree as poly_tree
 
 
 EPS = np.finfo(float).eps
+
+
+def rand_vec(rng, size) -> np.ndarray:
+    """Uniform [-1, 1) entries: a vector of length size, or an array of shape size."""
+    return rng.uniform(-1.0, 1.0, size)
 
 
 def arrays_of(value) -> list[np.ndarray]:
@@ -59,21 +64,22 @@ def matrix_map(rng, dim: int, rows: int, cols: int) -> MatrixMap:
     return MatrixMap.from_smooth_map(poly_map(rng, dim, rows * cols, degree=1), rows, cols)
 
 
-def random_grid(rng, shape: DvbShape) -> Grid:
-    """A random degree-1 grid: X, Lambda, Y and Mu drawn in that order, as
-    ``warp-pairing`` draws each sample's grid."""
+def grid_codims(shape: DvbShape) -> tuple[int, int, int, int]:
+    """The codimensions of a grid's X, Lambda, Y and Mu, in that order."""
+    return shape.dim_a, shape.dim_c * shape.dim_b, shape.dim_b, shape.dim_c * shape.dim_a
+
+
+def grid_of(shape: DvbShape, x: SmoothMap, lam: SmoothMap, y: SmoothMap, mu: SmoothMap) -> Grid:
+    """The grid of X and Y with fiber matrices Lambda and Mu, each given as a map of ``grid_codims``."""
     return Grid(
-        xi=LinearSectionB(
-            shape,
-            poly_map(rng, shape.base_dim, shape.dim_a, degree=1),
-            matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_b),
-        ),
-        eta=LinearSectionA(
-            shape,
-            poly_map(rng, shape.base_dim, shape.dim_b, degree=1),
-            matrix_map(rng, shape.base_dim, shape.dim_c, shape.dim_a),
-        ),
+        xi=LinearSectionB(shape, x, MatrixMap.from_smooth_map(lam, shape.dim_c, shape.dim_b)),
+        eta=LinearSectionA(shape, y, MatrixMap.from_smooth_map(mu, shape.dim_c, shape.dim_a)),
     )
+
+
+def random_grid(rng, shape: DvbShape) -> Grid:
+    """A random degree-1 grid: X, Lambda, Y and Mu drawn in that order by ``poly_map``."""
+    return grid_of(shape, *(poly_map(rng, shape.base_dim, codim, degree=1) for codim in grid_codims(shape)))
 
 
 def constant_grid(shape, x_value, y_value, lam, mu):

@@ -43,7 +43,8 @@ def _connection(coefficients: SmoothMap, chart, k: int) -> Connection:
 
 @cache
 def _family_case(n: int) -> Case:
-    # Replaying the seed gives each member as the harness draws it alone.
+    # Replaying the seed gives each role's block; member r is the tree of
+    # its row r, as _poly_map builds it.
     rng, replay = np.random.default_rng(n), np.random.default_rng(n)
     dim, k = 3, 2
     # role: (codim, degree); the connection's coefficients are of degree 1.
@@ -51,10 +52,10 @@ def _family_case(n: int) -> Case:
     roles["coeffs"] = (dim * k * k, 1)
     batch, rows = {}, [{} for _ in range(n)]
     for role, (codim, degree) in roles.items():
-        draws = [suites._poly_draw(rng, dim, codim, degree) for _ in range(n)]
-        batch[role] = suites._poly_family(draws, dim)
-        for maps in rows:
-            maps[role] = suites._poly_map(replay, dim, codim, degree)
+        batch[role] = suites._poly_family(rng, n, dim, codim, degree)
+        coeffs, pairs = suites._poly_draw(replay, n, dim, codim, degree)
+        for r, maps in enumerate(rows):
+            maps[role] = suites._poly_tree(dim, coeffs[r], None if pairs is None else pairs[r])
     chart = Chart(dim)
     for maps in [batch, *rows]:
         maps["conn"] = _connection(maps.pop("coeffs"), chart, k)

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import sys
 import warnings
 from dataclasses import replace
@@ -17,6 +20,7 @@ from dvbcalc.harness import (
     render_json,
     run_suites,
 )
+import dvbcalc
 from dvbcalc import cotangent, dvb, jets, tangent
 from dvbcalc.charts import Chart, Connection
 from dvbcalc.expressions import Add, Mul, Num, Var
@@ -637,17 +641,6 @@ CHARTS = [
 ]
 
 
-@pytest.mark.parametrize("chart", CHARTS)
-def test_chart_sample_is_bitwise_uniform_over_the_box(chart):
-    lows = [lo for lo, _ in chart.box]
-    highs = [hi for _, hi in chart.box]
-    ours, reference = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(20):
-        point = chart.sample(ours)
-        assert point.tobytes() == reference.uniform(lows, highs).tobytes()
-    assert ours.uniform() == reference.uniform()
-
-
 def _operator_without_fiber_matrix(field):
     # Dmu X: the operator as if the field's fiber matrix were zero, row by
     # row over the suite's batch.
@@ -727,8 +720,9 @@ CALCULUS_BATCHED = (
 @pytest.mark.parametrize("max_batch", [None, 2])
 @pytest.mark.parametrize("samples", [1, 2, 5, 24, 65])
 def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, max_batch):
-    # The suites group a chunk's samples by dimension, connection and named
-    # or random maps; with the cap lowered, a group spans several batches.
+    # The suites batch their samples by form (dimension, connection and
+    # section, named or random fields, fiber rank); with the cap lowered,
+    # a form spans several batches.
     if max_batch is not None:
         monkeypatch.setattr(suites, "_MAX_BATCH", max_batch)
     n = samples
@@ -762,81 +756,58 @@ def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, m
     assert all(c.passed for c in checks)
 
 
-def _per_sample_draws(suite, spec, samples, rng):
-    """The draws each sample of a batched calculus suite makes, one sample
-    after another in index order, without evaluating anything."""
-    n = spec.chart.dim
-    if suite == "cotangent-duality":
-        per = max(1, samples // 3)
-        for k in (1, 2, 3):
-            # flip-relation and flip-local-formula, then the two symplectic checks.
-            for dims in [(k, n, k, n, k, k)] * per + [(n + 2 * k, 2 * (n + k), 2 * (n + k))] * per:
-                spec.chart.sample(rng)
-                for dim in dims:
-                    rng.uniform(-1.0, 1.0, dim)
-        return
-    if suite == "duality-diagram":
-        for _ in range(samples):
-            spec.chart.sample(rng)
-            rng.uniform(-1.0, 1.0, (3, n))
-        for _ in range(max(1, samples // 4)):
-            spec.chart.sample(rng)
-            k = int(rng.integers(1, 4))
-            rng.uniform(-1.0, 1.0, n + 4 * k)
-            for _ in range(6):
-                suites._poly_draw(rng, n, k)
-        return
-    conns = suites._spec_connections(spec, rng, 3) if "connection" in suite else []
-    if suite == "bracket":
-        for _ in range(max(1, samples // 2)):
-            spec.chart.sample(rng)
-    for i in range(samples):
-        if suite == "bracket":
-            dim = 1 + i % 3
-            suites._poly_draw(rng, dim, dim)
-            suites._poly_draw(rng, dim, dim)
-            Chart(dim).sample(rng)
-        elif suite == "bracket-pairing":
-            if i % 2:
-                suites._poly_draw(rng, 2, 2)
-                suites._poly_draw(rng, 2, 2)
-            spec.chart.sample(rng)
-            rng.uniform(-1.0, 1.0, 2)
-        else:
-            n, k = 2, conns[i % 3].bundle.fiber_dim
-            suites._poly_draw(rng, n, n)
-            if suites._spec_section(spec, i, k) is None:
-                suites._poly_draw(rng, n, k)
-            spec.chart.sample(rng)
-            rng.uniform(-1.0, 1.0, k)
-            if suite == "connection":
-                suites._poly_draw(rng, n, k)
-                suites._poly_draw(rng, n, 1)
-                rng.uniform(-1.0, 1.0, (k, k))
-
-
-@pytest.mark.parametrize("max_batch", [None, 2])
-@pytest.mark.parametrize("suite", CALCULUS_BATCHED)
-def test_batched_calculus_suites_draw_each_sample_as_alone(monkeypatch, suite, max_batch):
-    # Batching changes no draw: the stream ends where the per-sample draws end.
-    if max_batch is not None:
-        monkeypatch.setattr(suites, "_MAX_BATCH", max_batch)
-    spec = _demo_spec()
-    ours, reference = np.random.default_rng(4), np.random.default_rng(4)
-    suites.SUITES[suite][1](spec, 13, ours)
-    _per_sample_draws(suite, spec, 13, reference)
-    assert ours.bit_generator.state == reference.bit_generator.state
-
-
 @pytest.mark.parametrize("chart", CHARTS)
 def test_chart_rows_are_bitwise_the_per_sample_draws(chart):
+    # Row j is a uniform point of the box, then its vectors, as if drawn
+    # one row after another; with no vector dimensions, the point alone.
+    lows = [lo for lo, _ in chart.box]
+    highs = [hi for _, hi in chart.box]
     ours, reference = np.random.default_rng(8), np.random.default_rng(8)
+    (points,) = suites._chart_rows(ours, 20, chart)
     point, a, b = suites._chart_rows(ours, 5, chart, 3, 1)
+    for j in range(20):
+        assert points[j].tobytes() == reference.uniform(lows, highs).tobytes()
     for j in range(5):
-        assert point[j].tobytes() == chart.sample(reference).tobytes()
+        assert point[j].tobytes() == reference.uniform(lows, highs).tobytes()
         assert a[j].tobytes() == reference.uniform(-1.0, 1.0, 3).tobytes()
         assert b[j].tobytes() == reference.uniform(-1.0, 1.0, 1).tobytes()
     assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_batches_count_equal_forms_together(monkeypatch):
+    assert list(suites._batches(("a", "b", "a"), 7)) == [("a", 5), ("b", 2)]
+    # A form with no sample gives no batch.
+    assert list(suites._batches(("a", "b", "c"), 2)) == [("a", 1), ("b", 1)]
+    assert list(suites._batches(("a",), 0)) == []
+    monkeypatch.setattr(suites, "_MAX_BATCH", 2)
+    assert list(suites._batches(("a", "b", "a"), 7)) == [("a", 2), ("a", 2), ("a", 1), ("b", 2)]
+
+
+def _public_callables():
+    """(qualified name, callable) of every public function and method of the
+    library's modules outside dvbcalc.harness."""
+    for info in pkgutil.walk_packages(dvbcalc.__path__, "dvbcalc."):
+        if info.name.startswith("dvbcalc.harness"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # a classmethod's or staticmethod's
+                    public = not attr.startswith("_") or attr in ("__init__", "__call__")
+                    if public and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_only_the_harness_takes_a_random_generator():
+    callables = dict(_public_callables())
+    assert "dvbcalc.charts.Connection.nabla" in callables
+    takers = [name for name, fn in callables.items() if "rng" in inspect.signature(fn).parameters]
+    assert takers == []
 
 
 def _nan_last(value):
@@ -878,18 +849,39 @@ def test_a_nan_defect_in_one_row_fails_its_cotangent_check(monkeypatch, suite, m
     assert [c.name for c in checks if not c.passed] == [failing]
 
 
-def _spec_with_one_point_replaced(data, index, point):
-    """The spec of data, whose chart returns point at its index-th sample."""
+def _spec_with_one_point_replaced(monkeypatch, data, index, point):
+    """The spec of data, and the sizes of the batches whose point was
+    replaced: the point of sample index, as each suite's batches place it.
+
+    Sample i of a suite takes forms[i % len(forms)] (``suites._batches``),
+    and the samples of one form fill its batches in index order; each batch
+    draws its points as one ``suites._chart_rows`` block.  On the spec's
+    chart, the row of that block which belongs to sample index is replaced.
+    """
     spec = ProblemSpec.from_dict(data)
-    chart, calls = spec.chart, []
+    batches, chart_rows = suites._batches, suites._chart_rows
+    place, replaced = [None], []
 
-    def sample(rng):
-        value = Chart.sample(chart, rng)
-        calls.append(None)
-        return np.array(point) if len(calls) == index + 1 else value
+    def placed_batches(forms, samples):
+        filled = {}
+        for form, n in batches(forms, samples):
+            of_form = [i for i in range(samples) if forms[i % len(forms)] == form]
+            start = filled.get(form, 0)
+            filled[form] = start + n
+            batch = of_form[start:start + n]
+            place[0] = batch.index(index) if index in batch else None
+            yield form, n
 
-    object.__setattr__(chart, "sample", sample)
-    return spec
+    def replaced_rows(rng, n, chart, *dims):
+        rows = chart_rows(rng, n, chart, *dims)
+        if chart is spec.chart and place[0] is not None:
+            rows[0][place[0]] = point
+            replaced.append(n)
+        return rows
+
+    monkeypatch.setattr(suites, "_batches", placed_batches)
+    monkeypatch.setattr(suites, "_chart_rows", replaced_rows)
+    return spec, replaced
 
 
 # (suite, samples, index of the sample whose point is replaced): the
@@ -913,7 +905,7 @@ _ONE_ROW = [
     ],
 )
 def test_one_row_leaving_its_domain_ends_the_batched_suite(
-    suite, samples, index, expression, box, bad
+    monkeypatch, suite, samples, index, expression, box, bad
 ):
     data = {
         "chart": {"dim": 1, "box": [box]},
@@ -922,14 +914,15 @@ def test_one_row_leaving_its_domain_ends_the_batched_suite(
     }
     healthy = run_suites(ProblemSpec.from_dict(data), suite_names=[suite], samples=samples)
     assert all(c.passed for c in healthy)
-    spec = _spec_with_one_point_replaced(data, index, [bad])
+    spec, replaced = _spec_with_one_point_replaced(monkeypatch, data, index, [bad])
     with np.errstate(all="ignore"):
         checks = run_suites(spec, suite_names=[suite], samples=samples)
     assert [(c.name, c.passed) for c in checks] == [("domain-error", False)]
+    assert len(replaced) == 1 and replaced[0] >= 2
 
 
 @pytest.mark.parametrize("suite, samples, index", _ONE_ROW)
-def test_one_row_overflowing_a_product_fails_checks_of_the_batched_suite(suite, samples, index):
+def test_one_row_overflowing_a_product_fails_checks_of_the_batched_suite(monkeypatch, suite, samples, index):
     # On the box x0*x0 underflows to 0, and the derivative stays finite; at
     # x0 = 1 the product overflows to inf, as x0*1e308*10 does.
     data = {
@@ -939,8 +932,9 @@ def test_one_row_overflowing_a_product_fails_checks_of_the_batched_suite(suite, 
     }
     healthy = run_suites(ProblemSpec.from_dict(data), suite_names=[suite], samples=samples)
     assert all(c.passed for c in healthy)
-    spec = _spec_with_one_point_replaced(data, index, [1.0])
+    spec, replaced = _spec_with_one_point_replaced(monkeypatch, data, index, [1.0])
     with np.errstate(all="ignore"):
         checks = run_suites(spec, suite_names=[suite], samples=samples)
+    assert len(replaced) == 1 and replaced[0] >= 2
     assert all(c.name != "domain-error" for c in checks)
     assert not all(c.passed for c in checks)

@@ -331,9 +331,11 @@ def test_batched_fibers_equal_their_rows():
 
 def test_family_grid_values_equal_their_rows(monkeypatch):
     """warp-pairing evaluates one grid of families per batch.  Replaying its
-    stream sample by sample gives each row's own grid and point: the row's
-    base values and fiber matrices must be that grid's there, bitwise, and
-    what is built from them must match the row's own within a few ulps."""
+    stream block by block gives each row's own grid and point: row r's grid
+    is the tree of row r of each role's block, as ``poly_map`` builds it.
+    The row's base values and fiber matrices must be that grid's there,
+    bitwise, and what is built from them must match the row's own within a
+    few ulps."""
     seen = []
 
     def recorded(grid, m, kappa):
@@ -355,7 +357,14 @@ def test_family_grid_values_equal_their_rows(monkeypatch):
 
             for (value, m, kappa), (flipped, _, _) in batches:
                 rows = len(m)
-                grids = [support.random_grid(replay, shape) for _ in range(rows)]
+                # One degree-1 block per role: X, Lambda, Y, then Mu.
+                blocks = [
+                    suites._poly_draw(replay, rows, dim, codim, degree=1)[0] for codim in support.grid_codims(shape)
+                ]
+                grids = [
+                    support.grid_of(shape, *(support.poly_tree(dim, block[r], None) for block in blocks))
+                    for r in range(rows)
+                ]
                 width = dim + dc + suites._SQUARECAP_DRAWS * 2 * (da + db) + da + db + 2 * dc
                 block = replay.uniform(-1.0, 1.0, (rows, width))
                 replay.integers(-8, 9, (rows, 2 * (da + db) + 4 * dc))
