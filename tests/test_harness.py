@@ -757,16 +757,25 @@ def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, m
 
 
 @pytest.mark.parametrize("chart", CHARTS)
+def test_chart_sample_is_bitwise_uniform_over_the_box(chart):
+    # With no vector dimensions, row j is the j-th uniform point of the box.
+    lows = [lo for lo, _ in chart.box]
+    highs = [hi for _, hi in chart.box]
+    ours, reference = np.random.default_rng(3), np.random.default_rng(3)
+    (points,) = suites._chart_rows(ours, 20, chart)
+    for j in range(20):
+        assert points[j].tobytes() == reference.uniform(lows, highs).tobytes()
+    assert ours.uniform() == reference.uniform()
+
+
+@pytest.mark.parametrize("chart", CHARTS)
 def test_chart_rows_are_bitwise_the_per_sample_draws(chart):
     # Row j is a uniform point of the box, then its vectors, as if drawn
-    # one row after another; with no vector dimensions, the point alone.
+    # one row after another.
     lows = [lo for lo, _ in chart.box]
     highs = [hi for _, hi in chart.box]
     ours, reference = np.random.default_rng(8), np.random.default_rng(8)
-    (points,) = suites._chart_rows(ours, 20, chart)
     point, a, b = suites._chart_rows(ours, 5, chart, 3, 1)
-    for j in range(20):
-        assert points[j].tobytes() == reference.uniform(lows, highs).tobytes()
     for j in range(5):
         assert point[j].tobytes() == reference.uniform(lows, highs).tobytes()
         assert a[j].tobytes() == reference.uniform(-1.0, 1.0, 3).tobytes()
