@@ -22,6 +22,14 @@ Compatibility of base points and shared side components is checked by
 exact float equality; elements meant to interact must be built from the
 same arrays.
 
+Sharing.  A record keeps a component as it is when it is a read-only
+float64 ndarray that owns its memory (``base is None``), such as another
+record's component; anything else (a writeable array, a list, an array of
+another dtype, a read-only view) is copied and the copy made read-only.
+Records built from one array therefore hold that one object, and an
+outline check between them returns at once.  A caller must not make a
+shared array writeable again.
+
 Batches.  A component is either one vector of shape (dim,) or a batch of N
 vectors of shape (N, dim); every batched component of one record has the
 same N, and the record's ``batch`` is that N (None when nothing is
@@ -40,6 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothmaps import DimensionMismatch
+
+
+_FLOAT = np.dtype(float)
 
 
 class IncompatibleElements(ValueError):
@@ -66,8 +77,11 @@ def _same(u: np.ndarray, v: np.ndarray, what: str) -> None:
     """Exact equality of two components, a single vector standing for every row of a batch.
 
     NaN matches NaN in the same position: both arrays then come from the
-    same value, and the NaN is left to the residual that carries it.
+    same value, and the NaN is left to the residual that carries it.  One
+    array passes against itself without a comparison.
     """
+    if u is v:
+        return
     if u.shape != v.shape and (u.shape[-1] != v.shape[-1] or u.ndim == v.ndim):
         raise IncompatibleElements(f"elements disagree on {what}: shapes {u.shape} vs {v.shape}")
     if not (u == v).all() and not ((u == v) | (np.isnan(u) & np.isnan(v))).all():
@@ -93,7 +107,8 @@ class Record:
 
     ``_fields`` pairs each component name with the ``DvbShape`` attribute
     that fixes its length.  ``batch`` is the common leading length of the
-    batched components, or None.
+    batched components, or None.  A component is shared or copied by the
+    module's sharing rule.
     """
 
     __slots__ = ("shape", "batch")
@@ -104,21 +119,23 @@ class Record:
         self.shape = shape
         batch = None
         for (name, key), value in zip(self._fields, values):
-            arr = np.array(value, dtype=float)
-            dim = getattr(shape, key)
-            if arr.shape != (dim,):
-                if arr.ndim != 2 or arr.shape[1] != dim:
-                    raise DimensionMismatch(
-                        f"{name} must have shape ({dim},) or (N, {dim}), got {arr.shape}"
-                    )
+            if (type(value) is not np.ndarray or value.flags.writeable
+                    or value.base is not None or value.dtype != _FLOAT):
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+            dims, dim = value.shape, getattr(shape, key)
+            if len(dims) == 2 and dims[1] == dim:
                 if batch is None:
-                    batch = arr.shape[0]
-                elif arr.shape[0] != batch:
+                    batch = dims[0]
+                elif dims[0] != batch:
                     raise DimensionMismatch(
-                        f"{name} has {arr.shape[0]} rows, other components have {batch}"
+                        f"{name} has {dims[0]} rows, other components have {batch}"
                     )
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+            elif dims != (dim,):
+                raise DimensionMismatch(
+                    f"{name} must have shape ({dim},) or (N, {dim}), got {dims}"
+                )
+            setattr(self, name, value)
         self.batch = batch
 
     def __repr__(self) -> str:
@@ -199,7 +216,7 @@ def elements_equal(x: Record, y: Record) -> bool:
 
 def _common(x, y) -> int | None:
     """Check that x and y can interact; return their batch length, or None."""
-    if x.shape != y.shape:
+    if x.shape is not y.shape and x.shape != y.shape:
         raise IncompatibleElements(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.batch is None:
         batch = y.batch

@@ -96,8 +96,12 @@ class ProblemSpec:
                 data = json.load(handle)
         except OSError as err:
             raise SpecError(f"cannot read spec file: {err}") from err
+        except UnicodeDecodeError as err:
+            raise SpecError(f"spec is not UTF-8 text: {err}") from err
         except json.JSONDecodeError as err:
             raise SpecError(f"spec is not valid JSON: {err}") from err
+        except RecursionError as err:
+            raise SpecError("spec JSON is nested too deeply") from err
         return cls.from_dict(data)
 
 

@@ -43,8 +43,15 @@ from .report import CheckResult
 # -- random data ---------------------------------------------------------------
 
 def _columns(block: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    """An (n, sum(dims)) block cut into its (n, dim) column blocks, in order; none for no dims."""
-    return np.split(block, np.cumsum(dims)[:-1], axis=1) if dims else []
+    """An (n, sum(dims)) block cut into its (n, dim) column blocks, in order; none for no dims.
+
+    Each block is a read-only copy that owns its memory, so every ``dvb``
+    record built from it holds that one array.
+    """
+    cols = [col.copy() for col in np.split(block, np.cumsum(dims)[:-1], axis=1)] if dims else []
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
 def _uniform_rows(rng, n: int, *dims: int) -> list[np.ndarray]:

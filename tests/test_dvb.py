@@ -632,8 +632,56 @@ def test_elements_equal_lets_an_unbatched_component_stand_for_every_row():
 
 def test_same_matches_nan_in_the_same_positions_only():
     nan = float("nan")
+    u = np.array([nan, 1.0])
+    _same(u, u, "b side")
     _same(np.array([nan, 1.0]), np.array([nan, 1.0]), "b side")
     _same(np.array([nan, 1.0]), np.array([[nan, 1.0], [nan, 1.0]]), "b side")
     for other in ([1.0, nan], [nan, 2.0], [0.0, 1.0], [[nan, 1.0], [nan, 0.0]]):
         with pytest.raises(IncompatibleElements):
             _same(np.array([nan, 1.0]), np.array(other), "b side")
+
+
+def test_a_record_shares_an_owned_read_only_float_array():
+    shape = DvbShape(2, 1, 1, 1)
+    a = np.array([1.0, -2.0])
+    a.flags.writeable = False
+    d = DvbElement(shape, [0.5], a, [3.0], [4.0])
+    assert d.a is a
+    assert DualAElement(shape, d.m, d.a, d.b, d.c).m is d.m
+    assert not any(getattr(d, name).flags.writeable for name in "mabc")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda rows: np.array(rows), id="writeable"),
+        pytest.param(lambda rows: rows, id="list"),
+        pytest.param(lambda rows: np.array(rows, dtype=int), id="int"),
+        pytest.param(lambda rows: np.array(rows, dtype=np.float32), id="float32"),
+        pytest.param(lambda rows: np.broadcast_to(np.array(rows[0]), (3, 2)), id="broadcast-view"),
+    ],
+)
+def test_a_record_copies_every_other_component(make):
+    rows = [[1.0, -2.0]] * 3
+    a = make(rows)
+    d = DvbElement(DvbShape(2, 1, 1, 1), [0.5], a, [3.0], [4.0])
+    assert d.a is not a and d.a.dtype == np.float64 and d.a.base is None
+    assert d.a.tolist() == rows and d.batch == 3
+    assert not any(getattr(d, name).flags.writeable for name in "mabc")
+    if isinstance(a, np.ndarray) and a.flags.writeable:
+        a[0, 0] = 9.0
+        assert d.a.tolist() == rows
+
+
+def test_elements_equal_never_matches_a_nan_component():
+    d = DvbElement(DvbShape(1, 1, 2, 0), [], [1.0], [2.0], [np.nan, 1.0])
+    assert not elements_equal(d, d)
+
+
+def test_common_compares_shapes_by_value():
+    equal, other = DvbShape(1, 2, 1, 1), DvbShape(1, 2, 2, 1)
+    d = DvbElement(DvbShape(1, 2, 1, 1), [0.5], [1.0], [2.0, 3.0], [4.0])
+    phi = DualAElement(equal, d.m, d.a, [1.0, 1.0], [1.0])
+    assert phi.shape is not d.shape and pair_a(phi, d) == 9.0
+    with pytest.raises(IncompatibleElements, match="shape mismatch"):
+        pair_a(DualAElement(other, d.m, d.a, [1.0, 1.0], [1.0, 1.0]), d)

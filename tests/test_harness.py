@@ -431,6 +431,24 @@ def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv)
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="nested-past-recursion-limit"),
+    ],
+)
+def test_cli_unreadable_spec_bytes_exit_two(tmp_path, capsys, raw):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(raw)
+    report_path = tmp_path / "report.json"
+    code = cli.main(["verify", str(spec_path), "--quiet", "--json-out", str(report_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "Traceback" not in err
+    assert not report_path.exists()
+
+
 def test_cli_unwritable_json_out_exits_two(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "report.json"
     code = cli.main(["verify", "--demo", "--samples", "2", "--json-out", str(missing)])
@@ -693,6 +711,28 @@ def test_algebra_suites_count_every_sample_once(monkeypatch, samples, max_batch)
     assert len(checks) == len(expected)
     assert {(c.suite, c.name, c.samples) for c in checks} == expected
     assert all(c.passed for c in checks)
+
+
+def test_a_duality_solve_batch_holds_one_base_point_array(monkeypatch):
+    draws, records = [], []
+    uniform_rows, init = suites._uniform_rows, dvb.Record.__init__
+
+    def recorded_rows(rng, n, *dims):
+        draws.append(uniform_rows(rng, n, *dims))
+        return draws[-1]
+
+    def recorded_init(self, shape, *values):
+        init(self, shape, *values)
+        records.append(self)
+
+    monkeypatch.setattr(suites, "_uniform_rows", recorded_rows)
+    monkeypatch.setattr(dvb.Record, "__init__", recorded_init)
+    spec = replace(_demo_spec(), dvb_shapes=(dvb.DvbShape(2, 1, 2, 1),))
+    suites._run_duality_solve(spec, 4, np.random.default_rng(0))
+    [[m, *_]] = draws
+    # The solve's probe records repeat each row over a block of probes.
+    of_batch = [record for record in records if record.batch == 4]
+    assert len(of_batch) > 10 and all(record.m is m for record in of_batch)
 
 
 def test_sign_guard_records_a_batch_and_never_a_nan_row():
