@@ -13,12 +13,14 @@ suite (a dvb shape, a chart dimension, a connection and section, named or
 random fields, a fiber rank), and the samples of one form fill its
 batches in index order, so a sample is (form, batch, row).  A batch draws
 each random quantity as one block: its points and vectors as one
-``_chart_rows`` block, and each random map role (the four maps of
-warp-pairing's grid, a calculus suite's random fields and sections) as
-one family (``_poly_family``), whose member r is row r's map.  A batch
-calls the library once on (N, dim) arrays, which returns one signed
-defect or both sides per row, and records each check with samples=N; only
-_Residuals reduces them.
+read-only ``_chart_rows`` block, and each random map role as one family
+from one ``_poly_draw``, whose member r is row r's map.  The calculus
+suites' fields and sections are of degree 2 and drawn as coefficient
+arrays (``_quadratic_family``, a ``PolyFamily``); the four degree-1 maps
+of warp-pairing's grid are trees whose leaves hold the coefficient
+columns (``_poly_family``).  A batch calls the library once on (N, dim)
+arrays, which returns one signed defect or both sides per row, and
+records each check with samples=N; only _Residuals reduces them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .. import dvb, sections, tangent
 from ..charts import Chart, Connection, TrivialBundle
 from ..expressions import Add, Mul, Num, Var
 from ..jets import DomainError, jet_directional
-from ..smoothmaps import MatrixMap, SmoothMap, directional_derivative, jacobian, lie_bracket
+from ..smoothmaps import MatrixMap, PolyFamily, SmoothMap, directional_derivative, jacobian, lie_bracket
 from .problem import ProblemSpec, SpecError
 from .report import CheckResult
 
@@ -68,9 +70,11 @@ def _chart_rows(rng, n: int, chart: Chart, *dims: int) -> list[np.ndarray]:
     """n rows of a uniform point of the chart's box and uniform [-1, 1)
     vectors of each length in dims, from one draw; [point] alone for no
     dims.  Row j is bitwise ``rng.uniform(lows, highs)`` and then
-    ``rng.uniform(-1.0, 1.0, dim)`` per dim, drawn row after row."""
+    ``rng.uniform(-1.0, 1.0, dim)`` per dim, drawn row after row.  Every
+    block is read-only and owns its memory, as ``_columns``' are."""
     block = rng.random((n, chart.dim + sum(dims)))
     point = chart.lows + chart.spans * block[:, :chart.dim]
+    point.flags.writeable = False
     return [point, *_columns(-1.0 + 2.0 * block[:, chart.dim:], dims)]
 
 
@@ -111,44 +115,39 @@ def _poly_tree(dim: int, coeffs: np.ndarray, pairs: np.ndarray | None) -> Smooth
     return SmoothMap(dim, tuple(comps))
 
 
-def _poly_family(rng, n: int, dim: int, codim: int, degree: int = 2) -> SmoothMap:
-    """n random polynomial maps, from one ``_poly_draw``, as one family: its
-    ``Num`` leaves hold (n,) arrays, and member r is the map of row r.
+def _poly_family(rng, n: int, dim: int, codim: int) -> SmoothMap:
+    """n random degree-1 maps, from one ``_poly_draw``, as one tree whose
+    ``Num`` leaves hold (n,) arrays: member r is the map of row r.
 
-    Component c is c0 + sum_i x_i (c_i + sum_j a_ij x_j) over pairs
-    i <= j.  A scatter sums each member's product coefficients on a pair,
-    duplicates included, into the pair's (n,) column a_ij, which is zero
-    for the members without that pair; component c keeps the pairs some
-    member uses.
+    Component c is c0 + sum_i c_i x_i.  Only warp-pairing's grids are such
+    trees; the calculus suites' maps are ``_quadratic_family``s.
     """
-    coeffs, pairs = _poly_draw(rng, n, dim, codim, degree)
+    coeffs, _ = _poly_draw(rng, n, dim, codim, degree=1)
     # Entry [c, t] is the (n,) column of coefficient t of component c.
     coeffs = np.moveaxis(coeffs, 0, -1)
-    width = coeffs.shape[1]
-    quad = np.zeros((codim, dim, dim, n))
-    used = np.zeros((codim, dim, dim), dtype=bool)
-    if pairs is not None:
-        ij = np.moveaxis(pairs, 0, -1)
-        lo, hi = ij.min(axis=2), ij.max(axis=2)  # (codim, dim, n)
-        comp, member = np.arange(codim)[:, None], np.arange(n)
-        for t in range(dim):
-            # Within one t every (component, member) cell is hit once.
-            quad[comp, lo[:, t], hi[:, t], member] += coeffs[:, 1 + dim + t]
-        used[comp[:, :, None], lo, hi] = True
-    linear = list(coeffs.reshape(-1, n))
-    products = list(quad.reshape(-1, n))
     var = [Var(i) for i in range(dim)]
     comps = []
-    for c, in_use in enumerate(used.tolist()):
-        expr = Num(linear[c * width])
+    for row in coeffs:
+        expr = Num(row[0])
         for i in range(dim):
-            inner = Num(linear[c * width + 1 + i])
-            for j in range(i, dim):
-                if in_use[i][j]:
-                    inner = Add(inner, Mul(Num(products[(c * dim + i) * dim + j]), var[j]))
-            expr = Add(expr, Mul(inner, var[i]))
+            expr = Add(expr, Mul(Num(row[1 + i]), var[i]))
         comps.append(expr)
     return SmoothMap(dim, tuple(comps))
+
+
+def _quadratic_family(rng, n: int, dim: int, codim: int) -> PolyFamily:
+    """n random degree-2 maps, from one ``_poly_draw``, as coefficient
+    arrays: member r is the map of row r.
+
+    Each product coefficient of a member is added, duplicates included and
+    in draw order, to entry (i, j), i <= j, of its component's quad.
+    """
+    coeffs, pairs = _poly_draw(rng, n, dim, codim)
+    i, j = pairs[..., 0], pairs[..., 1]
+    # The flat index of each product's entry of quad; bincount adds in order.
+    cell = np.arange(n * codim).reshape(n, codim, 1) * dim * dim + np.minimum(i, j) * dim + np.maximum(i, j)
+    quad = np.bincount(cell.ravel(), coeffs[..., 1 + dim:].ravel(), n * codim * dim * dim)
+    return PolyFamily(coeffs[..., 0], coeffs[..., 1:1 + dim], quad.reshape(n, codim, dim, dim))
 
 
 def _random_connection(rng, chart: Chart, fiber_dim: int) -> Connection:
@@ -352,7 +351,7 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         da, db, dc, dim = shape.dim_a, shape.dim_b, shape.dim_c, shape.base_dim
         # The grid's X, Lambda, Y and Mu, in that order, are one family
         # each, whose member j is the batch's j-th sample's.
-        x, lam, y, mu = (_poly_family(rng, n, dim, codim, degree=1) for codim in (da, dc * db, db, dc * da))
+        x, lam, y, mu = (_poly_family(rng, n, dim, codim) for codim in (da, dc * db, db, dc * da))
         grid = sections.Grid(
             xi=sections.LinearSectionB(shape, x, MatrixMap.from_smooth_map(lam, dc, db)),
             eta=sections.LinearSectionA(shape, y, MatrixMap.from_smooth_map(mu, dc, da)),
@@ -425,9 +424,9 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 # dimension, the connection suites by connection and spec section,
 # bracket-pairing by named or random fields, pairing-section-independence
 # by fiber rank; the other checks have one form.  Each batch draws its
-# points and vectors as one ``_chart_rows`` block and each random map role
-# as one family (``_poly_family``), evaluated once per batch, as
-# warp-pairing evaluates its grid's four families once per batch.
+# points and vectors as one ``_chart_rows`` block and each random field or
+# section as one ``_quadratic_family``, whose values and Jacobians are
+# closed forms and whose jets run on its coefficient columns.
 
 def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     checks: list[_Residuals] = []
@@ -457,7 +456,7 @@ def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     res = _Residuals("random-polynomials",
                      "warp route agrees with the bracket oracle on random polynomial fields")
     for dim, size in _batches((1, 2, 3), samples):
-        x_field, y_field = _poly_family(rng, size, dim, dim), _poly_family(rng, size, dim, dim)
+        x_field, y_field = _quadratic_family(rng, size, dim, dim), _quadratic_family(rng, size, dim, dim)
         points, = _chart_rows(rng, size, Chart(dim))
         via_warp = tangent.lie_bracket_via_warp(x_field, y_field, points)
         res.add(via_warp - lie_bracket(x_field, y_field, points), samples=size)
@@ -498,10 +497,10 @@ def _run_connection(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 
     for (conn, spec_mu), size in _batches(_connection_forms(spec, rng), samples):
         n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
-        z_field = _poly_family(rng, size, n, n)
-        mu = _poly_family(rng, size, n, k) if spec_mu is None else spec_mu
+        z_field = _quadratic_family(rng, size, n, n)
+        mu = _quadratic_family(rng, size, n, k) if spec_mu is None else spec_mu
         point, a = _chart_rows(rng, size, conn.bundle.chart, k)
-        phi, f = _poly_family(rng, size, n, k), _poly_family(rng, size, n, 1)
+        phi, f = _quadratic_family(rng, size, n, k), _quadratic_family(rng, size, n, 1)
         shift = rng.uniform(-1.0, 1.0, (size, k, k))
 
         # The tangent lift of mu (mu and Dmu) and the horizontal field
@@ -629,11 +628,10 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
     return [triangle, independence, ranks]
 
 
-def _shifted_family(rng, dim: int, codim: int, x: np.ndarray, value: np.ndarray) -> SmoothMap:
-    """A random family of len(x) maps, member r shifted by a constant leaf to take value[r] at x[r]."""
-    base = _poly_family(rng, len(x), dim, codim)
-    offset = value - base(x)
-    return SmoothMap(dim, tuple(Add(c, Num(o)) for c, o in zip(base.components, offset.T)))
+def _shifted_family(rng, dim: int, codim: int, x: np.ndarray, value: np.ndarray) -> PolyFamily:
+    """A random family of len(x) maps, member r shifted by a constant to take value[r] at x[r]."""
+    base = _quadratic_family(rng, len(x), dim, codim)
+    return replace(base, c0=base.c0 + (value - base(x)))
 
 
 # -- suite: bracket-pairing --------------------------------------------------------------
@@ -654,7 +652,7 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
     # others take random ones.
     forms = [(named[0], named[1]), None] if len(named) >= 2 else [None]
     for fields, size in _batches(forms, samples):
-        x_field, y_field = fields or (_poly_family(rng, size, n, n), _poly_family(rng, size, n, n))
+        x_field, y_field = fields or (_quadratic_family(rng, size, n, n), _quadratic_family(rng, size, n, n))
         x, p = _chart_rows(rng, size, spec.chart, n)
 
         # d ell_Y, d ell_X, the bracket and the grid's sections are each
@@ -701,8 +699,8 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
 
     for (conn, spec_mu), size in _batches(_connection_forms(spec, rng), samples):
         n, k = conn.bundle.chart.dim, conn.bundle.fiber_dim
-        x_field = _poly_family(rng, size, n, n)
-        mu = _poly_family(rng, size, n, k) if spec_mu is None else spec_mu
+        x_field = _quadratic_family(rng, size, n, n)
+        mu = _quadratic_family(rng, size, n, k) if spec_mu is None else spec_mu
         x, kappa = _chart_rows(rng, size, conn.bundle.chart, k)
 
         # d ell_mu and the horizontal squarecap are each evaluated once at

@@ -12,14 +12,23 @@ array of N points and returns its result with a leading axis of length N:
 ``m(points)`` is (N, codomain_dim), ``jacobian`` (N, codomain_dim, dim),
 ``lie_bracket`` (N, dim) and ``directional_derivative`` (N,).  One pass of
 the expressions over (N,) arrays evaluates all N points (see ``jets``); a
-single (dim,) point keeps the float path.  A map whose ``Num`` leaves hold
-(N,) arrays is a family of N maps of one form, and at an (N, dim) batch
-row i is member i at point i.
+single (dim,) point keeps the float path.
+
+Families.  A family of N maps is called only at (N, dim) batches, and row
+i of a result is member i at point i.  A map whose ``Num`` leaves hold
+(N,) arrays is such a family, walked like any tree.  A ``PolyFamily``
+holds N polynomial maps of degree at most 2 as coefficient arrays, with
+members on the leading axis: its values and Jacobians are closed-form
+products of those arrays (``jacobian`` takes its closed form), and its
+``eval_generic`` runs the arithmetic of the tree on the coefficient
+columns, so jets, nested ones too, pass through it as through a tree.
+Both kinds go wherever a ``SmoothMap`` is called at a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,6 +91,97 @@ class SmoothMap:
         return jets._as_array(values, batch, (len(values),))
 
 
+@dataclass(frozen=True, eq=False)
+class PolyFamily:
+    """N polynomial maps R^dim -> R^codim of degree at most 2, member r in row r.
+
+    Component c of member r is c0[r, c] + sum_i x_i (lin[r, c, i] +
+    sum_{j >= i} quad[r, c, i, j] x_j): c0 is (N, codim), lin
+    (N, codim, dim) and quad (N, codim, dim, dim), zero below its diagonal.
+    """
+
+    c0: np.ndarray
+    lin: np.ndarray
+    quad: np.ndarray
+
+    def __post_init__(self):
+        n, codim = self.c0.shape
+        dim = self.lin.shape[2]
+        if self.lin.shape != (n, codim, dim) or self.quad.shape != (n, codim, dim, dim):
+            raise DimensionMismatch(
+                f"coefficients of shapes {self.c0.shape}, {self.lin.shape} and "
+                f"{self.quad.shape} are not one family"
+            )
+
+    @property
+    def domain_dim(self) -> int:
+        return self.lin.shape[2]
+
+    @property
+    def codomain_dim(self) -> int:
+        return self.c0.shape[1]
+
+    def _batch(self, point) -> np.ndarray:
+        """point, which must be an (N, dim) batch: one point per member."""
+        x = np.asarray(point, dtype=float)
+        expected = (len(self.c0), self.domain_dim)
+        if x.shape != expected:
+            raise DimensionMismatch(f"a family takes a batch of shape {expected}, got {x.shape}")
+        return x
+
+    # Both closed forms multiply (N, codim * dim, dim) stacks by the (N, dim, 1)
+    # points; broadcasting the points over the components instead, or a
+    # three-operand einsum, is slower at large N.
+
+    def __call__(self, point) -> np.ndarray:
+        """The (N, codim) values: c0 + (lin + quad x) x."""
+        x = self._batch(point)[:, :, None]
+        n, codim, dim = self.lin.shape
+        inner = self.lin + (self.quad.reshape(n, codim * dim, dim) @ x).reshape(n, codim, dim)
+        return self.c0 + (inner @ x)[..., 0]
+
+    def jacobian(self, point) -> np.ndarray:
+        """The (N, codim, dim) Jacobians: lin + (quad + quad^T) x."""
+        x = self._batch(point)[:, :, None]
+        n, codim, dim = self.lin.shape
+        sym = self.quad + np.swapaxes(self.quad, -1, -2)
+        return self.lin + (sym.reshape(n, codim * dim, dim) @ x).reshape(n, codim, dim)
+
+    @cached_property
+    def _terms(self) -> list:
+        """Per component, its (N,) constant column and per i the linear
+        column and the (j, column) of the pairs i <= j some member uses."""
+        dim = self.domain_dim
+        c0 = self.c0.T.copy()
+        lin = np.moveaxis(self.lin, 0, -1).copy()
+        quad = np.moveaxis(self.quad, 0, -1).copy()
+        used = quad.any(axis=-1).tolist()
+        return [
+            (c0[c], [(lin[c, i], [(j, quad[c, i, j]) for j in range(i, dim) if used[c][i][j]])
+                     for i in range(dim)])
+            for c in range(len(c0))
+        ]
+
+    def eval_generic(self, values: Sequence[Scalar]) -> list[Scalar]:
+        """The components at (N,) coordinate columns, or jets over them."""
+        if len(values) != self.domain_dim:
+            raise DimensionMismatch(
+                f"expected point of dimension {self.domain_dim}, got {len(values)}"
+            )
+        if values and np.shape(jets.deep_value(values[0])) != (len(self.c0),):
+            raise DimensionMismatch(f"a family takes columns of {len(self.c0)} rows")
+        out = []
+        for const, terms in self._terms:
+            acc = const
+            for value, (coeff, pairs) in zip(values, terms):
+                inner = coeff
+                for j, a in pairs:
+                    inner = inner + a * values[j]
+                acc = acc + inner * value
+            out.append(acc)
+        return out
+
+
 def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     """matrix @ v, row by row for (N, rows, cols) matrices or (N, cols) vectors."""
     if v.ndim == 1:
@@ -100,11 +200,14 @@ def _point_key(point) -> tuple:
 def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
-    Each map keeps the Jacobian of its previous call, keyed by the shape
+    A ``PolyFamily`` gives its closed form.  Every other map keeps the
+    Jacobian of its previous call, keyed by the shape
     and exact bytes of the float point or batch (so ``0.0`` and ``-0.0``
     are different points).  A call at that same point reuses it.  The
     result is always a fresh array that the caller may modify.
     """
+    if isinstance(m, PolyFamily):
+        return m.jacobian(point)
     batch = jets._batch_of(point)
     dim = len(point) if batch is None else point.shape[1]
     if dim != m.domain_dim:
@@ -158,7 +261,7 @@ def lie_bracket_generic(
 
 
 def _entries(jac: np.ndarray, batch: int | None):
-    """A Jacobian's entries [i][j]: floats, or for a batch the (N,) arrays of their rows."""
+    """A value's entries [i] or a Jacobian's [i][j]: floats, or for a batch (N,) arrays."""
     return jac.tolist() if batch is None else np.moveaxis(jac, 0, -1)
 
 
@@ -173,16 +276,11 @@ def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
     if x_field.domain_dim != y_field.domain_dim:
         raise DimensionMismatch("vector fields live on different charts")
     batch = jets._batch_of(point)
-    values = jets._columns(point)
-    if len(values) != x_field.domain_dim:
-        raise DimensionMismatch(
-            f"expected point of dimension {x_field.domain_dim}, got {len(values)}"
-        )
-    xv = x_field.eval_generic(values)
-    yv = y_field.eval_generic(values)
+    xv = _entries(x_field(point), batch)
+    yv = _entries(y_field(point), batch)
     jx = _entries(jacobian(x_field, point), batch)
     jy = _entries(jacobian(y_field, point), batch)
-    return jets._as_array(_bracket(xv, yv, jx, jy), batch, (len(values),))
+    return jets._as_array(_bracket(xv, yv, jx, jy), batch, (x_field.domain_dim,))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """The batch axis of the calculus layers: a call at an (N, dim) batch of
 points returns, row by row, what the call at each point returns.
 
-Two cases: a random family, whose ``Num`` leaves hold one coefficient per
-row so that row r is member r at point r, and the deep named maps of
-``perfbench/named_maps.json``, the same maps at every row.
+Two cases: random families, whose member r is the map of row r, called at
+point r, and the deep named maps of ``perfbench/named_maps.json``, the same
+maps at every row.  In the family case the degree-2 maps are
+``PolyFamily`` coefficient arrays, as the calculus suites draw them, and
+the connection's degree-1 coefficients a tree whose ``Num`` leaves hold one
+coefficient per row; each row's reference is the tree ``_poly_tree``
+builds from that row's draw.
 """
 
 from functools import cache
@@ -20,7 +24,14 @@ from dvbcalc.harness import suites
 from dvbcalc.harness.problem import ProblemSpec
 from dvbcalc.jets import DomainError, Jet
 from dvbcalc.sections import SectionAt
-from dvbcalc.smoothmaps import MatrixMap, SmoothMap, directional_derivative, jacobian, lie_bracket
+from dvbcalc.smoothmaps import (
+    MatrixMap,
+    SmoothMap,
+    directional_derivative,
+    jacobian,
+    lie_bracket,
+    lie_bracket_generic,
+)
 
 import support
 
@@ -52,7 +63,8 @@ def _family_case(n: int) -> Case:
     roles["coeffs"] = (dim * k * k, 1)
     batch, rows = {}, [{} for _ in range(n)]
     for role, (codim, degree) in roles.items():
-        batch[role] = suites._poly_family(rng, n, dim, codim, degree)
+        family = suites._quadratic_family if degree == 2 else suites._poly_family
+        batch[role] = family(rng, n, dim, codim)
         coeffs, pairs = suites._poly_draw(replay, n, dim, codim, degree)
         for r, maps in enumerate(rows):
             maps[role] = suites._poly_tree(dim, coeffs[r], None if pairs is None else pairs[r])
@@ -82,11 +94,11 @@ CASES = {"family": _family_case, "named": _named_case}
 
 
 def _eval(m, x, v):
-    return np.asarray([expressions.evaluate(c, jets._columns(x)) for c in m["x"].components])
+    return np.asarray(m["x"].eval_generic(jets._columns(x)))
 
 
 def _eval_batched(m, x, v):
-    values = [expressions.evaluate(c, list(x.T)) for c in m["x"].components]
+    values = m["x"].eval_generic(list(x.T))
     return np.stack([np.broadcast_to(value, len(x)) for value in values], axis=1)
 
 
@@ -97,6 +109,11 @@ def _directional(m, x, v):
 
 def _directional_single(m, x, v):
     return jets.jet_directional(ct.momentum_function(m["phi"]), [*x, *v], [*x, *v])
+
+
+def _bracket_jacobian(m, x, v):
+    # Nested jets: lie_bracket_generic seeds its own jets over these.
+    return jets.jet_jacobian(lambda vs: lie_bracket_generic(m["x"], m["y"], vs), x)
 
 
 def _gradient(m, x, v):
@@ -143,6 +160,7 @@ CALLS = {
     "call": (lambda m, x, v: m["x"](x), None),
     "jacobian": (lambda m, x, v: jacobian(m["x"], x), None),
     "lie_bracket": (lambda m, x, v: lie_bracket(m["x"], m["y"], x), None),
+    "lie_bracket_generic_jacobian": (_bracket_jacobian, None),
     "lie_bracket_via_warp": (lambda m, x, v: tangent.lie_bracket_via_warp(m["x"], m["y"], x), None),
     "directional_derivative": (lambda m, x, v: directional_derivative(m["f"], m["x"], x), None),
     "jet_directional": (_directional, _directional_single),

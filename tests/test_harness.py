@@ -821,6 +821,9 @@ def test_chart_rows_are_bitwise_the_per_sample_draws(chart):
         assert a[j].tobytes() == reference.uniform(-1.0, 1.0, 3).tobytes()
         assert b[j].tobytes() == reference.uniform(-1.0, 1.0, 1).tobytes()
     assert ours.bit_generator.state == reference.bit_generator.state
+    # Each block is read-only and owns its memory, so every dvb record built
+    # from it holds that one array.
+    assert all(not block.flags.writeable and block.base is None for block in (point, a, b))
 
 
 def test_batches_count_equal_forms_together(monkeypatch):
@@ -905,7 +908,8 @@ def _spec_with_one_point_replaced(monkeypatch, data, index, point):
     Sample i of a suite takes forms[i % len(forms)] (``suites._batches``),
     and the samples of one form fill its batches in index order; each batch
     draws its points as one ``suites._chart_rows`` block.  On the spec's
-    chart, the row of that block which belongs to sample index is replaced.
+    chart, the row of that block which belongs to sample index is replaced
+    in a copy, read-only like the block it stands for.
     """
     spec = ProblemSpec.from_dict(data)
     batches, chart_rows = suites._batches, suites._chart_rows
@@ -924,7 +928,9 @@ def _spec_with_one_point_replaced(monkeypatch, data, index, point):
     def replaced_rows(rng, n, chart, *dims):
         rows = chart_rows(rng, n, chart, *dims)
         if chart is spec.chart and place[0] is not None:
+            rows[0] = rows[0].copy()
             rows[0][place[0]] = point
+            rows[0].flags.writeable = False
             replaced.append(n)
         return rows
 

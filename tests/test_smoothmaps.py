@@ -3,9 +3,11 @@ import pytest
 
 from dvbcalc import jets
 from dvbcalc.expressions import ParseError
+from dvbcalc.harness import suites
 from dvbcalc.smoothmaps import (
     DimensionMismatch,
     MatrixMap,
+    PolyFamily,
     SmoothMap,
     directional_derivative,
     jacobian,
@@ -203,3 +205,49 @@ def test_matrix_map_shape_enforced():
     bad = MatrixMap(2, 2, lambda p: np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch):
         bad([0.0])
+
+
+# -- polynomial families -------------------------------------------------------
+
+def _family_and_rows(seed: int, n: int, dim: int, codim: int):
+    """A ``_quadratic_family`` of n members and, replaying its draw, the
+    tree ``_poly_tree`` builds from each row, with n points of the chart."""
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    family = suites._quadratic_family(rng, n, dim, codim)
+    coeffs, pairs = suites._poly_draw(replay, n, dim, codim)
+    rows = [support.poly_tree(dim, coeffs[r], pairs[r]) for r in range(n)]
+    return family, rows, rng.uniform(-1.0, 1.0, (n, dim))
+
+
+def _hessian(m, point):
+    """Second partials [c * dim + i, j] from nested jets over eval_generic."""
+    def first_partials(vs):
+        return [e for row in jets.generic_jacobian(m.eval_generic, vs) for e in row]
+
+    return jets.jet_jacobian(first_partials, point)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quadratic_family_equals_its_row_trees(n, dim):
+    family, rows, points = _family_and_rows(n * 10 + dim, n, dim, 2)
+    support.assert_rows(family(points), [tree(x) for tree, x in zip(rows, points)])
+    support.assert_rows(jacobian(family, points), [jacobian(tree, x) for tree, x in zip(rows, points)])
+    hessians = _hessian(family, points)
+    support.assert_rows(hessians, [_hessian(tree, x) for tree, x in zip(rows, points)])
+    closed = family.quad + np.swapaxes(family.quad, -1, -2)
+    assert np.array_equal(hessians, closed.reshape(n, 2 * dim, dim))
+
+
+def test_a_family_takes_only_a_batch_of_its_own_rows():
+    family, _, points = _family_and_rows(3, 4, 2, 2)
+    for point in (points[:3], np.concatenate([points, points]), points[0], points[:, :1]):
+        with pytest.raises(DimensionMismatch):
+            family(point)
+        with pytest.raises(DimensionMismatch):
+            jacobian(family, point)
+    for values in (list(points[0]), list(points[:3].T), [np.float64(0.5)] * 2, list(points.T)[:1]):
+        with pytest.raises(DimensionMismatch):
+            family.eval_generic(values)
+    with pytest.raises(DimensionMismatch):
+        PolyFamily(family.c0, family.lin[:, :1], family.quad)
