@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import jets
-from .smoothmaps import DimensionMismatch, SmoothMap, _matvec, _point_key, jacobian
+from .smoothmaps import DimensionMismatch, SmoothMap, _matvec, _point_key, _reuse_last, _rows_of, jacobian
 
 
 @dataclass(frozen=True)
@@ -67,40 +66,26 @@ class Connection:
     """A linear connection, given by its coefficient tensor as a function of the point.
 
     Each connection keeps the tensor of its previous ``coefficient_tensor``
-    call, keyed by the shape and exact bytes of the float point or batch
-    (so ``0.0`` and ``-0.0`` are different points), and a call at that same
-    point reuses it.  The result is always a fresh array that the caller
-    may modify, and a call that raises stores nothing.  At an (N, dim)
+    call, as ``smoothmaps.jacobian`` keeps a map's Jacobian: keyed by the
+    point's shape and exact bytes (so ``0.0`` and ``-0.0`` differ), returned
+    as a fresh array, and not kept when the call raises.  At an (N, dim)
     batch the tensor is (N, n, k, k); a coefficient function that returns
     one (n, k, k) tensor, such as a constant, gives it for every row.
     """
 
     bundle: TrivialBundle
     coefficients: Callable[[Sequence[float]], np.ndarray] = field(repr=False)
-    # (point bytes, tensor) of the last ``coefficient_tensor`` call.
-    _last_tensor: tuple[bytes, np.ndarray] | None = field(
+    # (point key, tensor) of the last ``coefficient_tensor`` call.
+    _last_tensor: tuple[tuple, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def coefficient_tensor(self, m) -> np.ndarray:
-        key = _point_key(m)
-        last = self._last_tensor
-        if last is not None and last[0] == key:
-            return last[1].copy()
         n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        out = np.array(self.coefficients(m), dtype=float)
-        expected = (n, k, k)
-        batch = jets._batch_of(m)
-        if batch is not None:
-            if out.shape == expected:
-                out = np.tile(out, (batch, 1, 1, 1))
-            expected = (batch, *expected)
-        if out.shape != expected:
-            raise DimensionMismatch(
-                f"connection coefficients have shape {out.shape}, expected {expected}"
-            )
-        object.__setattr__(self, "_last_tensor", (key, out))
-        return out.copy()
+        return _reuse_last(
+            self, "_last_tensor", _point_key(m),
+            lambda: _rows_of(self.coefficients(m), m, (n, k, k), "connection coefficients"),
+        )
 
     def omega(self, z_field: SmoothMap, m) -> np.ndarray:
         """The k x k matrix omega(Z)(m) = sum_j Z^j(m) omega_j(m)."""

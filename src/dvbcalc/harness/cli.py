@@ -67,36 +67,40 @@ def run_verify(args) -> int:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
 
-    # Only opening and writing the report count as write errors; an OSError
+    # The report path is probed before any suite runs, so an unwritable path
+    # costs no run; opening it to append changes nothing in an existing file.
+    # Only the probe and the final write count as write errors; an OSError
     # raised inside a suite propagates like any other crash.
-    try:
-        # The report path is opened before any suite runs, so an unwritable
-        # path costs no run; a spec error above leaves no file.
-        target = open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext(sys.stdout)
-    except OSError as exc:
-        return _cannot_write(exc)
-    with target as out:
+    created = False
+    if args.json_out:
+        created = not os.path.exists(args.json_out)
         try:
-            # Non-finite values fail their checks, so numpy's warnings
-            # about them would only add noise on stderr.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                checks = run_suites(spec, *run)
-        except BaseException:
-            # Only a finished run leaves a report.
-            if args.json_out:
-                out.close()
-                os.remove(args.json_out)
-            raise
-        report = build_report(checks, run._asdict())
-        if not args.quiet:
-            for line in check_lines(checks):
-                print(line)
-            print(f"overall: {report['overall']}")
-        try:
-            out.write(render_json(report))
-            out.flush()
+            open(args.json_out, "a", encoding="utf-8").close()
         except OSError as exc:
             return _cannot_write(exc)
+    try:
+        # Non-finite values fail their checks, so numpy's warnings about
+        # them would only add noise on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            checks = run_suites(spec, *run)
+        report = build_report(checks, run._asdict())
+        text = render_json(report)
+    except BaseException:
+        # Only a finished run writes a report: a crash leaves an existing
+        # file as it was and removes the one the probe made.
+        if created:
+            os.remove(args.json_out)
+        raise
+    if not args.quiet:
+        for line in check_lines(checks):
+            print(line)
+        print(f"overall: {report['overall']}")
+    try:
+        with open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext(sys.stdout) as out:
+            out.write(text)
+            out.flush()
+    except OSError as exc:
+        return _cannot_write(exc)
 
     return 0 if report["overall"] == "pass" else 1
 

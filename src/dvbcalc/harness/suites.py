@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import replace
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ def _columns(block: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     Each block is a read-only copy that owns its memory, so every ``dvb``
     record built from it holds that one array.
     """
-    cols = [col.copy() for col in np.split(block, np.cumsum(dims)[:-1], axis=1)] if dims else []
+    cols = [block[:, end - dim:end].copy() for dim, end in zip(dims, accumulate(dims))]
     for col in cols:
         col.flags.writeable = False
     return cols
@@ -102,10 +103,15 @@ def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
 
 def _poly_tree(dim: int, coeffs: np.ndarray, pairs: np.ndarray | None) -> SmoothMap:
     """The map of one draw's (codim, width) coefficients and (codim, dim, 2)
-    pairs, one float leaf per coefficient, in draw order."""
+    pairs, one float leaf per coefficient, in draw order.
+
+    Given the (codim, width, n) coefficient columns of n maps instead, each
+    leaf holds one (n,) column: the tree of the family of the n maps.
+    """
     var = [Var(i) for i in range(dim)]
+    rows = coeffs.tolist() if coeffs.ndim == 2 else coeffs
     comps = []
-    for row, ij in zip(coeffs.tolist(), [()] * len(coeffs) if pairs is None else pairs.tolist()):
+    for row, ij in zip(rows, [()] * len(coeffs) if pairs is None else pairs.tolist()):
         expr = Num(row[0])
         for i in range(dim):
             expr = Add(expr, Mul(Num(row[1 + i]), var[i]))
@@ -123,16 +129,7 @@ def _poly_family(rng, n: int, dim: int, codim: int) -> SmoothMap:
     trees; the calculus suites' maps are ``_quadratic_family``s.
     """
     coeffs, _ = _poly_draw(rng, n, dim, codim, degree=1)
-    # Entry [c, t] is the (n,) column of coefficient t of component c.
-    coeffs = np.moveaxis(coeffs, 0, -1)
-    var = [Var(i) for i in range(dim)]
-    comps = []
-    for row in coeffs:
-        expr = Num(row[0])
-        for i in range(dim):
-            expr = Add(expr, Mul(Num(row[1 + i]), var[i]))
-        comps.append(expr)
-    return SmoothMap(dim, tuple(comps))
+    return _poly_tree(dim, np.moveaxis(coeffs, 0, -1), None)
 
 
 def _quadratic_family(rng, n: int, dim: int, codim: int) -> PolyFamily:
@@ -680,8 +677,9 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         cross.add(cap_a.b + cap_x.b, samples=size)
         cross.add(cap_a.alpha - cap_x.c, samples=size)
 
-        wrong_lhs, wrong_rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p, sign=-1.0)
-        guard.add_flipped(wrong_lhs - wrong_rhs)
+        # The pairing is linear in the image of sharp, and the opposite sharp
+        # convention negates that image over A, so it gives exactly -lhs.
+        guard.add_flipped(-lhs - rhs)
         guard.add(lhs - rhs, samples=size)
 
     return [momentum, closed, cross, guard]

@@ -28,7 +28,7 @@ takes such a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -52,51 +52,46 @@ from .smoothmaps import MatrixMap, SmoothMap, _matvec
 
 
 @dataclass(frozen=True)
-class LinearSectionB:
+class LinearSection:
+    """A section of D over one side, linear over a base section M -> the other side's fiber.
+
+    ``LinearSectionB`` and ``LinearSectionA`` name the two sides in ``_sides``:
+    the one the section is over, then the one its base section takes values in.
+    """
+
+    shape: DvbShape
+    base_section: SmoothMap
+    fiber_matrix: MatrixMap
+    _sides: ClassVar[tuple[str, str]]
+
+    def __post_init__(self):
+        fiber, base = self._sides
+        dims = {"A": self.shape.dim_a, "B": self.shape.dim_b}
+        if self.base_section.domain_dim != self.shape.base_dim:
+            raise IncompatibleElements("base section domain must match the chart")
+        if self.base_section.codomain_dim != dims[base]:
+            raise IncompatibleElements(f"base section must take values in the {base} fiber")
+        if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (self.shape.dim_c, dims[fiber]):
+            raise IncompatibleElements(f"fiber matrix must map the {fiber} fiber to the core")
+
+    def at(self, m) -> SectionAt:
+        m = np.asarray(m, dtype=float)
+        return SectionAt(self, m, self.base_section(m), self.fiber_matrix(m))
+
+    def __call__(self, m, fiber) -> DvbElement:
+        return self.at(m)(fiber)
+
+
+class LinearSectionB(LinearSection):
     """Section of D -> B, linear over the base section M -> A-fiber."""
 
-    shape: DvbShape
-    base_section: SmoothMap
-    fiber_matrix: MatrixMap
-
-    def __post_init__(self):
-        if self.base_section.domain_dim != self.shape.base_dim:
-            raise IncompatibleElements("base section domain must match the chart")
-        if self.base_section.codomain_dim != self.shape.dim_a:
-            raise IncompatibleElements("base section must take values in the A fiber")
-        if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (self.shape.dim_c, self.shape.dim_b):
-            raise IncompatibleElements("fiber matrix must map the B fiber to the core")
-
-    def at(self, m) -> SectionAt:
-        m = np.asarray(m, dtype=float)
-        return SectionAt(self, m, self.base_section(m), self.fiber_matrix(m))
-
-    def __call__(self, m, b) -> DvbElement:
-        return self.at(m)(b)
+    _sides = ("B", "A")
 
 
-@dataclass(frozen=True)
-class LinearSectionA:
+class LinearSectionA(LinearSection):
     """Section of D -> A, linear over the base section M -> B-fiber."""
 
-    shape: DvbShape
-    base_section: SmoothMap
-    fiber_matrix: MatrixMap
-
-    def __post_init__(self):
-        if self.base_section.domain_dim != self.shape.base_dim:
-            raise IncompatibleElements("base section domain must match the chart")
-        if self.base_section.codomain_dim != self.shape.dim_b:
-            raise IncompatibleElements("base section must take values in the B fiber")
-        if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (self.shape.dim_c, self.shape.dim_a):
-            raise IncompatibleElements("fiber matrix must map the A fiber to the core")
-
-    def at(self, m) -> SectionAt:
-        m = np.asarray(m, dtype=float)
-        return SectionAt(self, m, self.base_section(m), self.fiber_matrix(m))
-
-    def __call__(self, m, a) -> DvbElement:
-        return self.at(m)(a)
+    _sides = ("A", "B")
 
 
 class SectionAt(NamedTuple):
@@ -111,7 +106,7 @@ class SectionAt(NamedTuple):
     is the section at point i (member i's, if its maps are families).
     """
 
-    section: LinearSectionA | LinearSectionB
+    section: LinearSection
     m: np.ndarray
     base: np.ndarray
     matrix: np.ndarray
@@ -179,16 +174,20 @@ def squarecap_b(xi: LinearSectionB | SectionAt, m, kappa) -> IterBCElement:
     Characterized by <squarecap_b(xi, m, kappa), psi>_C* = ell_b(xi, psi)
     for every psi over kappa.
     """
-    xi = xi.at(m)
-    kappa = np.asarray(kappa, dtype=float)
-    return IterBCElement(xi.shape, xi.m, kappa, _matvec(np.swapaxes(xi.matrix, -1, -2), kappa), xi.base)
+    return _squarecap(IterBCElement, xi, m, kappa)
 
 
 def squarecap_a(eta: LinearSectionA | SectionAt, m, kappa) -> IterACElement:
     """A-side analogue of squarecap_b, landing in the other iterated dual."""
-    eta = eta.at(m)
+    return _squarecap(IterACElement, eta, m, kappa)
+
+
+def _squarecap(iterated_dual: type, section: LinearSection | SectionAt, m, kappa):
+    """(m; kappa, matrix^T kappa, base) in the iterated dual of the section's side."""
+    section = section.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    return IterACElement(eta.shape, eta.m, kappa, _matvec(np.swapaxes(eta.matrix, -1, -2), kappa), eta.base)
+    fiber = _matvec(np.swapaxes(section.matrix, -1, -2), kappa)
+    return iterated_dual(section.shape, section.m, kappa, fiber, section.base)
 
 
 def ell_b(xi: LinearSectionB | SectionAt, psi: DualBElement) -> float | np.ndarray:

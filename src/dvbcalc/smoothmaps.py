@@ -225,6 +225,21 @@ def _reuse_last(owner, slot: str, key: tuple, compute) -> np.ndarray:
     return last[1].copy()
 
 
+def _rows_of(value, point, expected: tuple, what: str) -> np.ndarray:
+    """A function's value at point as a float array of shape expected, or
+    (N, *expected) at an (N, dim) batch; one value of shape expected at a
+    batch stands for every row, as a read-only broadcast view."""
+    out = np.asarray(value, dtype=float)
+    batch = jets._batch_of(point)
+    if batch is not None:
+        if out.shape == expected:
+            out = np.broadcast_to(out, (batch, *expected))
+        expected = (batch, *expected)
+    if out.shape != expected:
+        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {expected}")
+    return out
+
+
 def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
@@ -325,16 +340,7 @@ class MatrixMap:
         A function that returns one matrix for a batch, such as a constant,
         gives that matrix for every row.
         """
-        out = np.asarray(self.fn(point), dtype=float)
-        expected = (self.rows, self.cols)
-        batch = jets._batch_of(point)
-        if batch is not None:
-            if out.shape == expected:
-                out = np.broadcast_to(out, (batch, *expected))
-            expected = (batch, *expected)
-        if out.shape != expected:
-            raise DimensionMismatch(f"matrix map returned shape {out.shape}, expected {expected}")
-        return out
+        return _rows_of(self.fn(point), point, (self.rows, self.cols), "matrix map")
 
     @classmethod
     def from_smooth_map(cls, m: SmoothMap, rows: int, cols: int) -> "MatrixMap":

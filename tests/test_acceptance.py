@@ -39,6 +39,7 @@ from dvbcalc.dvb import (
     pair_duals_ba,
     pairing_map_a,
     pairing_map_b,
+    scale_over_a,
     solve_dual_iso_a,
     sub_over_a,
     sub_over_b,
@@ -278,15 +279,14 @@ def test_acceptance_duality_diagram():
             abs(crhs + float(kappa @ conn.nabla(x_field, mu, x))),
         )
 
-    # The opposite sharp sign must break both the pairing and the triangle.
+    # The opposite sharp convention, the over-A negation of dnu_sharp, must
+    # break both the pairing, whose value it negates, and the triangle.
     x_field = SmoothMap.parse(["1", "0"], 2)
     y_field = SmoothMap.parse(["0", "x0"], 2)
-    flipped_lhs, flipped_rhs = bracket_pairing_check(
-        x_field, y_field, [0.5, 0.25], [0.3, 0.7], sign=-1.0
-    )
-    flipped_gap = abs(flipped_lhs - flipped_rhs)
+    lhs, rhs = bracket_pairing_check(x_field, y_field, [0.5, 0.25], [0.3, 0.7])
+    flipped_gap = abs(-lhs - rhs)
     ones = support.covector([0.1, 0.2], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    wrong = j_star(i_components(dnu_sharp(ones, sign=-1.0)))
+    wrong = j_star(i_components(scale_over_a(-1.0, dnu_sharp(ones))))
     direct = cotangent_flip(ones)
     triangle_gap = max(
         float(np.max(np.abs(getattr(wrong, name) - getattr(direct, name))))

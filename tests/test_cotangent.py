@@ -4,7 +4,6 @@ import pytest
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.cotangent import (
-    DNU_SHARP_SIGN,
     bracket_pairing,
     bracket_pairing_check,
     canonical_one_form,
@@ -37,6 +36,7 @@ from dvbcalc.dvb import (
     dual_iso_a,
     elements_equal,
     pair_a,
+    scale_over_a,
 )
 from dvbcalc.expressions import Add, Num
 from dvbcalc.sections import squarecap_a, squarecap_b, squarecap_pairing, warp_pairing_check
@@ -215,14 +215,16 @@ def test_i_components_and_j_star_read_the_functional():
 
 
 def test_dnu_sharp_pinned_sign():
-    assert DNU_SHARP_SIGN == 1.0
     f = support.covector([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0])
     sharp = dnu_sharp(f)
     assert sharp.b.tolist() == [7.0, 8.0]
     assert sharp.c.tolist() == [-5.0, -6.0]
-    flipped = dnu_sharp(f, sign=-1.0)
+    # The opposite convention (sigma_q, sigma_p) |-> (-sigma_p, sigma_q) is
+    # the over-A negation of the pinned one.
+    flipped = scale_over_a(-1.0, sharp)
     assert flipped.b.tolist() == [-7.0, -8.0]
     assert flipped.c.tolist() == [5.0, 6.0]
+    assert not elements_equal(flipped, sharp)
 
 
 def test_dnu_sharp_inverts_the_two_form():
@@ -293,9 +295,13 @@ def test_bracket_pairing_flipped_sign_fails():
     lhs, rhs = bracket_pairing_check(x_field, y_field, x, p)
     assert lhs == pytest.approx(-0.7, abs=1e-14)
     assert rhs == pytest.approx(-0.7, abs=1e-14)
-    flipped_lhs, flipped_rhs = bracket_pairing_check(x_field, y_field, x, p, sign=-1.0)
-    assert flipped_rhs == pytest.approx(rhs, abs=1e-14)
-    assert abs(flipped_lhs - flipped_rhs) == pytest.approx(1.4, abs=1e-12)
+    # The opposite sharp convention is the over-A negation of dnu_sharp; the
+    # complete-lift squarecap, minus sharp of d ell_X, then pairs to exactly -lhs.
+    opposite_sharp = scale_over_a(-1.0, dnu_sharp(ell_differential(x_field, x, p)))
+    flipped_cap = scale_over_a(-1.0, opposite_sharp)
+    flipped_lhs = pair_a(squarecap_tangent_lift(y_field, x, p), flipped_cap)
+    assert flipped_lhs == -lhs
+    assert abs(flipped_lhs - rhs) == pytest.approx(1.4, abs=1e-12)
 
 
 def test_bracket_pairing_of_pieces_is_the_check_bitwise():
@@ -308,10 +314,7 @@ def test_bracket_pairing_of_pieces_is_the_check_bitwise():
         dell_x = ell_differential(x_field, x, p)
         dell_y = ell_differential(y_field, x, p)
         bracket = lie_bracket(x_field, y_field, x)
-        for sign in (None, -1.0):
-            assert bracket_pairing(dell_x, dell_y, bracket, p, sign) == bracket_pairing_check(
-                x_field, y_field, x, p, sign
-            )
+        assert bracket_pairing(dell_x, dell_y, bracket, p) == bracket_pairing_check(x_field, y_field, x, p)
         cap = complete_lift_squarecap(dell_x)
         assert elements_equal(cap, squarecap_complete_lift(x_field, x, p))
 
@@ -382,7 +385,7 @@ def test_diagram_commutes():
 
 def test_diagram_fails_with_opposite_sharp_sign():
     f = support.covector([0.1, 0.2], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    wrong = j_star(i_components(dnu_sharp(f, sign=-1.0)))
+    wrong = j_star(i_components(scale_over_a(-1.0, dnu_sharp(f))))
     direct = cotangent_flip(f)
     defect = max(
         float(np.max(np.abs(getattr(wrong, name) - getattr(direct, name))))

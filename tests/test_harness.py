@@ -302,11 +302,25 @@ def test_cli_spec_section_leaving_its_domain_is_a_domain_error(tmp_path):
 
 
 def test_sharp_sign_guard_details():
-    checks = run_suites(_demo_spec(), suite_names=["bracket-pairing"], samples=10)
+    spec = _demo_spec()
+    checks = run_suites(spec, suite_names=["bracket-pairing"], samples=10)
     by_name = {c.name: c for c in checks}
     guard = by_name["sharp-sign-pinned"]
     assert guard.passed
-    assert guard.details["max_flipped_residual"] > 1e-7
+    assert guard.details["max_flipped_residual"] > 100 * spec.tolerance
+
+
+def test_the_opposite_sharp_convention_fails_the_sign_checks(monkeypatch):
+    # The opposite sign convention is the over-A negation of the pinned sharp.
+    pinned = cotangent.dnu_sharp
+    monkeypatch.setattr(cotangent, "dnu_sharp", lambda f: dvb.scale_over_a(-1.0, pinned(f)))
+    checks = run_suites(_demo_spec(), suite_names=["duality-diagram", "bracket-pairing"], samples=20)
+    failed = {(c.suite, c.name) for c in checks if not c.passed}
+    assert {
+        ("bracket-pairing", "momentum-identity"),
+        ("bracket-pairing", "sharp-sign-pinned"),
+        ("duality-diagram", "triangle"),
+    } <= failed
 
 
 def test_run_suites_override_changes_nothing_when_equal():
@@ -479,6 +493,18 @@ def test_cli_crashed_run_leaves_no_report(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="suite crashed"):
         cli.main(["verify", "--demo", "--json-out", str(report_path)])
     assert not report_path.exists()
+
+
+def test_cli_crashed_run_leaves_an_existing_report_as_it_was(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("suite crashed")
+
+    monkeypatch.setattr(cli, "run_suites", crash)
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(b"an earlier report\n")
+    with pytest.raises(RuntimeError, match="suite crashed"):
+        cli.main(["verify", "--demo", "--json-out", str(report_path)])
+    assert report_path.read_bytes() == b"an earlier report\n"
 
 
 def test_cli_os_error_inside_a_suite_is_not_a_write_error(tmp_path, monkeypatch, capsys):
@@ -826,6 +852,15 @@ def test_chart_rows_are_bitwise_the_per_sample_draws(chart):
     assert all(not block.flags.writeable and block.base is None for block in (point, a, b))
 
 
+def test_columns_are_the_split_blocks_read_only_and_owning():
+    block = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 9))
+    for dims in ([2, 3, 4], [9], [1, 0, 8], []):
+        cols = suites._columns(block, dims)
+        reference = np.split(block, np.cumsum(dims)[:-1], axis=1) if dims else []
+        assert [(c.shape, c.tobytes()) for c in cols] == [(r.shape, r.tobytes()) for r in reference]
+        assert all(not c.flags.writeable and c.base is None for c in cols)
+
+
 def test_batches_count_equal_forms_together(monkeypatch):
     assert list(suites._batches(("a", "b", "a"), 7)) == [("a", 5), ("b", 2)]
     # A form with no sample gives no batch.
@@ -860,6 +895,19 @@ def test_only_the_harness_takes_a_random_generator():
     assert "dvbcalc.charts.Connection.nabla" in callables
     takers = [name for name, fn in callables.items() if "rng" in inspect.signature(fn).parameters]
     assert takers == []
+
+
+def test_only_data_parameters_have_defaults():
+    # Conventions such as the sharp map's sign are fixed, not options: the
+    # only public parameters with defaults are the chart box and the base
+    # dimension of a shape.
+    defaults = [
+        f"{name}({param})"
+        for name, fn in _public_callables()
+        for param, value in inspect.signature(fn).parameters.items()
+        if value.default is not inspect.Parameter.empty
+    ]
+    assert sorted(defaults) == ["dvbcalc.charts.Chart.__init__(box)", "dvbcalc.dvb.DvbShape.__init__(base_dim)"]
 
 
 def _nan_last(value):
