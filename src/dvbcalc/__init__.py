@@ -7,12 +7,9 @@ harness over all of it.
 
 from .charts import Chart, Connection, TrivialBundle
 from .cotangent import (
-    bracket_pairing,
     bracket_pairing_check,
     canonical_one_form,
     canonical_two_form,
-    complete_lift_squarecap,
-    connection_pairing,
     connection_pairing_check,
     cotangent_flip,
     diagram_check,
@@ -24,6 +21,7 @@ from .cotangent import (
     i_components,
     j_star,
     momentum_function,
+    momentum_pairing,
     squarecap_complete_lift,
     squarecap_horizontal,
     squarecap_tangent_lift,

@@ -40,12 +40,14 @@ function, and the triangle flip = j_star o i o sharp commutes.  The
 opposite convention is the over-A negation ``scale_over_a(-1, dnu_sharp(.))``;
 it breaks both, and the harness's ``sharp-sign-pinned`` guard checks that.
 
-The two pairing checks take maps and evaluate what they pair at the
-point; ``bracket_pairing`` and ``connection_pairing`` pair pieces already
-evaluated there (a d ell from ``ell_differential``, a squarecap, and the
-bracket or covariant derivative), as the ``sections`` functions take a
-``SectionAt``.  A caller that needs the same pieces for several checks
-computes each one once and pairs them with these.
+The bracket and the covariant derivative are both warps, and both
+pairing identities are one statement: d ell of a section paired with a
+squarecap is minus the momentum of the warp.  ``momentum_pairing`` pairs
+pieces already evaluated at the point (a d ell, a squarecap from
+``squarecap_complete_lift`` or ``squarecap_horizontal``, and the bracket
+or covariant derivative); the two pairing checks take maps, evaluate the
+pieces and call it.  A caller that needs the same pieces for several
+checks computes each one once and pairs them with it.
 """
 
 from __future__ import annotations
@@ -241,33 +243,28 @@ def squarecap_tangent_lift(y_field: SmoothMap, x, p) -> DualAElement:
     return ell_differential(y_field, x, p)
 
 
-def complete_lift_squarecap(dell_x: DualAElement) -> DvbElement:
-    """The complete-lift squarecap from d ell_X at its point: minus sharp of d ell_X."""
-    return scale_over_a(-1.0, dnu_sharp(dell_x))
-
-
 def squarecap_complete_lift(x_field: SmoothMap, x, p) -> DvbElement:
     """Induced section attached to the complete lift of X, as a T(T*M) element.
 
-    Equals minus the Hamiltonian vector field of ell_X; in coordinates
-    (-X(x), DX(x)^T p).
+    Minus sharp of d ell_X, that is minus the Hamiltonian vector field of
+    ell_X; in coordinates (-X(x), DX(x)^T p).
     """
     _check_vector_field(x_field)
-    return complete_lift_squarecap(ell_differential(x_field, x, p))
+    return scale_over_a(-1.0, dnu_sharp(ell_differential(x_field, x, p)))
 
 
-def bracket_pairing(
-    dell_x: DualAElement, dell_y: DualAElement, bracket, p
+def momentum_pairing(
+    dell: DualAElement, cap: DvbElement, value, fiber
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """The bracket pairing of d ell_X, d ell_Y and [X, Y](x), evaluated at (x, p).
+    """Pair d ell with a squarecap against minus the momentum of value at the fiber point.
 
-    The two differentials must lie over (x, p).  For (N, dim) batches both
+    Returns (<dell, cap>, -<fiber, value>); dell and cap must lie over the
+    same point, with fiber as its fiber part.  For (N, dim) batches both
     values are (N,) arrays.
     """
-    p = np.asarray(p, dtype=float)
-    _same(p, dell_y.a, "fiber point")
-    lhs = pair_a(dell_y, complete_lift_squarecap(dell_x))
-    return lhs, -_dot(p, np.asarray(bracket, dtype=float))
+    fiber = np.asarray(fiber, dtype=float)
+    _same(fiber, dell.a, "fiber point")
+    return pair_a(dell, cap), -_dot(fiber, np.asarray(value, dtype=float))
 
 
 def bracket_pairing_check(x_field: SmoothMap, y_field: SmoothMap, x, p) -> tuple[float, float]:
@@ -276,10 +273,12 @@ def bracket_pairing_check(x_field: SmoothMap, y_field: SmoothMap, x, p) -> tuple
     Returns (pairing value, -<p, [X, Y](x)>); the two agree.  Under the
     opposite sharp convention the pairing value is negated.
     """
-    dell_y = squarecap_tangent_lift(y_field, x, p)
-    _check_vector_field(x_field)
-    dell_x = ell_differential(x_field, x, p)
-    return bracket_pairing(dell_x, dell_y, lie_bracket(x_field, y_field, x), p)
+    return momentum_pairing(
+        squarecap_tangent_lift(y_field, x, p),
+        squarecap_complete_lift(x_field, x, p),
+        lie_bracket(x_field, y_field, x),
+        p,
+    )
 
 
 def diagram_check(f: DualAElement) -> tuple[DualAElement, DualAElement]:
@@ -314,19 +313,6 @@ def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> DvbE
     return scale_over_a(-1.0, dual_horizontal_field(conn, x_field)(x, kappa))
 
 
-def connection_pairing(
-    dell_mu: DualAElement, cap_h: DvbElement, nabla, kappa
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """The connection pairing of d ell_mu, the horizontal squarecap and nabla_X mu, at (x, kappa).
-
-    The two pieces must lie over (x, kappa).  For (N, dim) batches both
-    values are (N,) arrays.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    _same(kappa, dell_mu.a, "fiber point")
-    return pair_a(dell_mu, cap_h), -_dot(kappa, np.asarray(nabla, dtype=float))
-
-
 def connection_pairing_check(
     conn: Connection, x_field: SmoothMap, mu: SmoothMap, x, kappa
 ) -> tuple[float, float]:
@@ -334,7 +320,7 @@ def connection_pairing_check(
 
     Returns (pairing value, -<kappa, nabla_X mu  at x>); the two agree.
     """
-    return connection_pairing(
+    return momentum_pairing(
         ell_differential(mu, x, kappa),
         squarecap_horizontal(conn, x_field, x, kappa),
         conn.nabla(x_field, mu, x),

@@ -70,6 +70,9 @@ class ProblemSpec:
         chart = _load_chart(data.get("chart"))
         fields = _load_maps(data.get("fields", {}), chart.dim, "fields")
         for name, m in fields.items():
+            if "," in name:
+                # The bracket suite keys its per-pair details by "a,b".
+                raise SpecError(f"fields.{name}: a field name may not contain ','")
             if m.codomain_dim != chart.dim:
                 raise SpecError(
                     f"fields.{name}: a vector field needs {chart.dim} components, got {m.codomain_dim}"
@@ -107,17 +110,18 @@ class ProblemSpec:
 
 def check_tolerance(value) -> float:
     """The one rule for a tolerance, from a spec or the command line: finite and > 0."""
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not 0 < value <= sys.float_info.max
-    ):
+    if not _is_number(value) or not 0 < value <= sys.float_info.max:
         raise SpecError("tolerance must be a finite positive number")
     return float(value)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _load_chart(data) -> Chart:
@@ -129,9 +133,13 @@ def _load_chart(data) -> Chart:
     if not _is_int(dim) or dim < 1:
         raise SpecError("chart.dim must be a positive integer")
     box = data.get("box", [])
+    if not isinstance(box, list) or not all(
+        isinstance(pair, list) and all(_is_number(v) for v in pair) for pair in box
+    ):
+        raise SpecError("chart.box must list [lo, hi] pairs of numbers")
     try:
         return Chart(dim, tuple(tuple(pair) for pair in box))
-    except (TypeError, ValueError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:
         raise SpecError(f"chart.box: {err}") from err
 
 

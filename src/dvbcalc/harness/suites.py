@@ -652,17 +652,15 @@ def _run_bracket_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         x_field, y_field = fields or (_quadratic_family(rng, size, n, n), _quadratic_family(rng, size, n, n))
         x, p = _chart_rows(rng, size, spec.chart, n)
 
-        # d ell_Y, d ell_X, the bracket and the grid's sections are each
+        # Both squarecaps, the bracket and the grid's sections are each
         # evaluated once at (x, p); every check below reuses them.
         cap_y = ct.squarecap_tangent_lift(y_field, x, p)  # d ell_Y
-        dell_x = ct.ell_differential(x_field, x, p)
-        bracket = lie_bracket(x_field, y_field, x)
-        lhs, rhs = ct.bracket_pairing(dell_x, cap_y, bracket, p)
+        cap_x = ct.squarecap_complete_lift(x_field, x, p)
+        lhs, rhs = ct.momentum_pairing(cap_y, cap_x, lie_bracket(x_field, y_field, x), p)
         momentum.add(lhs - rhs, samples=size)
 
         closed.add(cap_y.beta - np.einsum("nji,nj->ni", jacobian(y_field, x), p), samples=size)
         closed.add(cap_y.kappa - y_field(x), samples=size)
-        cap_x = ct.complete_lift_squarecap(dell_x)
         closed.add(cap_x.b + x_field(x), samples=size)
         closed.add(cap_x.c - np.einsum("nji,nj->ni", jacobian(x_field, x), p), samples=size)
 
@@ -705,11 +703,11 @@ def _run_connection_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Resid
         # (x, kappa), and the grid's sections once at x.
         dell_mu = ct.ell_differential(mu, x, kappa)
         lifted = ct.squarecap_horizontal(conn, x_field, x, kappa)
-        lhs, rhs = ct.connection_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
+        lhs, rhs = ct.momentum_pairing(dell_mu, lifted, conn.nabla(x_field, mu, x), kappa)
         momentum.add(lhs - rhs, samples=size)
 
         flat_conn = Connection.flat(conn.bundle)
-        flat_lhs, flat_rhs = ct.connection_pairing(
+        flat_lhs, flat_rhs = ct.momentum_pairing(
             dell_mu,
             ct.squarecap_horizontal(flat_conn, x_field, x, kappa),
             flat_conn.nabla(x_field, mu, x),

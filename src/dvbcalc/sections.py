@@ -131,7 +131,7 @@ class SectionAt(NamedTuple):
 
 @dataclass(frozen=True)
 class Grid:
-    """One linear section of each kind, or both sections' values at one point (``at``)."""
+    """A linear section xi over B and one eta over A, or both sections' values at one point (``at``)."""
 
     xi: LinearSectionB | SectionAt
     eta: LinearSectionA | SectionAt
@@ -139,6 +139,9 @@ class Grid:
     def __post_init__(self):
         if self.xi.shape != self.eta.shape:
             raise IncompatibleElements("grid sections live on different shapes")
+        # Swapped sections would negate the warp in silence; a value's side is its section's.
+        if tuple(getattr(s, "section", s)._sides[0] for s in (self.xi, self.eta)) != ("B", "A"):
+            raise IncompatibleElements("a grid's xi must be over B and its eta over A")
 
     @property
     def shape(self) -> DvbShape:

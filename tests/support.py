@@ -1,7 +1,9 @@
 """Shared helpers for the tests: the harness's random generators, a random
 grid, the grid of given maps and a constant grid, a row-by-row check of batched results, tangent points
-and covectors of T(A) from their coordinates, and a change of
-decomposition."""
+and covectors of T(A) from their coordinates, substitution into an
+expression, and a change of decomposition."""
+
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from dvbcalc import (
     SmoothMap,
 )
 from dvbcalc.dvb import Record
+from dvbcalc.expressions import Expr, Var
 from dvbcalc.sections import SectionAt
 from dvbcalc.harness.suites import _poly_map as poly_map, _poly_tree as poly_tree
 
@@ -108,6 +111,13 @@ def covector(x, fiber, cov_x, cov_fiber):
     """The covector (x, fiber; cov_x, cov_fiber) of T*(A), A of rank len(fiber) over a len(x)-chart."""
     n, k = len(x), len(fiber)
     return DualAElement(DvbShape(k, n, k, n), x, fiber, cov_x, cov_fiber)
+
+
+def compose(expr: Expr, subs) -> Expr:
+    """expr with each variable x_i replaced by the expression subs[i]."""
+    if type(expr) is Var:
+        return subs[expr.index]
+    return replace(expr, **{k: compose(v, subs) for k, v in vars(expr).items() if is_dataclass(v)})
 
 
 # -- a change of decomposition -------------------------------------------------

@@ -4,12 +4,9 @@ import pytest
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.cotangent import (
-    bracket_pairing,
     bracket_pairing_check,
     canonical_one_form,
     canonical_two_form,
-    complete_lift_squarecap,
-    connection_pairing,
     connection_pairing_check,
     cotangent_flip,
     diagram_check,
@@ -21,6 +18,7 @@ from dvbcalc.cotangent import (
     flip_relation_residual,
     i_components,
     j_star,
+    momentum_pairing,
     pairing_potential,
     squarecap_complete_lift,
     squarecap_horizontal,
@@ -311,12 +309,13 @@ def test_bracket_pairing_of_pieces_is_the_check_bitwise():
         y_field = support.poly_map(RNG, n, n)
         x = support.rand_vec(RNG, n)
         p = support.rand_vec(RNG, n)
-        dell_x = ell_differential(x_field, x, p)
-        dell_y = ell_differential(y_field, x, p)
+        cap_y = squarecap_tangent_lift(y_field, x, p)
+        cap_x = squarecap_complete_lift(x_field, x, p)
         bracket = lie_bracket(x_field, y_field, x)
-        assert bracket_pairing(dell_x, dell_y, bracket, p) == bracket_pairing_check(x_field, y_field, x, p)
-        cap = complete_lift_squarecap(dell_x)
-        assert elements_equal(cap, squarecap_complete_lift(x_field, x, p))
+        assert momentum_pairing(cap_y, cap_x, bracket, p) == bracket_pairing_check(x_field, y_field, x, p)
+        # The complete-lift squarecap is minus sharp of d ell_X.
+        minus_sharp = scale_over_a(-1.0, dnu_sharp(ell_differential(x_field, x, p)))
+        assert elements_equal(cap_x, minus_sharp)
 
 
 def test_bracket_pairing_pieces_must_lie_over_the_point():
@@ -324,15 +323,15 @@ def test_bracket_pairing_pieces_must_lie_over_the_point():
     y_field = support.poly_map(RNG, 2, 2)
     x, other_x = np.array([0.5, 0.25]), np.array([0.5, -0.25])
     p, other_p = np.array([0.3, 0.7]), np.array([0.3, -0.7])
-    dell_x = ell_differential(x_field, x, p)
-    dell_y = ell_differential(y_field, x, p)
+    cap_y = squarecap_tangent_lift(y_field, x, p)
+    cap_x = squarecap_complete_lift(x_field, x, p)
     bracket = lie_bracket(x_field, y_field, x)
     with pytest.raises(IncompatibleElements, match="base point"):
-        bracket_pairing(ell_differential(x_field, other_x, p), dell_y, bracket, p)
+        momentum_pairing(cap_y, squarecap_complete_lift(x_field, other_x, p), bracket, p)
     with pytest.raises(IncompatibleElements, match="a side"):
-        bracket_pairing(dell_x, ell_differential(y_field, x, other_p), bracket, other_p)
+        momentum_pairing(squarecap_tangent_lift(y_field, x, other_p), cap_x, bracket, other_p)
     with pytest.raises(IncompatibleElements, match="fiber point"):
-        bracket_pairing(dell_x, dell_y, bracket, other_p)
+        momentum_pairing(cap_y, cap_x, bracket, other_p)
 
 
 def test_connection_pairing_of_pieces_is_the_check_bitwise():
@@ -348,7 +347,7 @@ def test_connection_pairing_of_pieces_is_the_check_bitwise():
             squarecap_horizontal(conn, x_field, x, kappa),
             conn.nabla(x_field, mu, x),
         )
-        assert connection_pairing(*pieces, kappa) == connection_pairing_check(
+        assert momentum_pairing(*pieces, kappa) == connection_pairing_check(
             conn, x_field, mu, x, kappa
         )
 
@@ -364,11 +363,11 @@ def test_connection_pairing_pieces_must_lie_over_the_point():
     cap_h = squarecap_horizontal(conn, x_field, x, kappa)
     nabla = conn.nabla(x_field, mu, x)
     with pytest.raises(IncompatibleElements, match="base point"):
-        connection_pairing(dell_mu, squarecap_horizontal(conn, x_field, other_x, kappa), nabla, kappa)
+        momentum_pairing(dell_mu, squarecap_horizontal(conn, x_field, other_x, kappa), nabla, kappa)
     with pytest.raises(IncompatibleElements, match="a side"):
-        connection_pairing(ell_differential(mu, x, other_kappa), cap_h, nabla, other_kappa)
+        momentum_pairing(ell_differential(mu, x, other_kappa), cap_h, nabla, other_kappa)
     with pytest.raises(IncompatibleElements, match="fiber point"):
-        connection_pairing(dell_mu, cap_h, nabla, other_kappa)
+        momentum_pairing(dell_mu, cap_h, nabla, other_kappa)
 
 
 def test_diagram_commutes():

@@ -323,6 +323,28 @@ def test_the_opposite_sharp_convention_fails_the_sign_checks(monkeypatch):
     } <= failed
 
 
+def test_a_negated_momentum_pairing_fails_both_pairing_suites(monkeypatch):
+    # Both pairing suites, and both pairing checks, pair through momentum_pairing.
+    pairing = cotangent.momentum_pairing
+
+    def negated(*args):
+        lhs, rhs = pairing(*args)
+        return -lhs, rhs
+
+    monkeypatch.setattr(cotangent, "momentum_pairing", negated)
+    checks = run_suites(_demo_spec(), samples=20, seed=1)
+    failed = {(c.suite, c.name) for c in checks if not c.passed}
+    assert failed == {
+        ("bracket-pairing", "momentum-identity"),
+        ("bracket-pairing", "decomposed-cross-check"),
+        ("bracket-pairing", "sharp-sign-pinned"),
+        ("connection-pairing", "momentum-identity"),
+        ("connection-pairing", "flat-reduction"),
+        ("connection-pairing", "decomposed-cross-check"),
+    }
+    assert ("bracket-pairing", "closed-forms") in {(c.suite, c.name) for c in checks}
+
+
 def test_run_suites_override_changes_nothing_when_equal():
     spec = _demo_spec()
     defaults = run_suites(spec, samples=50, seed=42, tolerance=1e-9)
@@ -442,6 +464,33 @@ def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv)
     code, report_path = _verify_spec(tmp_path, data, *argv)
     assert code == 2
     assert "spec error:" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        pytest.param([["-1", "1"], [-1, 1]], id="strings"),
+        pytest.param([[False, True], [-1, 1]], id="booleans"),
+    ],
+)
+def test_cli_box_bounds_must_be_json_numbers(tmp_path, capsys, box):
+    code, report_path = _verify_spec(tmp_path, {"chart": {"dim": 2, "box": box}, "samples": 2})
+    assert code == 2
+    assert "spec error: chart.box must list [lo, hi] pairs of numbers" in capsys.readouterr().err
+    assert not report_path.exists()
+    # Integer bounds stay valid.
+    code, _ = _verify_spec(tmp_path, {"chart": {"dim": 2, "box": [[-1, 1], [0, 2]]}, "samples": 2})
+    assert code == 0
+
+
+def test_cli_field_name_with_a_comma_exits_two(tmp_path, capsys):
+    # The bracket suite keys its details by "a,b": fields "a,b", "c", "a" and
+    # "b,c" would give 12 pairs but only 11 distinct keys.
+    fields = {name: ["x1", "x0"] for name in ("a,b", "c", "a", "b,c")}
+    code, report_path = _verify_spec(tmp_path, {"chart": {"dim": 2}, "fields": fields, "samples": 2})
+    assert code == 2
+    assert "spec error: fields.a,b: a field name may not contain ','" in capsys.readouterr().err
     assert not report_path.exists()
 
 

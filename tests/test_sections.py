@@ -35,6 +35,7 @@ from dvbcalc.charts import Chart
 from dvbcalc.harness import suites
 from dvbcalc.harness.problem import ProblemSpec
 from dvbcalc.smoothmaps import MatrixMap, SmoothMap
+from dvbcalc.tangent import double_tangent_grid
 
 import support
 
@@ -216,6 +217,19 @@ def test_linear_section_validation():
     eta = LinearSectionA(other, good_base, MatrixMap.constant(np.zeros((2, 2))))
     with pytest.raises(IncompatibleElements):
         Grid(xi=xi, eta=eta)
+
+
+def test_grid_rejects_sections_in_the_wrong_slots():
+    # Swapped, this grid's warp would be minus the bracket [X, Y] = (0, 1), and
+    # its pairing check would still pass on the wrong sign.
+    grid = double_tangent_grid(SmoothMap.parse(["1", "0"], 2), SmoothMap.parse(["0", "x0"], 2))
+    assert warp(grid, [0.3, 0.7]).tolist() == [0.0, 1.0]
+    at = grid.at(np.array([0.3, 0.7]))
+    for xi, eta in ((grid.xi, grid.eta), (at.xi, at.eta)):
+        for swapped in ((eta, xi), (xi, xi), (eta, eta)):
+            with pytest.raises(IncompatibleElements, match="over B"):
+                Grid(*swapped)
+        assert Grid(xi, eta).xi is xi
 
 
 # -- one evaluation per point ----------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.dvb import DualAElement, DvbShape, IncompatibleElements, elements_equal
-from dvbcalc.expressions import Add
+from dvbcalc.expressions import Add, Mul, Num, Pow, Sub, Var
 from dvbcalc.smoothmaps import (
     DimensionMismatch,
     MatrixMap,
@@ -116,6 +118,48 @@ def test_bracket_demo_pair():
         m = support.rand_vec(RNG, 2)
         assert lie_bracket_via_warp(x_field, y_field, m).tolist() == [0.0, 1.0]
         assert lie_bracket_via_warp(y_field, x_field, m).tolist() == [0.0, -1.0]
+
+
+# -- the bracket is natural: an intrinsic oracle ------------------------------
+#
+# Under the shear phi(x0, x1) = (x0 + a x1^2, x1), with phi^-1(y) =
+# (y0 - a y1^2, y1), a field X pushes forward to phi_*X(y) =
+# Dphi(u) X(u) at u = phi^-1(y), and [phi_*X, phi_*Y](phi(x)) =
+# Dphi(x) [X, Y](x).  A sign or factor slip made in both the warp and the
+# coordinate bracket is caught here, since the two sides are computed in
+# different coordinates.
+
+
+def _pushed_by_shear(field: SmoothMap, a: float, with_jacobian: bool = True) -> SmoothMap:
+    """phi_*X as expression trees; without Dphi it is X o phi^-1, which is wrong for a != 0."""
+    inverse = [Sub(Var(0), Mul(Num(a), Pow(Var(1), 2))), Var(1)]
+    x0, x1 = (support.compose(c, inverse) for c in field.components)
+    if with_jacobian:
+        x0 = Add(x0, Mul(Mul(Num(2.0 * a), Var(1)), x1))
+    return SmoothMap(2, (x0, x1))
+
+
+def _naturality_defect(a: float, seed: int, with_jacobian: bool = True) -> float:
+    """Relative defect of [phi_*X, phi_*Y](phi(x)) = Dphi(x) [X, Y](x) for random degree-2 X, Y."""
+    rng = np.random.default_rng(seed)
+    x_field, y_field = support.poly_map(rng, 2, 2), support.poly_map(rng, 2, 2)
+    x = support.rand_vec(rng, 2)
+    d_phi = np.array([[1.0, 2.0 * a * x[1]], [0.0, 1.0]])
+    pushed = [_pushed_by_shear(f, a, with_jacobian) for f in (x_field, y_field)]
+    via_warp = lie_bracket_via_warp(*pushed, np.array([x[0] + a * x[1] ** 2, x[1]]))
+    oracle = d_phi @ lie_bracket(x_field, y_field, x)
+    return float(np.max(np.abs(via_warp - oracle)) / max(1.0, float(np.max(np.abs(oracle)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+def test_bracket_via_warp_is_natural_under_a_shear(a, seed):
+    assert _naturality_defect(a, seed) <= 1e-12
+
+
+def test_pushing_forward_without_the_jacobian_breaks_naturality():
+    assert max(_naturality_defect(0.5, seed) for seed in range(5)) <= 1e-12
+    assert min(_naturality_defect(0.5, seed, with_jacobian=False) for seed in range(5)) > 1e-3
 
 
 def test_horizontal_lift_formula():
