@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .smoothmaps import DimensionMismatch, SmoothMap, _matvec, _point_key, _reuse_last, _rows_of, jacobian
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _matvec, _point_key, _reuse_last, jacobian
 
 
 @dataclass(frozen=True)
@@ -63,29 +62,29 @@ class TrivialBundle:
 
 @dataclass(frozen=True)
 class Connection:
-    """A linear connection, given by its coefficient tensor as a function of the point.
+    """A linear connection, given by its coefficient tensor: a ``MatrixMap`` of shape (n, k, k).
 
     Each connection keeps the tensor of its previous ``coefficient_tensor``
     call, as ``smoothmaps.jacobian`` keeps a map's Jacobian: keyed by the
     point's shape and exact bytes (so ``0.0`` and ``-0.0`` differ), returned
     as a fresh array, and not kept when the call raises.  At an (N, dim)
-    batch the tensor is (N, n, k, k); a coefficient function that returns
-    one (n, k, k) tensor, such as a constant, gives it for every row.
+    batch the tensor is (N, n, k, k).
     """
 
     bundle: TrivialBundle
-    coefficients: Callable[[Sequence[float]], np.ndarray] = field(repr=False)
+    coefficients: MatrixMap = field(repr=False)
     # (point key, tensor) of the last ``coefficient_tensor`` call.
     _last_tensor: tuple[tuple, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def coefficient_tensor(self, m) -> np.ndarray:
+    def __post_init__(self):
         n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        return _reuse_last(
-            self, "_last_tensor", _point_key(m),
-            lambda: _rows_of(self.coefficients(m), m, (n, k, k), "connection coefficients"),
-        )
+        if self.coefficients.shape != (n, k, k):
+            raise DimensionMismatch(f"connection coefficients must have shape {(n, k, k)}")
+
+    def coefficient_tensor(self, m) -> np.ndarray:
+        return _reuse_last(self, "_last_tensor", _point_key(m), lambda: self.coefficients(m))
 
     def omega(self, z_field: SmoothMap, m) -> np.ndarray:
         """The k x k matrix omega(Z)(m) = sum_j Z^j(m) omega_j(m)."""
@@ -123,21 +122,13 @@ class Connection:
     @classmethod
     def from_smooth_map(cls, bundle: TrivialBundle, coeff_map: SmoothMap) -> "Connection":
         n, k = bundle.chart.dim, bundle.fiber_dim
-        if coeff_map.domain_dim != n or coeff_map.codomain_dim != n * k * k:
-            raise DimensionMismatch(
-                f"coefficient map must have {n * k * k} components on the chart"
-            )
-
-        def tensor(m):
-            out = coeff_map(m)
-            return out.reshape(*out.shape[:-1], n, k, k)
-
-        return cls(bundle, tensor)
+        if coeff_map.domain_dim != n:
+            raise DimensionMismatch("coefficient map must be defined on the chart")
+        return cls(bundle, MatrixMap.from_smooth_map(coeff_map, n, k, k))
 
     @classmethod
     def constant(cls, bundle: TrivialBundle, tensor: np.ndarray) -> "Connection":
-        arr = np.array(tensor, dtype=float)
-        return cls(bundle, lambda m: arr)
+        return cls(bundle, MatrixMap.constant(tensor))
 
     @classmethod
     def flat(cls, bundle: TrivialBundle) -> "Connection":

@@ -304,7 +304,7 @@ def dual_horizontal_field(conn: Connection, x_field: SmoothMap) -> LinearSection
     return LinearSectionA(
         tangent_bundle_shape(conn.bundle),
         x_field,
-        MatrixMap(k, k, lambda m: np.swapaxes(conn.omega(x_field, m), -1, -2)),
+        MatrixMap((k, k), lambda m: np.swapaxes(conn.omega(x_field, m), -1, -2)),
     )
 
 

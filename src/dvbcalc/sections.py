@@ -71,7 +71,7 @@ class LinearSection:
             raise IncompatibleElements("base section domain must match the chart")
         if self.base_section.codomain_dim != dims[base]:
             raise IncompatibleElements(f"base section must take values in the {base} fiber")
-        if (self.fiber_matrix.rows, self.fiber_matrix.cols) != (self.shape.dim_c, dims[fiber]):
+        if self.fiber_matrix.shape != (self.shape.dim_c, dims[fiber]):
             raise IncompatibleElements(f"fiber matrix must map the {fiber} fiber to the core")
 
     def at(self, m) -> SectionAt:

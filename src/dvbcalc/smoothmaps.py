@@ -27,6 +27,7 @@ Both kinds go wherever a ``SmoothMap`` is called at a batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -84,11 +85,8 @@ class SmoothMap:
         return [expressions.evaluate(c, values) for c in self.components]
 
     def __call__(self, point) -> np.ndarray:
-        batch = jets._batch_of(point)
-        if batch is None:
-            return np.array(self.eval_generic([float(v) for v in point]), dtype=float)
         values = self.eval_generic(jets._columns(point))
-        return jets._as_array(values, batch, (len(values),))
+        return jets._as_array(values, jets._batch_of(point), (len(values),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,21 +223,6 @@ def _reuse_last(owner, slot: str, key: tuple, compute) -> np.ndarray:
     return last[1].copy()
 
 
-def _rows_of(value, point, expected: tuple, what: str) -> np.ndarray:
-    """A function's value at point as a float array of shape expected, or
-    (N, *expected) at an (N, dim) batch; one value of shape expected at a
-    batch stands for every row, as a read-only broadcast view."""
-    out = np.asarray(value, dtype=float)
-    batch = jets._batch_of(point)
-    if batch is not None:
-        if out.shape == expected:
-            out = np.broadcast_to(out, (batch, *expected))
-        expected = (batch, *expected)
-    if out.shape != expected:
-        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {expected}")
-    return out
-
-
 def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
@@ -255,8 +238,6 @@ def jacobian(m: SmoothMap, point) -> np.ndarray:
     dim = len(point) if batch is None else point.shape[1]
     if dim != m.domain_dim:
         raise DimensionMismatch(f"expected point of dimension {m.domain_dim}, got {dim}")
-    if batch is None:
-        point = [float(v) for v in point]
     return _reuse_last(
         m, "_last_jacobian", _point_key(point), lambda: jets.jet_jacobian(m.eval_generic, point)
     )
@@ -324,44 +305,51 @@ def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixMap:
-    """Matrix-valued map on a chart, e.g. the fiber part of a linear section.
+    """Array-valued map on a chart, e.g. the fiber part of a linear section
+    or a connection's coefficient tensor.
 
     Wraps either reshaped smooth-map components or a jacobian closure, so
-    every derivative in a matrix entry still comes from the jet machinery.
+    every derivative in an entry still comes from the jet machinery.
     """
 
-    rows: int
-    cols: int
+    shape: tuple[int, ...]
     fn: Callable[[Sequence[float]], np.ndarray] = field(repr=False)
 
     def __call__(self, point) -> np.ndarray:
-        """The matrix at a point, or the (N, rows, cols) matrices at an (N, dim) batch.
+        """The array at a point, or the (N, *shape) arrays at an (N, dim) batch.
 
-        A function that returns one matrix for a batch, such as a constant,
-        gives that matrix for every row.
+        A function that returns one array for a batch, such as a constant,
+        gives it for every row, as a read-only broadcast view.
         """
-        return _rows_of(self.fn(point), point, (self.rows, self.cols), "matrix map")
+        out = np.asarray(self.fn(point), dtype=float)
+        batch = jets._batch_of(point)
+        expected = self.shape if batch is None else (batch, *self.shape)
+        if batch is not None and out.shape == self.shape:
+            out = np.broadcast_to(out, expected)
+        if out.shape != expected:
+            raise DimensionMismatch(f"matrix map returned shape {out.shape}, expected {expected}")
+        return out
 
     @classmethod
-    def from_smooth_map(cls, m: SmoothMap, rows: int, cols: int) -> "MatrixMap":
-        if m.codomain_dim != rows * cols:
-            raise DimensionMismatch(
-                f"need {rows * cols} components for a {rows}x{cols} matrix, got {m.codomain_dim}"
-            )
+    def from_smooth_map(cls, m: SmoothMap, *shape: int) -> "MatrixMap":
+        """The components of m, reshaped row-major to an array of the given shape."""
+        size = math.prod(shape)
+        if m.codomain_dim != size:
+            raise DimensionMismatch(f"need {size} components for shape {shape}, got {m.codomain_dim}")
 
-        def matrix(p):
+        def array(p):
             out = m(p)
-            return out.reshape(*out.shape[:-1], rows, cols)
+            return out.reshape(*out.shape[:-1], *shape)
 
-        return cls(rows, cols, matrix)
+        return cls(shape, array)
 
     @classmethod
     def from_jacobian(cls, m: SmoothMap) -> "MatrixMap":
-        return cls(m.codomain_dim, m.domain_dim, lambda p: jacobian(m, p))
+        return cls((m.codomain_dim, m.domain_dim), lambda p: jacobian(m, p))
 
     @classmethod
     def constant(cls, matrix: np.ndarray) -> "MatrixMap":
         arr = np.array(matrix, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch("constant matrix map needs a 2-d array")
-        return cls(arr.shape[0], arr.shape[1], lambda p: arr)
+        if arr.ndim < 2:
+            raise DimensionMismatch("constant matrix map needs an array of at least 2 dimensions")
+        return cls(arr.shape, lambda p: arr)

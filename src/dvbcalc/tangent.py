@@ -68,7 +68,7 @@ def horizontal_field(conn: Connection, z_field: SmoothMap) -> LinearSectionA:
     return LinearSectionA(
         tangent_bundle_shape(conn.bundle),
         z_field,
-        MatrixMap(k, k, lambda m: -conn.omega(z_field, m)),
+        MatrixMap((k, k), lambda m: -conn.omega(z_field, m)),
     )
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.jets import DomainError
-from dvbcalc.smoothmaps import DimensionMismatch, SmoothMap
+from dvbcalc.smoothmaps import DimensionMismatch, MatrixMap, SmoothMap
 
 import support
 
@@ -25,7 +25,7 @@ def _connection(texts, n, k):
     bundle = TrivialBundle(Chart(n), k)
     coeff = SmoothMap.parse(texts, n)
     counted, points = _counted(lambda m: coeff(m).reshape(n, k, k))
-    return Connection(bundle, counted), points
+    return Connection(bundle, MatrixMap((n, k, k), counted)), points
 
 
 def test_coefficient_tensor_reuse_returns_fresh_arrays():
@@ -58,7 +58,7 @@ def test_coefficient_tensor_domain_error_is_not_stored():
 
 
 def test_coefficient_tensor_of_the_wrong_shape_is_not_stored():
-    conn = Connection(TrivialBundle(Chart(2), 2), lambda m: np.zeros((2, 2)))
+    conn = Connection(TrivialBundle(Chart(2), 2), MatrixMap((2, 2, 2), lambda m: np.zeros((2, 2))))
     for _ in range(2):
         with pytest.raises(DimensionMismatch):
             conn.coefficient_tensor([0.0, 0.0])
@@ -76,7 +76,7 @@ def test_coefficient_tensor_reuse_matches_a_fresh_connection_bitwise():
 def test_connections_compare_equal_whatever_they_keep():
     bundle = TrivialBundle(Chart(1), 1)
     fn = lambda m: np.ones((1, 1, 1))
-    used, unused = Connection(bundle, fn), Connection(bundle, fn)
+    used, unused = Connection(bundle, MatrixMap((1, 1, 1), fn)), Connection(bundle, MatrixMap((1, 1, 1), fn))
     used.coefficient_tensor([0.5])
     assert used == unused
 

@@ -645,7 +645,7 @@ def test_connection_sample_evaluates_the_coefficients_once_per_point(suite):
         points.append(np.asarray(m, dtype=float).tobytes())
         return coefficients(m)
 
-    spec = replace(spec, connection=Connection(spec.connection.bundle, counted))
+    spec = replace(spec, connection=Connection(spec.connection.bundle, replace(coefficients, fn=counted)))
     # The suite cycles through three connections; samples 0 and 3 use the spec's.
     checks = suites.SUITES[suite][1](spec, 4, np.random.default_rng(0))
     assert all(check.passes(1e-9) for check in checks)

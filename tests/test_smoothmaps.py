@@ -205,7 +205,7 @@ def test_matrix_map_from_jacobian_and_constant():
 
 
 def test_matrix_map_shape_enforced():
-    bad = MatrixMap(2, 2, lambda p: np.zeros((1, 2)))
+    bad = MatrixMap((2, 2), lambda p: np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch):
         bad([0.0])
 
