@@ -49,8 +49,9 @@ class ProblemSpec:
     def __post_init__(self):
         # The rules for a run's settings, whether they come from a spec file
         # or from command line overrides (see suites.resolve_run).
-        if not _is_int(self.samples) or self.samples < 1:
-            raise SpecError("samples must be a positive integer")
+        # sys.maxsize is the largest count a range of samples can hold.
+        if not _is_int(self.samples) or not 1 <= self.samples <= sys.maxsize:
+            raise SpecError(f"samples must be a positive integer no larger than {sys.maxsize}")
         if not _is_int(self.seed) or self.seed < 0:
             raise SpecError("seed must be a non-negative integer")
         object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
@@ -134,7 +135,8 @@ def _load_chart(data) -> Chart:
         raise SpecError("chart.dim must be a positive integer")
     box = data.get("box", [])
     if not isinstance(box, list) or not all(
-        isinstance(pair, list) and all(_is_number(v) for v in pair) for pair in box
+        isinstance(pair, list) and len(pair) == 2 and all(_is_number(v) for v in pair)
+        for pair in box
     ):
         raise SpecError("chart.box must list [lo, hi] pairs of numbers")
     try:

@@ -76,7 +76,7 @@ def test_coefficient_tensor_reuse_matches_a_fresh_connection_bitwise():
 def test_connections_compare_equal_whatever_they_keep():
     bundle = TrivialBundle(Chart(1), 1)
     fn = lambda m: np.ones((1, 1, 1))
-    used, unused = Connection(bundle, MatrixMap((1, 1, 1), fn)), Connection(bundle, MatrixMap((1, 1, 1), fn))
+    used, unused = (Connection(bundle, MatrixMap((1, 1, 1), fn)) for _ in range(2))
     used.coefficient_tensor([0.5])
     assert used == unused
 
@@ -90,3 +90,40 @@ def test_omega_is_the_contraction_with_the_field():
         m = support.rand_vec(RNG, n)
         expected = np.tensordot(z_field(m), tensor, axes=(0, 0))
         assert conn.omega(z_field, m).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (1, 2, 2), (2, 2, 2, 1)])
+def test_connection_coefficients_of_another_shape_are_refused_at_construction(shape):
+    bundle = TrivialBundle(Chart(2), 2)
+    with pytest.raises(DimensionMismatch):
+        Connection(bundle, MatrixMap(shape, lambda m: np.zeros(shape)))
+    with pytest.raises(DimensionMismatch):
+        Connection.constant(bundle, np.zeros(shape))
+
+
+def test_charts_and_bundles_refuse_empty_dimensions():
+    with pytest.raises(ValueError):
+        Chart(-1)
+    with pytest.raises(ValueError):
+        TrivialBundle(Chart(2), 0)
+
+
+def test_connection_refuses_fields_and_sections_of_the_wrong_dimension():
+    conn = Connection.flat(TrivialBundle(Chart(2), 2))
+    z_field, mu = support.poly_map(RNG, 2, 2), support.poly_map(RNG, 2, 2)
+    m = [0.1, 0.2]
+    with pytest.raises(DimensionMismatch):
+        conn.omega(support.poly_map(RNG, 2, 3), m)
+    with pytest.raises(DimensionMismatch):
+        conn.nabla(z_field, support.poly_map(RNG, 2, 3), m)
+    with pytest.raises(DimensionMismatch):
+        conn.dual_nabla(z_field, support.poly_map(RNG, 2, 1), m)
+    assert conn.nabla(z_field, mu, m).shape == conn.dual_nabla(z_field, mu, m).shape == (2,)
+
+
+def test_connection_from_a_map_of_the_wrong_codimension_is_refused():
+    bundle = TrivialBundle(Chart(2), 2)
+    with pytest.raises(DimensionMismatch):
+        Connection.from_smooth_map(bundle, support.poly_map(RNG, 2, 7))
+    with pytest.raises(DimensionMismatch):
+        Connection.from_smooth_map(bundle, support.poly_map(RNG, 3, 8))

@@ -211,3 +211,10 @@ def test_parse_accepts_expressions_at_the_depth_bound():
 def test_parse_rejects_expressions_nested_past_the_depth_bound(text):
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
         parse(text, 1)
+
+
+def test_parse_refuses_a_non_integer_exponent_and_a_negative_dimension():
+    with pytest.raises(ParseError, match="expected integer exponent"):
+        parse("x0^y", 1)
+    with pytest.raises(ValueError):
+        parse("x0", -1)

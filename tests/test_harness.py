@@ -457,6 +457,9 @@ def test_cli_overflow_reported_as_domain_error(tmp_path, expression):
         pytest.param({"chart": {"dim": 1, "box": [[0, 10**400]]}}, (), id="box-int-overflows"),
         pytest.param({}, ("--seed", "-1"), id="cli-seed-negative"),
         pytest.param({}, ("--samples", "0"), id="cli-samples-zero"),
+        # A count above sys.maxsize does not fit the range of samples a suite batches.
+        pytest.param({"samples": 10**30}, (), id="spec-samples-above-maxsize"),
+        pytest.param({}, ("--samples", str(10**30)), id="cli-samples-above-maxsize"),
     ],
 )
 def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv):
@@ -472,6 +475,9 @@ def test_cli_tolerance_and_box_must_be_finite(tmp_path, capsys, overrides, argv)
     [
         pytest.param([["-1", "1"], [-1, 1]], id="strings"),
         pytest.param([[False, True], [-1, 1]], id="booleans"),
+        pytest.param([[], [-1, 1]], id="empty-pair"),
+        pytest.param([[1], [-1, 1]], id="one-bound"),
+        pytest.param([[-1, 1, 2], [-1, 1]], id="three-bounds"),
     ],
 )
 def test_cli_box_bounds_must_be_json_numbers(tmp_path, capsys, box):
@@ -482,6 +488,91 @@ def test_cli_box_bounds_must_be_json_numbers(tmp_path, capsys, box):
     # Integer bounds stay valid.
     code, _ = _verify_spec(tmp_path, {"chart": {"dim": 2, "box": [[-1, 1], [0, 2]]}, "samples": 2})
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param([{"chart": {"dim": 1}}], "spec must be a JSON object", id="spec-not-object"),
+        pytest.param({"chart": [1]}, "chart must be an object", id="chart-not-object"),
+        pytest.param({"chart": {"dim": 1}, "fields": [["x0"]]}, "fields must map names", id="fields-not-obj"),
+        pytest.param(
+            {"chart": {"dim": 2}, "connection": {"forms": [[["0", "0"], ["0", "0"]]]}},
+            "connection.forms must list one matrix per chart direction (2)",
+            id="forms-count",
+        ),
+        pytest.param(
+            {"chart": {"dim": 1}, "connection": {"fiber_dim": 0, "forms": [[]]}},
+            "connection.fiber_dim must be a positive integer",
+            id="fiber-dim-zero",
+        ),
+        pytest.param(
+            {"chart": {"dim": 1}, "connection": {"fiber_dim": True, "forms": [[["0"]]]}},
+            "connection.fiber_dim must be a positive integer",
+            id="fiber-dim-true",
+        ),
+        pytest.param(
+            {"chart": {"dim": 1}, "connection": {"forms": [[]]}},
+            "connection.fiber_dim must be a positive integer",
+            id="fiber-dim-inferred-zero",
+        ),
+        pytest.param(
+            {"chart": {"dim": 1}, "connection": {"forms": [[["0", "0"], ["0", 1]]]}},
+            "connection.forms[0] must be a 2x2 matrix of expressions",
+            id="forms-row-not-strings",
+        ),
+        pytest.param(
+            {"chart": {"dim": 1}, "connection": {"forms": [[["0", "x0+"], ["0", "0"]]]}},
+            "connection.forms:",
+            id="forms-do-not-parse",
+        ),
+        pytest.param({"chart": {"dim": 1}, "dvb_shapes": []}, "dvb_shapes must be", id="shapes-empty"),
+        pytest.param({"chart": {"dim": 1}, "dvb_shapes": {"a": [1, 1, 1, 0]}}, "dvb_shapes must be", id="shapes-dict"),
+    ],
+)
+def test_cli_unusable_spec_exits_two_naming_the_key(tmp_path, capsys, data, message):
+    code, report_path = _verify_spec(tmp_path, data)
+    assert code == 2
+    assert f"spec error: {message}" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_cli_verify_needs_a_spec_path_or_demo(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert cli.main(["verify", "--quiet", "--json-out", str(report_path)]) == 2
+    assert "spec error: a spec path or --demo is required" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_cli_runs_the_duality_suites_on_the_spec_shapes(tmp_path):
+    data = {"chart": {"dim": 2}, "dvb_shapes": [[1, 2, 1, 0], [2, 1, 3, 2]], "samples": 6}
+    argv = ("--suite", "duality-solve", "--suite", "warp-pairing")
+    code, report_path = _verify_spec(tmp_path, data, *argv)
+    assert code == 0
+    report = report_path.read_text(encoding="utf-8")
+    checks = json.loads(report)["checks"]
+    assert {c["suite"] for c in checks} == {"duality-solve", "warp-pairing"}
+    assert all(c["passed"] for c in checks)
+    spec = ProblemSpec.from_file(str(tmp_path / "spec.json"))
+    assert spec.dvb_shapes == (dvb.DvbShape(1, 2, 1, 0), dvb.DvbShape(2, 1, 3, 2))
+    # The built-in shapes give another report.
+    del data["dvb_shapes"]
+    _, report_path = _verify_spec(tmp_path, data, *argv)
+    assert report_path.read_text(encoding="utf-8") != report
+
+
+def test_cli_failing_report_write_exits_two(tmp_path, capsys, monkeypatch):
+    def failing_write_open(path, mode="r", *args, **kwargs):
+        # The probe opens the path to append; only the final write fails.
+        if mode == "w":
+            raise OSError("disk full")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_write_open, raising=False)
+    report_path = tmp_path / "report.json"
+    code = cli.main(["verify", "--demo", "--samples", "2", "--quiet", "--json-out", str(report_path)])
+    assert code == 2
+    assert "error: cannot write the report: disk full" in capsys.readouterr().err
 
 
 def test_cli_field_name_with_a_comma_exits_two(tmp_path, capsys):

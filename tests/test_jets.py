@@ -6,6 +6,7 @@ import pytest
 from dvbcalc import jets
 from dvbcalc.jets import (
     DomainError,
+    powi,
     Jet,
     deep_value,
     generic_jacobian,
@@ -297,3 +298,20 @@ def test_an_array_is_a_constant_operand_on_either_side():
         assert isinstance(out, Jet)
         np.testing.assert_allclose(out.value, value, rtol=1e-15)
         np.testing.assert_allclose(out.partials[0], partial, rtol=1e-15)
+
+
+def test_powi_of_a_batch_holding_zero_at_a_negative_power_is_a_domain_error():
+    with pytest.raises(DomainError):
+        powi(np.array([1.0, 0.0, 2.0]), -2)
+    assert powi(np.array([1.0, 2.0]), -2).tolist() == [1.0, 0.25]
+
+
+def test_jet_directional_refuses_mismatched_dimensions():
+    with pytest.raises(ValueError):
+        jet_directional(lambda vs: vs[0] * vs[1], [0.1, 0.2], [1.0])
+
+
+def test_jet_directional_of_a_constant_at_a_batch_is_zero_per_row():
+    out = jet_directional(lambda vs: 3.0, np.ones((4, 2)), np.ones((4, 2)))
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [0.0] * 4

@@ -210,6 +210,17 @@ def test_matrix_map_shape_enforced():
         bad([0.0])
 
 
+def test_smooth_map_refuses_a_negative_domain():
+    with pytest.raises(DimensionMismatch):
+        SmoothMap(-1, ())
+
+
+def test_directional_derivative_refuses_a_field_of_another_chart():
+    f = SmoothMap.parse(["x0*x1"], 2)
+    with pytest.raises(DimensionMismatch):
+        directional_derivative(f, SmoothMap.parse(["1", "0", "0"], 3), [0.1, 0.2])
+
+
 # -- polynomial families -------------------------------------------------------
 
 def _family_and_rows(seed: int, n: int, dim: int, codim: int):

@@ -90,7 +90,7 @@ def test_tangent_point_validation():
         complete_lift(SmoothMap.parse(["x0", "x0"], 1))
 
 
-def test_points_equal_tolerance_and_types():
+def test_tangent_points_are_equal_only_bitwise_and_by_type():
     t = support.tangent_point([1.0], [2.0], [3.0], [4.0])
     nudged = support.tangent_point([1.0], [2.0], [3.0], [4.0 + 1e-12])
     assert not elements_equal(t, nudged)
@@ -160,6 +160,58 @@ def test_bracket_via_warp_is_natural_under_a_shear(a, seed):
 def test_pushing_forward_without_the_jacobian_breaks_naturality():
     assert max(_naturality_defect(0.5, seed) for seed in range(5)) <= 1e-12
     assert min(_naturality_defect(0.5, seed, with_jacobian=False) for seed in range(5)) > 1e-3
+
+
+# -- the covariant derivative is gauge covariant: an intrinsic oracle ---------
+#
+# A gauge g = I + N(x), N strictly upper triangular, sends a section mu to
+# g mu and the connection's coefficients to omega^g_j = g omega_j g^-1 -
+# (d_j g) g^-1; then nabla^g_Z (g mu) = g nabla_Z mu.  For k <= 3, N^3 = 0,
+# so g^-1 = I - N + N^2 exactly.
+
+
+def _gauge_defect(k: int, seed: int, with_derivative: bool = True) -> float:
+    """Relative defect of nabla^g_Z (g mu)(x) = g(x) nabla_Z mu(x) on a 2-chart, via the warp."""
+    rng = np.random.default_rng(seed)
+    n = 2
+    bundle = _bundle(n, k)
+    conn = _random_connection(rng, bundle)
+    upper = list(zip(*np.triu_indices(k, 1)))
+    entries = support.poly_map(rng, n, len(upper))  # N's entries above the diagonal, degree 2
+    z_field, mu = support.poly_map(rng, n, n), support.poly_map(rng, n, k)
+    x = support.rand_vec(rng, n)
+
+    def gauge(m):
+        """g(m), g^-1(m) and the n derivatives d_j g(m) at one point m."""
+        n_mat, d_n = np.zeros((k, k)), np.zeros((n, k, k))
+        for (i, j), value, grad in zip(upper, entries(m), jacobian(entries, m)):
+            n_mat[i, j], d_n[:, i, j] = value, grad
+        return np.eye(k) + n_mat, np.eye(k) - n_mat + n_mat @ n_mat, d_n
+
+    def omega_g(m):
+        g, g_inv, d_g = gauge(m)
+        tensor = g @ conn.coefficient_tensor(m) @ g_inv
+        return tensor - d_g @ g_inv if with_derivative else tensor
+
+    conn_g = Connection(bundle, MatrixMap((n, k, k), omega_g))
+    comps = list(mu.components)  # (g mu)_i = mu_i + sum_{j > i} N_ij mu_j, as trees
+    for entry, (i, j) in zip(entries.components, upper):
+        comps[i] = Add(comps[i], Mul(entry, mu.components[j]))
+    g_mu = SmoothMap(n, tuple(comps))
+    via_warp = covariant_derivative_via_warp(conn_g, z_field, g_mu, x)
+    oracle = gauge(x)[0] @ conn.nabla(z_field, mu, x)
+    return float(np.max(np.abs(via_warp - oracle)) / max(1.0, float(np.max(np.abs(oracle)))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_covariant_derivative_via_warp_is_gauge_covariant(k, seed):
+    assert _gauge_defect(k, seed) <= 1e-12
+
+
+def test_gauging_without_the_derivative_term_breaks_covariance():
+    assert max(_gauge_defect(k, seed) for k in (2, 3) for seed in range(3)) <= 1e-12
+    assert min(_gauge_defect(k, seed, with_derivative=False) for k in (2, 3) for seed in range(3)) > 1e-6
 
 
 def test_horizontal_lift_formula():
