@@ -7,10 +7,8 @@ harness over all of it.
 
 from .charts import Chart, Connection, TrivialBundle
 from .cotangent import (
-    bracket_pairing_check,
     canonical_one_form,
     canonical_two_form,
-    connection_pairing_check,
     cotangent_flip,
     diagram_check,
     dnu_sharp,

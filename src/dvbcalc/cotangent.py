@@ -45,9 +45,8 @@ pairing identities are one statement: d ell of a section paired with a
 squarecap is minus the momentum of the warp.  ``momentum_pairing`` pairs
 pieces already evaluated at the point (a d ell, a squarecap from
 ``squarecap_complete_lift`` or ``squarecap_horizontal``, and the bracket
-or covariant derivative); the two pairing checks take maps, evaluate the
-pieces and call it.  A caller that needs the same pieces for several
-checks computes each one once and pairs them with it.
+or covariant derivative).  A caller that needs the same pieces for
+several checks computes each one once and pairs them with it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .charts import Connection, TrivialBundle
 from .dvb import DualAElement, DualBElement, DvbElement, _dot, _same, pair_a, pair_b, scale_over_a
 from .jets import Scalar
 from .sections import LinearSectionA
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, _matvec, lie_bracket
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field, _matvec
 from .tangent import _shape, tangent_bundle_shape
 
 # How far an extending section may miss the point it must pass through.
@@ -267,20 +266,6 @@ def momentum_pairing(
     return pair_a(dell, cap), -_dot(fiber, np.asarray(value, dtype=float))
 
 
-def bracket_pairing_check(x_field: SmoothMap, y_field: SmoothMap, x, p) -> tuple[float, float]:
-    """Pair the two induced sections on T*M against minus the bracket momentum.
-
-    Returns (pairing value, -<p, [X, Y](x)>); the two agree.  Under the
-    opposite sharp convention the pairing value is negated.
-    """
-    return momentum_pairing(
-        squarecap_tangent_lift(y_field, x, p),
-        squarecap_complete_lift(x_field, x, p),
-        lie_bracket(x_field, y_field, x),
-        p,
-    )
-
-
 def diagram_check(f: DualAElement) -> tuple[DualAElement, DualAElement]:
     """Compose sharp, the functional reading, and the involution transpose.
 
@@ -312,17 +297,3 @@ def squarecap_horizontal(conn: Connection, x_field: SmoothMap, x, kappa) -> DvbE
     """Induced section attached to the horizontal lift: minus the dual horizontal lift."""
     return scale_over_a(-1.0, dual_horizontal_field(conn, x_field)(x, kappa))
 
-
-def connection_pairing_check(
-    conn: Connection, x_field: SmoothMap, mu: SmoothMap, x, kappa
-) -> tuple[float, float]:
-    """Pair d ell_mu with the horizontal squarecap on the dual bundle.
-
-    Returns (pairing value, -<kappa, nabla_X mu  at x>); the two agree.
-    """
-    return momentum_pairing(
-        ell_differential(mu, x, kappa),
-        squarecap_horizontal(conn, x_field, x, kappa),
-        conn.nabla(x_field, mu, x),
-        kappa,
-    )

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
+import stat
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import suppress
 
 import numpy as np
 
@@ -59,6 +62,44 @@ def _cannot_write(exc: OSError) -> int:
     return 2
 
 
+def _replaced(path: str) -> str:
+    """The file a report to path replaces: a symlink's target, else path itself."""
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
+def _probe_report(path: str) -> None:
+    """Raise OSError where the report could not be written to path; change nothing there."""
+    if os.path.exists(path) and not stat.S_ISFIFO(os.stat(path).st_mode):  # a FIFO's open waits for a reader
+        open(path, "a", encoding="utf-8").close()
+    directory = os.path.dirname(_replaced(path)) or os.curdir
+    if (not os.path.exists(path) or os.path.isfile(path)) and not os.access(directory, os.W_OK | os.X_OK):
+        # The report is written to a new file beside it; making one raises the reason.
+        tempfile.TemporaryFile(dir=directory).close()
+
+
+def _write_report(path: str, text: str) -> None:
+    """Write the report to path, a symlink followed.  A regular file, or no
+    file yet, is replaced by a complete new one with the mode open(path, "w")
+    would give it, so a failed write leaves the path as it was; anything
+    else, such as a FIFO or /dev/null, is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+        return
+    target = _replaced(path)
+    temp = f"{target}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8",
+                  opener=lambda name, flags: os.open(name, flags | os.O_EXCL, 0o666)) as out:
+            out.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    finally:
+        with suppress(FileNotFoundError):  # gone once it has replaced the target
+            os.remove(temp)
+
+
 def run_verify(args) -> int:
     try:
         spec = _load_spec(args)
@@ -68,37 +109,28 @@ def run_verify(args) -> int:
         return 2
 
     # The report path is probed before any suite runs, so an unwritable path
-    # costs no run; opening it to append changes nothing in an existing file.
-    # Only the probe and the final write count as write errors; an OSError
-    # raised inside a suite propagates like any other crash.
-    created = False
+    # costs no run.  Only the probe and the final write count as write errors;
+    # an OSError raised inside a suite propagates like any other crash.
     if args.json_out:
-        created = not os.path.exists(args.json_out)
         try:
-            open(args.json_out, "a", encoding="utf-8").close()
+            _probe_report(args.json_out)
         except OSError as exc:
             return _cannot_write(exc)
-    try:
-        # Non-finite values fail their checks, so numpy's warnings about
-        # them would only add noise on stderr.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            checks = run_suites(spec, *run)
-        report = build_report(checks, run._asdict())
-        text = render_json(report)
-    except BaseException:
-        # Only a finished run writes a report: a crash leaves an existing
-        # file as it was and removes the one the probe made.
-        if created:
-            os.remove(args.json_out)
-        raise
+    # Non-finite values fail their checks, so numpy's warnings about
+    # them would only add noise on stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        checks = run_suites(spec, *run)
+    report = build_report(checks, run._asdict())
+    text = render_json(report)
     if not args.quiet:
         for line in check_lines(checks):
             print(line)
         print(f"overall: {report['overall']}")
     try:
-        with open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext(sys.stdout) as out:
-            out.write(text)
-            out.flush()
+        if args.json_out:
+            _write_report(args.json_out, text)
+        else:
+            print(text, end="", flush=True)
     except OSError as exc:
         return _cannot_write(exc)
 

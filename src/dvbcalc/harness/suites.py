@@ -16,11 +16,12 @@ each random quantity as one block: its points and vectors as one
 read-only ``_chart_rows`` block, and each random map role as one family
 from one ``_poly_draw``, whose member r is row r's map.  The calculus
 suites' fields and sections are of degree 2 and drawn as coefficient
-arrays (``_quadratic_family``, a ``PolyFamily``); the four degree-1 maps
-of warp-pairing's grid are trees whose leaves hold the coefficient
-columns (``_poly_family``).  A batch calls the library once on (N, dim)
-arrays, which returns one signed defect or both sides per row, and
-records each check with samples=N; only _Residuals reduces them.
+arrays (``_quadratic_family``, a ``PolyFamily``), as are the degree-1
+coefficients of a random connection (``_random_connection``); only the
+four degree-1 maps of warp-pairing's grid are trees whose leaves hold the
+coefficient columns (``_poly_family``).  A batch calls the library once
+on (N, dim) arrays, which returns one signed defect or both sides per
+row, and records each check with samples=N; only _Residuals reduces them.
 """
 
 from __future__ import annotations
@@ -95,12 +96,6 @@ def _poly_draw(rng, size: int, dim: int, codim: int, degree: int = 2) -> tuple[n
     return coeffs, pairs
 
 
-def _poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
-    """A random polynomial map: the tree of one ``_poly_draw``."""
-    coeffs, pairs = _poly_draw(rng, 1, dim, codim, degree)
-    return _poly_tree(dim, coeffs[0], None if pairs is None else pairs[0])
-
-
 def _poly_tree(dim: int, coeffs: np.ndarray, pairs: np.ndarray | None) -> SmoothMap:
     """The map of one draw's (codim, width) coefficients and (codim, dim, 2)
     pairs, one float leaf per coefficient, in draw order.
@@ -148,10 +143,22 @@ def _quadratic_family(rng, n: int, dim: int, codim: int) -> PolyFamily:
 
 
 def _random_connection(rng, chart: Chart, fiber_dim: int) -> Connection:
-    bundle = TrivialBundle(chart, fiber_dim)
+    """A connection whose n k^2 coefficients are the random degree-1 maps of
+    one ``_poly_draw``, as (n k^2, 1) columns.  Its tensor adds c0 and each
+    lin_i x_i (an (n k^2, N) block at an (N, n) batch) in the order of the
+    same draw's tree (``_poly_tree``), so it is bitwise that tree's, row-major."""
     n, k = chart.dim, fiber_dim
-    coeff_map = _poly_map(rng, n, n * k * k, degree=1)
-    return Connection.from_smooth_map(bundle, coeff_map)
+    coeffs, _ = _poly_draw(rng, 1, n, n * k * k, degree=1)
+    c0, lin = coeffs[0, :, :1], list(coeffs[0, :, 1:, None].transpose(1, 0, 2).copy())
+
+    def tensor(point) -> np.ndarray:
+        x = np.asarray(point, dtype=float).T  # (n,), or (n, N) for a batch
+        out = c0
+        for lin_i, x_i in zip(lin, x):
+            out = out + lin_i * x_i
+        return out.T.reshape(*x.shape[1:], n, k, k)
+
+    return Connection(TrivialBundle(chart, fiber_dim), MatrixMap((n, k, k), tensor))
 
 
 class _Residuals:
@@ -415,15 +422,6 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
 
 
 # -- suite: bracket ----------------------------------------------------------------
-#
-# The six calculus suites below batch their samples by form (``_batches``),
-# as the algebra suites do by dvb shape: random-polynomials by chart
-# dimension, the connection suites by connection and spec section,
-# bracket-pairing by named or random fields, pairing-section-independence
-# by fiber rank; the other checks have one form.  Each batch draws its
-# points and vectors as one ``_chart_rows`` block and each random field or
-# section as one ``_quadratic_family``, whose values and Jacobians are
-# closed forms and whose jets run on its coefficient columns.
 
 def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     checks: list[_Residuals] = []

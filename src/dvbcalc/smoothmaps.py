@@ -306,11 +306,10 @@ def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
 @dataclass(frozen=True)
 class MatrixMap:
     """Array-valued map on a chart, e.g. the fiber part of a linear section
-    or a connection's coefficient tensor.
-
-    Wraps either reshaped smooth-map components or a jacobian closure, so
-    every derivative in an entry still comes from the jet machinery.
-    """
+    or a connection's coefficient tensor: any function of a point or an
+    (N, dim) batch, such as reshaped smooth-map components, a Jacobian
+    closure or an array polynomial.  The library only evaluates it at
+    points, so its entries need not be expressions."""
 
     shape: tuple[int, ...]
     fn: Callable[[Sequence[float]], np.ndarray] = field(repr=False)

@@ -1,4 +1,5 @@
-"""Shared helpers for the tests: the harness's random generators, a random
+"""Shared helpers for the tests: the harness's random generators and the
+tree of one draw, both sides of the two pairing identities at a point, a random
 grid, the grid of given maps and a constant grid, a row-by-row check of batched results, tangent points
 and covectors of T(A) from their coordinates, substitution into an
 expression, and a change of decomposition."""
@@ -19,11 +20,17 @@ from dvbcalc import (
     LinearSectionB,
     MatrixMap,
     SmoothMap,
+    ell_differential,
+    lie_bracket,
+    momentum_pairing,
+    squarecap_complete_lift,
+    squarecap_horizontal,
+    squarecap_tangent_lift,
 )
 from dvbcalc.dvb import Record
 from dvbcalc.expressions import Expr, Var
 from dvbcalc.sections import SectionAt
-from dvbcalc.harness.suites import _poly_map as poly_map, _poly_tree as poly_tree
+from dvbcalc.harness.suites import _poly_draw as poly_draw, _poly_tree as poly_tree
 
 
 EPS = np.finfo(float).eps
@@ -60,6 +67,34 @@ def random_shape(rng, max_dim: int = 4, max_base: int = 3) -> DvbShape:
     dims = rng.integers(1, max_dim + 1, 3)
     base = int(rng.integers(0, max_base + 1))
     return DvbShape(int(dims[0]), int(dims[1]), int(dims[2]), base)
+
+
+def poly_map(rng, dim: int, codim: int, degree: int = 2) -> SmoothMap:
+    """A random polynomial map: the tree of one ``poly_draw``."""
+    coeffs, pairs = poly_draw(rng, 1, dim, codim, degree)
+    return poly_tree(dim, coeffs[0], None if pairs is None else pairs[0])
+
+
+def bracket_pairing(x_field: SmoothMap, y_field: SmoothMap, x, p):
+    """Both sides of the bracket pairing identity at x, p: d ell_Y paired with
+    the complete-lift squarecap of X, against minus the momentum of [X, Y]."""
+    return momentum_pairing(
+        squarecap_tangent_lift(y_field, x, p),
+        squarecap_complete_lift(x_field, x, p),
+        lie_bracket(x_field, y_field, x),
+        p,
+    )
+
+
+def connection_pairing(conn, x_field: SmoothMap, mu: SmoothMap, x, kappa):
+    """Both sides of the connection pairing identity at x, kappa: d ell_mu paired
+    with the horizontal squarecap of X, against minus the momentum of nabla_X mu."""
+    return momentum_pairing(
+        ell_differential(mu, x, kappa),
+        squarecap_horizontal(conn, x_field, x, kappa),
+        conn.nabla(x_field, mu, x),
+        kappa,
+    )
 
 
 def matrix_map(rng, dim: int, rows: int, cols: int) -> MatrixMap:

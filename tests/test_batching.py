@@ -55,7 +55,7 @@ def _connection(coefficients: SmoothMap, chart, k: int) -> Connection:
 @cache
 def _family_case(n: int) -> Case:
     # Replaying the seed gives each role's block; member r is the tree of
-    # its row r, as _poly_map builds it.
+    # its row r, as support.poly_map builds it.
     rng, replay = np.random.default_rng(n), np.random.default_rng(n)
     dim, k = 3, 2
     # role: (codim, degree); the connection's coefficients are of degree 1.

@@ -4,10 +4,8 @@ import pytest
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.cotangent import (
-    bracket_pairing_check,
     canonical_one_form,
     canonical_two_form,
-    connection_pairing_check,
     cotangent_flip,
     diagram_check,
     dnu_sharp,
@@ -279,7 +277,7 @@ def test_bracket_pairing_identity():
         y_field = support.poly_map(RNG, n, n)
         x = support.rand_vec(RNG, n)
         p = support.rand_vec(RNG, n)
-        lhs, rhs = bracket_pairing_check(x_field, y_field, x, p)
+        lhs, rhs = support.bracket_pairing(x_field, y_field, x, p)
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
         assert abs(rhs + float(p @ lie_bracket(x_field, y_field, x))) <= 1e-12 * scale
@@ -290,7 +288,7 @@ def test_bracket_pairing_flipped_sign_fails():
     y_field = SmoothMap.parse(["0", "x0"], 2)
     x = [0.5, 0.25]
     p = [0.3, 0.7]
-    lhs, rhs = bracket_pairing_check(x_field, y_field, x, p)
+    lhs, rhs = support.bracket_pairing(x_field, y_field, x, p)
     assert lhs == pytest.approx(-0.7, abs=1e-14)
     assert rhs == pytest.approx(-0.7, abs=1e-14)
     # The opposite sharp convention is the over-A negation of dnu_sharp; the
@@ -302,7 +300,7 @@ def test_bracket_pairing_flipped_sign_fails():
     assert abs(flipped_lhs - rhs) == pytest.approx(1.4, abs=1e-12)
 
 
-def test_bracket_pairing_of_pieces_is_the_check_bitwise():
+def test_bracket_pairing_of_pieces_is_pair_a_and_minus_the_momentum():
     for _ in range(10):
         n = int(RNG.integers(1, 4))
         x_field = support.poly_map(RNG, n, n)
@@ -312,7 +310,7 @@ def test_bracket_pairing_of_pieces_is_the_check_bitwise():
         cap_y = squarecap_tangent_lift(y_field, x, p)
         cap_x = squarecap_complete_lift(x_field, x, p)
         bracket = lie_bracket(x_field, y_field, x)
-        assert momentum_pairing(cap_y, cap_x, bracket, p) == bracket_pairing_check(x_field, y_field, x, p)
+        assert momentum_pairing(cap_y, cap_x, bracket, p) == (pair_a(cap_y, cap_x), -float(p @ bracket))
         # The complete-lift squarecap is minus sharp of d ell_X.
         minus_sharp = scale_over_a(-1.0, dnu_sharp(ell_differential(x_field, x, p)))
         assert elements_equal(cap_x, minus_sharp)
@@ -334,7 +332,7 @@ def test_bracket_pairing_pieces_must_lie_over_the_point():
         momentum_pairing(cap_y, cap_x, bracket, other_p)
 
 
-def test_connection_pairing_of_pieces_is_the_check_bitwise():
+def test_connection_pairing_of_pieces_is_pair_a_and_minus_the_momentum():
     bundle = TrivialBundle(Chart(2), 2)
     conn = _random_connection(RNG, bundle)
     x_field = support.poly_map(RNG, 2, 2)
@@ -342,14 +340,10 @@ def test_connection_pairing_of_pieces_is_the_check_bitwise():
     for _ in range(5):
         x = support.rand_vec(RNG, 2)
         kappa = support.rand_vec(RNG, 2)
-        pieces = (
-            ell_differential(mu, x, kappa),
-            squarecap_horizontal(conn, x_field, x, kappa),
-            conn.nabla(x_field, mu, x),
-        )
-        assert momentum_pairing(*pieces, kappa) == connection_pairing_check(
-            conn, x_field, mu, x, kappa
-        )
+        dell_mu = ell_differential(mu, x, kappa)
+        cap_h = squarecap_horizontal(conn, x_field, x, kappa)
+        nabla = conn.nabla(x_field, mu, x)
+        assert momentum_pairing(dell_mu, cap_h, nabla, kappa) == (pair_a(dell_mu, cap_h), -float(kappa @ nabla))
 
 
 def test_connection_pairing_pieces_must_lie_over_the_point():
@@ -452,14 +446,14 @@ def test_connection_pairing_identity_and_flat_case():
     for _ in range(10):
         x = support.rand_vec(RNG, 2)
         kappa = support.rand_vec(RNG, 2)
-        lhs, rhs = connection_pairing_check(conn, x_field, mu, x, kappa)
+        lhs, rhs = support.connection_pairing(conn, x_field, mu, x, kappa)
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
         assert abs(rhs + float(kappa @ conn.nabla(x_field, mu, x))) <= 1e-15 * scale
     flat = Connection.flat(bundle)
     x = support.rand_vec(RNG, 2)
     kappa = support.rand_vec(RNG, 2)
-    lhs, rhs = connection_pairing_check(flat, x_field, mu, x, kappa)
+    lhs, rhs = support.connection_pairing(flat, x_field, mu, x, kappa)
     expected = -float(kappa @ (jacobian(mu, x) @ x_field(x)))
     assert abs(rhs - expected) <= 1e-12 * max(1.0, abs(expected))
     assert abs(lhs - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -514,7 +508,7 @@ def test_bracket_sections_match_decomposed_grid():
         assert np.allclose(cap_b.a, cap_y.kappa, rtol=0.0, atol=1e-13)
         assert np.allclose(cap_a.b, -cap_x.b, rtol=0.0, atol=1e-13)
         assert np.allclose(cap_a.alpha, cap_x.c, rtol=0.0, atol=1e-12)
-        lhs, rhs = bracket_pairing_check(x_field, y_field, x, p)
+        lhs, rhs = support.bracket_pairing(x_field, y_field, x, p)
         paired = squarecap_pairing(cap_b, cap_a)
         scale = max(1.0, abs(lhs), abs(paired))
         assert abs(paired - lhs) <= 1e-12 * scale
@@ -536,7 +530,7 @@ def test_connection_sections_match_decomposed_grid():
         cap_a = squarecap_a(grid.eta, x, kappa)
         assert np.allclose(cap_a.alpha, cap_h.c, rtol=0.0, atol=1e-12)
         assert np.allclose(cap_a.b, -cap_h.b, rtol=0.0, atol=1e-13)
-        lhs, rhs = connection_pairing_check(conn, x_field, mu, x, kappa)
+        lhs, rhs = support.connection_pairing(conn, x_field, mu, x, kappa)
         glhs, grhs = warp_pairing_check(grid, x, kappa)
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(glhs - lhs) <= 1e-12 * scale

@@ -1,7 +1,9 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import stat
 import sys
 import warnings
 from dataclasses import replace
@@ -24,9 +26,11 @@ import dvbcalc
 from dvbcalc import cotangent, dvb, jets, tangent
 from dvbcalc.charts import Chart, Connection
 from dvbcalc.expressions import Add, Mul, Num, Var
-from dvbcalc.smoothmaps import SmoothMap, jacobian
+from dvbcalc.smoothmaps import MatrixMap, SmoothMap, jacobian
 from dvbcalc.harness import cli, suites
 from dvbcalc.harness.problem import DEFAULT_SHAPES
+
+import support
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -575,6 +579,83 @@ def test_cli_failing_report_write_exits_two(tmp_path, capsys, monkeypatch):
     assert "error: cannot write the report: disk full" in capsys.readouterr().err
 
 
+class _FailingWrite:
+    """A file opened for writing whose every write fails, as on a full disk."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.out.close()
+
+    def write(self, text):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("existing", [b"an earlier report\n", None], ids=["existing", "absent"])
+def test_cli_failed_report_write_leaves_the_path_as_it_was(tmp_path, capsys, monkeypatch, existing):
+    def failing_write_open(path, mode="r", *args, **kwargs):
+        out = open(path, mode, *args, **kwargs)
+        return _FailingWrite(out) if mode == "w" else out
+
+    monkeypatch.setattr(cli, "open", failing_write_open, raising=False)
+    report_path = tmp_path / "report.json"
+    if existing is not None:
+        report_path.write_bytes(existing)
+    code = cli.main(["verify", "--demo", "--samples", "2", "--quiet", "--json-out", str(report_path)])
+    assert code == 2
+    assert "error: cannot write the report: disk full" in capsys.readouterr().err
+    if existing is None:
+        assert not report_path.exists()
+    else:
+        assert report_path.read_bytes() == existing
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["report.json"])
+
+
+_SMALL_RUN = ["verify", "--demo", "--suite", "bracket", "--samples", "2", "--quiet", "--json-out"]
+
+
+def test_cli_report_to_a_fifo_leaves_the_fifo_in_place(tmp_path):
+    plain, fifo = tmp_path / "plain.json", tmp_path / "report.fifo"
+    assert cli.main([*_SMALL_RUN, str(plain)]) == 0
+    os.mkfifo(fifo)
+    # A reader that is already open lets the write proceed without a thread;
+    # the small report fits in the pipe's buffer.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main([*_SMALL_RUN, str(fifo)]) == 0
+        received = os.read(reader, 1 << 20)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == plain.read_bytes()
+
+
+@pytest.mark.parametrize("existing_mode", [0o640, None], ids=["existing", "absent"])
+def test_cli_report_through_a_symlink_updates_the_target(tmp_path, existing_mode):
+    plain, target, link = tmp_path / "plain.json", tmp_path / "target.json", tmp_path / "link.json"
+    assert cli.main([*_SMALL_RUN, str(plain)]) == 0
+    if existing_mode is not None:
+        target.write_bytes(b"an earlier report\n")
+        target.chmod(existing_mode)
+    link.symlink_to(target)
+    assert cli.main([*_SMALL_RUN, str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+    # The mode open(path, "w") gives: an existing file keeps its own, a new
+    # one gets open's.
+    fresh = tmp_path / "fresh"
+    with open(fresh, "w"):
+        pass
+    want = existing_mode if existing_mode is not None else stat.S_IMODE(fresh.stat().st_mode)
+    fresh.unlink()
+    assert stat.S_IMODE(target.stat().st_mode) == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "plain.json", "target.json"]
+
+
 def test_cli_field_name_with_a_comma_exits_two(tmp_path, capsys):
     # The bracket suite keys its details by "a,b": fields "a,b", "c", "a" and
     # "b,c" would give 12 pairs but only 11 distinct keys.
@@ -622,6 +703,16 @@ def test_cli_unwritable_json_out_exits_before_any_suite(tmp_path, monkeypatch, c
     missing = tmp_path / "no-such-dir" / "report.json"
     assert cli.main(["verify", "--demo", "--json-out", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write the report")
+
+
+def test_cli_directory_as_json_out_exits_before_any_suite(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran before the report path was opened")
+
+    monkeypatch.setattr(cli, "run_suites", no_run)
+    assert cli.main(["verify", "--demo", "--json-out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the report")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_crashed_run_leaves_no_report(tmp_path, monkeypatch):
@@ -760,7 +851,7 @@ def test_cli_divisor_whose_square_underflows_is_a_domain_error(tmp_path):
 
 def _poly_map_per_coefficient(rng, dim, codim, degree):
     """The random polynomial map as drawn one coefficient at a time: the
-    reference stream that _poly_map's single draw must keep for dim 0 and
+    reference stream that poly_map's single draw must keep for dim 0 and
     degree 1."""
 
     def component():
@@ -784,7 +875,7 @@ def _poly_map_per_coefficient(rng, dim, codim, degree):
 )
 def test_poly_map_keeps_the_per_coefficient_stream(dim, codim, degree):
     ours, reference = np.random.default_rng(5), np.random.default_rng(5)
-    assert suites._poly_map(ours, dim, codim, degree) == _poly_map_per_coefficient(
+    assert support.poly_map(ours, dim, codim, degree) == _poly_map_per_coefficient(
         reference, dim, codim, degree
     )
     assert ours.bit_generator.state == reference.bit_generator.state
@@ -803,7 +894,7 @@ def _summands(expr):
 def test_degree_two_components_are_the_rows_of_one_draw(dim):
     codim = 5
     rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    poly = suites._poly_map(rng, dim, codim)
+    poly = support.poly_map(rng, dim, codim)
     coeffs = replay.uniform(-1.0, 1.0, (codim, 1 + 2 * dim)).tolist()
     pairs = replay.integers(0, dim, (codim, dim, 2)).tolist()
     assert rng.bit_generator.state == replay.bit_generator.state
@@ -816,6 +907,24 @@ def test_degree_two_components_are_the_rows_of_one_draw(dim):
             i, j = term.left.right.index, term.right.index
             assert 0 <= i < dim and 0 <= j < dim and [i, j] == ij[t]
             assert term == Mul(Mul(Num(row[1 + dim + t]), Var(i)), Var(j))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_connection_is_bitwise_the_tree_of_its_draw(n, k):
+    """A random connection's coefficient arrays give the tensor of the
+    degree-1 tree of the same draw, reshaped row-major to (n, k, k), with
+    the same bytes at one point and at a batch, and leave the stream where
+    the tree's draw leaves it."""
+    rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+    conn = suites._random_connection(rng, Chart(n), k)
+    tree = MatrixMap.from_smooth_map(support.poly_map(replay, n, n * k * k, degree=1), n, k, k)
+    points = np.random.default_rng(4).uniform(-1.0, 1.0, (5, n))
+    for point in (points[0], points):
+        got, want = conn.coefficients(point), tree(point)
+        assert got.shape == want.shape == (*point.shape[:-1], n, k, k)
+        assert got.tobytes() == want.tobytes()
+    assert rng.uniform() == replay.uniform()
 
 
 CHARTS = [
