@@ -83,7 +83,6 @@ from .smoothmaps import (
     lie_bracket,
 )
 from .tangent import (
-    canonical_involution,
     complete_lift,
     connection_grid,
     covariant_derivative_via_warp,

@@ -337,67 +337,51 @@ def dual_iso_a_inverse(phi: DualAElement) -> IterBCElement:
     return IterBCElement(phi.shape, phi.m, phi.kappa, -phi.beta, phi.a)
 
 
-# A batch of n rows assembles n * size**2 * (size + 1) probe entries; a
-# batch larger than this budget is solved in chunks of rows, so memory stays
-# bounded whatever the batch length.
-SOLVE_CHUNK_ENTRIES = 100_000
-
-
 def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
     """Recover dual_iso_a(mb) from its defining property by a dense linear solve.
 
     Probes the identity <mb, psi>_C* + <phi, d>_A = <psi, d>_B with basis
     choices of psi and d and solves the assembled system for the unknown
-    coordinates (a, beta, kappa) of phi.  The probes are the rows of one
-    batch: row i * (size + 1) takes (alpha, b, c) the i-th unit vector and
-    phi = 0, row i * (size + 1) + 1 + j the same (alpha, b, c) and phi the
-    j-th unit vector, so the identity is evaluated once, through the
-    batched pairings.  A batched mb repeats each of its rows over a block
-    of probes, and every row's system goes into one stacked solve (one per
-    chunk of SOLVE_CHUNK_ENTRIES).  Serves as an independent check on the
-    closed form; the system is square and always nonsingular.
+    coordinates (a, beta, kappa) of phi.  The identity is affine in phi and
+    its linear part does not depend on mb, so one matrix serves every row:
+    mb's first row probes each i-th unit (alpha, b, c) with phi = 0 and with
+    each unit phi, which gives the matrix and that row's right-hand side,
+    and every other row probes phi = 0 only, which gives its right-hand
+    side.  All probes are the rows of one batch, evaluated once through the
+    batched pairings, and every row is solved by one solve.  Serves as an
+    independent check on the closed form; the system is square and always
+    nonsingular.
     """
     shape = mb.shape
     da, db = shape.dim_a, shape.dim_b
     size = da + db + shape.dim_c
     rows = 1 if mb.batch is None else mb.batch
-    chunk = max(1, SOLVE_CHUNK_ENTRIES // (size * size * (size + 1)))
-    solution = np.concatenate(
-        [_solve_rows(mb, start, min(start + chunk, rows)) for start in range(0, rows, chunk)]
-    )
+    head = size * (size + 1)  # the first row's probes
+    counts = np.full(rows, size)
+    counts[0] = head
+
+    def repeat(x):
+        return x if x.ndim == 1 else np.repeat(x, counts, axis=0)
+
+    eye = np.eye(size)
+    probes = np.concatenate([np.repeat(eye, size + 1, axis=0), np.tile(eye, (rows - 1, 1))])
+    unknowns = np.zeros_like(probes)
+    unknowns[:head].reshape(size, size + 1, size)[:, 1:] = eye  # phi = 0, then each unit phi
+    probed = IterBCElement(shape, repeat(mb.m), repeat(mb.kappa), repeat(mb.beta), repeat(mb.a))
+    phi = DualAElement(shape, probed.m, unknowns[:, :da], unknowns[:, da:da + db], unknowns[:, da + db:])
+    psi = DualBElement(shape, probed.m, probed.kappa, probes[:, :da], probes[:, da:da + db])
+    d = DvbElement(shape, probed.m, phi.a, psi.b, probes[:, da + db:])
+    residual = pair_cstar_b(probed, psi) + pair_a(phi, d) - pair_b(psi, d)
+
+    system = residual[:head].reshape(size, size + 1)
+    base = np.concatenate([system[:, 0], residual[head:]]).reshape(rows, size)
+    try:
+        solution = np.linalg.solve(system[:, 1:] - system[:, :1], -base.T).T
+    except np.linalg.LinAlgError as err:  # pragma: no cover
+        raise RuntimeError("duality system unexpectedly singular") from err
     if mb.batch is None:
         solution = solution[0]
     return DualAElement(shape, mb.m, solution[..., :da], solution[..., da:da + db], solution[..., da + db:])
-
-
-def _solve_rows(mb: IterBCElement, start: int, stop: int) -> np.ndarray:
-    """The (stop - start, size) solutions for rows start:stop of mb (0:1 if unbatched).
-
-    Each row of a batched mb is repeated over its own block of probes.
-    """
-    shape = mb.shape
-    da, db = shape.dim_a, shape.dim_b
-    size = da + db + shape.dim_c
-    n, per_row = stop - start, size * (size + 1)
-
-    def repeat(x):
-        return x if x.ndim == 1 else np.repeat(x[start:stop], per_row, axis=0)
-
-    probes = np.tile(np.repeat(np.eye(size), size + 1, axis=0), (n, 1))
-    unknowns = np.tile(np.vstack([np.zeros(size), np.eye(size)]), (n * size, 1))
-    if mb.batch is not None:
-        mb = IterBCElement(shape, repeat(mb.m), repeat(mb.kappa), repeat(mb.beta), repeat(mb.a))
-    phi = DualAElement(shape, mb.m, unknowns[:, :da], unknowns[:, da:da + db], unknowns[:, da + db:])
-    psi = DualBElement(shape, mb.m, mb.kappa, probes[:, :da], probes[:, da:da + db])
-    d = DvbElement(shape, mb.m, phi.a, psi.b, probes[:, da + db:])
-    residual = pair_cstar_b(mb, psi) + pair_a(phi, d) - pair_b(psi, d)
-    residual = residual.reshape(n, size, size + 1)
-
-    base = residual[:, :, :1]
-    try:
-        return np.linalg.solve(residual[:, :, 1:] - base, -base)[:, :, 0]
-    except np.linalg.LinAlgError as err:  # pragma: no cover
-        raise RuntimeError("duality system unexpectedly singular") from err
 
 
 def dual_iso_b(ma: IterACElement) -> DualBElement:

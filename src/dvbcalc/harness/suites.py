@@ -798,4 +798,10 @@ def run_suites(
                     details={"error": str(exc)},
                 )
             )
+        except Exception as exc:
+            # Any other exception is a fault, not a failing check: name the
+            # run that raised it, and let the traceback follow.
+            print(f"error: suite {name} raised {type(exc).__name__} "
+                  f"(seed {run.seed}, samples {run.samples})", file=sys.stderr)
+            raise
     return checks

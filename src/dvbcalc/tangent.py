@@ -35,7 +35,7 @@ import numpy as np
 from .charts import Connection, TrivialBundle
 from .dvb import DvbElement, DvbShape
 from .sections import Grid, LinearSectionA, LinearSectionB, SectionAt, warp
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _check_vector_field
+from .smoothmaps import MatrixMap, SmoothMap, _check_vector_field
 
 
 def _shape(n: int, k: int) -> DvbShape:
@@ -70,13 +70,6 @@ def horizontal_field(conn: Connection, z_field: SmoothMap) -> LinearSectionA:
         z_field,
         MatrixMap((k, k), lambda m: -conn.omega(z_field, m)),
     )
-
-
-def canonical_involution(t: DvbElement) -> DvbElement:
-    """Swap the two tangent slots of a double tangent vector."""
-    if t.shape.dim_a != t.shape.dim_b:
-        raise DimensionMismatch("canonical involution needs a double tangent vector")
-    return DvbElement(t.shape, t.m, t.b, t.a, t.c)
 
 
 # -- decomposed grids on tangent bundles ---------------------------------------

@@ -594,26 +594,32 @@ def test_batched_solve_equals_its_rows():
         assert np.allclose(solved.a[i], closed.a, rtol=0, atol=1e-12)
 
 
-def test_batched_solve_splits_into_chunks_of_the_bound(monkeypatch):
-    shape = DvbShape(1, 1, 1)  # size 3: 36 probe entries per row
-    mb = _random_iter_bc(shape, 5)
-    whole = solve_dual_iso_a(mb)
-    chunks = []
-    solve_rows = dvb._solve_rows
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_batched_solve_is_one_probe_pass_and_one_solve(monkeypatch, rows):
+    shape = DvbShape(2, 1, 2, 1)
+    size = 5  # dim_a + dim_b + dim_c
+    mb = _random_iter_bc(shape, rows)
+    probed, solves = [], []
+    pair, solve = dvb.pair_a, np.linalg.solve
 
-    def recording(mb, start, stop):
-        chunks.append(stop - start)
-        return solve_rows(mb, start, stop)
+    def recorded_pair(phi, d):
+        value = pair(phi, d)
+        probed.append(len(value))
+        return value
 
-    monkeypatch.setattr(dvb, "_solve_rows", recording)
-    monkeypatch.setattr(dvb, "SOLVE_CHUNK_ENTRIES", 2 * 36 + 35)
-    chunked = solve_dual_iso_a(mb)
-    assert chunks == [2, 2, 1]
-    assert elements_equal(chunked, whole)
-    chunks.clear()
-    monkeypatch.setattr(dvb, "SOLVE_CHUNK_ENTRIES", 1)  # below one row's cost: one row at a time
-    assert elements_equal(solve_dual_iso_a(mb), whole)
-    assert chunks == [1] * 5
+    def recorded_solve(matrix, rhs):
+        solves.append((matrix.shape, rhs.shape))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(dvb, "pair_a", recorded_pair)
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    solved = solve_dual_iso_a(mb)
+    # The first row probes phi = 0 and each unit phi; every other row probes phi = 0 only.
+    assert probed == [size * (size + 1) + (rows - 1) * size]
+    assert solves == [((size, size), (size, rows))]
+    closed = dual_iso_a(mb)
+    for name, _ in closed._fields:
+        assert np.allclose(getattr(solved, name), getattr(closed, name), rtol=0, atol=1e-12)
 
 
 def test_elements_equal_lets_an_unbatched_component_stand_for_every_row():

@@ -349,6 +349,33 @@ def test_a_negated_momentum_pairing_fails_both_pairing_suites(monkeypatch):
     assert ("bracket-pairing", "closed-forms") in {(c.suite, c.name) for c in checks}
 
 
+def test_a_row_dependent_linear_part_fails_the_duality_solve(monkeypatch):
+    # kappa_0**2 <alpha, a> makes the solved system's matrix depend on the row.
+    pair = dvb.pair_b
+
+    def row_dependent(psi, d):
+        return pair(psi, d) + psi.kappa[..., 0] ** 2 * dvb._dot(psi.alpha, d.a)
+
+    monkeypatch.setattr(dvb, "pair_b", row_dependent)
+    checks = run_suites(_demo_spec(), suite_names=["duality-solve"], samples=20, seed=1)
+    [solve] = [c for c in checks if c.name == "solve-vs-closed-form"]
+    assert not solve.passed and solve.max_residual > 0.1
+
+
+def test_a_suite_exception_names_the_run_on_stderr(monkeypatch, capsys):
+    error = RuntimeError("duality system unexpectedly singular")
+
+    def raising(spec, samples, rng):
+        raise error
+
+    index, _, description = suites.SUITES["warp-pairing"]
+    monkeypatch.setitem(suites.SUITES, "warp-pairing", (index, raising, description))
+    with pytest.raises(RuntimeError) as raised:
+        run_suites(_demo_spec(), suite_names=["duality-solve", "warp-pairing"], samples=7, seed=3)
+    assert raised.value is error
+    assert capsys.readouterr().err == "error: suite warp-pairing raised RuntimeError (seed 3, samples 7)\n"
+
+
 def test_run_suites_override_changes_nothing_when_equal():
     spec = _demo_spec()
     defaults = run_suites(spec, samples=50, seed=42, tolerance=1e-9)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
-from dvbcalc.dvb import DualAElement, DvbShape, IncompatibleElements, elements_equal
+from dvbcalc.dvb import DualAElement, DvbElement, DvbShape, IncompatibleElements, elements_equal
 from dvbcalc.expressions import Add, Mul, Num, Pow, Sub, Var
 from dvbcalc.smoothmaps import (
     DimensionMismatch,
@@ -17,7 +17,6 @@ from dvbcalc.smoothmaps import (
 )
 from dvbcalc.sections import LinearSectionA
 from dvbcalc.tangent import (
-    canonical_involution,
     complete_lift,
     connection_grid,
     covariant_derivative_via_warp,
@@ -60,20 +59,8 @@ def test_complete_lift_is_involution_of_tangent_lift():
         x = support.rand_vec(RNG, n)
         v = support.rand_vec(RNG, n)
         direct = complete_lift(x_field)(x, v)
-        routed = canonical_involution(tangent_lift(x_field)(x, v))
-        assert elements_equal(direct, routed)
-
-
-def test_involution_is_involutive():
-    t = support.tangent_point([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0])
-    swapped = canonical_involution(t)
-    assert swapped.a.tolist() == [5.0, 6.0]
-    assert swapped.b.tolist() == [3.0, 4.0]
-    assert swapped.c.tolist() == [7.0, 8.0]
-    assert elements_equal(canonical_involution(swapped), t)
-    rectangular = support.tangent_point([1.0, 2.0], [3.0], [5.0, 6.0], [7.0])
-    with pytest.raises(DimensionMismatch):
-        canonical_involution(rectangular)
+        t = tangent_lift(x_field)(x, v)
+        assert elements_equal(direct, DvbElement(t.shape, t.m, t.b, t.a, t.c))
 
 
 def test_constant_field_lifts_with_zero_core():
