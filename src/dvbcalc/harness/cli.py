@@ -57,8 +57,10 @@ def _load_spec(args) -> ProblemSpec:
     return ProblemSpec.from_file(args.spec)
 
 
-def _cannot_write(exc: OSError) -> int:
-    print(f"error: cannot write the report: {exc}", file=sys.stderr)
+def _cannot_write(path: str | None, exc: OSError) -> int:
+    # The reason, then the report's path: the file exc names may be a probe or temporary file.
+    reason = f"[Errno {exc.errno}] {exc.strerror}" if exc.strerror else exc
+    print(f"error: cannot write the report: {reason}" + (f": {path!r}" if path else ""), file=sys.stderr)
     return 2
 
 
@@ -115,7 +117,7 @@ def run_verify(args) -> int:
         try:
             _probe_report(args.json_out)
         except OSError as exc:
-            return _cannot_write(exc)
+            return _cannot_write(args.json_out, exc)
     # Non-finite values fail their checks, so numpy's warnings about
     # them would only add noise on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -132,7 +134,7 @@ def run_verify(args) -> int:
         else:
             print(text, end="", flush=True)
     except OSError as exc:
-        return _cannot_write(exc)
+        return _cannot_write(args.json_out, exc)
 
     return 0 if report["overall"] == "pass" else 1
 

@@ -2,9 +2,12 @@
 
 A ``Jet`` carries a value together with its partial derivatives along a
 fixed number of seed directions.  Arithmetic propagates derivatives by the
-product, quotient and chain rules.  Components of a jet may themselves be
-jets, which is how second (and higher) order derivatives are obtained:
-seed over already-seeded values and read the partials of the partials.
+product, quotient and chain rules, and an integer power u^n, negative n
+too, as n*u^(n-1); so a jet's value is computed as a walk over floats
+computes it, bit for bit (a NaN's sign bit aside: c - u is -u + c here).
+Components of a jet may themselves be jets, which is how second (and
+higher) order derivatives are obtained: seed over already-seeded values
+and read the partials of the partials.
 
 Derivatives computed this way are exact up to float rounding; finite
 differences appear in this codebase only as a test oracle.
@@ -252,12 +255,10 @@ def log(u: Scalar) -> Scalar:
 
 
 def powi(u: Scalar, n: int) -> Scalar:
-    """Integer power with exact derivative n*u^(n-1); negative n goes through division."""
+    """Integer power with exact derivative n*u^(n-1), for negative n too."""
     if isinstance(u, Jet):
         if n == 0:
             return 1.0
-        if n < 0:
-            return 1.0 / powi(u, -n)
         return Jet(
             powi(u.value, n),
             tuple(n * powi(u.value, n - 1) * p for p in u.partials),

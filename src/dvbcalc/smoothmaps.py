@@ -49,8 +49,8 @@ class SmoothMap:
 
     domain_dim: int
     components: tuple[Expr, ...]
-    # (point key, Jacobian) of the last ``jacobian`` call; see there.
-    _last_jacobian: tuple[tuple, np.ndarray] | None = field(
+    # (point key, (Jacobian, value)) of the last ``jacobian`` call; see there.
+    _last_pass: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -85,6 +85,9 @@ class SmoothMap:
         return [expressions.evaluate(c, values) for c in self.components]
 
     def __call__(self, point) -> np.ndarray:
+        last = self._last_pass  # the value ``jacobian`` computed at its point
+        if last is not None and last[0] == _point_key(point):
+            return last[1][1].copy(order="K")  # in the walk's memory layout too
         values = self.eval_generic(jets._columns(point))
         return jets._as_array(values, jets._batch_of(point), (len(values),))
 
@@ -166,9 +169,7 @@ class PolyFamily:
         """Per component, its (N,) constant column and per i the linear
         column and the (j, column) of the pairs i <= j some member uses."""
         dim = self.domain_dim
-        c0 = self.c0.T.copy()
-        lin = np.moveaxis(self.lin, 0, -1).copy()
-        quad = np.moveaxis(self.quad, 0, -1).copy()
+        c0, lin, quad = self.c0.T, self.lin.transpose(1, 2, 0), self.quad.transpose(1, 2, 3, 0)
         used = quad.any(axis=-1).tolist()
         return [
             (c0[c], [(lin[c, i], [(j, quad[c, i, j]) for j in range(i, dim) if used[c][i][j]])
@@ -212,25 +213,37 @@ def _point_key(point) -> tuple:
     return point.shape, point.tobytes()
 
 
-def _reuse_last(owner, slot: str, key: tuple, compute) -> np.ndarray:
-    """A fresh copy of compute(), kept in owner's slot with its key; a call
-    with the key of the previous one reuses it.  Nothing is kept if compute
-    raises."""
+def _kept(owner, slot: str, key: tuple, compute):
+    """compute(), kept in owner's slot with its key; a call with the key of
+    the previous one reuses it.  Nothing is kept if compute raises."""
     last = getattr(owner, slot)
     if last is None or last[0] != key:
         last = (key, compute())
         object.__setattr__(owner, slot, last)
-    return last[1].copy()
+    return last[1]
+
+
+def _reuse_last(owner, slot: str, key: tuple, compute) -> np.ndarray:
+    """A fresh copy of the array ``_kept`` returns."""
+    return _kept(owner, slot, key, compute).copy()
+
+
+def _jet_pass(m: SmoothMap, point) -> tuple[np.ndarray, np.ndarray]:
+    """m's Jacobian and value from one seeded pass; the value is bitwise m(point) (see ``jets``)."""
+    outputs = []
+    jac = jets.jet_jacobian(lambda vs: outputs.extend(m.eval_generic(vs)) or outputs, point)
+    value = [out.value if isinstance(out, jets.Jet) else out for out in outputs]
+    return jac, jets._as_array(value, jets._batch_of(point), (len(value),))
 
 
 def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
     A ``PolyFamily`` gives its closed form.  Every map keeps the Jacobian
-    of its previous call, keyed by the shape and exact bytes of the float
-    point or batch (so ``0.0`` and ``-0.0`` are different points).  A call
-    at that same point reuses it.  The result is always a fresh array that
-    the caller may modify.
+    and value of its previous call's seeded pass, keyed by the shape and
+    exact bytes of the float point or batch (so ``0.0`` and ``-0.0`` are
+    different points); a call of ``jacobian``, or of the map, there reuses
+    them.  The result is always a fresh array that the caller may modify.
     """
     if isinstance(m, PolyFamily):
         return m.jacobian(point)
@@ -238,9 +251,7 @@ def jacobian(m: SmoothMap, point) -> np.ndarray:
     dim = len(point) if batch is None else point.shape[1]
     if dim != m.domain_dim:
         raise DimensionMismatch(f"expected point of dimension {m.domain_dim}, got {dim}")
-    return _reuse_last(
-        m, "_last_jacobian", _point_key(point), lambda: jets.jet_jacobian(m.eval_generic, point)
-    )
+    return _kept(m, "_last_pass", _point_key(point), lambda: _jet_pass(m, point))[0].copy()
 
 
 def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | np.ndarray:
@@ -282,7 +293,7 @@ def lie_bracket_generic(
 
 def _entries(jac: np.ndarray, batch: int | None):
     """A value's entries [i] or a Jacobian's [i][j]: floats, or for a batch (N,) arrays."""
-    return jac.tolist() if batch is None else np.moveaxis(jac, 0, -1)
+    return jac.tolist() if batch is None else jac.transpose(*range(1, jac.ndim), 0)
 
 
 def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import inspect
 import json
@@ -23,7 +24,7 @@ from dvbcalc.harness import (
     run_suites,
 )
 import dvbcalc
-from dvbcalc import cotangent, dvb, jets, tangent
+from dvbcalc import cotangent, dvb, jets, smoothmaps, tangent
 from dvbcalc.charts import Chart, Connection
 from dvbcalc.expressions import Add, Mul, Num, Var
 from dvbcalc.smoothmaps import MatrixMap, SmoothMap, jacobian
@@ -722,6 +723,27 @@ def test_cli_unwritable_json_out_exits_two(tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("failing", ["probe", "final-write"])
+def test_cli_write_error_names_the_report_path(tmp_path, capsys, monkeypatch, failing):
+    # The probe and the final write each make a file beside the report; the
+    # error names the report's path, not theirs, and keeps the reason.
+    report_path = tmp_path / "report.json"
+    if failing == "probe":
+        report_path = tmp_path / "no-such-dir" / "report.json"
+    else:
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            if mode == "w":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    assert cli.main([*_SMALL_RUN, str(report_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    reason = os.strerror(errno.ENOENT if failing == "probe" else errno.ENOSPC)
+    assert line.startswith("error: cannot write the report: [Errno ") and reason in line
+    assert line.endswith(f": {str(report_path)!r}") and line.count(str(tmp_path)) == 1
+
+
 def test_cli_unwritable_json_out_exits_before_any_suite(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("a suite ran before the report path was opened")
@@ -823,18 +845,25 @@ def test_bracket_pairing_sample_differentiates_each_field_once(monkeypatch):
     x_field, y_field = spec.fields["X"], spec.fields["Y"]
     differentials, jacobian_maps = [], []
     ell_differential, generic_jacobian = cotangent.ell_differential, jets.generic_jacobian
+    jet_pass = smoothmaps._jet_pass
 
     def counted_ell(mu, x, kappa):
         differentials.append(mu)
         return ell_differential(mu, x, kappa)
 
     def counted_jacobian(fn, values):
-        # A map's own Jacobian seeds its bound eval_generic.
+        # A direct seeded pass of a map seeds its bound eval_generic.
         jacobian_maps.append(getattr(fn, "__self__", None))
         return generic_jacobian(fn, values)
 
+    def counted_pass(m, point):
+        # smoothmaps.jacobian runs a map's seeded pass here.
+        jacobian_maps.append(m)
+        return jet_pass(m, point)
+
     monkeypatch.setattr(cotangent, "ell_differential", counted_ell)
     monkeypatch.setattr(jets, "generic_jacobian", counted_jacobian)
+    monkeypatch.setattr(smoothmaps, "_jet_pass", counted_pass)
     # Sample 0 uses the spec's fields X and Y.
     checks = suites._run_bracket_pairing(spec, 1, np.random.default_rng(0))
     assert all(check.passes(1e-9) for check in checks)

@@ -1,7 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvbcalc import jets
 from dvbcalc.expressions import ParseError
@@ -91,6 +94,117 @@ def test_jacobian_reuse_matches_fresh_map_bitwise():
         fresh = SmoothMap.parse(texts, 2)
         assert jacobian(m, point).tobytes() == jacobian(fresh, point).tobytes()
         assert m == fresh
+
+
+def _counting_walks(monkeypatch):
+    """Count SmoothMap.eval_generic calls on values that are not jets: tree walks for a value."""
+    walks = []
+    eval_generic = SmoothMap.eval_generic
+
+    def counted(self, values):
+        if not any(isinstance(v, jets.Jet) for v in values):
+            walks.append(self)
+        return eval_generic(self, values)
+
+    monkeypatch.setattr(SmoothMap, "eval_generic", counted)
+    return walks
+
+
+def test_a_call_at_the_jacobians_point_reuses_its_value(monkeypatch):
+    texts = ["sin(x0*x1)", "exp(x1)/(2 + cos(x0))", "x0^-2 - x1", "3"]
+    m = SmoothMap.parse(texts, 2)
+    p, batch = [0.3, -0.7], np.array([[0.3, -0.7], [1.5, 0.25], [-0.5, 2.0]])
+    walks = _counting_walks(monkeypatch)
+    for point in (p, batch):
+        walked = SmoothMap.parse(texts, 2)(point)
+        jacobian(m, point)
+        reused = m(point)
+        assert (reused.tobytes(), reused.strides) == (walked.tobytes(), walked.strides)
+    assert len(walks) == 2  # the fresh maps' walks only
+
+
+def test_the_kept_value_is_returned_as_a_fresh_array():
+    m = SmoothMap.parse(["x0*x1", "x0+x1"], 2)
+    jacobian(m, [2.0, 3.0])
+    first = m([2.0, 3.0])
+    first[:] = 99.0
+    again, third = m([2.0, 3.0]), m([2.0, 3.0])
+    assert again.tolist() == [6.0, 5.0]
+    assert not np.shares_memory(again, third)
+
+
+def test_another_point_or_a_signed_zero_walks_the_tree(monkeypatch):
+    m = SmoothMap.parse(["x0", "x1^2"], 2)
+    jacobian(m, [0.0, 1.0])
+    walks = _counting_walks(monkeypatch)
+    assert np.signbit(m([-0.0, 1.0])[0])
+    m([0.5, 1.0])
+    m(np.array([[0.0, 1.0]]))  # a batch of one row is another key than its point
+    assert len(walks) == 3
+    m([0.0, 1.0])
+    assert len(walks) == 3
+
+
+def test_a_jacobian_that_raises_keeps_no_value(monkeypatch):
+    # x0^-1 is finite at 1e-160, but its derivative -x0^-2 overflows.
+    m = SmoothMap.parse(["x0^-1"], 1)
+    jacobian(m, [2.0])
+    with pytest.raises(OverflowError):
+        jacobian(m, [1e-160])
+    walks = _counting_walks(monkeypatch)
+    assert m([1e-160]).tolist() == [1e160]
+    assert len(walks) == 1
+    assert m([2.0]).tolist() == [0.5]  # the last pass that finished is still kept
+    assert len(walks) == 1
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equal, except that a NaN matches any NaN (jets may flip a NaN's sign bit)."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _texts(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log"]), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, st.integers(min_value=-4, max_value=4)).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda c: f"-({c})"),
+    )
+
+
+_leaves = st.one_of(
+    st.sampled_from(["x0", "x1", "x2"]),
+    st.sampled_from(["x0^-1", "x1^-2", "x2^-3"]),
+    st.floats(min_value=0.0, max_value=4.0).map(repr),
+)
+_components = st.lists(st.recursive(_leaves, _texts, max_leaves=10), min_size=1, max_size=3)
+_coordinates = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _components,
+    st.lists(st.lists(_coordinates, min_size=3, max_size=3), min_size=1, max_size=4),
+)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a batch's inf and NaN rows
+def test_a_seeded_pass_gives_the_walks_value_bitwise(texts, rows):
+    # Through every node kind, negative powers included, the value kept by a
+    # Jacobian's seeded pass is the tree walk's, at a point and at a batch.
+    for point in (rows[0], np.array(rows)):
+        m = SmoothMap.parse(texts, 3)
+        try:
+            walked = SmoothMap.parse(texts, 3)(point)
+        except (jets.DomainError, OverflowError):
+            # Every guard of the walk also guards the pass.
+            with pytest.raises((jets.DomainError, OverflowError)):
+                jacobian(m, point)
+            continue
+        try:
+            jacobian(m, point)
+        except (jets.DomainError, OverflowError):
+            continue  # only a derivative left its domain; nothing is kept
+        assert _same_bits(m(point), walked)
 
 
 def test_directional_derivative_example():
@@ -333,6 +447,25 @@ def test_a_demo_run_evaluates_each_family_once_per_batch(monkeypatch, tmp_path):
     for name, evaluated in (("__call__", "_values"), ("jacobian", "_jacobians")):
         distinct = len({(id(family), key) for family, key in calls[name]})
         assert counts[evaluated] == distinct < len(calls[name])
+
+
+def test_named_maps_walk_each_point_once(monkeypatch, tmp_path):
+    # Each walk for a value is the first at its point: a map called where its
+    # Jacobian was just taken reuses that pass's value (56 walks without it).
+    walks = _counting_walks(monkeypatch)
+    spec = Path(__file__).resolve().parents[1] / "perfbench" / "named_maps.json"
+    suites_argv = [arg for name in ("bracket", "connection", "cotangent-duality", "duality-diagram",
+                                    "bracket-pairing", "connection-pairing") for arg in ("--suite", name)]
+    argv = ["verify", str(spec), *suites_argv, "--samples", "12", "--seed", "1", "--quiet",
+            "--json-out", str(tmp_path / "named.json")]
+    assert cli.main(argv) == 0
+    assert len(walks) <= 12
+    # The algebra suites take no Jacobian, so every call walks as before.
+    walks.clear()
+    argv = ["verify", "--demo", "--suite", "duality-solve", "--suite", "warp-pairing", "--samples", "10",
+            "--seed", "1", "--quiet", "--json-out", str(tmp_path / "algebra.json")]
+    assert cli.main(argv) == 0
+    assert len(walks) == 48
 
 
 def test_family_columns_must_all_have_its_rows():
