@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _matvec, _point_key, _reuse_last, jacobian
+from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _kept, _matvec, _point_key, jacobian
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Connection:
             raise DimensionMismatch(f"connection coefficients must have shape {(n, k, k)}")
 
     def coefficient_tensor(self, m) -> np.ndarray:
-        return _reuse_last(self, "_last_tensor", _point_key(m), lambda: self.coefficients(m))
+        return _kept(self, "_last_tensor", _point_key(m), lambda: self.coefficients(m)).copy()
 
     def omega(self, z_field: SmoothMap, m) -> np.ndarray:
         """The k x k matrix omega(Z)(m) = sum_j Z^j(m) omega_j(m)."""

@@ -201,12 +201,11 @@ def flip_form_defects(
     evaluated through jets; at (N, 2(n + k)) batches both are (N,) arrays.
     """
     n, k = bundle.chart.dim, bundle.fiber_dim
-    flip_fn = lambda vals: flip_coords(vals, n, k)
     point, u, v = (np.asarray(w, dtype=float) for w in (point, u, v))
     coords = jets._columns(point)
-    image_coords = flip_fn(coords)
+    image_coords, rows = jets.generic_jacobian(lambda vals: flip_coords(vals, n, k), coords)
     image = np.stack(image_coords, axis=-1)
-    jac = jets.jet_jacobian(flip_fn, point)
+    jac = jets._as_array(rows, jets._batch_of(point), (len(rows), len(coords)))
     pushed_u, pushed_v = _matvec(jac, u), _matvec(jac, v)
     anti = canonical_two_form(image, pushed_u, pushed_v) + canonical_two_form(point, u, v)
     grad_p = jets.jet_gradient(lambda vals: pairing_potential(vals, n, k), point)

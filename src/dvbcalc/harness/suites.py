@@ -287,14 +287,12 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]
         back = dvb.dual_iso_a_inverse(phi)
         round_trip.add(0.0 if dvb.elements_equal(back, mb) else 1.0, samples=n)
         ma = dvb.IterACElement(shape, m, mb.kappa, ma_alpha, ma_b)
+        psi_of_ma = dvb.dual_iso_b(ma)
         round_trip.add(
-            0.0 if dvb.elements_equal(dvb.dual_iso_b_inverse(dvb.dual_iso_b(ma)), ma) else 1.0,
-            samples=n,
+            0.0 if dvb.elements_equal(dvb.dual_iso_b_inverse(psi_of_ma), ma) else 1.0, samples=n
         )
 
-        second_iso.add(
-            dvb.pair_cstar_b(mb, dvb.dual_iso_b(ma)) - dvb.pair_cstar_a(ma, phi), samples=n
-        )
+        second_iso.add(dvb.pair_cstar_b(mb, psi_of_ma) - dvb.pair_cstar_a(ma, phi), samples=n)
 
         phi2 = dvb.DualAElement(shape, m, a2, beta2, mb.kappa)
         psi2 = dvb.DualBElement(shape, m, mb.kappa, alpha2, b2)
@@ -303,21 +301,13 @@ def _run_duality_solve(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]
         d_ones = dvb.DvbElement(shape, m, phi2.a, psi2.b, np.ones(dc))
         through_ones = dvb.pair_b(psi2, d_ones) - dvb.pair_a(phi2, d_ones)
         decomposed = (psi2.alpha * phi2.a).sum(axis=1) - (phi2.beta * psi2.b).sum(axis=1)
+        ab = dvb.pair_duals_ab(phi2, psi2)
+        via_map_a = dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2)
         pairing.add(ba - decomposed, through_ones - ba, samples=n)
-        pairing.add(dvb.pair_duals_ab(phi2, psi2) + ba, samples=n)
-        pairing.add(
-            dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2) - dvb.pair_duals_ab(phi2, psi2),
-            samples=n,
-        )
-        pairing.add(
-            dvb.pair_cstar_a(dvb.pairing_map_b(psi2), phi2) - dvb.pair_duals_ab(phi2, psi2),
-            samples=n,
-        )
-        pairing.add(
-            dvb.pair_cstar_b(dvb.dual_iso_a_inverse(phi2), psi2)
-            + dvb.pair_cstar_b(dvb.pairing_map_a(phi2), psi2),
-            samples=n,
-        )
+        pairing.add(ab + ba, samples=n)
+        pairing.add(via_map_a - ab, samples=n)
+        pairing.add(dvb.pair_cstar_a(dvb.pairing_map_b(psi2), phi2) - ab, samples=n)
+        pairing.add(dvb.pair_cstar_b(dvb.dual_iso_a_inverse(phi2), psi2) + via_map_a, samples=n)
 
     return [solve, defining, round_trip, second_iso, pairing]
 

@@ -4,7 +4,10 @@ A ``Jet`` carries a value together with its partial derivatives along a
 fixed number of seed directions.  Arithmetic propagates derivatives by the
 product, quotient and chain rules, and an integer power u^n, negative n
 too, as n*u^(n-1); so a jet's value is computed as a walk over floats
-computes it, bit for bit (a NaN's sign bit aside: c - u is -u + c here).
+computes it, bit for bit.  One exception: reflected + and * are the
+plain operators with the operands swapped (perfbench's tests assert that
+``Jet.__radd__ is Jet.__add__``), so when both operands of c + u or c * u
+are NaN the result may carry the other NaN's sign bit.
 Components of a jet may themselves be jets, which is how second (and
 higher) order derivatives are obtained: seed over already-seeded values
 and read the partials of the partials.
@@ -90,7 +93,7 @@ class Jet:
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet(other - self.value, [0.0 - p for p in self.partials])
 
     def __mul__(self, other):
         v = self.value
@@ -330,24 +333,29 @@ def _as_array(entries, batch: int | None, shape: tuple[int, ...]) -> np.ndarray:
     return out.transpose(len(shape), *range(len(shape)))
 
 
-def generic_jacobian(fn: VectorFn, values: Sequence[Scalar]) -> list[list[Scalar]]:
-    """Rows of partials of ``fn`` at ``values``; entries stay jets when seeded over jets.
+def generic_jacobian(
+    fn: VectorFn, values: Sequence[Scalar]
+) -> tuple[list[Scalar], list[list[Scalar]]]:
+    """The values of ``fn`` at ``values`` and their rows of partials, from one seeded pass.
 
-    Over (N,) arrays (see ``seed``) row i is an (n, N) block, its entry j
-    the (N,) partials along coordinate j.
+    An output's value is a jet's ``.value``, or a constant output itself,
+    so it is the value a walk over ``values`` computes.  Entries stay jets
+    when seeded over jets.  Over (N,) arrays (see ``seed``) row i is an
+    (n, N) block, its entry j the (N,) partials along coordinate j.
     """
     n = len(values)
     outputs = fn(seed(values))
+    value = [out.value if isinstance(out, Jet) else out for out in outputs]
     if _vector_mode(values):
         zero = np.zeros((n, len(values[0])))
-        return [out.partials[0] if isinstance(out, Jet) else zero for out in outputs]
-    return [list(partials_of(out, n)) for out in outputs]
+        return value, [out.partials[0] if isinstance(out, Jet) else zero for out in outputs]
+    return value, [list(partials_of(out, n)) for out in outputs]
 
 
 def jet_jacobian(fn: VectorFn, point) -> np.ndarray:
     """The Jacobian of fn at a point, or (N, rows, dim) at an (N, dim) batch."""
     values = _columns(point)
-    rows = generic_jacobian(fn, values)
+    rows = generic_jacobian(fn, values)[1]
     return _as_array(rows, _batch_of(point), (len(rows), len(values)))
 
 

@@ -75,8 +75,11 @@ class LinearSection:
             raise IncompatibleElements(f"fiber matrix must map the {fiber} fiber to the core")
 
     def at(self, m) -> SectionAt:
+        """The section at m.  The fiber matrix is evaluated first: where it is
+        the base section's Jacobian, the base value is that pass's."""
         m = np.asarray(m, dtype=float)
-        return SectionAt(self, m, self.base_section(m), self.fiber_matrix(m))
+        matrix = self.fiber_matrix(m)
+        return SectionAt(self, m, self.base_section(m), matrix)
 
     def __call__(self, m, fiber) -> DvbElement:
         return self.at(m)(fiber)

@@ -49,7 +49,7 @@ class SmoothMap:
 
     domain_dim: int
     components: tuple[Expr, ...]
-    # (point key, (Jacobian, value)) of the last ``jacobian`` call; see there.
+    # (point key, (value, Jacobian)) of the last ``jacobian`` call's seeded pass; see there.
     _last_pass: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -87,7 +87,7 @@ class SmoothMap:
     def __call__(self, point) -> np.ndarray:
         last = self._last_pass  # the value ``jacobian`` computed at its point
         if last is not None and last[0] == _point_key(point):
-            return last[1][1].copy(order="K")  # in the walk's memory layout too
+            return last[1][0].copy(order="K")  # in the walk's memory layout too
         values = self.eval_generic(jets._columns(point))
         return jets._as_array(values, jets._batch_of(point), (len(values),))
 
@@ -145,7 +145,7 @@ class PolyFamily:
     def __call__(self, point) -> np.ndarray:
         """The (N, codim) values: c0 + (lin + quad x) x."""
         x = self._batch(point)
-        return _reuse_last(self, "_last_value", _point_key(x), lambda: self._values(x))
+        return _kept(self, "_last_value", _point_key(x), lambda: self._values(x)).copy()
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         x = x[:, :, None]
@@ -156,7 +156,7 @@ class PolyFamily:
     def jacobian(self, point) -> np.ndarray:
         """The (N, codim, dim) Jacobians: lin + (quad + quad^T) x."""
         x = self._batch(point)
-        return _reuse_last(self, "_last_jacobian", _point_key(x), lambda: self._jacobians(x))
+        return _kept(self, "_last_jacobian", _point_key(x), lambda: self._jacobians(x)).copy()
 
     def _jacobians(self, x: np.ndarray) -> np.ndarray:
         x = x[:, :, None]
@@ -200,11 +200,7 @@ class PolyFamily:
 
 def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     """matrix @ v, row by row for (N, rows, cols) matrices or (N, cols) vectors."""
-    if v.ndim == 1:
-        return matrix @ v
-    if matrix.ndim == 2:
-        return v @ matrix.T
-    return (matrix @ v[:, :, None])[:, :, 0]
+    return (matrix @ v[..., None])[..., 0]
 
 
 def _point_key(point) -> tuple:
@@ -215,7 +211,8 @@ def _point_key(point) -> tuple:
 
 def _kept(owner, slot: str, key: tuple, compute):
     """compute(), kept in owner's slot with its key; a call with the key of
-    the previous one reuses it.  Nothing is kept if compute raises."""
+    the previous one reuses it.  Nothing is kept if compute raises.  The
+    caller copies what it hands out."""
     last = getattr(owner, slot)
     if last is None or last[0] != key:
         last = (key, compute())
@@ -223,35 +220,27 @@ def _kept(owner, slot: str, key: tuple, compute):
     return last[1]
 
 
-def _reuse_last(owner, slot: str, key: tuple, compute) -> np.ndarray:
-    """A fresh copy of the array ``_kept`` returns."""
-    return _kept(owner, slot, key, compute).copy()
-
-
-def _jet_pass(m: SmoothMap, point) -> tuple[np.ndarray, np.ndarray]:
-    """m's Jacobian and value from one seeded pass; the value is bitwise m(point) (see ``jets``)."""
-    outputs = []
-    jac = jets.jet_jacobian(lambda vs: outputs.extend(m.eval_generic(vs)) or outputs, point)
-    value = [out.value if isinstance(out, jets.Jet) else out for out in outputs]
-    return jac, jets._as_array(value, jets._batch_of(point), (len(value),))
-
-
 def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
-    A ``PolyFamily`` gives its closed form.  Every map keeps the Jacobian
-    and value of its previous call's seeded pass, keyed by the shape and
-    exact bytes of the float point or batch (so ``0.0`` and ``-0.0`` are
-    different points); a call of ``jacobian``, or of the map, there reuses
-    them.  The result is always a fresh array that the caller may modify.
+    A ``PolyFamily`` gives its closed form.  A tree's Jacobian and value
+    come from one seeded pass, ``jets.generic_jacobian``, whose value is
+    bitwise the walk's (see ``jets``).  Every map keeps both from its
+    previous call, keyed by the shape and exact bytes of the float point
+    or batch (so ``0.0`` and ``-0.0`` are different points); a call of
+    ``jacobian``, or of the map, there reuses them.  The result is always
+    a fresh array that the caller may modify.
     """
     if isinstance(m, PolyFamily):
         return m.jacobian(point)
-    batch = jets._batch_of(point)
-    dim = len(point) if batch is None else point.shape[1]
-    if dim != m.domain_dim:
-        raise DimensionMismatch(f"expected point of dimension {m.domain_dim}, got {dim}")
-    return _kept(m, "_last_pass", _point_key(point), lambda: _jet_pass(m, point))[0].copy()
+
+    def seeded_pass():
+        batch = jets._batch_of(point)
+        value, rows = jets.generic_jacobian(m.eval_generic, jets._columns(point))
+        return (jets._as_array(value, batch, (m.codomain_dim,)),
+                jets._as_array(rows, batch, (m.codomain_dim, m.domain_dim)))
+
+    return _kept(m, "_last_pass", _point_key(point), seeded_pass)[1].copy()
 
 
 def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | np.ndarray:
@@ -264,9 +253,12 @@ def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | n
     return out if jets._batch_of(point) is not None else float(out)
 
 
-def _check_vector_field(x_field: SmoothMap) -> None:
-    if x_field.codomain_dim != x_field.domain_dim:
+def _check_vector_field(*fields: SmoothMap) -> None:
+    """Each field is a vector field on its chart, and all share one chart."""
+    if any(f.codomain_dim != f.domain_dim for f in fields):
         raise DimensionMismatch("expected a vector field on the chart")
+    if len({f.domain_dim for f in fields}) > 1:
+        raise DimensionMismatch("vector fields live on different charts")
 
 
 def _bracket(xv: Sequence[Scalar], yv: Sequence[Scalar], jx, jy) -> list[Scalar]:
@@ -283,11 +275,10 @@ def _bracket(xv: Sequence[Scalar], yv: Sequence[Scalar], jx, jy) -> list[Scalar]
 def lie_bracket_generic(
     x_field: SmoothMap, y_field: SmoothMap, values: Sequence[Scalar]
 ) -> list[Scalar]:
-    """The bracket over floats or jets, with Jacobians from seeded jets."""
-    xv = x_field.eval_generic(values)
-    yv = y_field.eval_generic(values)
-    jx = jets.generic_jacobian(x_field.eval_generic, values)
-    jy = jets.generic_jacobian(y_field.eval_generic, values)
+    """The bracket over floats or jets, with values and Jacobians from seeded jets."""
+    _check_vector_field(x_field, y_field)
+    xv, jx = jets.generic_jacobian(x_field.eval_generic, values)
+    yv, jy = jets.generic_jacobian(y_field.eval_generic, values)
     return _bracket(xv, yv, jx, jy)
 
 
@@ -300,17 +291,15 @@ def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
     """[X, Y] at a float point, or (N, dim) at an (N, dim) batch.
 
     The Jacobians come from ``jacobian``, so a field already differentiated
-    at this point is not differentiated again.
+    at this point is not differentiated again; they are taken first, so
+    each field's value is its Jacobian pass's.
     """
-    _check_vector_field(x_field)
-    _check_vector_field(y_field)
-    if x_field.domain_dim != y_field.domain_dim:
-        raise DimensionMismatch("vector fields live on different charts")
+    _check_vector_field(x_field, y_field)
     batch = jets._batch_of(point)
-    xv = _entries(x_field(point), batch)
-    yv = _entries(y_field(point), batch)
     jx = _entries(jacobian(x_field, point), batch)
     jy = _entries(jacobian(y_field, point), batch)
+    xv = _entries(x_field(point), batch)
+    yv = _entries(y_field(point), batch)
     return jets._as_array(_bracket(xv, yv, jx, jy), batch, (x_field.domain_dim,))
 
 

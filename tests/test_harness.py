@@ -24,7 +24,7 @@ from dvbcalc.harness import (
     run_suites,
 )
 import dvbcalc
-from dvbcalc import cotangent, dvb, jets, smoothmaps, tangent
+from dvbcalc import cotangent, dvb, jets, tangent
 from dvbcalc.charts import Chart, Connection
 from dvbcalc.expressions import Add, Mul, Num, Var
 from dvbcalc.smoothmaps import MatrixMap, SmoothMap, jacobian
@@ -845,25 +845,18 @@ def test_bracket_pairing_sample_differentiates_each_field_once(monkeypatch):
     x_field, y_field = spec.fields["X"], spec.fields["Y"]
     differentials, jacobian_maps = [], []
     ell_differential, generic_jacobian = cotangent.ell_differential, jets.generic_jacobian
-    jet_pass = smoothmaps._jet_pass
 
     def counted_ell(mu, x, kappa):
         differentials.append(mu)
         return ell_differential(mu, x, kappa)
 
     def counted_jacobian(fn, values):
-        # A direct seeded pass of a map seeds its bound eval_generic.
+        # A map's seeded pass, smoothmaps.jacobian's too, seeds its bound eval_generic.
         jacobian_maps.append(getattr(fn, "__self__", None))
         return generic_jacobian(fn, values)
 
-    def counted_pass(m, point):
-        # smoothmaps.jacobian runs a map's seeded pass here.
-        jacobian_maps.append(m)
-        return jet_pass(m, point)
-
     monkeypatch.setattr(cotangent, "ell_differential", counted_ell)
     monkeypatch.setattr(jets, "generic_jacobian", counted_jacobian)
-    monkeypatch.setattr(smoothmaps, "_jet_pass", counted_pass)
     # Sample 0 uses the spec's fields X and Y.
     checks = suites._run_bracket_pairing(spec, 1, np.random.default_rng(0))
     assert all(check.passes(1e-9) for check in checks)

@@ -152,9 +152,12 @@ def test_nested_jets_give_hessian():
 
     x0, y0 = 0.6, -0.3
     outer = seed([x0, y0])
-    rows = generic_jacobian(lambda vs: [f(vs)], outer)[0]
-    hessian = np.array([[p for p in partials_of(entry, 2)] for entry in rows])
+    values, rows = generic_jacobian(lambda vs: [f(vs)], outer)
+    hessian = np.array([[p for p in partials_of(entry, 2)] for entry in rows[0]])
     s, c = math.sin(x0 * y0), math.cos(x0 * y0)
+    # The pass's value is sin(x*y) there, itself a jet of its gradient.
+    assert values[0].value == s
+    assert values[0].partials == tuple(entry.value for entry in rows[0])
     expected = np.array(
         [
             [-s * y0 * y0, c - s * x0 * y0],
