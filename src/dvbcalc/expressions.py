@@ -2,16 +2,19 @@
 
 Grammar (whitespace insignificant)::
 
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
+    expr   := factor (binary factor)*
     factor := "-" factor | atom ("^" integer)?
     atom   := number | ident | func "(" expr ")" | "(" expr ")"
     ident  := "x" integer
     func   := "sin" | "cos" | "exp" | "log"
 
-Unary minus binds to a single factor, so ``-a/b`` parses as ``(-a)/b``.
-Variable indices are checked against the declared chart dimension at parse
-time.  Syntax errors report the byte offset where scanning stopped.
+The binary operators are the table ``_BINARY``, which gives each symbol
+its node and level: "+" and "-" at 1, "*" and "/" at 2.  All are
+left-associative and a higher level binds tighter; one precedence loop
+parses them and the printer reads them from the same table.  Unary minus
+binds to a single factor, so ``-a/b`` parses as ``(-a)/b``.  Variable
+indices are checked against the declared chart dimension at parse time.
+Syntax errors report the character offset where scanning stopped.
 
 ``evaluate`` takes floats, jets or (N,) arrays for a batch of N points,
 and a ``Num`` leaf may hold an (N,) array, one coefficient per row; see
@@ -99,43 +102,47 @@ MAX_DEPTH = 100
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INTEGER = re.compile(r"-?\d+")
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+# symbol -> (level, node), as the module docstring describes.
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+_SYMBOLS = {kind: (symbol, level) for symbol, (level, kind) in _BINARY.items()}
 
 
 class _Parser:
+    """A cursor over the text: ``pos`` is at the next non-space character
+    and ``ch`` holds it, or "" at the end of the text."""
+
     def __init__(self, text: str, dim: int):
         self.text = text
         self.dim = dim
-        self.pos = 0
         self.level = 0
+        self.skip(0)
 
-    def error(self, message: str, offset: int | None = None) -> ParseError:
-        return ParseError(message, self.pos if offset is None else offset)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
+    def skip(self, end: int) -> None:
+        """Move to the first non-space character at or after ``end``."""
+        text = self.text
+        while end < len(text) and text[end].isspace():
+            end += 1
+        self.pos, self.ch = end, text[end:end + 1]
 
     def expect(self, char: str) -> None:
-        if not self.take(char):
-            raise self.error(f"expected '{char}'")
+        if self.ch != char:
+            raise ParseError(f"expected '{char}'", self.pos)
+        self.skip(self.pos + 1)
 
-    def too_deep(self) -> ParseError:
-        return self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+    def integer(self, digits: str) -> int:
+        """int(digits), for the token at pos."""
+        try:
+            return int(digits)
+        except ValueError:  # longer than int() converts
+            raise ParseError(f"integer of {len(digits)} characters is too long", self.pos) from None
 
     def nested(self, parse) -> Expr:
-        """parse() one level of parentheses, call or unary minus deeper."""
+        """parse() after the opener at pos, one level of parentheses, call or unary minus deeper."""
         if self.level == MAX_DEPTH:
-            raise self.too_deep()
+            raise ParseError(_TOO_DEEP, self.pos + 1)
+        self.skip(self.pos + 1)
         self.level += 1
         node = parse()
         self.level -= 1
@@ -143,78 +150,63 @@ class _Parser:
 
     def parse(self) -> Expr:
         node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
+        if self.ch:
+            raise ParseError("unexpected trailing input", self.pos)
         if _depth(node) > MAX_DEPTH:
-            raise self.too_deep()
+            raise ParseError(_TOO_DEEP, self.pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            if self.take("+"):
-                node = Add(node, self.term())
-            elif self.take("-"):
-                node = Sub(node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
+    def expr(self, lowest: int = 1) -> Expr:
+        """Factors joined by the binary operators of level ``lowest`` and above."""
         node = self.factor()
-        while True:
-            if self.take("*"):
-                node = Mul(node, self.factor())
-            elif self.take("/"):
-                node = Div(node, self.factor())
-            else:
-                return node
+        while (op := _BINARY.get(self.ch)) and op[0] >= lowest:
+            level, kind = op
+            self.skip(self.pos + 1)
+            node = kind(node, self.expr(level + 1))
+        return node
 
     def factor(self) -> Expr:
-        if self.take("-"):
+        if self.ch == "-":
             return Neg(self.nested(self.factor))
         node = self.atom()
-        if self.take("^"):
-            self.skip_ws()
+        if self.ch == "^":
+            self.skip(self.pos + 1)
             m = _INTEGER.match(self.text, self.pos)
             if not m:
-                raise self.error("expected integer exponent")
-            self.pos = m.end()
-            return Pow(node, int(m.group()))
+                raise ParseError("expected integer exponent", self.pos)
+            node = Pow(node, self.integer(m.group()))
+            self.skip(m.end())
+        return node
+
+    def group(self) -> Expr:
+        """A parenthesized expr, one level deeper."""
+        if self.ch != "(":
+            raise ParseError("expected '('", self.pos)
+        node = self.nested(self.expr)
+        self.expect(")")
         return node
 
     def atom(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.nested(self.expr)
-            self.expect(")")
-            return node
+        if self.ch == "(":
+            return self.group()
         m = _NUMBER.match(self.text, self.pos)
         if m:
-            self.pos = m.end()
+            self.skip(m.end())
             return Num(float(m.group()))
         m = _IDENT.match(self.text, self.pos)
-        if m:
-            name = m.group()
-            start = self.pos
-            if name in FUNCTIONS:
-                self.pos = m.end()
-                self.expect("(")
-                node = self.nested(self.expr)
-                self.expect(")")
-                return Call(name, node)
-            if re.fullmatch(r"x\d+", name):
-                index = int(name[1:])
-                if index >= self.dim:
-                    raise self.error(
-                        f"variable x{index} out of range for dimension {self.dim}",
-                        start,
-                    )
-                self.pos = m.end()
-                return Var(index)
-            raise self.error(f"unknown identifier '{name}'", start)
-        raise self.error("expected a number, variable, function or '('")
+        if not m:
+            raise ParseError("expected a number, variable, function or '('", self.pos)
+        name = m.group()
+        if name in FUNCTIONS:
+            self.skip(m.end())
+            return Call(name, self.group())
+        if not re.fullmatch(r"x\d+", name):
+            raise ParseError(f"unknown identifier '{name}'", self.pos)
+        index = self.integer(name[1:])
+        if index >= self.dim:
+            raise ParseError(f"variable x{index} out of range for dimension {self.dim}", self.pos)
+        self.skip(m.end())
+        return Var(index)
 
 
 def parse(text: str, dim: int) -> Expr:
@@ -294,53 +286,41 @@ def evaluate(expr: Expr, values: Sequence[Scalar]) -> Scalar:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _precedence(expr: Expr) -> int:
-    match expr:
-        case Add(_, _) | Sub(_, _):
-            return _PREC_ADD
-        case Mul(_, _) | Div(_, _):
-            return _PREC_MUL
-        case Neg(_):
-            return _PREC_UNARY
-        case Pow(_, _):
-            return _PREC_POW
-        case _:
-            return _PREC_ATOM
-
-
-def _wrap(expr: Expr, minimum: int) -> str:
-    text = to_string(expr)
-    return f"({text})" if _precedence(expr) < minimum else text
-
-
 def to_string(expr: Expr) -> str:
     """Render with minimal parentheses.
 
     Inverse of ``parse`` on parser-produced trees.  Hand-built negative
     literals print parenthesized and reparse as a negation node, after
-    which printing and parsing are mutually inverse.
+    which printing and parsing are mutually inverse.  Nodes are matched by
+    exact type, as in ``evaluate``.
     """
-    match expr:
-        case Num(v):
-            return repr(v) if v >= 0 else f"({v!r})"
-        case Var(i):
-            return f"x{i}"
-        case Add(l, r):
-            return f"{_wrap(l, _PREC_ADD)} + {_wrap(r, _PREC_ADD + 1)}"
-        case Sub(l, r):
-            return f"{_wrap(l, _PREC_ADD)} - {_wrap(r, _PREC_ADD + 1)}"
-        case Mul(l, r):
-            return f"{_wrap(l, _PREC_MUL)}*{_wrap(r, _PREC_MUL + 1)}"
-        case Div(l, r):
-            return f"{_wrap(l, _PREC_MUL)}/{_wrap(r, _PREC_MUL + 1)}"
-        case Neg(arg):
-            return f"-{_wrap(arg, _PREC_UNARY)}"
-        case Pow(base, n):
-            exponent = str(n)
-            return f"{_wrap(base, _PREC_ATOM)}^{exponent}"
-        case Call(func, arg):
-            return f"{func}({to_string(arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _wrap(expr, 0)
+
+
+def _wrap(expr: Expr, lowest: int) -> str:
+    """The text of ``expr``, parenthesized if it binds looser than level ``lowest``.
+
+    A binary node binds at its ``_BINARY`` level, a negation at 3, a power
+    at 4 and any other node at 5.
+    """
+    kind, level = type(expr), 5
+    if kind in _SYMBOLS:
+        symbol, level = _SYMBOLS[kind]
+        if level == 1:  # sums are spaced: "x0 + x1*x2"
+            symbol = f" {symbol} "
+        text = f"{_wrap(expr.left, level)}{symbol}{_wrap(expr.right, level + 1)}"
+    elif kind is Neg:
+        level, text = 3, f"-{_wrap(expr.arg, 3)}"
+    elif kind is Pow:
+        level, text = 4, f"{_wrap(expr.base, 5)}^{expr.exponent}"
+    elif kind is Num:
+        # A literal that overflowed parses as inf, which prints as 1e999.
+        text = repr(expr.value).replace("inf", "1e999")
+        text = text if expr.value >= 0 else f"({text})"
+    elif kind is Var:
+        text = f"x{expr.index}"
+    elif kind is Call:
+        text = f"{expr.func}({to_string(expr.arg)})"
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    return f"({text})" if level < lowest else text

@@ -104,6 +104,8 @@ class ProblemSpec:
             raise SpecError(f"spec is not UTF-8 text: {err}") from err
         except json.JSONDecodeError as err:
             raise SpecError(f"spec is not valid JSON: {err}") from err
+        except ValueError as err:  # an integer longer than int() converts
+            raise SpecError(f"spec has a number too long to read: {err}") from err
         except RecursionError as err:
             raise SpecError("spec JSON is nested too deeply") from err
         return cls.from_dict(data)

@@ -599,15 +599,16 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
         via_sections = ct.tangent_pairing_via_sections(xc, xi, mu, phi)
         independence.add(via_sections - ct.tangent_pairing(xc, xi), samples=3 * size)
 
-        # Entry (row, col) of sample j's matrix pairs unit probe col of
-        # T(A*) with unit probe row of T(A).
-        probe_cols = np.tile(np.eye(2 * k), (2 * k * size, 1))
-        probe_rows = np.tile(np.repeat(np.eye(2 * k), 2 * k, axis=0), (size, 1))
-        at, dot = (np.repeat(v, 4 * k * k, axis=0) for v in (x, x_dot))
+        # Entry (row, col) of the matrix pairs unit probe col of T(A*) with
+        # unit probe row of T(A).  The pairing of unit probes depends on
+        # neither x nor x_dot, so the batch's first sample stands for all.
+        probe_cols = np.tile(np.eye(2 * k), (2 * k, 1))
+        probe_rows = np.repeat(np.eye(2 * k), 2 * k, axis=0)
+        at, dot = (np.repeat(v[:1], 4 * k * k, axis=0) for v in (x, x_dot))
         matrix = ct.tangent_pairing(
             dvb.DvbElement(shape, at, probe_cols[:, :k], dot, probe_cols[:, k:]),
             dvb.DvbElement(shape, at, probe_rows[:, :k], dot, probe_rows[:, k:]),
-        ).reshape(size, 2 * k, 2 * k)
+        ).reshape(2 * k, 2 * k)
         ranks.add(2 * k - np.linalg.matrix_rank(matrix), samples=size)
 
     return [triangle, independence, ranks]

@@ -371,9 +371,12 @@ def jet_directional(
 ) -> Scalar:
     """Derivative of ``fn`` at ``values`` along ``direction`` from a single seeded pass.
 
-    Values and direction may be (N, dim) batches; the result is then (N,).
+    Values may be an (N, dim) batch, and the direction then one (dim,)
+    vector or an (N, dim) batch of the same shape; the result is (N,).
     """
     batch = _batch_of(values)
+    if _batch_of(direction) is not None and np.shape(direction) != np.shape(values):
+        raise ValueError("a batch of directions needs the shape of its points")
     if batch is not None:
         values, direction = _columns(values), _columns(direction)
     if len(values) != len(direction):

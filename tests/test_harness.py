@@ -350,6 +350,38 @@ def test_a_negated_momentum_pairing_fails_both_pairing_suites(monkeypatch):
     assert ("bracket-pairing", "closed-forms") in {(c.suite, c.name) for c in checks}
 
 
+def test_a_tangent_pairing_without_its_phi_a_dot_term_fails_functional_rank(monkeypatch):
+    # <Xc, xi> = <phi_dot, a> + <phi, a_dot>; without its second term the
+    # pairing of unit probes has rank k, not 2k.
+    pairing = cotangent.tangent_pairing
+
+    def truncated(xc, xi):
+        return pairing(xc, xi) - np.vecdot(xc.a, xi.c)
+
+    monkeypatch.setattr(cotangent, "tangent_pairing", truncated)
+    checks = run_suites(_demo_spec(), suite_names=("duality-diagram",), samples=12, seed=1)
+    failed = {c.name for c in checks if not c.passed}
+    assert "functional-rank" in failed
+
+
+@pytest.mark.parametrize("max_batch", [None, 2])
+def test_functional_rank_ranks_one_matrix_per_batch(monkeypatch, max_batch):
+    if max_batch is not None:
+        monkeypatch.setattr(suites, "_MAX_BATCH", max_batch)
+    matrix_rank, shapes = np.linalg.matrix_rank, []
+
+    def recorded(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return matrix_rank(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", recorded)
+    # 48 samples give the check 12, four of each fiber rank k = 1, 2, 3.
+    checks = run_suites(_demo_spec(), suite_names=("duality-diagram",), samples=48, seed=1)
+    assert all(c.passed for c in checks)
+    per_k = 1 if max_batch is None else 2
+    assert shapes == [(2 * k, 2 * k) for k in (1, 2, 3) for _ in range(per_k)]
+
+
 def test_a_row_dependent_linear_part_fails_the_duality_solve(monkeypatch):
     # kappa_0**2 <alpha, a> makes the solved system's matrix depend on the row.
     pair = dvb.pair_b
@@ -560,6 +592,17 @@ def test_cli_box_bounds_must_be_json_numbers(tmp_path, capsys, box):
         ),
         pytest.param({"chart": {"dim": 1}, "dvb_shapes": []}, "dvb_shapes must be", id="shapes-empty"),
         pytest.param({"chart": {"dim": 1}, "dvb_shapes": {"a": [1, 1, 1, 0]}}, "dvb_shapes must be", id="shapes-dict"),
+        # Integers longer than int() converts (4,300 digits by default).
+        pytest.param(
+            {"chart": {"dim": 1}, "fields": {"X": ["x0^" + "9" * 5000]}},
+            "fields.X: integer of 5000 characters is too long (offset 3)",
+            id="exponent-5000-digits",
+        ),
+        pytest.param(
+            {"chart": {"dim": 1}, "fields": {"X": ["x" + "9" * 5000]}},
+            "fields.X: integer of 5000 characters is too long (offset 0)",
+            id="variable-index-5000-digits",
+        ),
     ],
 )
 def test_cli_unusable_spec_exits_two_naming_the_key(tmp_path, capsys, data, message):
@@ -699,6 +742,7 @@ def test_cli_field_name_with_a_comma_exits_two(tmp_path, capsys):
     [
         pytest.param(b"\xff\xfe{}", id="not-utf8"),
         pytest.param(b"[" * 100_000, id="nested-past-recursion-limit"),
+        pytest.param(b'{"chart": {"dim": 1}, "samples": ' + b"9" * 5000 + b"}", id="samples-5000-digits"),
     ],
 )
 def test_cli_unreadable_spec_bytes_exit_two(tmp_path, capsys, raw):

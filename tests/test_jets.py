@@ -332,6 +332,25 @@ def test_jet_directional_refuses_mismatched_dimensions():
         jet_directional(lambda vs: vs[0] * vs[1], [0.1, 0.2], [1.0])
 
 
+@pytest.mark.parametrize(
+    "point, direction",
+    [
+        pytest.param([1.0, 2.0], np.array([[1.0, 2.0], [3.0, 4.0]]), id="one-point-two-directions"),
+        pytest.param(np.ones((3, 2)), np.ones((1, 2)), id="three-points-one-row"),
+        pytest.param(np.ones((3, 2)), np.ones((2, 2)), id="three-points-two-rows"),
+    ],
+)
+def test_jet_directional_refuses_a_batch_of_directions_of_another_shape(point, direction):
+    with pytest.raises(ValueError, match="a batch of directions needs the shape of its points"):
+        jet_directional(lambda vs: vs[0] * vs[1], point, direction)
+
+
+def test_jet_directional_takes_one_direction_for_a_whole_batch():
+    points = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = jet_directional(lambda vs: vs[0] * vs[1], points, np.array([1.0, -1.0]))
+    assert out.tolist() == [p[1] - p[0] for p in points.tolist()]
+
+
 def test_jet_directional_of_a_constant_at_a_batch_is_zero_per_row():
     out = jet_directional(lambda vs: 3.0, np.ones((4, 2)), np.ones((4, 2)))
     assert isinstance(out, np.ndarray)
