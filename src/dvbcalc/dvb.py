@@ -26,9 +26,13 @@ Sharing.  A record keeps a component as it is when it is a read-only
 float64 ndarray that owns its memory (``base is None``), such as another
 record's component; anything else (a writeable array, a list, an array of
 another dtype, a read-only view) is copied and the copy made read-only.
-Records built from one array therefore hold that one object, and an
-outline check between them returns at once.  A caller must not make a
-shared array writeable again.
+The library freezes each array it makes where it makes it (``_frozen``):
+the sums, scalings, zeros and negations here, and in ``sections`` a
+section's cores and squarecap fibers and the values of ``section.at(m)``,
+which are read-only.  A caller's array is never frozen in place.  Records
+built from one array therefore hold that one object, and an outline check
+between them returns at once.  A caller must not make a shared array
+writeable again.
 
 Batches.  A component is either one vector of shape (dim,) or a batch of N
 vectors of shape (N, dim); every batched component of one record has the
@@ -90,6 +94,18 @@ def _same(u: np.ndarray, v: np.ndarray, what: str) -> None:
         raise IncompatibleElements(f"elements disagree on {what}: {u} vs {v}")
 
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x, a float array the library has just made and no caller holds, made read-only.
+
+    A view is copied first, in its own memory layout, so the result owns
+    its memory and every record built from it shares it.
+    """
+    if x.base is not None:
+        x = x.copy(order="K")
+    x.setflags(write=False)
+    return x
+
+
 def _dot(u: np.ndarray, v: np.ndarray):
     """<u, v>: a float for two vectors, one value per row when either is a batch.
 
@@ -124,11 +140,12 @@ class Record:
         self.shape = shape
         batch = None
         for (name, key), value in zip(self._fields, values):
-            if (type(value) is not np.ndarray or value.flags.writeable
-                    or value.base is not None or value.dtype != _FLOAT):
+            if (type(value) is not np.ndarray or value.base is not None
+                    or value.dtype is not _FLOAT or value.flags.writeable):
                 value = np.array(value, dtype=float)
-                value.flags.writeable = False
-            dims, dim = value.shape, getattr(shape, key)
+                value.setflags(write=False)
+            dims = value.shape
+            dim = getattr(shape, key)
             if len(dims) == 2 and dims[1] == dim:
                 if batch is None:
                     batch = dims[0]
@@ -240,45 +257,55 @@ def add_over_a(d1: DvbElement, d2: DvbElement) -> DvbElement:
     """Addition in the bundle D -> A; both summands must sit over the same a."""
     _common(d1, d2)
     _same(d1.a, d2.a, "a side")
-    return DvbElement(d1.shape, d1.m, d1.a, d1.b + d2.b, d1.c + d2.c)
+    return DvbElement(d1.shape, d1.m, d1.a, _frozen(d1.b + d2.b), _frozen(d1.c + d2.c))
 
 
 def add_over_b(d1: DvbElement, d2: DvbElement) -> DvbElement:
     """Addition in the bundle D -> B; both summands must sit over the same b."""
     _common(d1, d2)
     _same(d1.b, d2.b, "b side")
-    return DvbElement(d1.shape, d1.m, d1.a + d2.a, d1.b, d1.c + d2.c)
+    return DvbElement(d1.shape, d1.m, _frozen(d1.a + d2.a), d1.b, _frozen(d1.c + d2.c))
 
 
 def scale_over_a(t: float, d: DvbElement) -> DvbElement:
-    return DvbElement(d.shape, d.m, d.a, t * d.b, t * d.c)
+    return DvbElement(d.shape, d.m, d.a, _frozen(t * d.b), _frozen(t * d.c))
 
 
 def scale_over_b(t: float, d: DvbElement) -> DvbElement:
-    return DvbElement(d.shape, d.m, t * d.a, d.b, t * d.c)
+    return DvbElement(d.shape, d.m, _frozen(t * d.a), d.b, _frozen(t * d.c))
 
 
 def sub_over_a(d1: DvbElement, d2: DvbElement) -> DvbElement:
-    return add_over_a(d1, scale_over_a(-1.0, d2))
+    """d1 -_A d2: bitwise add_over_a(d1, scale_over_a(-1.0, d2)), built as one record."""
+    _common(d1, d2)
+    _same(d1.a, d2.a, "a side")
+    return DvbElement(d1.shape, d1.m, d1.a, _frozen(d1.b - d2.b), _frozen(d1.c - d2.c))
 
 
 def sub_over_b(d1: DvbElement, d2: DvbElement) -> DvbElement:
-    return add_over_b(d1, scale_over_b(-1.0, d2))
+    """d1 -_B d2: bitwise add_over_b(d1, scale_over_b(-1.0, d2)), built as one record."""
+    _common(d1, d2)
+    _same(d1.b, d2.b, "b side")
+    return DvbElement(d1.shape, d1.m, _frozen(d1.a - d2.a), d1.b, _frozen(d1.c - d2.c))
+
+
+def _zeros(dim: int) -> np.ndarray:
+    return _frozen(np.zeros(dim))
 
 
 def zero_over_a(shape: DvbShape, m, a) -> DvbElement:
     """Zero of D -> A over the point a."""
-    return DvbElement(shape, m, a, np.zeros(shape.dim_b), np.zeros(shape.dim_c))
+    return DvbElement(shape, m, a, _zeros(shape.dim_b), _zeros(shape.dim_c))
 
 
 def zero_over_b(shape: DvbShape, m, b) -> DvbElement:
     """Zero of D -> B over the point b."""
-    return DvbElement(shape, m, np.zeros(shape.dim_a), b, np.zeros(shape.dim_c))
+    return DvbElement(shape, m, _zeros(shape.dim_a), b, _zeros(shape.dim_c))
 
 
 def core_embed(shape: DvbShape, m, c) -> DvbElement:
     """Core vector c placed over the zeros of both sides."""
-    return DvbElement(shape, m, np.zeros(shape.dim_a), np.zeros(shape.dim_b), c)
+    return DvbElement(shape, m, _zeros(shape.dim_a), _zeros(shape.dim_b), c)
 
 
 def core_difference(d1: DvbElement, d2: DvbElement) -> np.ndarray:
@@ -330,11 +357,11 @@ def dual_iso_a(mb: IterBCElement) -> DualAElement:
     Defining property: <mb, psi>_C* + <dual_iso_a(mb), d>_A = <psi, d>_B for
     every psi and d making the pairings meaningful.
     """
-    return DualAElement(mb.shape, mb.m, mb.a, -mb.beta, mb.kappa)
+    return DualAElement(mb.shape, mb.m, mb.a, _frozen(-mb.beta), mb.kappa)
 
 
 def dual_iso_a_inverse(phi: DualAElement) -> IterBCElement:
-    return IterBCElement(phi.shape, phi.m, phi.kappa, -phi.beta, phi.a)
+    return IterBCElement(phi.shape, phi.m, phi.kappa, _frozen(-phi.beta), phi.a)
 
 
 def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
@@ -361,7 +388,7 @@ def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
     counts[0] = head
 
     def repeat(x):
-        return x if x.ndim == 1 else np.repeat(x, counts, axis=0)
+        return x if x.ndim == 1 else _frozen(np.repeat(x, counts, axis=0))
 
     eye = np.eye(size)
     probes = np.concatenate([np.repeat(eye, size + 1, axis=0), np.tile(eye, (rows - 1, 1))])
@@ -391,11 +418,11 @@ def dual_iso_b(ma: IterACElement) -> DualBElement:
     property: <mb, dual_iso_b(ma)>_C* = <ma, dual_iso_a(mb)>_C* for every mb
     over the same kappa.
     """
-    return DualBElement(ma.shape, ma.m, ma.kappa, ma.alpha, -ma.b)
+    return DualBElement(ma.shape, ma.m, ma.kappa, ma.alpha, _frozen(-ma.b))
 
 
 def dual_iso_b_inverse(psi: DualBElement) -> IterACElement:
-    return IterACElement(psi.shape, psi.m, psi.kappa, psi.alpha, -psi.b)
+    return IterACElement(psi.shape, psi.m, psi.kappa, psi.alpha, _frozen(-psi.b))
 
 
 # -- the nonstandard pairing of the two duals ---------------------------------
@@ -409,7 +436,7 @@ def pair_duals_ba(phi: DualAElement, psi: DualBElement) -> float:
     """
     _common(phi, psi)
     _same(phi.kappa, psi.kappa, "kappa")
-    d = DvbElement(phi.shape, phi.m, phi.a, psi.b, np.zeros(phi.shape.dim_c))
+    d = DvbElement(phi.shape, phi.m, phi.a, psi.b, _zeros(phi.shape.dim_c))
     return pair_b(psi, d) - pair_a(phi, d)
 
 
@@ -425,9 +452,9 @@ def pairing_map_a(phi: DualAElement) -> IterBCElement:
     for all psi over the same kappa; related to dual_iso_a_inverse by
     negation in the bundle over C*.
     """
-    return IterBCElement(phi.shape, phi.m, phi.kappa, phi.beta, -phi.a)
+    return IterBCElement(phi.shape, phi.m, phi.kappa, phi.beta, _frozen(-phi.a))
 
 
 def pairing_map_b(psi: DualBElement) -> IterACElement:
     """Characterized by <pairing_map_b(psi), phi>_C* = pair_duals_ab(phi, psi)."""
-    return IterACElement(psi.shape, psi.m, psi.kappa, -psi.alpha, psi.b)
+    return IterACElement(psi.shape, psi.m, psi.kappa, _frozen(-psi.alpha), psi.b)

@@ -52,10 +52,7 @@ def _columns(block: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     Each block is a read-only copy that owns its memory, so every ``dvb``
     record built from it holds that one array.
     """
-    cols = [block[:, end - dim:end].copy() for dim, end in zip(dims, accumulate(dims))]
-    for col in cols:
-        col.flags.writeable = False
-    return cols
+    return [dvb._frozen(block[:, end - dim:end]) for dim, end in zip(dims, accumulate(dims))]
 
 
 def _uniform_rows(rng, n: int, *dims: int) -> list[np.ndarray]:
@@ -75,8 +72,7 @@ def _chart_rows(rng, n: int, chart: Chart, *dims: int) -> list[np.ndarray]:
     ``rng.uniform(-1.0, 1.0, dim)`` per dim, drawn row after row.  Every
     block is read-only and owns its memory, as ``_columns``' are."""
     block = rng.random((n, chart.dim + sum(dims)))
-    point = chart.lows + chart.spans * block[:, :chart.dim]
-    point.flags.writeable = False
+    point = dvb._frozen(chart.lows + chart.spans * block[:, :chart.dim])
     return [point, *_columns(-1.0 + 2.0 * block[:, chart.dim:], dims)]
 
 
@@ -189,8 +185,7 @@ class _Residuals:
             if isinstance(part, float):
                 value = abs(part)
             else:
-                part = np.abs(part)
-                value = part.max() if part.size else 0.0
+                value = np.maximum.reduce(np.abs(part), axis=None, initial=0.0)
             if not value <= self.max:
                 if math.isfinite(value):
                     self.max = float(value)
@@ -319,11 +314,11 @@ _SQUARECAP_DRAWS = 20
 
 
 def _repeat_rows(value: sections.SectionAt, k: int) -> sections.SectionAt:
-    """A batched section value with each row repeated k times in place."""
+    """A batched section value with each row repeated k times in place, each array read-only."""
     return value._replace(
-        m=np.repeat(value.m, k, axis=0),
-        base=np.repeat(value.base, k, axis=0),
-        matrix=np.repeat(value.matrix, k, axis=0),
+        m=dvb._frozen(np.repeat(value.m, k, axis=0)),
+        base=dvb._frozen(np.repeat(value.base, k, axis=0)),
+        matrix=dvb._frozen(np.repeat(value.matrix, k, axis=0)),
     )
 
 
@@ -373,7 +368,7 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         # psi.b, phi.a and phi.beta.
         k = _SQUARECAP_DRAWS
         xi, eta = _repeat_rows(at_m.xi, k), _repeat_rows(at_m.eta, k)
-        kappas = np.repeat(kappa, k, axis=0)
+        kappas = dvb._frozen(np.repeat(kappa, k, axis=0))
         draws = draws.reshape(k * n, 2 * (da + db))
         cap_b = sections.squarecap_b(xi, xi.m, kappas)
         cap_a = sections.squarecap_a(eta, xi.m, kappas)
@@ -403,8 +398,10 @@ def _run_warp_pairing(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
         psi = dvb.DualBElement(shape, m, kappa, psi_alpha, psi_b)
         recovered = sections.cstar_projection(psi)
         # Row dc * j + i carries sample j's psi and the i-th basis core vector.
-        rows = dvb.DualBElement(shape, *(np.repeat(x, dc, axis=0) for x in (m, kappa, psi_alpha, psi_b)))
-        cores = dvb.core_embed(shape, rows.m, np.tile(np.eye(dc), (n, 1)))
+        rows = dvb.DualBElement(
+            shape, *(dvb._frozen(np.repeat(x, dc, axis=0)) for x in (m, kappa, psi_alpha, psi_b))
+        )
+        cores = dvb.core_embed(shape, rows.m, dvb._frozen(np.tile(np.eye(dc), (n, 1))))
         carried = dvb.add_over_a(dvb.zero_over_b(shape, rows.m, rows.b), cores)
         projection.add(dvb.pair_b(rows, carried).reshape(n, dc) - recovered, samples=n * dc)
 

@@ -16,10 +16,12 @@ C* (its "squarecap"); pairing the two squarecaps of a grid recovers the
 warp with a minus sign, evaluated against kappa.
 
 ``section.at(m)`` evaluates a linear section's two maps at m once and
-returns a ``SectionAt``, the fiber-linear map over m.  Its own ``at(m)`` is
-itself, so every function here that takes a section (or a grid) and a
-point also takes its value at that point, and repeated use at one point
-costs no further map evaluation.  Fibers and kappa may be (N, dim)
+returns a ``SectionAt``, the fiber-linear map over m, whose base and
+matrix are read-only; the records it builds share its base and the cores
+it makes (see ``dvb``'s sharing rule).  Its own ``at(m)`` is itself, so
+every function here that takes a section (or a grid) and a point also
+takes its value at that point, and repeated use at one point costs no
+further map evaluation.  Fibers and kappa may be (N, dim)
 batches; see ``dvb``.  At an (N, dim) batch of points ``at`` returns one
 batched ``SectionAt``, and every function here that takes a value also
 takes such a batch.
@@ -41,6 +43,7 @@ from .dvb import (
     IterACElement,
     IterBCElement,
     _dot,
+    _frozen,
     _same,
     core_difference,
     dual_iso_a,
@@ -76,10 +79,17 @@ class LinearSection:
 
     def at(self, m) -> SectionAt:
         """The section at m.  The fiber matrix is evaluated first: where it is
-        the base section's Jacobian, the base value is that pass's."""
+        the base section's Jacobian, the base value is that pass's.
+
+        The value's base is a read-only array of its own, which every record
+        built from the value shares.  Its matrix is a read-only view of the
+        fiber matrix's value, whose array a user's ``MatrixMap`` may still
+        hold; it keeps that array's memory layout, and so its rounding.
+        """
         m = np.asarray(m, dtype=float)
-        matrix = self.fiber_matrix(m)
-        return SectionAt(self, m, self.base_section(m), matrix)
+        matrix = self.fiber_matrix(m).view()
+        matrix.setflags(write=False)
+        return SectionAt(self, m, _frozen(self.base_section(m)), matrix)
 
     def __call__(self, m, fiber) -> DvbElement:
         return self.at(m)(fiber)
@@ -126,7 +136,7 @@ class SectionAt(NamedTuple):
 
     def __call__(self, fiber) -> DvbElement:
         fiber = np.asarray(fiber, dtype=float)
-        core = _matvec(self.matrix, fiber)
+        core = _frozen(_matvec(self.matrix, fiber))
         if isinstance(self.section, LinearSectionB):
             return DvbElement(self.shape, self.m, self.base, fiber, core)
         return DvbElement(self.shape, self.m, fiber, self.base, core)
@@ -192,7 +202,7 @@ def _squarecap(iterated_dual: type, section: LinearSection | SectionAt, m, kappa
     """(m; kappa, matrix^T kappa, base) in the iterated dual of the section's side."""
     section = section.at(m)
     kappa = np.asarray(kappa, dtype=float)
-    fiber = _matvec(np.swapaxes(section.matrix, -1, -2), kappa)
+    fiber = _frozen(_matvec(np.swapaxes(section.matrix, -1, -2), kappa))
     return iterated_dual(section.shape, section.m, kappa, fiber, section.base)
 
 

@@ -59,7 +59,11 @@ class SmoothMap:
         if self.domain_dim < 0:
             raise DimensionMismatch("domain dimension must be non-negative")
         for comp in self.components:
-            if expressions.max_var_index(comp) >= self.domain_dim:
+            try:
+                top = expressions.max_var_index(comp)
+            except RecursionError:  # a hand-built tree; parsed ones are depth-bounded
+                raise ValueError("component expression is nested too deep to walk") from None
+            if top >= self.domain_dim:
                 raise DimensionMismatch(
                     f"component uses variable outside dimension {self.domain_dim}"
                 )

@@ -144,6 +144,52 @@ def test_core_difference_example():
     assert sub_over_b(d1, d2).a.tolist() == [0.0]
 
 
+def _signed_values(*size):
+    """Random entries with signed zeros and infinities mixed in."""
+    values = RNG.uniform(-1.0, 1.0, size)
+    values.flat[::3] = RNG.choice([0.0, -0.0, np.inf, -np.inf, 1.0], values.flat[::3].shape)
+    return values
+
+
+_SUBTRACTIONS = {"a": (sub_over_a, add_over_a, scale_over_a), "b": (sub_over_b, add_over_b, scale_over_b)}
+
+
+@pytest.mark.parametrize("side", _SUBTRACTIONS)
+def test_subtraction_is_bitwise_the_sum_with_the_negation(side):
+    sub, add, scale = _SUBTRACTIONS[side]
+    shape = DvbShape(3, 2, 4, 1)
+    m, a, b = _signed_values(5, 1), _signed_values(5, 3), _signed_values(5, 2)
+    if side == "a":
+        d2 = DvbElement(shape, m, a, _signed_values(5, 2), _signed_values(5, 4))
+    else:
+        d2 = DvbElement(shape, m, _signed_values(5, 3), b, _signed_values(5, 4))
+    d1 = DvbElement(shape, m, a, b, _signed_values(5, 4))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got, want = sub(d1, d2), add(d1, scale(-1.0, d2))
+    for name in "mabc":
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("side", _SUBTRACTIONS)
+def test_subtraction_refuses_what_the_sum_refuses(side):
+    sub, add, scale = _SUBTRACTIONS[side]
+    shape = DvbShape(1, 1, 1, 1)
+    d = DvbElement(shape, [0.0], [1.0], [2.0], [3.0])
+    pairs = [
+        (d, DvbElement(shape, [0.0], [9.0], [9.0], [3.0])),  # other side components
+        (d, DvbElement(shape, [1.0], [1.0], [2.0], [3.0])),  # another base point
+        (d, DvbElement(DvbShape(1, 1, 2, 1), [0.0], [1.0], [2.0], [3.0, 4.0])),
+        (DvbElement(shape, [[0.0]] * 3, [1.0], [2.0], [3.0]),
+         DvbElement(shape, [[0.0]] * 2, [1.0], [2.0], [3.0])),
+    ]
+    for d1, d2 in pairs:
+        with pytest.raises(IncompatibleElements) as sub_error:
+            sub(d1, d2)
+        with pytest.raises(IncompatibleElements) as sum_error:
+            add(d1, scale(-1.0, d2))
+        assert str(sub_error.value) == str(sum_error.value)
+
+
 def test_core_difference_requires_shared_outline():
     shape = DvbShape(1, 1, 1)
     d1 = DvbElement(shape, [], [1.0], [2.0], [3.0])

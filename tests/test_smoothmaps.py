@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvbcalc import jets
-from dvbcalc.expressions import ParseError
+from dvbcalc.expressions import Add, Num, ParseError, Var
 from dvbcalc.harness import cli, suites
 from dvbcalc.smoothmaps import (
     DimensionMismatch,
@@ -347,6 +347,15 @@ def test_matrix_map_shape_enforced():
 def test_smooth_map_refuses_a_negative_domain():
     with pytest.raises(DimensionMismatch):
         SmoothMap(-1, ())
+
+
+def test_a_hand_built_tree_too_deep_to_walk_is_a_value_error():
+    chain = Var(0)
+    for _ in range(2000):  # a left Add chain, far deeper than Python's stack allows walking
+        chain = Add(chain, Num(1.0))
+    with pytest.raises(ValueError, match="nested too deep") as err:
+        SmoothMap(1, (chain,))
+    assert not isinstance(err.value, DimensionMismatch)
 
 
 def test_directional_derivative_refuses_a_field_of_another_chart():
