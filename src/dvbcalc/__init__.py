@@ -85,7 +85,6 @@ from .smoothmaps import (
 from .tangent import (
     complete_lift,
     connection_grid,
-    covariant_derivative_via_warp,
     double_tangent_grid,
     horizontal_field,
     lie_bracket_via_warp,

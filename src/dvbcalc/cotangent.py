@@ -202,14 +202,11 @@ def flip_form_defects(
     """
     n, k = bundle.chart.dim, bundle.fiber_dim
     point, u, v = (np.asarray(w, dtype=float) for w in (point, u, v))
-    coords = jets._columns(point)
-    image_coords, rows = jets.generic_jacobian(lambda vals: flip_coords(vals, n, k), coords)
-    image = np.stack(image_coords, axis=-1)
-    jac = jets._as_array(rows, jets._batch_of(point), (len(rows), len(coords)))
+    image, jac = jets.value_and_jacobian(lambda vals: flip_coords(vals, n, k), point)
     pushed_u, pushed_v = _matvec(jac, u), _matvec(jac, v)
     anti = canonical_two_form(image, pushed_u, pushed_v) + canonical_two_form(point, u, v)
     grad_p = jets.jet_gradient(lambda vals: pairing_potential(vals, n, k), point)
-    liouville = canonical_one_form(image_coords, pushed_u) + canonical_one_form(coords, u)
+    liouville = canonical_one_form(image.T, pushed_u) + canonical_one_form(point.T, u)
     return anti, liouville - _dot(grad_p, u)
 
 

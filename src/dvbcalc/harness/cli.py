@@ -140,12 +140,7 @@ def run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return run_verify(args)
-    parser.error(f"unknown command: {args.command}")
-    return 2
+    return run_verify(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

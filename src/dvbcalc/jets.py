@@ -18,12 +18,15 @@ differences appear in this codebase only as a test oracle.
 Batches.  A value, a partial or a scalar operand may be a float or an (N,)
 array holding one value per row of a batch of N points; a float stands for
 every row.  Seeding over (N,) arrays carries all N points through one pass
-(vector-mode forward differentiation).  The float path calls ``math`` and
-is unchanged; an array goes through the matching numpy function.  Every
-guard applies row by row: if any row leaves a domain, the whole call
-raises the ``DomainError`` or ``OverflowError`` that a float would raise
-there.  ``Jet.__array_ufunc__`` is None, so numpy hands ``array * jet``
-back to the jet instead of building an object array.
+(vector-mode forward differentiation).  A point, or an (N, dim) batch,
+becomes coordinate columns and a map's results become arrays in two entry
+points: ``values_at``, one walk, and ``value_and_jacobian``, one seeded
+pass.  The float path calls ``math`` and is unchanged; an array goes
+through the matching numpy function.  Every guard applies row by row: if
+any row leaves a domain, the whole call raises the ``DomainError`` or
+``OverflowError`` that a float would raise there.
+``Jet.__array_ufunc__`` is None, so numpy hands ``array * jet`` back to
+the jet instead of building an object array.
 """
 
 from __future__ import annotations
@@ -352,11 +355,24 @@ def generic_jacobian(
     return value, [list(partials_of(out, n)) for out in outputs]
 
 
+def values_at(fn: VectorFn, point) -> np.ndarray:
+    """fn's values at a point from one walk, or (N, rows) at an (N, dim) batch."""
+    values = fn(_columns(point))
+    return _as_array(values, _batch_of(point), (len(values),))
+
+
+def value_and_jacobian(fn: VectorFn, point) -> tuple[np.ndarray, np.ndarray]:
+    """fn's values and Jacobian at a point from one seeded pass: (rows,) and
+    (rows, dim), or (N, rows) and (N, rows, dim) at an (N, dim) batch."""
+    columns, batch = _columns(point), _batch_of(point)
+    values, rows = generic_jacobian(fn, columns)
+    return (_as_array(values, batch, (len(values),)),
+            _as_array(rows, batch, (len(rows), len(columns))))
+
+
 def jet_jacobian(fn: VectorFn, point) -> np.ndarray:
     """The Jacobian of fn at a point, or (N, rows, dim) at an (N, dim) batch."""
-    values = _columns(point)
-    rows = generic_jacobian(fn, values)[1]
-    return _as_array(rows, _batch_of(point), (len(rows), len(values)))
+    return value_and_jacobian(fn, point)[1]
 
 
 def jet_gradient(fn: Callable[[Sequence[Scalar]], Scalar], point) -> np.ndarray:

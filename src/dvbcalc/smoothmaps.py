@@ -2,10 +2,8 @@
 
 A ``SmoothMap`` is a list of coordinate expressions.  Jacobians and
 directional derivatives are computed by evaluating the expressions over
-seeded jets, so they are exact up to rounding.  ``lie_bracket_generic``
-also takes jets, so brackets can themselves be differentiated, e.g. for
-Jacobi-identity checks; ``lie_bracket`` at float points shares its formula
-and takes its Jacobians from the memoized ``jacobian``.
+seeded jets, so they are exact up to rounding.  ``lie_bracket`` combines
+the fields' values and Jacobians, from the memoized ``jacobian``, as arrays.
 
 Batches.  Every function here that takes a point also takes an (N, dim)
 array of N points and returns its result with a leading axis of length N:
@@ -92,8 +90,7 @@ class SmoothMap:
         last = self._last_pass  # the value ``jacobian`` computed at its point
         if last is not None and last[0] == _point_key(point):
             return last[1][0].copy(order="K")  # in the walk's memory layout too
-        values = self.eval_generic(jets._columns(point))
-        return jets._as_array(values, jets._batch_of(point), (len(values),))
+        return jets.values_at(self.eval_generic, point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +225,7 @@ def jacobian(m: SmoothMap, point) -> np.ndarray:
     """codomain_dim x domain_dim matrix of partials at ``point``.
 
     A ``PolyFamily`` gives its closed form.  A tree's Jacobian and value
-    come from one seeded pass, ``jets.generic_jacobian``, whose value is
+    come from one seeded pass, ``jets.value_and_jacobian``, whose value is
     bitwise the walk's (see ``jets``).  Every map keeps both from its
     previous call, keyed by the shape and exact bytes of the float point
     or batch (so ``0.0`` and ``-0.0`` are different points); a call of
@@ -237,14 +234,9 @@ def jacobian(m: SmoothMap, point) -> np.ndarray:
     """
     if isinstance(m, PolyFamily):
         return m.jacobian(point)
-
-    def seeded_pass():
-        batch = jets._batch_of(point)
-        value, rows = jets.generic_jacobian(m.eval_generic, jets._columns(point))
-        return (jets._as_array(value, batch, (m.codomain_dim,)),
-                jets._as_array(rows, batch, (m.codomain_dim, m.domain_dim)))
-
-    return _kept(m, "_last_pass", _point_key(point), seeded_pass)[1].copy()
+    last = _kept(m, "_last_pass", _point_key(point),
+                 lambda: jets.value_and_jacobian(m.eval_generic, point))
+    return last[1].copy()
 
 
 def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | np.ndarray:
@@ -265,46 +257,21 @@ def _check_vector_field(*fields: SmoothMap) -> None:
         raise DimensionMismatch("vector fields live on different charts")
 
 
-def _bracket(xv: Sequence[Scalar], yv: Sequence[Scalar], jx, jy) -> list[Scalar]:
-    """[X,Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j from values and Jacobian rows."""
-    out = []
-    for i in range(len(xv)):
-        acc = 0.0
-        for j in range(len(xv)):
-            acc = acc + jy[i][j] * xv[j] - jx[i][j] * yv[j]
-        out.append(acc)
-    return out
-
-
-def lie_bracket_generic(
-    x_field: SmoothMap, y_field: SmoothMap, values: Sequence[Scalar]
-) -> list[Scalar]:
-    """The bracket over floats or jets, with values and Jacobians from seeded jets."""
-    _check_vector_field(x_field, y_field)
-    xv, jx = jets.generic_jacobian(x_field.eval_generic, values)
-    yv, jy = jets.generic_jacobian(y_field.eval_generic, values)
-    return _bracket(xv, yv, jx, jy)
-
-
-def _entries(jac: np.ndarray, batch: int | None):
-    """A value's entries [i] or a Jacobian's [i][j]: floats, or for a batch (N,) arrays."""
-    return jac.tolist() if batch is None else jac.transpose(*range(1, jac.ndim), 0)
-
-
 def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
-    """[X, Y] at a float point, or (N, dim) at an (N, dim) batch.
+    """[X, Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j at a float point, or
+    (N, dim) at an (N, dim) batch, summed over j in order.
 
     The Jacobians come from ``jacobian``, so a field already differentiated
     at this point is not differentiated again; they are taken first, so
     each field's value is its Jacobian pass's.
     """
     _check_vector_field(x_field, y_field)
-    batch = jets._batch_of(point)
-    jx = _entries(jacobian(x_field, point), batch)
-    jy = _entries(jacobian(y_field, point), batch)
-    xv = _entries(x_field(point), batch)
-    yv = _entries(y_field(point), batch)
-    return jets._as_array(_bracket(xv, yv, jx, jy), batch, (x_field.domain_dim,))
+    jx, jy = jacobian(x_field, point), jacobian(y_field, point)
+    xv, yv = x_field(point), y_field(point)
+    out = np.zeros_like(xv)  # keeps the (0,) and (N, 0) shapes of a 0-dim chart
+    for j in range(x_field.domain_dim):
+        out = out + jy[..., j] * xv[..., j, None] - jx[..., j] * yv[..., j, None]
+    return out
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,6 @@ def lie_bracket_via_warp(x_field: SmoothMap, y_field: SmoothMap, m) -> np.ndarra
     return warp(double_tangent_grid(x_field, y_field), m)
 
 
-def covariant_derivative_via_warp(
-    conn: Connection, z_field: SmoothMap, mu: SmoothMap, m
-) -> np.ndarray:
-    """nabla_Z mu at m computed as the warp of the connection grid."""
-    return warp(connection_grid(conn, z_field, mu), m)
-
-
 def linear_vector_field_operator(
     field: LinearSectionA | SectionAt,
 ) -> Callable[[SmoothMap, np.ndarray], np.ndarray]:

@@ -2,7 +2,7 @@
 tree of one draw, both sides of the two pairing identities at a point, a random
 grid, the grid of given maps and a constant grid, a row-by-row check of batched results, tangent points
 and covectors of T(A) from their coordinates, substitution into an
-expression, and a change of decomposition."""
+expression, a change of decomposition, and a Lie bracket over jets."""
 
 from dataclasses import is_dataclass, replace
 
@@ -21,6 +21,7 @@ from dvbcalc import (
     MatrixMap,
     SmoothMap,
     ell_differential,
+    jets,
     lie_bracket,
     momentum_pairing,
     squarecap_complete_lift,
@@ -202,3 +203,13 @@ def change_decomposition(sigma, x):
     if isinstance(x, IterACElement):
         return IterACElement(shape, m, x.kappa, x.alpha + sigma_b_dual(sigma, x.b, x.kappa), x.b)
     raise TypeError(f"no change of decomposition for {type(x).__name__}")
+
+
+def jet_bracket(x_field: SmoothMap, y_field: SmoothMap, values) -> list:
+    """[X, Y] at coordinate values that may be jets, each field's values and
+    Jacobian rows from one ``jets.generic_jacobian`` pass: a reference
+    bracket that nested jets differentiate."""
+    xv, jx = jets.generic_jacobian(x_field.eval_generic, values)
+    yv, jy = jets.generic_jacobian(y_field.eval_generic, values)
+    dim = range(len(values))
+    return [sum(jy[i][j] * xv[j] - jx[i][j] * yv[j] for j in dim) for i in dim]

@@ -23,14 +23,13 @@ from dvbcalc.dvb import DualAElement, DvbElement
 from dvbcalc.harness import suites
 from dvbcalc.harness.problem import ProblemSpec
 from dvbcalc.jets import DomainError, Jet
-from dvbcalc.sections import SectionAt
+from dvbcalc.sections import SectionAt, warp
 from dvbcalc.smoothmaps import (
     MatrixMap,
     SmoothMap,
     directional_derivative,
     jacobian,
     lie_bracket,
-    lie_bracket_generic,
 )
 
 import support
@@ -94,7 +93,7 @@ CASES = {"family": _family_case, "named": _named_case}
 
 
 def _eval(m, x, v):
-    return np.asarray(m["x"].eval_generic(jets._columns(x)))
+    return jets.values_at(m["x"].eval_generic, x)
 
 
 def _eval_batched(m, x, v):
@@ -112,8 +111,8 @@ def _directional_single(m, x, v):
 
 
 def _bracket_jacobian(m, x, v):
-    # Nested jets: lie_bracket_generic seeds its own jets over these.
-    return jets.jet_jacobian(lambda vs: lie_bracket_generic(m["x"], m["y"], vs), x)
+    # Nested jets: the reference bracket seeds its own jets over these.
+    return jets.jet_jacobian(lambda vs: support.jet_bracket(m["x"], m["y"], vs), x)
 
 
 def _gradient(m, x, v):
@@ -173,7 +172,7 @@ CALLS = {
     "nabla": (lambda m, x, v: m["conn"].nabla(m["x"], m["mu"], x), None),
     "dual_nabla": (lambda m, x, v: m["conn"].dual_nabla(m["x"], m["phi"], x), None),
     "covariant_derivative_via_warp": (
-        lambda m, x, v: tangent.covariant_derivative_via_warp(m["conn"], m["x"], m["mu"], x),
+        lambda m, x, v: warp(tangent.connection_grid(m["conn"], m["x"], m["mu"]), x),
         None,
     ),
     "ell_differential": (lambda m, x, v: ct.ell_differential(m["mu"], x, v), None),

@@ -619,6 +619,21 @@ def test_cli_verify_needs_a_spec_path_or_demo(tmp_path, capsys):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["verify", "--demo", "--suite", "nope"],
+     ["verify", "--demo", "--suite", "nope", "--json-out", "report.json"]],
+)
+def test_cli_usage_errors_exit_two_with_usage_and_no_report(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: dvbcalc")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_runs_the_duality_suites_on_the_spec_shapes(tmp_path):
     data = {"chart": {"dim": 2}, "dvb_shapes": [[1, 2, 1, 0], [2, 1, 3, 2]], "samples": 6}
     argv = ("--suite", "duality-solve", "--suite", "warp-pairing")

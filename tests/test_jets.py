@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +357,24 @@ def test_jet_directional_of_a_constant_at_a_batch_is_zero_per_row():
     out = jet_directional(lambda vs: 3.0, np.ones((4, 2)), np.ones((4, 2)))
     assert isinstance(out, np.ndarray)
     assert out.tolist() == [0.0] * 4
+
+
+def test_only_jets_turns_points_into_columns_and_back():
+    # Other modules go through values_at and value_and_jacobian.
+    private = {"_columns", "_as_array"}
+    package = Path(jets.__file__).parent
+    uses = []
+    for path in sorted(package.rglob("*.py")):
+        if path == Path(jets.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                isinstance(node, ast.Attribute) and node.attr in private
+                and isinstance(node.value, ast.Name) and node.value.id == "jets"
+            ) or (
+                isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "jets"
+                and any(alias.name in private for alias in node.names)
+            )
+            if named:
+                uses.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert uses == []

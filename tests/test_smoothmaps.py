@@ -18,7 +18,6 @@ from dvbcalc.smoothmaps import (
     directional_derivative,
     jacobian,
     lie_bracket,
-    lie_bracket_generic,
 )
 
 import support
@@ -265,7 +264,7 @@ def test_lie_bracket_constant_fields():
 def _double_bracket(x_field, y_field, z_field, values):
     """[X, [Y, Z]] evaluated generically so the inner bracket is differentiated."""
     n = x_field.domain_dim
-    inner = lambda vals: lie_bracket_generic(y_field, z_field, vals)
+    inner = lambda vals: support.jet_bracket(y_field, z_field, vals)
     inner_v, j_inner = jets.generic_jacobian(inner, values)
     xv, j_x = jets.generic_jacobian(x_field.eval_generic, values)
     return [
@@ -309,14 +308,57 @@ def test_dimension_errors():
         lie_bracket(not_square, field_a, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("bracket", [lie_bracket, lie_bracket_generic])
-def test_both_brackets_refuse_what_is_not_a_pair_of_vector_fields(bracket):
+def test_lie_bracket_refuses_what_is_not_a_pair_of_vector_fields():
     x_field = SmoothMap.parse(["x1", "x0"], 2)
     not_square = SmoothMap.parse(["x0*x1", "x1", "x0"], 2)
     with pytest.raises(DimensionMismatch, match="expected a vector field on the chart"):
-        bracket(x_field, not_square, [0.3, 0.7])
+        lie_bracket(x_field, not_square, [0.3, 0.7])
     with pytest.raises(DimensionMismatch, match="vector fields live on different charts"):
-        bracket(x_field, SmoothMap.parse(["x0"], 1), [0.3, 0.7])
+        lie_bracket(x_field, SmoothMap.parse(["x0"], 1), [0.3, 0.7])
+
+
+def _float_bracket(x_field, y_field, point) -> np.ndarray:
+    """[X, Y] row by row in Python floats, from the fields' own values and
+    Jacobians: acc = acc + jY[i][j]*X[j] - jX[i][j]*Y[j] over j in order."""
+    arrays = [jacobian(x_field, point), jacobian(y_field, point), x_field(point), y_field(point)]
+    shape = arrays[2].shape
+    if len(shape) == 1:  # one point: a batch of one row
+        arrays = [a[None] for a in arrays]
+    rows = []
+    for jx, jy, xv, yv in zip(*(a.tolist() for a in arrays)):
+        row = []
+        for i in range(len(xv)):
+            acc = 0.0
+            for j in range(len(xv)):
+                acc = acc + jy[i][j] * xv[j] - jx[i][j] * yv[j]
+            row.append(acc)
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(shape)
+
+
+def _bracket_case(kind: str, n: int | None):
+    """Two fields and a float point (n None) or an (n, dim) batch."""
+    rng = np.random.default_rng(n or 0)
+    if kind == "tree":
+        fields, dim = (support.poly_map(rng, 3, 3) for _ in range(2)), 3
+    elif kind == "family":
+        fields, dim = (suites._quadratic_family(rng, n, 3, 3) for _ in range(2)), 3
+    else:
+        fields, dim = (SmoothMap(0, ()), SmoothMap(0, ())), 0
+    return (*fields, rng.uniform(-1.0, 1.0, dim if n is None else (n, dim)))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("tree", None), ("tree", 1), ("tree", 5), ("tree", 64),
+     ("family", 1), ("family", 5), ("family", 64), ("zero-dim", None), ("zero-dim", 5)],
+)
+def test_lie_bracket_is_the_float_sum_of_each_row_bitwise(kind, n):
+    x_field, y_field, point = _bracket_case(kind, n)
+    want = _float_bracket(x_field, y_field, point)
+    got = lie_bracket(x_field, y_field, point)
+    assert got.dtype == np.float64 and got.shape == want.shape == point.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_matrix_map_reshape_row_major():

@@ -15,11 +15,10 @@ from dvbcalc.smoothmaps import (
     jacobian,
     lie_bracket,
 )
-from dvbcalc.sections import LinearSectionA
+from dvbcalc.sections import LinearSectionA, warp
 from dvbcalc.tangent import (
     complete_lift,
     connection_grid,
-    covariant_derivative_via_warp,
     double_tangent_grid,
     horizontal_field,
     lie_bracket_via_warp,
@@ -185,7 +184,7 @@ def _gauge_defect(k: int, seed: int, with_derivative: bool = True) -> float:
     for entry, (i, j) in zip(entries.components, upper):
         comps[i] = Add(comps[i], Mul(entry, mu.components[j]))
     g_mu = SmoothMap(n, tuple(comps))
-    via_warp = covariant_derivative_via_warp(conn_g, z_field, g_mu, x)
+    via_warp = warp(connection_grid(conn_g, z_field, g_mu), x)
     oracle = gauge(x)[0] @ conn.nabla(z_field, mu, x)
     return float(np.max(np.abs(via_warp - oracle)) / max(1.0, float(np.max(np.abs(oracle)))))
 
@@ -267,7 +266,7 @@ def test_covariant_warp_matches_nabla():
         z_field = support.poly_map(RNG, n, n)
         mu = support.poly_map(RNG, n, k)
         m = support.rand_vec(RNG, n)
-        from_warp = covariant_derivative_via_warp(conn, z_field, mu, m)
+        from_warp = warp(connection_grid(conn, z_field, mu), m)
         direct = conn.nabla(z_field, mu, m)
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.allclose(from_warp, direct, rtol=0.0, atol=1e-12 * scale)
@@ -279,11 +278,11 @@ def test_flat_connection_warp_is_directional_derivative():
     z_field = support.poly_map(RNG, 2, 2)
     mu = support.poly_map(RNG, 2, 3)
     m = support.rand_vec(RNG, 2)
-    from_warp = covariant_derivative_via_warp(conn, z_field, mu, m)
+    from_warp = warp(connection_grid(conn, z_field, mu), m)
     expected = jacobian(mu, m) @ z_field(m)
     assert np.allclose(from_warp, expected, rtol=0.0, atol=1e-12)
     constant_mu = SmoothMap.constant([1.0, 2.0, 3.0], 2)
-    assert covariant_derivative_via_warp(conn, z_field, constant_mu, m).tolist() == [0.0, 0.0, 0.0]
+    assert warp(connection_grid(conn, z_field, constant_mu), m).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_linear_vector_field_operator_closed_form():
@@ -363,7 +362,7 @@ def test_connection_grid_shape_and_warp():
     assert grid.shape == DvbShape(2, 2, 2, 2)
     m = support.rand_vec(RNG, 2)
     assert np.allclose(
-        covariant_derivative_via_warp(conn, z_field, mu, m),
+        warp(connection_grid(conn, z_field, mu), m),
         conn.nabla(z_field, mu, m),
         rtol=0.0,
         atol=1e-12,
