@@ -87,7 +87,6 @@ from .tangent import (
     connection_grid,
     double_tangent_grid,
     horizontal_field,
-    lie_bracket_via_warp,
     linear_vector_field_operator,
     tangent_lift,
 )

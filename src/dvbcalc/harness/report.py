@@ -1,9 +1,9 @@
 """Deterministic report assembly and rendering.
 
 Reports carry no timestamps; the same spec and seed produce byte-identical
-output.  Floats are rendered with 17 significant digits so residuals
-round-trip exactly; non-finite floats, which JSON cannot express, render
-as null.
+output.  The standard JSON encoder writes each float as the shortest text
+that reads back to the same double; non-finite floats, which JSON cannot
+express, render as null.
 """
 
 from __future__ import annotations
@@ -46,42 +46,19 @@ def build_report(checks: list[CheckResult], config: dict) -> dict:
     }
 
 
-def _render(value, pieces: list[str]) -> None:
-    if isinstance(value, bool):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(format(value, ".17g") if math.isfinite(value) else "null")
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif value is None:
-        pieces.append("null")
-    elif isinstance(value, dict):
-        pieces.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                pieces.append(", ")
-            _render(str(key), pieces)
-            pieces.append(": ")
-            _render(item, pieces)
-        pieces.append("}")
-    elif isinstance(value, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(value):
-            if i:
-                pieces.append(", ")
-            _render(item, pieces)
-        pieces.append("]")
-    else:
-        raise TypeError(f"cannot render {type(value).__name__} in a report")
+def _finite(value):
+    """``value`` with each non-finite float replaced by None and each key a str."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {str(key): _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def render_json(report: dict) -> str:
-    pieces: list[str] = []
-    _render(report, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    return json.dumps(_finite(report), allow_nan=False) + "\n"
 
 
 def check_lines(checks: list[CheckResult]) -> list[str]:

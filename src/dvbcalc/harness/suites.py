@@ -440,7 +440,7 @@ def _run_bracket(spec: ProblemSpec, samples: int, rng) -> list[_Residuals]:
     for dim, size in _batches((1, 2, 3), samples):
         x_field, y_field = _quadratic_family(rng, size, dim, dim), _quadratic_family(rng, size, dim, dim)
         points, = _chart_rows(rng, size, Chart(dim))
-        via_warp = tangent.lie_bracket_via_warp(x_field, y_field, points)
+        via_warp = sections.warp(tangent.double_tangent_grid(x_field, y_field), points)
         res.add(via_warp - lie_bracket(x_field, y_field, points), samples=size)
     checks.append(res)
     return checks
@@ -773,19 +773,11 @@ def run_suites(
         except (DomainError, OverflowError) as exc:
             # A spec map left its domain (log/division) or the float range
             # (exp/power overflow); report a failing check instead of
-            # crashing the run.  The residual is the largest finite float
-            # because JSON has no infinity.
-            checks.append(
-                CheckResult(
-                    name="domain-error",
-                    suite=name,
-                    description="suite aborted: a map left its domain during sampling",
-                    samples=0,
-                    max_residual=sys.float_info.max,
-                    passed=False,
-                    details={"error": str(exc)},
-                )
-            )
+            # crashing the run.
+            aborted = _Residuals("domain-error", "suite aborted: a map left its domain during sampling")
+            aborted.add(math.inf, samples=0)
+            aborted.details["error"] = str(exc)
+            checks.append(aborted.result(name, run.tolerance))
         except Exception as exc:
             # Any other exception is a fault, not a failing check: name the
             # run that raised it, and let the traceback follow.

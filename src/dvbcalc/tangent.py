@@ -88,11 +88,6 @@ def connection_grid(conn: Connection, z_field: SmoothMap, mu: SmoothMap) -> Grid
     return Grid(xi=tangent_lift(mu), eta=horizontal_field(conn, z_field))
 
 
-def lie_bracket_via_warp(x_field: SmoothMap, y_field: SmoothMap, m) -> np.ndarray:
-    """[X, Y] at m computed as the warp of the double tangent grid."""
-    return warp(double_tangent_grid(x_field, y_field), m)
-
-
 def linear_vector_field_operator(
     field: LinearSectionA | SectionAt,
 ) -> Callable[[SmoothMap, np.ndarray], np.ndarray]:

@@ -53,7 +53,7 @@ from dvbcalc.sections import (
     warp_pairing_check,
 )
 from dvbcalc.smoothmaps import SmoothMap, jacobian, lie_bracket
-from dvbcalc.tangent import connection_grid, lie_bracket_via_warp
+from dvbcalc.tangent import connection_grid, double_tangent_grid
 
 import support
 
@@ -149,11 +149,11 @@ def test_acceptance_bracket():
         x_field = support.poly_map(rng, dim, dim)
         y_field = support.poly_map(rng, dim, dim)
         point = support.rand_vec(rng, dim)
-        via_warp = lie_bracket_via_warp(x_field, y_field, point)
+        via_warp = warp(double_tangent_grid(x_field, y_field), point)
         direct = lie_bracket(x_field, y_field, point)
         worst = max(worst, float(np.max(np.abs(via_warp - direct))))
-    demo = lie_bracket_via_warp(
-        SmoothMap.parse(["1", "0"], 2), SmoothMap.parse(["0", "x0"], 2), [0.3, 0.7]
+    demo = warp(
+        double_tangent_grid(SmoothMap.parse(["1", "0"], 2), SmoothMap.parse(["0", "x0"], 2)), [0.3, 0.7]
     )
     ok = worst < 1e-9 and demo.tolist() == [0.0, 1.0]
     _report("bracket", ok, f"max residual {worst:.3e}")

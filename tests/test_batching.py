@@ -160,7 +160,7 @@ CALLS = {
     "jacobian": (lambda m, x, v: jacobian(m["x"], x), None),
     "lie_bracket": (lambda m, x, v: lie_bracket(m["x"], m["y"], x), None),
     "lie_bracket_generic_jacobian": (_bracket_jacobian, None),
-    "lie_bracket_via_warp": (lambda m, x, v: tangent.lie_bracket_via_warp(m["x"], m["y"], x), None),
+    "lie_bracket_via_warp": (lambda m, x, v: warp(tangent.double_tangent_grid(m["x"], m["y"]), x), None),
     "directional_derivative": (lambda m, x, v: directional_derivative(m["f"], m["x"], x), None),
     "jet_directional": (_directional, _directional_single),
     "jet_gradient": (_gradient, None),

@@ -8,6 +8,7 @@ say why in CHANGES.md:
     PYTHONPATH=src python -m dvbcalc verify perfbench/named_maps.json --samples 6 --seed 1 --quiet --json-out tests/data/named_maps_samples6_seed1.json
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -28,4 +29,7 @@ def test_report_matches_the_committed_bytes(tmp_path, golden, spec_argv):
     out = tmp_path / golden
     code = cli.main(["verify", *spec_argv, "--seed", "1", "--quiet", "--json-out", str(out)])
     assert code == 0
-    assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+    produced, committed = out.read_bytes(), (ROOT / "tests" / "data" / golden).read_bytes()
+    # Values first, so that a changed value names its check; then the bytes.
+    assert json.loads(produced) == json.loads(committed)
+    assert produced == committed

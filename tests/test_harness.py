@@ -2,6 +2,7 @@ import errno
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import stat
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvbcalc.harness import (
     CheckResult,
@@ -140,7 +143,7 @@ def test_spec_from_file(tmp_path):
 
 def test_render_json_format():
     assert render_json({"a": 1.5, "b": True}) == '{"a": 1.5, "b": true}\n'
-    assert render_json({"x": 0.1}) == '{"x": 0.10000000000000001}\n'
+    assert render_json({"x": 0.1}) == '{"x": 0.1}\n'
     assert render_json({"n": None, "list": [1, "two"]}) == '{"n": null, "list": [1, "two"]}\n'
     assert render_json({"q": 'say "hi"\\'}) == '{"q": "say \\"hi\\"\\\\"}\n'
     with pytest.raises(TypeError):
@@ -148,6 +151,41 @@ def test_render_json_format():
     rendered = render_json({"value": 1e-9})
     assert json.loads(rendered) == {"value": 1e-9}
     assert render_json({"A\nB": [float("nan"), -float("inf")]}) == '{"A\\nB": [null, null]}\n'
+
+
+_EXTREME_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max, -sys.float_info.max]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False) | _EXTREME_FLOATS)
+def test_render_json_reads_every_finite_float_back_bitwise(x):
+    back = json.loads(render_json({"v": x}))["v"]
+    assert type(back) is float
+    assert back.hex() == x.hex()
+    assert math.copysign(1.0, back) == math.copysign(1.0, x)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_LEAVES = st.floats() | _NON_FINITE | st.integers() | st.none() | st.text(max_size=3)
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NESTED)
+def test_render_json_writes_non_finite_floats_as_null_at_any_depth(value):
+    # The reference is the encoder's own NaN/Infinity tokens, read back as null.
+    expected = json.loads(json.dumps({"v": value}), parse_constant=lambda _: None)
+    assert json.loads(render_json({"v": value})) == expected
+    with pytest.raises(TypeError):
+        render_json({"v": [value, object()]})
 
 
 def test_check_result_as_dict_and_lines():
@@ -284,10 +322,17 @@ def test_cli_domain_error_reported_as_failing_check(tmp_path):
     assert report["overall"] == "fail"
     failing = [c for c in report["checks"] if not c["passed"]]
     assert len(failing) == 1
-    assert failing[0]["name"] == "domain-error"
-    assert failing[0]["suite"] == "bracket"
-    assert failing[0]["max_residual"] == sys.float_info.max
-    assert "error" in failing[0]["details"]
+    error = failing[0]["details"]["error"]
+    assert error.startswith("log of non-positive value")
+    assert failing[0] == {
+        "name": "domain-error",
+        "suite": "bracket",
+        "description": "suite aborted: a map left its domain during sampling",
+        "samples": 0,
+        "max_residual": sys.float_info.max,
+        "passed": False,
+        "details": {"error": error},
+    }
 
 
 def test_cli_spec_section_leaving_its_domain_is_a_domain_error(tmp_path):
