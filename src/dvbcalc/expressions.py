@@ -24,12 +24,18 @@ An expression may nest at most ``MAX_DEPTH`` levels: its tree may be at
 most that deep, and so may its nesting of parentheses, function calls and
 unary minuses.  The walkers here recurse once per level, so a deeper
 expression would exhaust Python's stack; the parser rejects it instead.
+
+Nodes are immutable slotted values, equal and hashed by exact class and
+fields.  They are not dataclasses: a dataclass compiles and runs its
+generated methods when its module loads, most of this module's import
+time.  Each node class sets its fields in its own ``__init__``, by which
+perfbench counts nodes.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import jets
@@ -42,55 +48,94 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float  # or an (N,) array: one coefficient per row of a family
+class _Node:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        # The fields, read in C; an attrgetter does not bind, so call self._key(self).
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # Compared as tuples, so a field that is the same object is equal.
+        return (self._key(self),) == (other._key(other),)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Num(_Node):
+    __slots__ = ("value",)  # a float, or an (N,) array: one coefficient per row of a family
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Var(_Node):
+    __slots__ = ("index",)
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Node):
+    __slots__ = ("left", "right")
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Node):
+    __slots__ = ("left", "right")
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Node):
+    __slots__ = ("left", "right")
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Div(_Node):
+    __slots__ = ("left", "right")
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Neg(_Node):
+    __slots__ = ("arg",)
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+
+class Call(_Node):
+    __slots__ = ("func", "arg")
+    def __init__(self, func: str, arg: Expr):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
 Expr = Union[Num, Var, Add, Sub, Mul, Div, Neg, Pow, Call]

@@ -120,7 +120,7 @@ def _poly_family(rng, n: int, dim: int, codim: int) -> SmoothMap:
     trees; the calculus suites' maps are ``_quadratic_family``s.
     """
     coeffs, _ = _poly_draw(rng, n, dim, codim, degree=1)
-    return _poly_tree(dim, np.moveaxis(coeffs, 0, -1), None)
+    return _poly_tree(dim, coeffs.transpose(1, 2, 0), None)
 
 
 def _quadratic_family(rng, n: int, dim: int, codim: int) -> PolyFamily:

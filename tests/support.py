@@ -4,8 +4,6 @@ grid, the grid of given maps and a constant grid, a row-by-row check of batched 
 and covectors of T(A) from their coordinates, substitution into an
 expression, a change of decomposition, and a Lie bracket over jets."""
 
-from dataclasses import is_dataclass, replace
-
 import numpy as np
 
 from dvbcalc import (
@@ -153,7 +151,8 @@ def compose(expr: Expr, subs) -> Expr:
     """expr with each variable x_i replaced by the expression subs[i]."""
     if type(expr) is Var:
         return subs[expr.index]
-    return replace(expr, **{k: compose(v, subs) for k, v in vars(expr).items() if is_dataclass(v)})
+    fields = (getattr(expr, name) for name in expr.__match_args__)
+    return type(expr)(*(compose(v, subs) if isinstance(v, Expr) else v for v in fields))
 
 
 # -- a change of decomposition -------------------------------------------------

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
 import math
+import pickle
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +27,9 @@ from dvbcalc.expressions import (
     parse,
     to_string,
 )
+from dvbcalc.harness.problem import ProblemSpec
+
+NAMED_MAPS = Path(__file__).resolve().parents[1] / "perfbench" / "named_maps.json"
 
 
 def test_parse_product_plus_function():
@@ -218,3 +226,85 @@ def test_parse_refuses_a_non_integer_exponent_and_a_negative_dimension():
         parse("x0^y", 1)
     with pytest.raises(ValueError):
         parse("x0", -1)
+
+
+# -- nodes as values -------------------------------------------------------------
+
+_X = Var(0)
+_ONE_OF_EACH = (Num(1.0), _X, Add(_X, _X), Sub(_X, _X), Mul(_X, _X), Div(_X, _X), Neg(_X), Pow(_X, 2),
+                Call("sin", _X))
+
+
+def test_nodes_are_equal_by_exact_class_and_fields():
+    x, y = Var(0), Var(1)
+    assert Add(x, y) == Add(Var(0), Var(1))
+    assert Add(x, y) != Add(y, x)
+    assert Add(x, y) != Sub(x, y)
+    assert Add(x, y) != Mul(x, y)
+    assert Num(1.0) != Var(1)
+    assert Num(1.0) != 1.0
+    assert Pow(x, 2) != Pow(x, 3)
+    assert Call("sin", x) != Call("cos", x)
+    # A field that is the same object is equal, as in a tuple: a NaN, or a family's (N,) array.
+    nan, column = math.nan, np.arange(3.0)
+    assert Num(nan) == Num(nan)
+    assert Add(Num(column), x) == Add(Num(column), x)
+
+
+def test_equal_nodes_hash_equal_and_maps_of_them_are_dict_keys():
+    text = "sin(x0*x1) + x2^2/3 - log(x2)"
+    assert hash(parse(text, 3)) == hash(parse(text, 3))
+    assert len({Num(1.0), Num(1.0), Var(0), Var(0)}) == 2
+    spec = ProblemSpec.from_file(NAMED_MAPS)
+    again = ProblemSpec.from_file(NAMED_MAPS)
+    keys = {spec.fields[name]: name for name in spec.fields}
+    assert [keys[again.fields[name]] for name in again.fields] == list(again.fields)
+
+
+@pytest.mark.parametrize("node", _ONE_OF_EACH, ids=lambda node: type(node).__name__)
+def test_nodes_are_immutable(node):
+    field = type(node).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(node, field, Num(3.0))
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.other = 1
+
+
+def test_node_repr_text():
+    assert repr(Add(Var(0), Num(1.0))) == "Add(left=Var(index=0), right=Num(value=1.0))"
+    assert repr(Pow(Var(1), -2)) == "Pow(base=Var(index=1), exponent=-2)"
+    assert repr(Call("sin", Neg(Var(0)))) == "Call(func='sin', arg=Neg(arg=Var(index=0)))"
+
+
+def test_nodes_construct_by_keyword():
+    assert Add(left=Var(index=0), right=Num(value=1.0)) == Add(Var(0), Num(1.0))
+    assert Pow(base=Var(1), exponent=-2) == parse("x1^-2", 2)
+    assert Call(func="exp", arg=Var(0)) == parse("exp(x0)", 1)
+    assert Div(left=Num(1.0), right=Var(0)) == parse("1/x0", 1)
+
+
+def test_copies_and_pickles_of_a_tree_are_equal():
+    tree = parse("sin(x0*x1) + x2^2/3 - -log(x2)/cos(x1 - 2.5)", 3)
+    for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert copied == tree
+        assert to_string(copied) == to_string(tree)
+    assert copy.deepcopy(tree).left is not tree.left
+
+
+def test_match_binds_node_fields_by_position():
+    match parse("x1^-2 + sin(3.0)", 2):
+        case Add(Pow(Var(index), exponent), Call(func, Num(value))):
+            assert (index, exponent, func, value) == (1, -2, "sin", 3.0)
+        case _:
+            pytest.fail("no case matched")
+
+
+@pytest.mark.parametrize("node", _ONE_OF_EACH, ids=lambda node: type(node).__name__)
+def test_node_classes_are_slotted_value_classes(node):
+    cls = type(node)
+    assert "__slots__" in vars(cls)
+    assert "__init__" in vars(cls)
+    assert not dataclasses.is_dataclass(cls)
+    assert not hasattr(node, "__dict__")
