@@ -100,34 +100,31 @@ def tangent_pairing_via_sections(
 ) -> float | np.ndarray:
     """The tangent pairing computed from extending sections.
 
-    mu must pass through xi's fiber point and phi through xc's, up to
-    _PASS_THROUGH_TOL.  The value Xc(ell_mu) + xi(ell_phi) - x(<phi, mu>)
-    does not depend on the choice of extensions.  For (N, dim) batches the
-    value is (N,), and the sections may be families of N members.
+    xc and xi must share the base point x and tangent x_dot; mu must pass
+    through xi's fiber point and phi through xc's, up to _PASS_THROUGH_TOL.
+    The value Xc(ell_mu) + xi(ell_phi) - x_dot(<phi, mu>) does not depend
+    on the extensions.  It is one derivative, each section pushed once: of
+    <alpha, mu> + <beta, phi> - <phi, mu> at (x, xc.a, xi.a) along (x_dot,
+    xc.c, xi.c).  For (N, dim) batches the value is (N,), and the sections
+    may be families of N members.
     """
-    x = xc.m
-    k = xc.a.shape[-1]
-    mu_x, phi_x = mu(x), phi(x)
-    if mu_x.shape != xi.a.shape or phi_x.shape != xc.a.shape:
-        raise DimensionMismatch("extending sections must take values in the points' fibers")
-    if np.max(np.abs(mu_x - xi.a), initial=0.0) > _PASS_THROUGH_TOL:
-        raise ValueError("section mu does not pass through the tangent vector's point")
-    if np.max(np.abs(phi_x - xc.a), initial=0.0) > _PASS_THROUGH_TOL:
-        raise ValueError("section phi does not pass through the covector's point")
+    x, n, k = xc.m, xc.m.shape[-1], xc.a.shape[-1]
+    _same(x, xi.m, "base point")
+    _same(xc.b, xi.b, "base tangent")
+    for name, section, fiber in (("mu", mu, xi.a), ("phi", phi, xc.a)):
+        value = section(x)
+        if value.shape != fiber.shape:
+            raise DimensionMismatch(f"extending section {name} must take values in the points' fibers")
+        if np.max(np.abs(value - fiber), initial=0.0) > _PASS_THROUGH_TOL:
+            raise ValueError(f"section {name} does not pass through its fiber point")
 
-    def phi_dot_mu(vals: Sequence[Scalar]) -> Scalar:
-        mus = mu.eval_generic(list(vals))
-        phis = phi.eval_generic(list(vals))
-        return sum(phis[i] * mus[i] for i in range(k))
+    def extended(vals: Sequence[Scalar]) -> Scalar:
+        mus, phis = mu.eval_generic(vals[:n]), phi.eval_generic(vals[:n])
+        return sum(a * m + b * p - p * m for a, b, m, p in zip(vals[n:n + k], vals[n + k:], mus, phis))
 
-    def along(ell, point: DvbElement):
-        return jets.jet_directional(
-            ell, np.concatenate([x, point.a], axis=-1), np.concatenate([point.b, point.c], axis=-1)
-        )
-
-    first = along(momentum_function(mu), xc)
-    second = along(momentum_function(phi), xi)
-    return first + second - jets.jet_directional(phi_dot_mu, x, xc.b)
+    return jets.jet_directional(
+        extended, np.concatenate([x, xc.a, xi.a], axis=-1), np.concatenate([xc.b, xc.c, xi.c], axis=-1)
+    )
 
 
 def j_star(psi: DualBElement) -> DualAElement:
@@ -226,8 +223,9 @@ def ell_differential(mu: SmoothMap, x, kappa) -> DualAElement:
     x = np.asarray(x, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     n, k = x.shape[-1], kappa.shape[-1]
-    if mu.domain_dim != n or mu.codomain_dim != k:
-        raise DimensionMismatch("section does not match the chart or fiber")
+    if mu.domain_dim != n or mu.codomain_dim != k or x.shape[:-1] != kappa.shape[:-1]:
+        raise DimensionMismatch(f"a section of R^{mu.domain_dim} -> R^{mu.codomain_dim} at points of shape "
+                                f"{x.shape} and fibers of shape {kappa.shape}: not one chart, fiber and batch")
     grad = jets.jet_gradient(momentum_function(mu), np.concatenate([x, kappa], axis=-1))
     return DualAElement(_shape(n, k), x, kappa, grad[..., :n], grad[..., n:])
 

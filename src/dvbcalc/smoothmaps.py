@@ -17,10 +17,9 @@ i of a result is member i at point i.  A map whose ``Num`` leaves hold
 (N,) arrays is such a family, walked like any tree.  A ``PolyFamily``
 holds N polynomial maps of degree at most 2 as coefficient arrays, with
 members on the leading axis: its values and Jacobians are closed-form
-products of those arrays (``jacobian`` takes its closed form), and its
-``eval_generic`` runs the arithmetic of the tree on the coefficient
-columns, so jets, nested ones too, pass through it as through a tree.
-Both kinds go wherever a ``SmoothMap`` is called at a batch.
+products of those arrays, and jets, nested ones too, pass through it by
+the chain rule on those closed forms, not term by term.  Both kinds go
+wherever a ``SmoothMap`` is called at a batch.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import expressions, jets
 from .expressions import Expr
-from .jets import Scalar
+from .jets import Jet, Scalar
 
 
 class DimensionMismatch(ValueError):
@@ -105,6 +104,8 @@ class PolyFamily:
     call, as ``smoothmaps.jacobian`` does for a tree: keyed by the batch's
     shape and exact bytes, returned as a fresh array, and not kept when the
     call raises.  The coefficient arrays must not change after a call.
+    Jets pass through ``eval_generic`` by the chain rule on the closed
+    forms (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3).
     """
 
     c0: np.ndarray
@@ -166,37 +167,38 @@ class PolyFamily:
         return self.lin + (sym.reshape(n, codim * dim, dim) @ x).reshape(n, codim, dim)
 
     @cached_property
-    def _terms(self) -> list:
-        """Per component, its (N,) constant column and per i the linear
-        column and the (j, column) of the pairs i <= j some member uses."""
-        dim = self.domain_dim
-        c0, lin, quad = self.c0.T, self.lin.transpose(1, 2, 0), self.quad.transpose(1, 2, 3, 0)
-        used = quad.any(axis=-1).tolist()
-        return [
-            (c0[c], [(lin[c, i], [(j, quad[c, i, j]) for j in range(i, dim) if used[c][i][j]])
-                     for i in range(dim)])
-            for c in range(len(c0))
-        ]
+    def _derivative(self) -> "PolyFamily":
+        """The Jacobians lin + (quad + quad^T) x as a family: component c * dim + i is row i."""
+        n, codim, dim = self.lin.shape
+        sym = (self.quad + np.swapaxes(self.quad, -1, -2)).reshape(n, codim * dim, dim)
+        return PolyFamily(self.lin.reshape(n, codim * dim), sym, np.zeros((n, codim * dim, dim, dim)))
 
     def eval_generic(self, values: Sequence[Scalar]) -> list[Scalar]:
-        """The components at (N,) coordinate columns, or jets over them."""
-        if len(values) != self.domain_dim:
-            raise DimensionMismatch(
-                f"expected point of dimension {self.domain_dim}, got {len(values)}"
-            )
-        rows = (len(self.c0),)
-        if any(np.shape(jets.deep_value(v)) != rows for v in values):
-            raise DimensionMismatch(f"a family takes columns of {rows[0]} rows")
-        out = []
-        for const, terms in self._terms:
-            acc = const
-            for value, (coeff, pairs) in zip(values, terms):
-                inner = coeff
-                for j, a in pairs:
-                    inner = inner + a * values[j]
-                acc = acc + inner * value
-            out.append(acc)
-        return out
+        """The components at (N,) coordinate columns, or jets over them: one
+        jet each, whose value is bitwise ``__call__``'s at the jets' values
+        and whose partials are the Jacobian there times the input partials.
+        Over jets of jets the Jacobian is the family ``_derivative``."""
+        rows = len(self.c0)
+        if len(values) != self.domain_dim or any(np.shape(jets.deep_value(v)) != (rows,) for v in values):
+            raise DimensionMismatch(f"a family takes {self.domain_dim} columns of {rows} rows")
+        seeded = [v for v in values if isinstance(v, Jet)]
+        inner = [v.value if isinstance(v, Jet) else v for v in values]
+        partials = [jets.partials_of(v, seeded[0].arity) for v in values] if seeded else []
+        if any(isinstance(v, Jet) for v in inner):  # jets of jets: the same rule one level down
+            jac, dim = self._derivative.eval_generic(inner), self.domain_dim
+            return [Jet(v, [sum(j * p for j, p in zip(jac[c * dim:(c + 1) * dim], ps)) for ps in zip(*partials)])
+                    for c, v in enumerate(self.eval_generic(inner))]
+        x = np.ascontiguousarray(np.array(inner, dtype=float).reshape(-1, rows).T)
+        if not seeded:
+            return list(self(x).T)
+        # All partials in one (dim * arity, *block, N) array, a float standing for every row.
+        flat = [p for ps in partials for p in ps]
+        stacked = np.empty((len(flat), *max((np.shape(p) for p in flat), key=len)[:-1], rows))
+        for i, p in enumerate(flat):
+            stacked[i] = p
+        pushed = self.jacobian(x) @ stacked.reshape(self.domain_dim, -1, rows).transpose(2, 0, 1)
+        pushed = pushed.transpose(1, 2, 0).reshape(self.codomain_dim, -1, *stacked.shape[1:])
+        return [Jet(v, tuple(p)) for v, p in zip(self(x).T, pushed)]
 
 
 def _matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:

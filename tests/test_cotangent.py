@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,22 @@ def test_tangent_pairing_via_sections_checks_the_points():
         tangent_pairing_via_sections(xc, xi, bad, good_mu)
     with pytest.raises(ValueError):
         tangent_pairing_via_sections(xc, xi, good_mu, bad)
+
+
+@pytest.mark.parametrize("other", ["base tangent", "base point"])
+def test_tangent_pairing_via_sections_needs_one_base_tangent(other):
+    # Over different base tangents, or base points, there is no pairing to compute.
+    xc = support.tangent_point([0.25], [0.5], [1.0], [0.1])
+    if other == "base tangent":
+        mu, phi = SmoothMap.parse(["0.5 + x0"], 1), SmoothMap.parse(["2*x0"], 1)
+        xi = support.tangent_point([0.25], [0.75], [-7.0], [0.7])
+    else:
+        mu, phi = SmoothMap.constant([0.75], 1), SmoothMap.constant([0.5], 1)
+        xi = support.tangent_point([0.9], [0.75], [1.0], [0.7])
+    with pytest.raises(IncompatibleElements):
+        tangent_pairing(xc, xi)
+    with pytest.raises(IncompatibleElements, match=other):
+        tangent_pairing_via_sections(xc, xi, mu, phi)
 
 
 def test_tangent_pairing_via_sections_rejects_a_section_of_another_rank():
@@ -436,6 +454,14 @@ def test_ell_differential_formula_and_validation():
     assert np.allclose(cap.kappa, mu(x), rtol=0.0, atol=1e-13)
     with pytest.raises(DimensionMismatch):
         ell_differential(mu, [1.0, 2.0, 3.0], kappa)
+
+
+def test_ell_differential_refuses_points_and_fibers_of_different_batches():
+    mu = support.poly_map(RNG, 2, 3)
+    x, kappa = RNG.uniform(-1.0, 1.0, (4, 2)), RNG.uniform(-1.0, 1.0, (4, 3))
+    for bad_x, bad_kappa in ((x[:3], kappa), (x[0], kappa), (x, kappa[0])):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{bad_x.shape} and fibers of shape {bad_kappa.shape}")):
+            ell_differential(mu, bad_x, bad_kappa)
 
 
 def test_connection_pairing_identity_and_flat_case():

@@ -30,7 +30,7 @@ import dvbcalc
 from dvbcalc import cotangent, dvb, jets, tangent
 from dvbcalc.charts import Chart, Connection
 from dvbcalc.expressions import Add, Mul, Num, Var
-from dvbcalc.smoothmaps import MatrixMap, SmoothMap, jacobian
+from dvbcalc.smoothmaps import MatrixMap, PolyFamily, SmoothMap, jacobian
 from dvbcalc.harness import cli, suites
 from dvbcalc.harness.problem import DEFAULT_SHAPES
 
@@ -393,6 +393,30 @@ def test_a_negated_momentum_pairing_fails_both_pairing_suites(monkeypatch):
         ("connection-pairing", "decomposed-cross-check"),
     }
     assert ("bracket-pairing", "closed-forms") in {(c.suite, c.name) for c in checks}
+
+
+def test_family_jets_without_partials_fail_the_checks_that_differentiate_families(monkeypatch):
+    # The calculus suites' random maps are families; a family's jets carry
+    # the chain rule's partials, and these checks need them.  Two checks
+    # stay at rounding level: horizontal-pullback's two sides are the same
+    # jet pass, and pairing-section-independence's section derivatives
+    # cancel by construction.
+    push = PolyFamily.eval_generic
+
+    def constant(self, values):
+        return [jets.Jet(out.value, [0.0 * p for p in out.partials]) if isinstance(out, jets.Jet) else out
+                for out in push(self, values)]
+
+    monkeypatch.setattr(PolyFamily, "eval_generic", constant)
+    checks = run_suites(_demo_spec(), samples=24, seed=1)
+    failed = {(c.suite, c.name) for c in checks if not c.passed}
+    assert {
+        ("connection", "horizontal-momentum"),
+        ("bracket-pairing", "closed-forms"),
+        ("connection-pairing", "momentum-identity"),
+    } <= failed
+    assert len(failed) == 8
+    assert not failed & {("connection", "horizontal-pullback"), ("duality-diagram", "pairing-section-independence")}
 
 
 def test_a_tangent_pairing_without_its_phi_a_dot_term_fails_functional_rank(monkeypatch):

@@ -438,6 +438,35 @@ def test_quadratic_family_equals_its_row_trees(n, dim):
     assert np.array_equal(hessians, closed.reshape(n, 2 * dim, dim))
 
 
+@pytest.mark.parametrize("n", [1, 4, 65])
+def test_a_family_jet_pass_gives_the_family_value_bitwise(n):
+    family, _, points = _family_and_rows(200 + n, n, 3, 2)
+    points[0, 1] = -0.0
+    points[n // 2, 2] = -0.0
+    want = family(points).tobytes()
+    value, jac = jets.value_and_jacobian(family.eval_generic, points)
+    assert value.tobytes() == want
+    support.assert_rows(jac, jacobian(family, points))
+    seeded = [jets.Jet(v, (d,)) for v, d in zip(points.T, RNG.uniform(-1.0, 1.0, (3, n)))]
+    assert np.stack([out.value for out in family.eval_generic(seeded)], axis=1).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [1, 4, 65])
+def test_family_jets_equal_the_row_trees_jets(n):
+    family, rows, points = _family_and_rows(300 + n, n, 3, 2)
+    directions = RNG.uniform(-1.0, 1.0, (n, 3))
+
+    def second(m):
+        return lambda vs: m.eval_generic(vs)[1]
+
+    support.assert_rows(jets.jet_gradient(second(family), points),
+                        [jets.jet_gradient(second(tree), x) for tree, x in zip(rows, points)])
+    # A batch of directions, and one direction for every row.
+    for along, per_row in ((directions, directions), (directions[0], [directions[0]] * n)):
+        support.assert_rows(jets.jet_directional(second(family), points, along),
+                            [jets.jet_directional(second(tree), x, d) for tree, x, d in zip(rows, points, per_row)])
+
+
 def test_a_family_takes_only_a_batch_of_its_own_rows():
     family, _, points = _family_and_rows(3, 4, 2, 2)
     for point in (points[:3], np.concatenate([points, points]), points[0], points[:, :1]):
