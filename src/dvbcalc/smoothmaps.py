@@ -168,7 +168,7 @@ class PolyFamily:
 
     @cached_property
     def _derivative(self) -> "PolyFamily":
-        """The Jacobians lin + (quad + quad^T) x as a family: component c * dim + i is row i."""
+        """The Jacobians lin + (quad + quad^T) x as a family: component c * dim + i is entry (c, i)."""
         n, codim, dim = self.lin.shape
         sym = (self.quad + np.swapaxes(self.quad, -1, -2)).reshape(n, codim * dim, dim)
         return PolyFamily(self.lin.reshape(n, codim * dim), sym, np.zeros((n, codim * dim, dim, dim)))
