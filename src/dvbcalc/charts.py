@@ -98,11 +98,7 @@ class Connection:
 
     def _omega_at(self, z_val: np.ndarray, m) -> np.ndarray:
         """omega(Z)(m) from the value Z(m), or from its (N, n) values at a batch."""
-        n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        tensor = self.coefficient_tensor(m)
-        if z_val.ndim == 1:
-            return (z_val @ tensor.reshape(n, k * k)).reshape(k, k)
-        return np.einsum("nj,njab->nab", z_val, tensor)
+        return np.einsum("...j,...jab->...ab", z_val, self.coefficient_tensor(m))
 
     def nabla(self, z_field: SmoothMap, mu: SmoothMap, m) -> np.ndarray:
         """Covariant derivative of a section mu along Z at m; Z is evaluated once."""

@@ -107,20 +107,16 @@ def _frozen(x: np.ndarray) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray):
-    """<u, v>: a float for two vectors, one value per row when either is a batch.
-
-    Each row of a batch is bitwise the float of its own two vectors.
-    """
-    if u.ndim == v.ndim == 1:
-        return float(u @ v)
+    """<u, v> by ``np.vecdot``: a scalar for two vectors, one value per row when either is a batch."""
     return np.vecdot(u, v)
 
 
 def _per_row(value, batch: int | None):
-    """A pairing's value, repeated over the rows of a batch if no batched component entered it."""
-    if batch is None or np.ndim(value) == 1:
-        return value
-    return np.full(batch, value)
+    """A pairing's value: a float for single elements, else one per row of the
+    batch, repeated if no batched component entered it."""
+    if batch is None:
+        return float(value)
+    return value if np.ndim(value) == 1 else np.full(batch, value)
 
 
 class Record:

@@ -3,7 +3,7 @@
 A ``Jet`` carries a value together with its partial derivatives along a
 fixed number of seed directions.  Arithmetic propagates derivatives by the
 product, quotient and chain rules, and an integer power u^n, negative n
-too, as n*u^(n-1); so a jet's value is computed as a walk over floats
+too, as n*u^(n-1); so a jet's value is computed as a walk without jets
 computes it, bit for bit.  One exception: reflected + and * are the
 plain operators with the operands swapped (perfbench's tests assert that
 ``Jet.__radd__ is Jet.__add__``), so when both operands of c + u or c * u
@@ -18,20 +18,21 @@ differences appear in this codebase only as a test oracle.
 Batches.  A value, a partial or a scalar operand may be a float or an (N,)
 array holding one value per row of a batch of N points; a float stands for
 every row.  Seeding over (N,) arrays carries all N points through one pass
-(vector-mode forward differentiation).  A point, or an (N, dim) batch,
-becomes coordinate columns and a map's results become arrays in two entry
-points: ``values_at``, one walk, and ``value_and_jacobian``, one seeded
-pass.  The float path calls ``math`` and is unchanged; an array goes
-through the matching numpy function.  Every guard applies row by row: if
-any row leaves a domain, the whole call raises the ``DomainError`` or
-``OverflowError`` that a float would raise there.
+(vector-mode forward differentiation).  An (N, dim) batch becomes
+coordinate columns and a map's results become arrays in three entry
+points: ``values_at``, one walk, ``value_and_jacobian``, one seeded pass,
+and ``jet_directional``.  Each takes one (dim,) point as a batch of one and
+returns its row, so a point and its row in a batch are computed alike.
+A float operand still arrives from a constant subtree, such as ``sin(1)``,
+or as a nested jet's inner value; it goes through the numpy function and
+guard an array does.  Every guard applies row by row: if any row leaves a
+domain, the whole call raises ``DomainError`` or ``OverflowError``.
 ``Jet.__array_ufunc__`` is None, so numpy hands ``array * jet`` back to
 the jet instead of building an object array.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -195,7 +196,7 @@ def _first(u, bad):
 
 
 def _no_infinity(u: np.ndarray, name: str) -> np.ndarray:
-    """u, unless some row is infinite: there sin and cos leave their domain, as for a float."""
+    """u, unless some row is infinite: there sin and cos leave their domain."""
     bad = np.isinf(u)
     if np.count_nonzero(bad):
         raise DomainError(f"{name} of non-finite value {_first(u, bad)}")
@@ -203,7 +204,7 @@ def _no_infinity(u: np.ndarray, name: str) -> np.ndarray:
 
 
 def _overflow_guard(result: np.ndarray, u: np.ndarray, what: str) -> np.ndarray:
-    """result, unless some row overflowed to infinity from a finite u, as a float would raise."""
+    """result, unless some row overflowed to infinity from a finite u."""
     bad = np.isinf(result)
     if np.count_nonzero(bad):
         bad &= np.isfinite(u)
@@ -216,48 +217,32 @@ def sin(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         c = cos(u.value)
         return Jet(sin(u.value), tuple(c * p for p in u.partials))
-    if isinstance(u, np.ndarray):
-        return np.sin(_no_infinity(u, "sin"))
-    try:
-        return math.sin(u)
-    except ValueError:  # an infinite argument
-        raise DomainError(f"sin of non-finite value {u}") from None
+    return np.sin(_no_infinity(u, "sin"))
 
 
 def cos(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         s = sin(u.value)
         return Jet(cos(u.value), tuple(-s * p for p in u.partials))
-    if isinstance(u, np.ndarray):
-        return np.cos(_no_infinity(u, "cos"))
-    try:
-        return math.cos(u)
-    except ValueError:  # an infinite argument
-        raise DomainError(f"cos of non-finite value {u}") from None
+    return np.cos(_no_infinity(u, "cos"))
 
 
 def exp(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         e = exp(u.value)
         return Jet(e, tuple(e * p for p in u.partials))
-    if isinstance(u, np.ndarray):
-        with np.errstate(over="ignore"):
-            return _overflow_guard(np.exp(u), u, "exp")
-    return math.exp(u)
+    with np.errstate(over="ignore"):
+        return _overflow_guard(np.exp(u), u, "exp")
 
 
 def log(u: Scalar) -> Scalar:
     if isinstance(u, Jet):
         v = u.value
         return Jet(log(v), tuple(p / v for p in u.partials))
-    if isinstance(u, np.ndarray):
-        bad = u <= 0.0
-        if np.count_nonzero(bad):
-            raise DomainError(f"log of non-positive value {_first(u, bad)}")
-        return np.log(u)
-    if u <= 0.0:
-        raise DomainError(f"log of non-positive value {u}")
-    return math.log(u)
+    bad = u <= 0.0
+    if np.count_nonzero(bad):
+        raise DomainError(f"log of non-positive value {_first(u, bad)}")
+    return np.log(u)
 
 
 def powi(u: Scalar, n: int) -> Scalar:
@@ -269,14 +254,12 @@ def powi(u: Scalar, n: int) -> Scalar:
             powi(u.value, n),
             tuple(n * powi(u.value, n - 1) * p for p in u.partials),
         )
-    if isinstance(u, np.ndarray):
-        if n < 0 and _has_zero(u):
-            raise DomainError("zero raised to a negative power")
-        with np.errstate(over="ignore"):
-            return _overflow_guard(u ** n, u, f"power {n}")
-    if n < 0 and u == 0.0:
+    if n < 0 and _has_zero(u):
         raise DomainError("zero raised to a negative power")
-    return float(u) ** n
+    if not isinstance(u, np.ndarray):  # a float raises to numpy's power, not Python's
+        u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        return _overflow_guard(u ** n, u, f"power {n}")
 
 
 def _vector_mode(values: Sequence[Scalar]) -> bool:
@@ -306,30 +289,23 @@ def seed(values: Sequence[Scalar]) -> list[Jet]:
 VectorFn = Callable[[Sequence[Scalar]], Sequence[Scalar]]
 
 
-def _batch_of(point) -> int | None:
-    """N for an (N, dim) array of points, None for one point."""
-    if isinstance(point, np.ndarray) and point.ndim == 2:
-        return point.shape[0]
-    return None
+def _as_batch(point) -> tuple[np.ndarray, bool]:
+    """point as an (N, dim) float batch, and whether it was one (dim,) point, now a batch of one."""
+    x = np.asarray(point, dtype=float)
+    return (x[None], True) if x.ndim == 1 else (x, False)
 
 
-def _columns(point) -> list:
-    """A point's coordinates as floats, or an (N, dim) batch's as (N,) arrays, one per axis."""
-    if _batch_of(point) is None:
-        return [float(v) for v in point]
-    return list(np.ascontiguousarray(point.T))
+def _columns(x: np.ndarray) -> list[np.ndarray]:
+    """An (N, dim) batch's coordinates as (N,) arrays, one per axis."""
+    return list(np.ascontiguousarray(x.T))
 
 
-def _as_array(entries, batch: int | None, shape: tuple[int, ...]) -> np.ndarray:
-    """Entries, a list or a list of rows, as one float array of the given shape.
+def _as_array(entries, batch: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Entries, a list or a list of rows, as one float array of shape (batch, *shape).
 
-    For a batch of N, entry i is a float standing for every row, an (N,)
-    array, or a block of shape shape[1:] + (N,); the result then has a
-    leading axis of length N.
+    Entry i is a float standing for every row, an (N,) array, or a block
+    of shape shape[1:] + (N,).
     """
-    if batch is None:
-        out = np.array(entries, dtype=float)
-        return out if out.shape == shape else out.reshape(shape)
     out = np.empty((*shape, batch))
     for i, entry in enumerate(entries):
         out[i] = entry
@@ -356,18 +332,21 @@ def generic_jacobian(
 
 
 def values_at(fn: VectorFn, point) -> np.ndarray:
-    """fn's values at a point from one walk, or (N, rows) at an (N, dim) batch."""
-    values = fn(_columns(point))
-    return _as_array(values, _batch_of(point), (len(values),))
+    """fn's (N, rows) values at an (N, dim) batch from one walk, or the (rows,) row of a point."""
+    x, single = _as_batch(point)
+    values = fn(_columns(x))
+    out = _as_array(values, len(x), (len(values),))
+    return out[0] if single else out
 
 
 def value_and_jacobian(fn: VectorFn, point) -> tuple[np.ndarray, np.ndarray]:
-    """fn's values and Jacobian at a point from one seeded pass: (rows,) and
-    (rows, dim), or (N, rows) and (N, rows, dim) at an (N, dim) batch."""
-    columns, batch = _columns(point), _batch_of(point)
-    values, rows = generic_jacobian(fn, columns)
-    return (_as_array(values, batch, (len(values),)),
-            _as_array(rows, batch, (len(rows), len(columns))))
+    """fn's values and Jacobian at an (N, dim) batch from one seeded pass,
+    (N, rows) and (N, rows, dim), or their rows at a (dim,) point."""
+    x, single = _as_batch(point)
+    values, rows = generic_jacobian(fn, _columns(x))
+    value = _as_array(values, len(x), (len(values),))
+    jacobian = _as_array(rows, len(x), (len(rows), x.shape[1]))
+    return (value[0], jacobian[0]) if single else (value, jacobian)
 
 
 def jet_jacobian(fn: VectorFn, point) -> np.ndarray:
@@ -384,21 +363,21 @@ def jet_directional(
     fn: Callable[[Sequence[Scalar]], Scalar],
     values,
     direction,
-) -> Scalar:
+) -> float | np.ndarray:
     """Derivative of ``fn`` at ``values`` along ``direction`` from a single seeded pass.
 
-    Values may be an (N, dim) batch, and the direction then one (dim,)
-    vector or an (N, dim) batch of the same shape; the result is (N,).
+    At an (N, dim) batch the direction is one (dim,) vector or an (N, dim)
+    batch of the same shape, and the result is (N,); at a (dim,) point it
+    is a float.
     """
-    batch = _batch_of(values)
-    if _batch_of(direction) is not None and np.shape(direction) != np.shape(values):
+    x, single = _as_batch(values)
+    along = np.asarray(direction, dtype=float)
+    if along.ndim == 2 and along.shape != np.shape(values):
         raise ValueError("a batch of directions needs the shape of its points")
-    if batch is not None:
-        values, direction = _columns(values), _columns(direction)
-    if len(values) != len(direction):
+    if along.shape[-1:] != x.shape[-1:]:
         raise ValueError("point and direction dimensions differ")
-    seeded = [Jet(v, (d,)) for v, d in zip(values, direction)]
+    seeded = [Jet(v, (d,)) for v, d in zip(_columns(x), _columns(np.broadcast_to(along, x.shape)))]
     out = partials_of(fn(seeded), 1)[0]
-    if batch is None or isinstance(out, np.ndarray):
-        return out
-    return np.full(batch, float(out))
+    if not isinstance(out, np.ndarray):  # a constant's zero, for every row
+        out = np.full(len(x), out)
+    return float(out[0]) if single else out

@@ -9,24 +9,24 @@ Batches.  Every function here that takes a point also takes an (N, dim)
 array of N points and returns its result with a leading axis of length N:
 ``m(points)`` is (N, codomain_dim), ``jacobian`` (N, codomain_dim, dim),
 ``lie_bracket`` (N, dim) and ``directional_derivative`` (N,).  One pass of
-the expressions over (N,) arrays evaluates all N points (see ``jets``); a
-single (dim,) point keeps the float path.
+the expressions over (N,) arrays evaluates all N points (see ``jets``).  A
+single (dim,) point is a batch of one: the result is that batch's row, and
+``directional_derivative`` a float.
 
 Families.  A family of N maps is called only at (N, dim) batches, and row
 i of a result is member i at point i.  A map whose ``Num`` leaves hold
 (N,) arrays is such a family, walked like any tree.  A ``PolyFamily``
 holds N polynomial maps of degree at most 2 as coefficient arrays, with
 members on the leading axis: its values and Jacobians are closed-form
-products of those arrays, and jets, nested ones too, pass through it by
-the chain rule on those closed forms, not term by term.  Both kinds go
-wherever a ``SmoothMap`` is called at a batch.
+products of those arrays, and jets pass through it by the chain rule on
+those closed forms, not term by term; jets of jets raise ``TypeError``.
+Both kinds go wherever a ``SmoothMap`` is called at a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,33 +166,21 @@ class PolyFamily:
         sym = self.quad + np.swapaxes(self.quad, -1, -2)
         return self.lin + (sym.reshape(n, codim * dim, dim) @ x).reshape(n, codim, dim)
 
-    @cached_property
-    def _derivative(self) -> "PolyFamily":
-        """The Jacobians lin + (quad + quad^T) x as a family: component c * dim + i is entry (c, i)."""
-        n, codim, dim = self.lin.shape
-        sym = (self.quad + np.swapaxes(self.quad, -1, -2)).reshape(n, codim * dim, dim)
-        return PolyFamily(self.lin.reshape(n, codim * dim), sym, np.zeros((n, codim * dim, dim, dim)))
-
     def eval_generic(self, values: Sequence[Scalar]) -> list[Scalar]:
         """The components at (N,) coordinate columns, or jets over them: one
         jet each, whose value is bitwise ``__call__``'s at the jets' values
         and whose partials are the Jacobian there times the input partials.
-        Over jets of jets the Jacobian is the family ``_derivative``."""
+        Jets of jets raise ``TypeError``: their values are not floats."""
         rows = len(self.c0)
         if len(values) != self.domain_dim or any(np.shape(jets.deep_value(v)) != (rows,) for v in values):
             raise DimensionMismatch(f"a family takes {self.domain_dim} columns of {rows} rows")
         seeded = [v for v in values if isinstance(v, Jet)]
         inner = [v.value if isinstance(v, Jet) else v for v in values]
-        partials = [jets.partials_of(v, seeded[0].arity) for v in values] if seeded else []
-        if any(isinstance(v, Jet) for v in inner):  # jets of jets: the same rule one level down
-            jac, dim = self._derivative.eval_generic(inner), self.domain_dim
-            return [Jet(v, [sum(j * p for j, p in zip(jac[c * dim:(c + 1) * dim], ps)) for ps in zip(*partials)])
-                    for c, v in enumerate(self.eval_generic(inner))]
         x = np.ascontiguousarray(np.array(inner, dtype=float).reshape(-1, rows).T)
         if not seeded:
             return list(self(x).T)
         # All partials in one (dim * arity, *block, N) array, a float standing for every row.
-        flat = [p for ps in partials for p in ps]
+        flat = [p for v in values for p in jets.partials_of(v, seeded[0].arity)]
         stacked = np.empty((len(flat), *max((np.shape(p) for p in flat), key=len)[:-1], rows))
         for i, p in enumerate(flat):
             stacked[i] = p
@@ -229,8 +217,8 @@ def jacobian(m: SmoothMap, point) -> np.ndarray:
     A ``PolyFamily`` gives its closed form.  A tree's Jacobian and value
     come from one seeded pass, ``jets.value_and_jacobian``, whose value is
     bitwise the walk's (see ``jets``).  Every map keeps both from its
-    previous call, keyed by the shape and exact bytes of the float point
-    or batch (so ``0.0`` and ``-0.0`` are different points); a call of
+    previous call, keyed by the shape and exact bytes of the point or
+    batch (so ``0.0`` and ``-0.0`` are different points); a call of
     ``jacobian``, or of the map, there reuses them.  The result is always
     a fresh array that the caller may modify.
     """
@@ -247,8 +235,7 @@ def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | n
         raise DimensionMismatch("directional derivative expects a scalar map")
     if f.domain_dim != x_field.domain_dim or x_field.codomain_dim != f.domain_dim:
         raise DimensionMismatch("vector field must match the chart dimension")
-    out = jets.jet_directional(lambda vs: f.eval_generic(vs)[0], point, x_field(point))
-    return out if jets._batch_of(point) is not None else float(out)
+    return jets.jet_directional(lambda vs: f.eval_generic(vs)[0], point, x_field(point))
 
 
 def _check_vector_field(*fields: SmoothMap) -> None:
@@ -260,8 +247,8 @@ def _check_vector_field(*fields: SmoothMap) -> None:
 
 
 def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
-    """[X, Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j at a float point, or
-    (N, dim) at an (N, dim) batch, summed over j in order.
+    """[X, Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j, (N, dim) at an (N, dim)
+    batch or (dim,) at a point, summed over j in order.
 
     The Jacobians come from ``jacobian``, so a field already differentiated
     at this point is not differentiated again; they are taken first, so
@@ -279,28 +266,28 @@ def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
 @dataclass(frozen=True)
 class MatrixMap:
     """Array-valued map on a chart, e.g. the fiber part of a linear section
-    or a connection's coefficient tensor: any function of a point or an
-    (N, dim) batch, such as reshaped smooth-map components, a Jacobian
-    closure or an array polynomial.  The library only evaluates it at
-    points, so its entries need not be expressions."""
+    or a connection's coefficient tensor: any function of an (N, dim) batch,
+    such as reshaped smooth-map components, a Jacobian closure or an array
+    polynomial.  The library only evaluates it at points, so its entries
+    need not be expressions."""
 
     shape: tuple[int, ...]
-    fn: Callable[[Sequence[float]], np.ndarray] = field(repr=False)
+    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __call__(self, point) -> np.ndarray:
-        """The array at a point, or the (N, *shape) arrays at an (N, dim) batch.
+        """The (N, *shape) arrays at an (N, dim) batch, or the row of a point's batch of one.
 
         A function that returns one array for a batch, such as a constant,
         gives it for every row, as a read-only broadcast view.
         """
-        out = np.asarray(self.fn(point), dtype=float)
-        batch = jets._batch_of(point)
-        expected = self.shape if batch is None else (batch, *self.shape)
-        if batch is not None and out.shape == self.shape:
+        x, single = jets._as_batch(point)
+        out = np.asarray(self.fn(x), dtype=float)
+        expected = (len(x), *self.shape)
+        if out.shape == self.shape:
             out = np.broadcast_to(out, expected)
         if out.shape != expected:
             raise DimensionMismatch(f"matrix map returned shape {out.shape}, expected {expected}")
-        return out
+        return out[0] if single else out
 
     @classmethod
     def from_smooth_map(cls, m: SmoothMap, *shape: int) -> "MatrixMap":

@@ -7,7 +7,8 @@ maps at every row.  In the family case the degree-2 maps are
 ``PolyFamily`` coefficient arrays, as the calculus suites draw them, and
 the connection's degree-1 coefficients a tree whose ``Num`` leaves hold one
 coefficient per row; each row's reference is the tree ``_poly_tree``
-builds from that row's draw.
+builds from that row's draw, a different algorithm, so rows agree to a few
+ulps.  In the named case a point is a batch of one, so rows agree bitwise.
 """
 
 from functools import cache
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from dvbcalc import cotangent as ct
-from dvbcalc import expressions, jets, tangent
+from dvbcalc import jets, tangent
 from dvbcalc.charts import Chart, Connection, TrivialBundle
 from dvbcalc.dvb import DualAElement, DvbElement
 from dvbcalc.harness import suites
@@ -159,6 +160,7 @@ CALLS = {
     "call": (lambda m, x, v: m["x"](x), None),
     "jacobian": (lambda m, x, v: jacobian(m["x"], x), None),
     "lie_bracket": (lambda m, x, v: lie_bracket(m["x"], m["y"], x), None),
+    # Nested jets do not pass through a family, so this call has no family case.
     "lie_bracket_generic_jacobian": (_bracket_jacobian, None),
     "lie_bracket_via_warp": (lambda m, x, v: warp(tangent.double_tangent_grid(m["x"], m["y"]), x), None),
     "directional_derivative": (lambda m, x, v: directional_derivative(m["f"], m["x"], x), None),
@@ -188,15 +190,18 @@ CALLS = {
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("call", sorted(CALLS))
+@pytest.mark.parametrize(
+    "call, case",
+    [(call, case) for call in sorted(CALLS) for case in sorted(CASES)
+     if (call, case) != ("lie_bracket_generic_jacobian", "family")],
+)
 def test_batched_call_equals_its_rows(call, case, n):
     data = CASES[case](n)
     batched_fn, single_fn = CALLS[call]
     single_fn = single_fn or batched_fn
     batched = batched_fn(data.batch, data.point, data.fiber)
     per_row = [single_fn(maps, x, v) for maps, x, v in zip(data.rows, data.point, data.fiber)]
-    support.assert_rows(batched, per_row)
+    support.assert_rows(batched, per_row, ulps=16 if case == "family" else 0)
 
 
 def test_a_batched_section_value_is_one_section_at():
@@ -217,13 +222,15 @@ def test_no_path_builds_an_object_array():
             assert array.dtype == np.float64
 
 
-def test_a_float_point_keeps_the_float_path():
-    # One point goes through math and float arithmetic.
+def test_a_point_is_its_batch_of_one():
+    # A (dim,) point gives the row of the (1, dim) batch, and a float where a float is due.
     a = NAMED.fields["A"]
-    point = [0.3, -0.2, 1.5]
-    values = [expressions.evaluate(c, point) for c in a.components]
-    assert all(type(v) is float for v in values)
-    assert a(point).tolist() == values
+    point = np.array([0.3, -0.2, 1.5])
+    assert a(point).tobytes() == a(point[None])[0].tobytes()
+    assert jacobian(a, point).tobytes() == jacobian(a, point[None])[0].tobytes()
+    f = SmoothMap(3, a.components[:1])
+    value = directional_derivative(f, a, point)
+    assert type(value) is float and value == directional_derivative(f, a, point[None])[0]
 
 
 @pytest.mark.parametrize(
@@ -234,18 +241,33 @@ def test_a_float_point_keeps_the_float_path():
         ("sin(x0*1e308*10)", 0.0, 1.0, DomainError),
         ("exp(exp(exp(exp(x0*10))))", -5.0, 1.0, OverflowError),
         ("(x0+10)^400", -5.0, 1.0, OverflowError),
+        # A constant subtree is one float for every row: bad at all of them,
+        # or each row's value.
+        ("log(0)*x0", 2.0, 2.0, DomainError),
+        ("x0/(1-1)", 2.0, 2.0, DomainError),
+        ("sin(1e999)*x0", 2.0, 2.0, DomainError),
+        ("exp(1000)*x0", 2.0, 2.0, OverflowError),
+        ("sin(1)*x0", 2.0, -0.5, None),
+        ("log(3)*x0", 2.0, -0.5, None),
+        ("x0*2^-2", 2.0, -0.5, None),
     ],
 )
-def test_one_bad_row_raises_what_the_float_path_raises(text, good, bad, error):
+def test_one_bad_row_raises_what_its_point_raises(text, good, bad, error):
     m = SmoothMap.parse([text], 1)
-    good = np.full((4, 1), good)
-    with pytest.raises(error):
+    rows = np.full((4, 1), good)
+    batch = np.concatenate([rows, [[bad]], rows])
+    if error is None:
+        assert m(batch).tobytes() == np.stack([m(x) for x in batch]).tobytes()
+        assert jacobian(m, batch).tobytes() == np.stack([jacobian(m, x) for x in batch]).tobytes()
+        return
+    with pytest.raises(error), np.errstate(all="ignore"):
         m([bad])
     with pytest.raises(error), np.errstate(all="ignore"):
-        m(np.concatenate([good, [[bad]], good]))
+        m(batch)
     with pytest.raises(error), np.errstate(all="ignore"):
-        jacobian(m, np.concatenate([good, [[bad]]]))
-    m(good)
+        jacobian(m, np.concatenate([rows, [[bad]]]))
+    if good != bad:
+        m(rows)
 
 
 def test_a_multiplication_overflow_row_is_a_silent_inf():
@@ -253,4 +275,5 @@ def test_a_multiplication_overflow_row_is_a_silent_inf():
     with np.errstate(all="ignore"):
         values = m(np.array([[1.0], [0.0]]))
     assert values[0, 0] == np.inf and values[1, 0] == 0.0
-    assert m([1.0])[0] == np.inf
+    with np.errstate(all="ignore"):
+        assert m([1.0])[0] == np.inf

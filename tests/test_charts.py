@@ -88,7 +88,8 @@ def test_omega_is_the_contraction_with_the_field():
         conn = Connection.constant(TrivialBundle(Chart(n), k), tensor)
         z_field = support.poly_map(RNG, n, n)
         m = support.rand_vec(RNG, n)
-        expected = np.tensordot(z_field(m), tensor, axes=(0, 0))
+        # A point is a batch of one: its omega is the row of the batched contraction.
+        expected = np.einsum("nj,njab->nab", z_field(m)[None], tensor[None])[0]
         assert conn.omega(z_field, m).tobytes() == expected.tobytes()
 
 

@@ -432,10 +432,14 @@ def test_quadratic_family_equals_its_row_trees(n, dim):
     family, rows, points = _family_and_rows(n * 10 + dim, n, dim, 2)
     support.assert_rows(family(points), [tree(x) for tree, x in zip(rows, points)])
     support.assert_rows(jacobian(family, points), [jacobian(tree, x) for tree, x in zip(rows, points)])
-    hessians = _hessian(family, points)
-    support.assert_rows(hessians, [_hessian(tree, x) for tree, x in zip(rows, points)])
     closed = family.quad + np.swapaxes(family.quad, -1, -2)
-    assert np.array_equal(hessians, closed.reshape(n, 2 * dim, dim))
+    assert np.array_equal(closed.reshape(n, 2 * dim, dim), [_hessian(tree, x) for tree, x in zip(rows, points)])
+
+
+def test_jets_of_jets_do_not_pass_through_a_family():
+    family, _, points = _family_and_rows(10, 4, 2, 2)
+    with pytest.raises(TypeError):
+        _hessian(family, points)
 
 
 @pytest.mark.parametrize("n", [1, 4, 65])

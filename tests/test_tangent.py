@@ -173,7 +173,8 @@ def _gauge_defect(k: int, seed: int, with_derivative: bool = True) -> float:
             n_mat[i, j], d_n[:, i, j] = value, grad
         return np.eye(k) + n_mat, np.eye(k) - n_mat + n_mat @ n_mat, d_n
 
-    def omega_g(m):
+    def omega_g(batch):
+        (m,) = batch  # the one point, as a batch of one
         g, g_inv, d_g = gauge(m)
         tensor = g @ conn.coefficient_tensor(m) @ g_inv
         return tensor - d_g @ g_inv if with_derivative else tensor
