@@ -28,8 +28,11 @@ expression would exhaust Python's stack; the parser rejects it instead.
 Nodes are immutable slotted values, equal and hashed by exact class and
 fields.  They are not dataclasses: a dataclass compiles and runs its
 generated methods when its module loads, most of this module's import
-time.  Each node class sets its fields in its own ``__init__``, by which
-perfbench counts nodes.
+time.  Each node class sets its fields in its own ``__init__``, whose
+parameters are the field names, so a node is built by position or by
+keyword.  perfbench's ``expressions.nodes`` counts ``evaluate`` calls; a
+node built outside this module, as ``harness.suites._poly_tree`` builds
+them, adds to ``expressions.calls`` through its wrapped ``__init__``.
 """
 
 from __future__ import annotations

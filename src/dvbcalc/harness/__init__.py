@@ -1,11 +1,10 @@
 """Verification harness: problem specs, suites and deterministic reports."""
 
 from .problem import ProblemSpec, SpecError, demo_spec_dict
-from .report import CheckResult, build_report, check_lines, render_json
+from .report import build_report, check_lines, render_json
 from .suites import SUITES, run_suites
 
 __all__ = [
-    "CheckResult",
     "ProblemSpec",
     "SUITES",
     "SpecError",

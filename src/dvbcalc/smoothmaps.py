@@ -46,7 +46,7 @@ class SmoothMap:
 
     domain_dim: int
     components: tuple[Expr, ...]
-    # (point key, (value, Jacobian)) of the last ``jacobian`` call's seeded pass; see there.
+    # (batch key, (value, Jacobian)) of the last ``jacobian`` call's seeded pass; see there.
     _last_pass: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -86,10 +86,13 @@ class SmoothMap:
         return [expressions.evaluate(c, values) for c in self.components]
 
     def __call__(self, point) -> np.ndarray:
-        last = self._last_pass  # the value ``jacobian`` computed at its point
-        if last is not None and last[0] == _point_key(point):
-            return last[1][0].copy(order="K")  # in the walk's memory layout too
-        return jets.values_at(self.eval_generic, point)
+        x, single = jets._as_batch(point)
+        last = self._last_pass  # the value ``jacobian`` computed at its batch
+        if last is not None and last[0] == _point_key(x):
+            value = last[1][0].copy(order="K")  # in the walk's memory layout too
+        else:
+            value = jets.values_at(self.eval_generic, x)
+        return value[0] if single else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,16 +220,16 @@ def jacobian(m: SmoothMap, point) -> np.ndarray:
     A ``PolyFamily`` gives its closed form.  A tree's Jacobian and value
     come from one seeded pass, ``jets.value_and_jacobian``, whose value is
     bitwise the walk's (see ``jets``).  Every map keeps both from its
-    previous call, keyed by the shape and exact bytes of the point or
-    batch (so ``0.0`` and ``-0.0`` are different points); a call of
-    ``jacobian``, or of the map, there reuses them.  The result is always
-    a fresh array that the caller may modify.
+    previous call, keyed by the shape and exact bytes of the batch, a
+    point's being its batch of one (so ``0.0`` and ``-0.0`` are different
+    points); a call of ``jacobian``, or of the map, there reuses them.  The
+    result is always a fresh array that the caller may modify.
     """
     if isinstance(m, PolyFamily):
         return m.jacobian(point)
-    last = _kept(m, "_last_pass", _point_key(point),
-                 lambda: jets.value_and_jacobian(m.eval_generic, point))
-    return last[1].copy()
+    x, single = jets._as_batch(point)
+    last = _kept(m, "_last_pass", _point_key(x), lambda: jets.value_and_jacobian(m.eval_generic, x))
+    return (last[1][0] if single else last[1]).copy()
 
 
 def directional_derivative(f: SmoothMap, x_field: SmoothMap, point) -> float | np.ndarray:

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvbcalc.harness import (
-    CheckResult,
     ProblemSpec,
     SpecError,
     build_report,
@@ -58,15 +57,15 @@ def test_demo_spec_loads():
 def test_demo_runs_green():
     checks = run_suites(_demo_spec())
     assert len(checks) == 32
-    assert all(c.passed for c in checks)
+    assert all(c["passed"] for c in checks)
     report = build_report(checks, {"samples": 50})
     assert report["overall"] == "pass"
 
 
 def test_bracket_field_pair_details():
     checks = run_suites(_demo_spec(), suite_names=["bracket"], samples=5)
-    by_name = {c.name: c for c in checks}
-    details = by_name["field-pairs"].details
+    by_name = {c["name"]: c for c in checks}
+    details = by_name["field-pairs"]["details"]
     assert details["first_point_values"] == {"X,Y": [0.0, 1.0], "Y,X": [0.0, -1.0]}
 
 
@@ -77,7 +76,7 @@ def test_unknown_suite_rejected():
 
 def test_suites_run_in_index_order():
     checks = run_suites(_demo_spec(), suite_names=["connection", "bracket"], samples=5)
-    suites_seen = [c.suite for c in checks]
+    suites_seen = [c["suite"] for c in checks]
     assert suites_seen == sorted(
         suites_seen, key=lambda s: 0 if s == "bracket" else 1
     )
@@ -88,8 +87,8 @@ def test_suite_subset_matches_full_run():
     spec = _demo_spec()
     full = run_suites(spec, samples=10)
     subset = run_suites(spec, suite_names=["warp-pairing", "duality-diagram"], samples=10)
-    wanted = [c.as_dict() for c in full if c.suite in ("warp-pairing", "duality-diagram")]
-    assert [c.as_dict() for c in subset] == wanted
+    wanted = [c for c in full if c["suite"] in ("warp-pairing", "duality-diagram")]
+    assert subset == wanted
 
 
 def test_spec_validation_errors():
@@ -188,20 +187,21 @@ def test_render_json_writes_non_finite_floats_as_null_at_any_depth(value):
         render_json({"v": [value, object()]})
 
 
-def test_check_result_as_dict_and_lines():
-    check = CheckResult(
-        name="alpha", suite="beta", description="d", samples=7,
-        max_residual=1e-9, passed=True,
-    )
-    assert "details" not in check.as_dict()
-    check.details = {"k": 1}
-    assert check.as_dict()["details"] == {"k": 1}
+def test_residuals_result_entry_and_lines():
+    res = suites._Residuals("alpha", "d")
+    res.add(np.full(7, 1e-9), samples=7)
+    check = res.result("beta", 1e-9)
+    assert list(check) == ["name", "suite", "description", "samples", "max_residual", "passed"]
+    assert check == {
+        "name": "alpha", "suite": "beta", "description": "d", "samples": 7,
+        "max_residual": 1e-9, "passed": True,
+    }
+    res.details["k"] = 1
+    assert list(res.result("beta", 1e-9))[-1] == "details"
+    assert res.result("beta", 1e-9)["details"] == {"k": 1}
     line = check_lines([check])[0]
     assert line == "PASS  beta/alpha  samples=7  max_residual=1.000e-09"
-    failing = CheckResult(
-        name="alpha", suite="beta", description="d", samples=7,
-        max_residual=2.0, passed=False,
-    )
+    failing = dict(check, max_residual=2.0, passed=False)
     assert check_lines([failing])[0].startswith("FAIL")
     assert build_report([check, failing], {})["overall"] == "fail"
 
@@ -354,10 +354,10 @@ def test_cli_spec_section_leaving_its_domain_is_a_domain_error(tmp_path):
 def test_sharp_sign_guard_details():
     spec = _demo_spec()
     checks = run_suites(spec, suite_names=["bracket-pairing"], samples=10)
-    by_name = {c.name: c for c in checks}
+    by_name = {c["name"]: c for c in checks}
     guard = by_name["sharp-sign-pinned"]
-    assert guard.passed
-    assert guard.details["max_flipped_residual"] > 100 * spec.tolerance
+    assert guard["passed"]
+    assert guard["details"]["max_flipped_residual"] > 100 * spec.tolerance
 
 
 def test_the_opposite_sharp_convention_fails_the_sign_checks(monkeypatch):
@@ -365,7 +365,7 @@ def test_the_opposite_sharp_convention_fails_the_sign_checks(monkeypatch):
     pinned = cotangent.dnu_sharp
     monkeypatch.setattr(cotangent, "dnu_sharp", lambda f: dvb.scale_over_a(-1.0, pinned(f)))
     checks = run_suites(_demo_spec(), suite_names=["duality-diagram", "bracket-pairing"], samples=20)
-    failed = {(c.suite, c.name) for c in checks if not c.passed}
+    failed = {(c["suite"], c["name"]) for c in checks if not c["passed"]}
     assert {
         ("bracket-pairing", "momentum-identity"),
         ("bracket-pairing", "sharp-sign-pinned"),
@@ -383,7 +383,7 @@ def test_a_negated_momentum_pairing_fails_both_pairing_suites(monkeypatch):
 
     monkeypatch.setattr(cotangent, "momentum_pairing", negated)
     checks = run_suites(_demo_spec(), samples=20, seed=1)
-    failed = {(c.suite, c.name) for c in checks if not c.passed}
+    failed = {(c["suite"], c["name"]) for c in checks if not c["passed"]}
     assert failed == {
         ("bracket-pairing", "momentum-identity"),
         ("bracket-pairing", "decomposed-cross-check"),
@@ -392,7 +392,7 @@ def test_a_negated_momentum_pairing_fails_both_pairing_suites(monkeypatch):
         ("connection-pairing", "flat-reduction"),
         ("connection-pairing", "decomposed-cross-check"),
     }
-    assert ("bracket-pairing", "closed-forms") in {(c.suite, c.name) for c in checks}
+    assert ("bracket-pairing", "closed-forms") in {(c["suite"], c["name"]) for c in checks}
 
 
 def test_family_jets_without_partials_fail_the_checks_that_differentiate_families(monkeypatch):
@@ -409,7 +409,7 @@ def test_family_jets_without_partials_fail_the_checks_that_differentiate_familie
 
     monkeypatch.setattr(PolyFamily, "eval_generic", constant)
     checks = run_suites(_demo_spec(), samples=24, seed=1)
-    failed = {(c.suite, c.name) for c in checks if not c.passed}
+    failed = {(c["suite"], c["name"]) for c in checks if not c["passed"]}
     assert {
         ("connection", "horizontal-momentum"),
         ("bracket-pairing", "closed-forms"),
@@ -429,7 +429,7 @@ def test_a_tangent_pairing_without_its_phi_a_dot_term_fails_functional_rank(monk
 
     monkeypatch.setattr(cotangent, "tangent_pairing", truncated)
     checks = run_suites(_demo_spec(), suite_names=("duality-diagram",), samples=12, seed=1)
-    failed = {c.name for c in checks if not c.passed}
+    failed = {c["name"] for c in checks if not c["passed"]}
     assert "functional-rank" in failed
 
 
@@ -446,7 +446,7 @@ def test_functional_rank_ranks_one_matrix_per_batch(monkeypatch, max_batch):
     monkeypatch.setattr(np.linalg, "matrix_rank", recorded)
     # 48 samples give the check 12, four of each fiber rank k = 1, 2, 3.
     checks = run_suites(_demo_spec(), suite_names=("duality-diagram",), samples=48, seed=1)
-    assert all(c.passed for c in checks)
+    assert all(c["passed"] for c in checks)
     per_k = 1 if max_batch is None else 2
     assert shapes == [(2 * k, 2 * k) for k in (1, 2, 3) for _ in range(per_k)]
 
@@ -460,8 +460,22 @@ def test_a_row_dependent_linear_part_fails_the_duality_solve(monkeypatch):
 
     monkeypatch.setattr(dvb, "pair_b", row_dependent)
     checks = run_suites(_demo_spec(), suite_names=["duality-solve"], samples=20, seed=1)
-    [solve] = [c for c in checks if c.name == "solve-vs-closed-form"]
-    assert not solve.passed and solve.max_residual > 0.1
+    [solve] = [c for c in checks if c["name"] == "solve-vs-closed-form"]
+    assert not solve["passed"] and solve["max_residual"] > 0.1
+
+
+def test_a_broken_round_trip_fails_at_any_tolerance(monkeypatch):
+    # iso-round-trips records only 0.0 or 1.0, so it is judged exactly, not against the tolerance.
+    inverse = dvb.dual_iso_b_inverse
+
+    def off_by_one(psi):
+        back = inverse(psi)
+        return dvb.IterACElement(back.shape, back.m, back.kappa, back.alpha, back.b + 1.0)
+
+    monkeypatch.setattr(dvb, "dual_iso_b_inverse", off_by_one)
+    checks = run_suites(_demo_spec(), suite_names=["duality-solve"], samples=6, seed=1, tolerance=2.0)
+    [trip] = [c for c in checks if c["name"] == "iso-round-trips"]
+    assert (trip["max_residual"], trip["passed"]) == (1.0, False)
 
 
 def test_a_suite_exception_names_the_run_on_stderr(monkeypatch, capsys):
@@ -482,7 +496,7 @@ def test_run_suites_override_changes_nothing_when_equal():
     spec = _demo_spec()
     defaults = run_suites(spec, samples=50, seed=42, tolerance=1e-9)
     implicit = run_suites(spec)
-    assert [c.as_dict() for c in defaults] == [c.as_dict() for c in implicit]
+    assert defaults == implicit
 
 
 def test_seed_isolation_between_suites():
@@ -492,8 +506,8 @@ def test_seed_isolation_between_suites():
     with_neighbors = run_suites(
         spec, suite_names=["bracket", "connection", "warp-pairing"], samples=10
     )
-    conn_only = [c.as_dict() for c in with_neighbors if c.suite == "connection"]
-    assert conn_only == [c.as_dict() for c in alone]
+    conn_only = [c for c in with_neighbors if c["suite"] == "connection"]
+    assert conn_only == alone
 
 
 def _verify_spec(tmp_path, data, *argv):
@@ -933,7 +947,7 @@ def test_residuals_count_a_batch_as_its_samples():
     res.add(np.array([0.25, -2.0, 1.0]), samples=3)
     res.add(np.array([[0.0, 1.5]]), -0.75, samples=2)
     result = res.result("suite", 1e-9)
-    assert (result.samples, result.max_residual, result.passed) == (6, 2.0, False)
+    assert (result["samples"], result["max_residual"], result["passed"]) == (6, 2.0, False)
 
 
 def test_cli_repeated_suite_runs_once(tmp_path):
@@ -1161,8 +1175,8 @@ def test_algebra_suites_count_every_sample_once(monkeypatch, samples, max_batch)
     }
     checks = run_suites(_demo_spec(), suite_names=["duality-solve", "warp-pairing"], samples=samples)
     assert len(checks) == len(expected)
-    assert {(c.suite, c.name, c.samples) for c in checks} == expected
-    assert all(c.passed for c in checks)
+    assert {(c["suite"], c["name"], c["samples"]) for c in checks} == expected
+    assert all(c["passed"] for c in checks)
 
 
 def test_a_duality_solve_batch_holds_one_base_point_array(monkeypatch):
@@ -1244,8 +1258,8 @@ def test_batched_calculus_suites_count_every_sample_once(monkeypatch, samples, m
     }
     checks = run_suites(_demo_spec(), suite_names=CALCULUS_BATCHED, samples=samples)
     assert len(checks) == len(expected)
-    assert {(c.suite, c.name, c.samples) for c in checks} == expected
-    assert all(c.passed for c in checks)
+    assert {(c["suite"], c["name"], c["samples"]) for c in checks} == expected
+    assert all(c["passed"] for c in checks)
 
 
 @pytest.mark.parametrize("chart", CHARTS)
@@ -1372,7 +1386,7 @@ def test_a_nan_defect_in_one_row_fails_its_cotangent_check(monkeypatch, suite, m
     monkeypatch.setattr(module, name, _nan_in_first_result(getattr(module, name)))
     with np.errstate(invalid="ignore"):
         checks = run_suites(_demo_spec(), suite_names=[suite], samples=12)
-    assert [c.name for c in checks if not c.passed] == [failing]
+    assert [c["name"] for c in checks if not c["passed"]] == [failing]
 
 
 def _spec_with_one_point_replaced(monkeypatch, data, index, point):
@@ -1442,11 +1456,11 @@ def test_one_row_leaving_its_domain_ends_the_batched_suite(
         "sections": {"mu": [expression]},
     }
     healthy = run_suites(ProblemSpec.from_dict(data), suite_names=[suite], samples=samples)
-    assert all(c.passed for c in healthy)
+    assert all(c["passed"] for c in healthy)
     spec, replaced = _spec_with_one_point_replaced(monkeypatch, data, index, [bad])
     with np.errstate(all="ignore"):
         checks = run_suites(spec, suite_names=[suite], samples=samples)
-    assert [(c.name, c.passed) for c in checks] == [("domain-error", False)]
+    assert [(c["name"], c["passed"]) for c in checks] == [("domain-error", False)]
     assert len(replaced) == 1 and replaced[0] >= 2
 
 
@@ -1460,10 +1474,10 @@ def test_one_row_overflowing_a_product_fails_checks_of_the_batched_suite(monkeyp
         "sections": {"mu": ["x0*x0*1e308*10"]},
     }
     healthy = run_suites(ProblemSpec.from_dict(data), suite_names=[suite], samples=samples)
-    assert all(c.passed for c in healthy)
+    assert all(c["passed"] for c in healthy)
     spec, replaced = _spec_with_one_point_replaced(monkeypatch, data, index, [1.0])
     with np.errstate(all="ignore"):
         checks = run_suites(spec, suite_names=[suite], samples=samples)
     assert len(replaced) == 1 and replaced[0] >= 2
-    assert all(c.name != "domain-error" for c in checks)
-    assert not all(c.passed for c in checks)
+    assert all(c["name"] != "domain-error" for c in checks)
+    assert not all(c["passed"] for c in checks)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvbcalc import jets
+from dvbcalc import jets, tangent
 from dvbcalc.expressions import Add, Num, ParseError, Var
 from dvbcalc.harness import cli, suites
 from dvbcalc.smoothmaps import (
@@ -122,6 +123,27 @@ def test_a_call_at_the_jacobians_point_reuses_its_value(monkeypatch):
     assert len(walks) == 2  # the fresh maps' walks only
 
 
+def test_a_point_and_its_batch_of_one_share_the_kept_pass(monkeypatch):
+    # A MatrixMap takes the Jacobian at the batch of one, so the tangent lift's
+    # value at a (dim,) point must come from that pass, as it does at the batch.
+    spec = Path(__file__).resolve().parents[1] / "perfbench" / "named_maps.json"
+    texts = json.loads(spec.read_text(encoding="utf-8"))["sections"]["mu"]
+    mu = SmoothMap.parse(texts, 3)
+    p, q = np.array([0.3, -0.7, 1.2]), np.array([[-0.4, 0.9, 0.6]])
+    expected = [SmoothMap.parse(texts, 3)(x) for x in (p, q)]
+    walks = _counting_walks(monkeypatch)
+    for point, value in zip((p, q), expected):
+        at = tangent.tangent_lift(mu).at(point)
+        assert at.base.tobytes() == value.tobytes() and at.base.shape == value.shape
+    assert walks == []
+    m = SmoothMap.parse(["x0*x1", "sin(x1)"], 2)
+    for taken, called in (([[0.5, 2.0]], [0.5, 2.0]), ([1.5, -1.0], [[1.5, -1.0]])):
+        jacobian(m, taken)
+        assert m(called).shape == np.shape(called)
+        assert jacobian(m, called).shape == (*np.shape(called)[:-1], 2, 2)
+    assert walks == []
+
+
 def test_the_kept_value_is_returned_as_a_fresh_array():
     m = SmoothMap.parse(["x0*x1", "x0+x1"], 2)
     jacobian(m, [2.0, 3.0])
@@ -138,7 +160,7 @@ def test_another_point_or_a_signed_zero_walks_the_tree(monkeypatch):
     walks = _counting_walks(monkeypatch)
     assert np.signbit(m([-0.0, 1.0])[0])
     m([0.5, 1.0])
-    m(np.array([[0.0, 1.0]]))  # a batch of one row is another key than its point
+    m(np.array([[0.0, 1.0], [0.0, 1.0]]))  # a batch of two rows is another key than its point
     assert len(walks) == 3
     m([0.0, 1.0])
     assert len(walks) == 3
