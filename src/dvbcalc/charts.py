@@ -15,33 +15,26 @@ maps of ``smoothmaps`` do, and return one result per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._value import Value, dimension
 from .smoothmaps import DimensionMismatch, MatrixMap, SmoothMap, _kept, _matvec, _point_key, jacobian
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """Coordinate box used for sampling base points."""
 
-    dim: int
-    box: tuple[tuple[float, float], ...] = ()
-    # The box's lower corner and side lengths, as arrays for sampling points.
-    lows: np.ndarray = field(init=False, repr=False, compare=False)
-    spans: np.ndarray = field(init=False, repr=False, compare=False)
+    # lows, spans: the box's lower corner and side lengths, as arrays for sampling points.
+    __slots__ = ("dim", "box", "lows", "spans")
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __init__(self, dim: int, box: tuple[tuple[float, float], ...] = ()):
+        dim = dimension(dim)
+        if dim < 0:
             raise ValueError("chart dimension must be non-negative")
-        box = tuple(tuple(float(v) for v in pair) for pair in self.box)
-        if not box:
-            box = ((-1.0, 1.0),) * self.dim
-        if len(box) != self.dim or not all(
-            math.isfinite(hi - lo) and lo < hi for lo, hi in box
-        ):
+        box = tuple(tuple(float(v) for v in pair) for pair in box) or ((-1.0, 1.0),) * dim
+        if len(box) != dim or not all(math.isfinite(hi - lo) and lo < hi for lo, hi in box):
             raise ValueError("box must give one finite (lo, hi) interval with lo < hi per axis")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "box", box)
         lows = np.array([lo for lo, _ in box])
         spans = np.array([hi for _, hi in box]) - lows
@@ -50,18 +43,17 @@ class Chart:
         object.__setattr__(self, "spans", spans)
 
 
-@dataclass(frozen=True)
-class TrivialBundle:
-    chart: Chart
-    fiber_dim: int
+class TrivialBundle(Value):
+    __slots__ = ("chart", "fiber_dim")
 
-    def __post_init__(self):
-        if self.fiber_dim < 1:
+    def __init__(self, chart: Chart, fiber_dim: int):
+        if fiber_dim < 1:
             raise ValueError("fiber dimension must be at least 1")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "fiber_dim", fiber_dim)
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(Value):
     """A linear connection, given by its coefficient tensor: a ``MatrixMap`` of shape (n, k, k).
 
     Each connection keeps the tensor of its previous ``coefficient_tensor``
@@ -71,17 +63,16 @@ class Connection:
     batch the tensor is (N, n, k, k).
     """
 
-    bundle: TrivialBundle
-    coefficients: MatrixMap = field(repr=False)
-    # (point key, tensor) of the last ``coefficient_tensor`` call.
-    _last_tensor: tuple[tuple, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # _last_tensor: (point key, tensor) of the last ``coefficient_tensor`` call.
+    __slots__ = ("bundle", "coefficients", "_last_tensor")
+    _hidden = ("coefficients",)
 
-    def __post_init__(self):
-        n, k = self.bundle.chart.dim, self.bundle.fiber_dim
-        if self.coefficients.shape != (n, k, k):
+    def __init__(self, bundle: TrivialBundle, coefficients: MatrixMap):
+        n, k = bundle.chart.dim, bundle.fiber_dim
+        if coefficients.shape != (n, k, k):
             raise DimensionMismatch(f"connection coefficients must have shape {(n, k, k)}")
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def coefficient_tensor(self, m) -> np.ndarray:
         return _kept(self, "_last_tensor", _point_key(m), lambda: self.coefficients(m)).copy()

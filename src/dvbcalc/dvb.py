@@ -47,10 +47,9 @@ must have the same N.  A batched record is built, and traced, once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value, dimension
 from .smoothmaps import DimensionMismatch
 
 
@@ -61,20 +60,22 @@ class IncompatibleElements(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DvbShape:
+class DvbShape(Value):
     """Fiber dimensions of the two sides and the core, plus the base chart dimension."""
 
-    dim_a: int
-    dim_b: int
-    dim_c: int
-    base_dim: int = 0
+    __slots__ = ("dim_a", "dim_b", "dim_c", "base_dim")
 
-    def __post_init__(self):
-        if min(self.dim_a, self.dim_b, self.dim_c) < 1:
+    def __init__(self, dim_a: int, dim_b: int, dim_c: int, base_dim: int = 0):
+        if not type(dim_a) is type(dim_b) is type(dim_c) is type(base_dim) is int:  # ints skip the calls
+            dim_a, dim_b, dim_c, base_dim = map(dimension, (dim_a, dim_b, dim_c, base_dim))
+        if min(dim_a, dim_b, dim_c) < 1:
             raise ValueError("side and core dimensions must be at least 1")
-        if self.base_dim < 0:
+        if base_dim < 0:
             raise ValueError("base dimension must be non-negative")
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
+        object.__setattr__(self, "dim_c", dim_c)
+        object.__setattr__(self, "base_dim", base_dim)
 
 
 def _same(u: np.ndarray, v: np.ndarray, what: str) -> None:

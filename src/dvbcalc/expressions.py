@@ -25,23 +25,19 @@ most that deep, and so may its nesting of parentheses, function calls and
 unary minuses.  The walkers here recurse once per level, so a deeper
 expression would exhaust Python's stack; the parser rejects it instead.
 
-Nodes are immutable slotted values, equal and hashed by exact class and
-fields.  They are not dataclasses: a dataclass compiles and runs its
-generated methods when its module loads, most of this module's import
-time.  Each node class sets its fields in its own ``__init__``, whose
-parameters are the field names, so a node is built by position or by
-keyword.  perfbench's ``expressions.nodes`` counts ``evaluate`` calls; a
-node built outside this module, as ``harness.suites._poly_tree`` builds
-them, adds to ``expressions.calls`` through its wrapped ``__init__``.
+Nodes are immutable values (see ``_value``).  perfbench's
+``expressions.nodes`` counts ``evaluate`` calls; a node built outside this
+module, as ``harness.suites._poly_tree`` builds them, adds to
+``expressions.calls`` through its class's wrapped ``__init__``.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import Sequence, Union
 
 from . import jets
+from ._value import Value
 from .jets import Scalar
 
 
@@ -51,90 +47,60 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class _Node:
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
-        # The fields, read in C; an attrgetter does not bind, so call self._key(self).
-        cls._key = operator.attrgetter(*cls.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # Compared as tuples, so a field that is the same object is equal.
-        return (self._key(self),) == (other._key(other),)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-
-class Num(_Node):
+class Num(Value):
     __slots__ = ("value",)  # a float, or an (N,) array: one coefficient per row of a family
     def __init__(self, value: float):
         object.__setattr__(self, "value", value)
 
 
-class Var(_Node):
+class Var(Value):
     __slots__ = ("index",)
     def __init__(self, index: int):
         object.__setattr__(self, "index", index)
 
 
-class Add(_Node):
+class Add(Value):
     __slots__ = ("left", "right")
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-class Sub(_Node):
+class Sub(Value):
     __slots__ = ("left", "right")
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-class Mul(_Node):
+class Mul(Value):
     __slots__ = ("left", "right")
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-class Div(_Node):
+class Div(Value):
     __slots__ = ("left", "right")
     def __init__(self, left: Expr, right: Expr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
 
-class Neg(_Node):
+class Neg(Value):
     __slots__ = ("arg",)
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
 
 
-class Pow(_Node):
+class Pow(Value):
     __slots__ = ("base", "exponent")
     def __init__(self, base: Expr, exponent: int):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
 
-class Call(_Node):
+class Call(Value):
     __slots__ = ("func", "arg")
     def __init__(self, func: str, arg: Expr):
         object.__setattr__(self, "func", func)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 
+from .._value import Value
 from ..charts import Chart, Connection, TrivialBundle
 from ..dvb import DvbShape
 from ..expressions import ParseError
@@ -35,26 +35,26 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    chart: Chart
-    fields: dict[str, SmoothMap] = field(default_factory=dict)
-    sections: dict[str, SmoothMap] = field(default_factory=dict)
-    connection: Connection | None = None
-    dvb_shapes: tuple[DvbShape, ...] = DEFAULT_SHAPES
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    tolerance: float = DEFAULT_TOLERANCE
+class ProblemSpec(Value):
+    """A chart, the maps, connection and shapes the suites sample, and a run's settings."""
 
-    def __post_init__(self):
+    __slots__ = ("chart", "fields", "sections", "connection", "dvb_shapes", "samples", "seed", "tolerance")
+
+    def __init__(self, chart: Chart, fields: dict[str, SmoothMap] | None = None,
+                 sections: dict[str, SmoothMap] | None = None, connection: Connection | None = None,
+                 dvb_shapes: tuple[DvbShape, ...] = DEFAULT_SHAPES, samples: int = DEFAULT_SAMPLES,
+                 seed: int = DEFAULT_SEED, tolerance: float = DEFAULT_TOLERANCE):
         # The rules for a run's settings, whether they come from a spec file
         # or from command line overrides (see suites.resolve_run).
         # sys.maxsize is the largest count a range of samples can hold.
-        if not _is_int(self.samples) or not 1 <= self.samples <= sys.maxsize:
+        if not _is_int(samples) or not 1 <= samples <= sys.maxsize:
             raise SpecError(f"samples must be a positive integer no larger than {sys.maxsize}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise SpecError("seed must be a non-negative integer")
-        object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
+        values = (chart, {} if fields is None else fields, {} if sections is None else sections,
+                  connection, dvb_shapes, samples, seed, check_tolerance(tolerance))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
@@ -198,13 +198,9 @@ def _load_shapes(data) -> tuple[DvbShape, ...]:
         raise SpecError("dvb_shapes must be a non-empty list of [dim_a, dim_b, dim_c, base_dim]")
     shapes = []
     for i, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 4
-            or not all(_is_int(v) for v in entry)
-        ):
+        if not isinstance(entry, list) or len(entry) != 4:
             raise SpecError(f"dvb_shapes[{i}] must be four integers")
-        try:
+        try:  # DvbShape refuses what is not an integer, a bool included
             shapes.append(DvbShape(*entry))
         except ValueError as err:
             raise SpecError(f"dvb_shapes[{i}]: {err}") from err

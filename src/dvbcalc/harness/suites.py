@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
@@ -616,7 +615,7 @@ def _run_duality_diagram(spec: ProblemSpec, samples: int, rng) -> list[_Residual
 def _shifted_family(rng, dim: int, codim: int, x: np.ndarray, value: np.ndarray) -> PolyFamily:
     """A random family of len(x) maps, member r shifted by a constant to take value[r] at x[r]."""
     base = _quadratic_family(rng, len(x), dim, codim)
-    return replace(base, c0=base.c0 + (value - base(x)))
+    return base._replace(c0=base.c0 + (value - base(x)))
 
 
 # -- suite: bracket-pairing --------------------------------------------------------------
@@ -753,7 +752,7 @@ def resolve_run(
         if name not in SUITES:
             raise SpecError(f"unknown suite: {name}")
     overrides = {"samples": samples, "seed": seed, "tolerance": tolerance}
-    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+    spec = spec._replace(**{k: v for k, v in overrides.items() if v is not None})
     suites = tuple(sorted(set(suite_names or SUITES), key=lambda n: SUITES[n][0]))
     return RunSettings(suites, spec.samples, spec.seed, spec.tolerance)
 

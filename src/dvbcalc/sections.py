@@ -29,11 +29,11 @@ takes such a batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from ._value import Value
 from .dvb import (
     DvbElement,
     DvbShape,
@@ -54,28 +54,28 @@ from .dvb import (
 from .smoothmaps import MatrixMap, SmoothMap, _matvec
 
 
-@dataclass(frozen=True)
-class LinearSection:
+class LinearSection(Value):
     """A section of D over one side, linear over a base section M -> the other side's fiber.
 
     ``LinearSectionB`` and ``LinearSectionA`` name the two sides in ``_sides``:
     the one the section is over, then the one its base section takes values in.
     """
 
-    shape: DvbShape
-    base_section: SmoothMap
-    fiber_matrix: MatrixMap
-    _sides: ClassVar[tuple[str, str]]
+    __slots__ = ("shape", "base_section", "fiber_matrix")
+    _sides: tuple[str, str]
 
-    def __post_init__(self):
+    def __init__(self, shape: DvbShape, base_section: SmoothMap, fiber_matrix: MatrixMap):
         fiber, base = self._sides
-        dims = {"A": self.shape.dim_a, "B": self.shape.dim_b}
-        if self.base_section.domain_dim != self.shape.base_dim:
+        dims = {"A": shape.dim_a, "B": shape.dim_b}
+        if base_section.domain_dim != shape.base_dim:
             raise IncompatibleElements("base section domain must match the chart")
-        if self.base_section.codomain_dim != dims[base]:
+        if base_section.codomain_dim != dims[base]:
             raise IncompatibleElements(f"base section must take values in the {base} fiber")
-        if self.fiber_matrix.shape != (self.shape.dim_c, dims[fiber]):
+        if fiber_matrix.shape != (shape.dim_c, dims[fiber]):
             raise IncompatibleElements(f"fiber matrix must map the {fiber} fiber to the core")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "base_section", base_section)
+        object.__setattr__(self, "fiber_matrix", fiber_matrix)
 
     def at(self, m) -> SectionAt:
         """The section at m.  The fiber matrix is evaluated first: where it is
@@ -98,12 +98,14 @@ class LinearSection:
 class LinearSectionB(LinearSection):
     """Section of D -> B, linear over the base section M -> A-fiber."""
 
+    __slots__ = ()
     _sides = ("B", "A")
 
 
 class LinearSectionA(LinearSection):
     """Section of D -> A, linear over the base section M -> B-fiber."""
 
+    __slots__ = ()
     _sides = ("A", "B")
 
 
@@ -142,19 +144,19 @@ class SectionAt(NamedTuple):
         return DvbElement(self.shape, self.m, fiber, self.base, core)
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Value):
     """A linear section xi over B and one eta over A, or both sections' values at one point (``at``)."""
 
-    xi: LinearSectionB | SectionAt
-    eta: LinearSectionA | SectionAt
+    __slots__ = ("xi", "eta")
 
-    def __post_init__(self):
-        if self.xi.shape != self.eta.shape:
+    def __init__(self, xi: LinearSectionB | SectionAt, eta: LinearSectionA | SectionAt):
+        if xi.shape != eta.shape:
             raise IncompatibleElements("grid sections live on different shapes")
         # Swapped sections would negate the warp in silence; a value's side is its section's.
-        if tuple(getattr(s, "section", s)._sides[0] for s in (self.xi, self.eta)) != ("B", "A"):
+        if tuple(getattr(s, "section", s)._sides[0] for s in (xi, eta)) != ("B", "A"):
             raise IncompatibleElements("a grid's xi must be over B and its eta over A")
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "eta", eta)
 
     @property
     def shape(self) -> DvbShape:

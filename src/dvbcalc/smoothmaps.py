@@ -26,12 +26,12 @@ Both kinds go wherever a ``SmoothMap`` is called at a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expressions, jets
+from ._value import Value
 from .expressions import Expr
 from .jets import Jet, Scalar
 
@@ -40,30 +40,25 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class SmoothMap(Value):
     """Map R^domain_dim -> R^codomain_dim given by component expressions."""
 
-    domain_dim: int
-    components: tuple[Expr, ...]
-    # (batch key, (value, Jacobian)) of the last ``jacobian`` call's seeded pass; see there.
-    _last_pass: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # _last_pass: (batch key, (value, Jacobian)) of the last ``jacobian`` call's seeded pass; see there.
+    __slots__ = ("domain_dim", "components", "_last_pass")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if self.domain_dim < 0:
+    def __init__(self, domain_dim: int, components: tuple[Expr, ...]):
+        components = tuple(components)
+        if domain_dim < 0:
             raise DimensionMismatch("domain dimension must be non-negative")
-        for comp in self.components:
+        for comp in components:
             try:
                 top = expressions.max_var_index(comp)
             except RecursionError:  # a hand-built tree; parsed ones are depth-bounded
                 raise ValueError("component expression is nested too deep to walk") from None
-            if top >= self.domain_dim:
-                raise DimensionMismatch(
-                    f"component uses variable outside dimension {self.domain_dim}"
-                )
+            if top >= domain_dim:
+                raise DimensionMismatch(f"component uses variable outside dimension {domain_dim}")
+        object.__setattr__(self, "domain_dim", domain_dim)
+        object.__setattr__(self, "components", components)
 
     @property
     def codomain_dim(self) -> int:
@@ -87,7 +82,7 @@ class SmoothMap:
 
     def __call__(self, point) -> np.ndarray:
         x, single = jets._as_batch(point)
-        last = self._last_pass  # the value ``jacobian`` computed at its batch
+        last = getattr(self, "_last_pass", None)  # the value ``jacobian`` computed at its batch
         if last is not None and last[0] == _point_key(x):
             value = last[1][0].copy(order="K")  # in the walk's memory layout too
         else:
@@ -95,8 +90,7 @@ class SmoothMap:
         return value[0] if single else value
 
 
-@dataclass(frozen=True, eq=False)
-class PolyFamily:
+class PolyFamily(Value):
     """N polynomial maps R^dim -> R^codim of degree at most 2, member r in row r.
 
     Component c of member r is c0[r, c] + sum_i x_i (lin[r, c, i] +
@@ -106,26 +100,25 @@ class PolyFamily:
     ``__call__`` and ``jacobian`` each keep the result of their previous
     call, as ``smoothmaps.jacobian`` does for a tree: keyed by the batch's
     shape and exact bytes, returned as a fresh array, and not kept when the
-    call raises.  The coefficient arrays must not change after a call.
+    call raises.  The coefficient arrays must not change after a call.  A
+    family is equal only to itself.
     Jets pass through ``eval_generic`` by the chain rule on the closed
     forms (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3).
     """
 
-    c0: np.ndarray
-    lin: np.ndarray
-    quad: np.ndarray
-    # (batch key, result) of the last ``__call__`` and ``jacobian``.
-    _last_value: tuple[tuple, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _last_jacobian: tuple[tuple, np.ndarray] | None = field(default=None, init=False, repr=False)
+    # _last_value, _last_jacobian: (batch key, result) of the last ``__call__`` and ``jacobian``.
+    __slots__ = ("c0", "lin", "quad", "_last_value", "_last_jacobian")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        n, codim = self.c0.shape
-        dim = self.lin.shape[2]
-        if self.lin.shape != (n, codim, dim) or self.quad.shape != (n, codim, dim, dim):
+    def __init__(self, c0: np.ndarray, lin: np.ndarray, quad: np.ndarray):
+        shape = lin.shape  # (n, codim, dim)
+        if len(shape) != 3 or c0.shape != shape[:2] or quad.shape != shape + shape[2:]:
             raise DimensionMismatch(
-                f"coefficients of shapes {self.c0.shape}, {self.lin.shape} and "
-                f"{self.quad.shape} are not one family"
+                f"coefficients of shapes {c0.shape}, {lin.shape} and {quad.shape} are not one family"
             )
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "quad", quad)
 
     @property
     def domain_dim(self) -> int:
@@ -207,7 +200,7 @@ def _kept(owner, slot: str, key: tuple, compute):
     """compute(), kept in owner's slot with its key; a call with the key of
     the previous one reuses it.  Nothing is kept if compute raises.  The
     caller copies what it hands out."""
-    last = getattr(owner, slot)
+    last = getattr(owner, slot, None)
     if last is None or last[0] != key:
         last = (key, compute())
         object.__setattr__(owner, slot, last)
@@ -266,16 +259,19 @@ def lie_bracket(x_field: SmoothMap, y_field: SmoothMap, point) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MatrixMap:
+class MatrixMap(Value):
     """Array-valued map on a chart, e.g. the fiber part of a linear section
     or a connection's coefficient tensor: any function of an (N, dim) batch,
     such as reshaped smooth-map components, a Jacobian closure or an array
     polynomial.  The library only evaluates it at points, so its entries
     need not be expressions."""
 
-    shape: tuple[int, ...]
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    __slots__ = ("shape", "fn")
+    _hidden = ("fn",)
+
+    def __init__(self, shape: tuple[int, ...], fn: Callable[[np.ndarray], np.ndarray]):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "fn", fn)
 
     def __call__(self, point) -> np.ndarray:
         """The (N, *shape) arrays at an (N, dim) batch, or the row of a point's batch of one.

@@ -109,6 +109,17 @@ def test_charts_and_bundles_refuse_empty_dimensions():
         TrivialBundle(Chart(2), 0)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, "2", None])
+def test_charts_refuse_dimensions_that_are_not_integers(dim):
+    with pytest.raises(ValueError, match="a dimension must be an integer"):
+        Chart(dim)
+
+
+def test_a_chart_takes_a_numpy_integer_as_an_int():
+    chart = Chart(np.int64(2))
+    assert chart == Chart(2) and type(chart.dim) is int and chart.lows.shape == (2,)
+
+
 def test_connection_refuses_fields_and_sections_of_the_wrong_dimension():
     conn = Connection.flat(TrivialBundle(Chart(2), 2))
     z_field, mu = support.poly_map(RNG, 2, 2), support.poly_map(RNG, 2, 2)

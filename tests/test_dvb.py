@@ -67,6 +67,18 @@ def test_shape_validation():
         DvbElement(shape, [0.0], [1.0], [1.0, 2.0, 3.0], [0.0] * 4)
 
 
+@pytest.mark.parametrize("dims", [(1.5, 1, 1), (True, 1, 1), (1, 1, 1, np.True_), (1, "2", 1), (1, 1, 1, 2.0)])
+def test_shape_dimensions_must_be_integers(dims):
+    with pytest.raises(ValueError, match="a dimension must be an integer"):
+        DvbShape(*dims)
+
+
+def test_shape_takes_numpy_integers_as_ints():
+    shape = DvbShape(np.int64(2), np.int32(1), 3, np.uint8(1))
+    assert shape == DvbShape(2, 1, 3, 1)
+    assert [type(getattr(shape, name)) for name in shape._fields] == [int] * 4
+
+
 def test_element_outline_and_repr():
     shape = DvbShape(1, 2, 1, 1)
     d = DvbElement(shape, [0.5], [1.0], [2.0, 3.0], [4.0])

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 from pathlib import Path
@@ -306,5 +305,4 @@ def test_node_classes_are_slotted_value_classes(node):
     cls = type(node)
     assert "__slots__" in vars(cls)
     assert "__init__" in vars(cls)
-    assert not dataclasses.is_dataclass(cls)
     assert not hasattr(node, "__dict__")

@@ -8,7 +8,6 @@ import pkgutil
 import stat
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -675,6 +674,10 @@ def test_cli_box_bounds_must_be_json_numbers(tmp_path, capsys, box):
         ),
         pytest.param({"chart": {"dim": 1}, "dvb_shapes": []}, "dvb_shapes must be", id="shapes-empty"),
         pytest.param({"chart": {"dim": 1}, "dvb_shapes": {"a": [1, 1, 1, 0]}}, "dvb_shapes must be", id="shapes-dict"),
+        pytest.param({"chart": {"dim": 1}, "dvb_shapes": [[1.5, 1, 1, 0]]},
+                     "dvb_shapes[0]: a dimension must be an integer, got 1.5", id="shapes-float"),
+        pytest.param({"chart": {"dim": 1}, "dvb_shapes": [[1, 1, 1, 0], [1, 1, 1, True]]},
+                     "dvb_shapes[1]: a dimension must be an integer, got True", id="shapes-bool"),
         # Integers longer than int() converts (4,300 digits by default).
         pytest.param(
             {"chart": {"dim": 1}, "fields": {"X": ["x0^" + "9" * 5000]}},
@@ -1018,7 +1021,7 @@ def test_connection_sample_evaluates_the_coefficients_once_per_point(suite):
         points.append(np.asarray(m, dtype=float).tobytes())
         return coefficients(m)
 
-    spec = replace(spec, connection=Connection(spec.connection.bundle, replace(coefficients, fn=counted)))
+    spec = spec._replace(connection=Connection(spec.connection.bundle, coefficients._replace(fn=counted)))
     # The suite cycles through three connections; samples 0 and 3 use the spec's.
     checks = suites.SUITES[suite][1](spec, 4, np.random.default_rng(0))
     assert all(check.passes(1e-9) for check in checks)
@@ -1193,7 +1196,7 @@ def test_a_duality_solve_batch_holds_one_base_point_array(monkeypatch):
 
     monkeypatch.setattr(suites, "_uniform_rows", recorded_rows)
     monkeypatch.setattr(dvb.Record, "__init__", recorded_init)
-    spec = replace(_demo_spec(), dvb_shapes=(dvb.DvbShape(2, 1, 2, 1),))
+    spec = _demo_spec()._replace(dvb_shapes=(dvb.DvbShape(2, 1, 2, 1),))
     suites._run_duality_solve(spec, 4, np.random.default_rng(0))
     [[m, *_]] = draws
     # The solve's probe records repeat each row over a block of probes.

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +506,19 @@ def test_a_family_takes_only_a_batch_of_its_own_rows():
         PolyFamily(family.c0, family.lin[:, :1], family.quad)
 
 
+@pytest.mark.parametrize("shapes", [
+    ((3,), (3, 1, 1), (3, 1, 1, 1)),
+    ((3, 1), (3, 1), (3, 1, 1, 1)),
+    ((3, 1, 1), (3, 1, 1, 1), (3, 1, 1, 1, 1)),
+    ((3, 1), (3, 1, 2), (3, 1, 2)),
+])
+def test_a_family_of_coefficients_of_the_wrong_rank_is_refused(shapes):
+    expected = f"coefficients of shapes {shapes[0]}, {shapes[1]} and {shapes[2]} are not one family"
+    with pytest.raises(DimensionMismatch) as raised:
+        PolyFamily(*map(np.zeros, shapes))
+    assert str(raised.value) == expected
+
+
 def _counting(monkeypatch):
     """Count the closed-form evaluations of every family, by method name."""
     counts = {"_values": 0, "_jacobians": 0}
@@ -533,7 +545,7 @@ def test_family_reuse_keys_on_signed_zero(monkeypatch):
 
 def test_family_reuse_returns_fresh_arrays():
     family, _, points = _family_and_rows(6, 3, 2, 2)
-    fresh = replace(family)
+    fresh = family._replace()
     for method in (PolyFamily.__call__, jacobian):
         first = method(family, points)
         first[...] = 99.0
