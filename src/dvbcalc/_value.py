@@ -3,8 +3,7 @@
 Expression nodes, shapes, charts, bundles, connections, maps, sections,
 grids and problem specs are not dataclasses, whose generated methods are
 compiled as their module loads: that took half of dvbcalc's import time
-after numpy.  A class here compiles its ``__eq__`` and ``__hash__`` when
-first called, reading fields by name: twice as fast as ``operator.attrgetter``.
+after numpy.
 """
 
 import operator
@@ -27,12 +26,17 @@ class Value:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        # The fields, read in C; an attrgetter does not bind, so call self._key(self).
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other):
-        return _compiled(type(self)).__eq__(self, other)
+        if type(other) is not type(self):
+            return NotImplemented
+        # Compared as tuples, so a field that is the same object is equal.
+        return (self._key(self),) == (other._key(other),)
 
     def __hash__(self):
-        return _compiled(type(self)).__hash__(self)
+        return hash(self._key(self))
 
     def __repr__(self):
         shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden)
@@ -49,17 +53,6 @@ class Value:
     def _replace(self, **changes):
         """A copy with the given fields changed, checked as a new value is."""
         return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
-
-
-def _compiled(cls: type) -> type:
-    """cls, given ``__eq__`` and ``__hash__`` over its fields' tuple (as
-    tuples compare, a field that is the same object on both sides is equal)."""
-    mine, theirs = ("".join(f"{owner}.{name}, " for name in cls._fields) for owner in ("self", "other"))
-    cls.__eq__, cls.__hash__ = eval(
-        f"lambda self, other: ({mine}) == ({theirs}) if type(other) is type(self) else NotImplemented, "
-        f"lambda self: hash(({mine}))"
-    )
-    return cls
 
 
 def dimension(value) -> int:

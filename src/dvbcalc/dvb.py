@@ -66,8 +66,7 @@ class DvbShape(Value):
     __slots__ = ("dim_a", "dim_b", "dim_c", "base_dim")
 
     def __init__(self, dim_a: int, dim_b: int, dim_c: int, base_dim: int = 0):
-        if not type(dim_a) is type(dim_b) is type(dim_c) is type(base_dim) is int:  # ints skip the calls
-            dim_a, dim_b, dim_c, base_dim = map(dimension, (dim_a, dim_b, dim_c, base_dim))
+        dim_a, dim_b, dim_c, base_dim = map(dimension, (dim_a, dim_b, dim_c, base_dim))
         if min(dim_a, dim_b, dim_c) < 1:
             raise ValueError("side and core dimensions must be at least 1")
         if base_dim < 0:

@@ -51,10 +51,14 @@ class ProblemSpec(Value):
             raise SpecError(f"samples must be a positive integer no larger than {sys.maxsize}")
         if not _is_int(seed) or seed < 0:
             raise SpecError("seed must be a non-negative integer")
-        values = (chart, {} if fields is None else fields, {} if sections is None else sections,
-                  connection, dvb_shapes, samples, seed, check_tolerance(tolerance))
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "fields", {} if fields is None else fields)
+        object.__setattr__(self, "sections", {} if sections is None else sections)
+        object.__setattr__(self, "connection", connection)
+        object.__setattr__(self, "dvb_shapes", dvb_shapes)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tolerance", check_tolerance(tolerance))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":
