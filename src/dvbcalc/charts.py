@@ -47,6 +47,7 @@ class TrivialBundle(Value):
     __slots__ = ("chart", "fiber_dim")
 
     def __init__(self, chart: Chart, fiber_dim: int):
+        fiber_dim = dimension(fiber_dim)
         if fiber_dim < 1:
             raise ValueError("fiber dimension must be at least 1")
         object.__setattr__(self, "chart", chart)

@@ -38,7 +38,8 @@ equivalently d nu(w, sharp(sigma)) = sigma(w); with this choice the induced
 section of a complete lift is minus the Hamiltonian field of its momentum
 function, and the triangle flip = j_star o i o sharp commutes.  The
 opposite convention is the over-A negation ``scale_over_a(-1, dnu_sharp(.))``;
-it breaks both, and the harness's ``sharp-sign-pinned`` guard checks that.
+it breaks both.  The harness's ``sharp-sign-pinned`` check compares
+``canonical_two_form`` on w and sharp(sigma) with sigma(w).
 
 The bracket and the covariant derivative are both warps, and both
 pairing identities are one statement: d ell of a section paired with a

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expressions, jets
-from ._value import Value
+from ._value import Value, dimension
 from .expressions import Expr
 from .jets import Jet, Scalar
 
@@ -47,7 +47,7 @@ class SmoothMap(Value):
     __slots__ = ("domain_dim", "components", "_last_pass")
 
     def __init__(self, domain_dim: int, components: tuple[Expr, ...]):
-        components = tuple(components)
+        components, domain_dim = tuple(components), dimension(domain_dim)
         if domain_dim < 0:
             raise DimensionMismatch("domain dimension must be non-negative")
         for comp in components:

@@ -120,6 +120,18 @@ def test_a_chart_takes_a_numpy_integer_as_an_int():
     assert chart == Chart(2) and type(chart.dim) is int and chart.lows.shape == (2,)
 
 
+@pytest.mark.parametrize("dim", [1.5, True, "1", None])
+def test_bundles_refuse_fiber_dimensions_that_are_not_integers(dim):
+    with pytest.raises(ValueError, match="a dimension must be an integer"):
+        TrivialBundle(Chart(1), dim)
+
+
+def test_a_bundle_takes_a_numpy_integer_fiber_dimension_as_an_int():
+    bundle = TrivialBundle(Chart(1), np.int64(2))
+    assert bundle == TrivialBundle(Chart(1), 2) and type(bundle.fiber_dim) is int
+    assert Connection.flat(bundle).coefficient_tensor([0.5]).shape == (1, 2, 2)
+
+
 def test_connection_refuses_fields_and_sections_of_the_wrong_dimension():
     conn = Connection.flat(TrivialBundle(Chart(2), 2))
     z_field, mu = support.poly_map(RNG, 2, 2), support.poly_map(RNG, 2, 2)

@@ -412,6 +412,18 @@ def test_smooth_map_refuses_a_negative_domain():
         SmoothMap(-1, ())
 
 
+@pytest.mark.parametrize("dim", [1.5, True, "1", None])
+def test_smooth_map_refuses_a_domain_dimension_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match="a dimension must be an integer"):
+        SmoothMap(dim, (Num(1.0),))
+
+
+def test_smooth_map_takes_a_numpy_integer_domain_as_an_int():
+    m = SmoothMap(np.int64(1), (Num(1.0),))
+    assert type(m.domain_dim) is int and m == SmoothMap(1, (Num(1.0),))
+    assert m([0.5]).tolist() == [1.0]
+
+
 def test_a_hand_built_tree_too_deep_to_walk_is_a_value_error():
     chain = Var(0)
     for _ in range(2000):  # a left Add chain, far deeper than Python's stack allows walking
