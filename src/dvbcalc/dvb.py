@@ -34,6 +34,16 @@ built from one array therefore hold that one object, and an outline check
 between them returns at once.  A caller must not make a shared array
 writeable again.
 
+The operations here (sums, differences, scalings, the dual isomorphisms
+and their inverses, the pairing maps, ``pair_duals_ba``'s element) and in
+``sections`` (a section's elements and squarecaps) build their records
+without checking every component again (``_Derived``): each component is
+then a checked record's, an array the library has just frozen, or a
+caller's argument the operation has put through the same check
+(``core_embed`` and ``zero_over_a/b`` check m and the caller's vector, a
+section's value m and the fiber or kappa).  A caller's input is therefore
+copied or refused exactly as a record's constructor would.
+
 Batches.  A component is either one vector of shape (dim,) or a batch of N
 vectors of shape (N, dim); every batched component of one record has the
 same N, and the record's ``batch`` is that N (None when nothing is
@@ -119,13 +129,51 @@ def _per_row(value, batch: int | None):
     return value if np.ndim(value) == 1 else np.full(batch, value)
 
 
+def _checked(name: str, value, dim: int, batch: int | None):
+    """A component as a record keeps it, by the sharing rule, and the record's batch so far.
+
+    The component must have shape (dim,) or (batch, dim); its rows fix the
+    batch if nothing before it was batched.
+    """
+    if (type(value) is not np.ndarray or value.base is not None
+            or value.dtype is not _FLOAT or value.flags.writeable):
+        value = np.array(value, dtype=float)
+        value.setflags(write=False)
+    dims = value.shape
+    if len(dims) == 2 and dims[1] == dim:
+        if batch is None:
+            batch = dims[0]
+        elif dims[0] != batch:
+            raise DimensionMismatch(f"{name} has {dims[0]} rows, other components have {batch}")
+    elif dims != (dim,):
+        raise DimensionMismatch(f"{name} must have shape ({dim},) or (N, {dim}), got {dims}")
+    return value, batch
+
+
+def _checked_over(shape: DvbShape, m, name: str, value, dim: int):
+    """A caller's base point m and a component over it, each checked as a record checks it."""
+    m, batch = _checked("m", m, shape.base_dim, None)
+    return m, _checked(name, value, dim, batch)[0]
+
+
+class _Derived:
+    """A record's shape, in its shape slot when its components are already
+    checked (see the module docstring): the record keeps them as they are."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: DvbShape):
+        self.shape = shape
+
+
 class Record:
     """A point in decomposed form, or a batch of them: named coordinate arrays, each read-only.
 
     ``_fields`` pairs each component name with the ``DvbShape`` attribute
     that fixes its length.  ``batch`` is the common leading length of the
     batched components, or None.  A component is shared or copied by the
-    module's sharing rule.
+    module's sharing rule; a record built by an operation below keeps the
+    components it was given (``_Derived``).
     """
 
     __slots__ = ("shape", "batch")
@@ -133,27 +181,18 @@ class Record:
     _fields: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, shape: DvbShape, *values) -> None:
-        self.shape = shape
         batch = None
-        for (name, key), value in zip(self._fields, values):
-            if (type(value) is not np.ndarray or value.base is not None
-                    or value.dtype is not _FLOAT or value.flags.writeable):
-                value = np.array(value, dtype=float)
-                value.setflags(write=False)
-            dims = value.shape
-            dim = getattr(shape, key)
-            if len(dims) == 2 and dims[1] == dim:
-                if batch is None:
-                    batch = dims[0]
-                elif dims[0] != batch:
-                    raise DimensionMismatch(
-                        f"{name} has {dims[0]} rows, other components have {batch}"
-                    )
-            elif dims != (dim,):
-                raise DimensionMismatch(
-                    f"{name} must have shape ({dim},) or (N, {dim}), got {dims}"
-                )
-            setattr(self, name, value)
+        if type(shape) is _Derived:
+            shape = shape.shape
+            for (name, _), value in zip(self._fields, values):
+                if value.ndim == 2:
+                    batch = len(value)
+                setattr(self, name, value)
+        else:
+            for (name, key), value in zip(self._fields, values):
+                value, batch = _checked(name, value, getattr(shape, key), batch)
+                setattr(self, name, value)
+        self.shape = shape
         self.batch = batch
 
     def __repr__(self) -> str:
@@ -218,21 +257,6 @@ class IterACElement(Record):
         super().__init__(shape, m, kappa, alpha, b)
 
 
-def elements_equal(x: Record, y: Record) -> bool:
-    """Same type, same shape, and bitwise-equal components.
-
-    An unbatched component equals a batched one when it equals every row;
-    two batches of different lengths are never equal.
-    """
-    if type(x) is not type(y) or x.shape != y.shape:
-        return False
-    for name, _ in x._fields:
-        u, v = getattr(x, name), getattr(y, name)
-        if (u.shape != v.shape and u.ndim == v.ndim) or not (u == v).all():
-            return False
-    return True
-
-
 def _common(x, y) -> int | None:
     """Check that x and y can interact; return their batch length, or None."""
     if x.shape is not y.shape and x.shape != y.shape:
@@ -253,36 +277,40 @@ def add_over_a(d1: DvbElement, d2: DvbElement) -> DvbElement:
     """Addition in the bundle D -> A; both summands must sit over the same a."""
     _common(d1, d2)
     _same(d1.a, d2.a, "a side")
-    return DvbElement(d1.shape, d1.m, d1.a, _frozen(d1.b + d2.b), _frozen(d1.c + d2.c))
+    return DvbElement(_Derived(d1.shape), d1.m, d1.a, _frozen(d1.b + d2.b), _frozen(d1.c + d2.c))
 
 
 def add_over_b(d1: DvbElement, d2: DvbElement) -> DvbElement:
     """Addition in the bundle D -> B; both summands must sit over the same b."""
     _common(d1, d2)
     _same(d1.b, d2.b, "b side")
-    return DvbElement(d1.shape, d1.m, _frozen(d1.a + d2.a), d1.b, _frozen(d1.c + d2.c))
+    return DvbElement(_Derived(d1.shape), d1.m, _frozen(d1.a + d2.a), d1.b, _frozen(d1.c + d2.c))
 
 
 def scale_over_a(t: float, d: DvbElement) -> DvbElement:
-    return DvbElement(d.shape, d.m, d.a, _frozen(t * d.b), _frozen(t * d.c))
+    """Scalar multiplication in the bundle D -> A by the number t."""
+    t = float(t)
+    return DvbElement(_Derived(d.shape), d.m, d.a, _frozen(t * d.b), _frozen(t * d.c))
 
 
 def scale_over_b(t: float, d: DvbElement) -> DvbElement:
-    return DvbElement(d.shape, d.m, _frozen(t * d.a), d.b, _frozen(t * d.c))
+    """Scalar multiplication in the bundle D -> B by the number t."""
+    t = float(t)
+    return DvbElement(_Derived(d.shape), d.m, _frozen(t * d.a), d.b, _frozen(t * d.c))
 
 
 def sub_over_a(d1: DvbElement, d2: DvbElement) -> DvbElement:
     """d1 -_A d2: bitwise add_over_a(d1, scale_over_a(-1.0, d2)), built as one record."""
     _common(d1, d2)
     _same(d1.a, d2.a, "a side")
-    return DvbElement(d1.shape, d1.m, d1.a, _frozen(d1.b - d2.b), _frozen(d1.c - d2.c))
+    return DvbElement(_Derived(d1.shape), d1.m, d1.a, _frozen(d1.b - d2.b), _frozen(d1.c - d2.c))
 
 
 def sub_over_b(d1: DvbElement, d2: DvbElement) -> DvbElement:
     """d1 -_B d2: bitwise add_over_b(d1, scale_over_b(-1.0, d2)), built as one record."""
     _common(d1, d2)
     _same(d1.b, d2.b, "b side")
-    return DvbElement(d1.shape, d1.m, _frozen(d1.a - d2.a), d1.b, _frozen(d1.c - d2.c))
+    return DvbElement(_Derived(d1.shape), d1.m, _frozen(d1.a - d2.a), d1.b, _frozen(d1.c - d2.c))
 
 
 def _zeros(dim: int) -> np.ndarray:
@@ -291,17 +319,20 @@ def _zeros(dim: int) -> np.ndarray:
 
 def zero_over_a(shape: DvbShape, m, a) -> DvbElement:
     """Zero of D -> A over the point a."""
-    return DvbElement(shape, m, a, _zeros(shape.dim_b), _zeros(shape.dim_c))
+    m, a = _checked_over(shape, m, "a", a, shape.dim_a)
+    return DvbElement(_Derived(shape), m, a, _zeros(shape.dim_b), _zeros(shape.dim_c))
 
 
 def zero_over_b(shape: DvbShape, m, b) -> DvbElement:
     """Zero of D -> B over the point b."""
-    return DvbElement(shape, m, _zeros(shape.dim_a), b, _zeros(shape.dim_c))
+    m, b = _checked_over(shape, m, "b", b, shape.dim_b)
+    return DvbElement(_Derived(shape), m, _zeros(shape.dim_a), b, _zeros(shape.dim_c))
 
 
 def core_embed(shape: DvbShape, m, c) -> DvbElement:
     """Core vector c placed over the zeros of both sides."""
-    return DvbElement(shape, m, _zeros(shape.dim_a), _zeros(shape.dim_b), c)
+    m, c = _checked_over(shape, m, "c", c, shape.dim_c)
+    return DvbElement(_Derived(shape), m, _zeros(shape.dim_a), _zeros(shape.dim_b), c)
 
 
 def core_difference(d1: DvbElement, d2: DvbElement) -> np.ndarray:
@@ -353,11 +384,11 @@ def dual_iso_a(mb: IterBCElement) -> DualAElement:
     Defining property: <mb, psi>_C* + <dual_iso_a(mb), d>_A = <psi, d>_B for
     every psi and d making the pairings meaningful.
     """
-    return DualAElement(mb.shape, mb.m, mb.a, _frozen(-mb.beta), mb.kappa)
+    return DualAElement(_Derived(mb.shape), mb.m, mb.a, _frozen(-mb.beta), mb.kappa)
 
 
 def dual_iso_a_inverse(phi: DualAElement) -> IterBCElement:
-    return IterBCElement(phi.shape, phi.m, phi.kappa, _frozen(-phi.beta), phi.a)
+    return IterBCElement(_Derived(phi.shape), phi.m, phi.kappa, _frozen(-phi.beta), phi.a)
 
 
 def solve_dual_iso_a(mb: IterBCElement) -> DualAElement:
@@ -414,11 +445,11 @@ def dual_iso_b(ma: IterACElement) -> DualBElement:
     property: <mb, dual_iso_b(ma)>_C* = <ma, dual_iso_a(mb)>_C* for every mb
     over the same kappa.
     """
-    return DualBElement(ma.shape, ma.m, ma.kappa, ma.alpha, _frozen(-ma.b))
+    return DualBElement(_Derived(ma.shape), ma.m, ma.kappa, ma.alpha, _frozen(-ma.b))
 
 
 def dual_iso_b_inverse(psi: DualBElement) -> IterACElement:
-    return IterACElement(psi.shape, psi.m, psi.kappa, psi.alpha, _frozen(-psi.b))
+    return IterACElement(_Derived(psi.shape), psi.m, psi.kappa, psi.alpha, _frozen(-psi.b))
 
 
 # -- the nonstandard pairing of the two duals ---------------------------------
@@ -432,7 +463,7 @@ def pair_duals_ba(phi: DualAElement, psi: DualBElement) -> float:
     """
     _common(phi, psi)
     _same(phi.kappa, psi.kappa, "kappa")
-    d = DvbElement(phi.shape, phi.m, phi.a, psi.b, _zeros(phi.shape.dim_c))
+    d = DvbElement(_Derived(phi.shape), phi.m, phi.a, psi.b, _zeros(phi.shape.dim_c))
     return pair_b(psi, d) - pair_a(phi, d)
 
 
@@ -448,9 +479,9 @@ def pairing_map_a(phi: DualAElement) -> IterBCElement:
     for all psi over the same kappa; related to dual_iso_a_inverse by
     negation in the bundle over C*.
     """
-    return IterBCElement(phi.shape, phi.m, phi.kappa, phi.beta, _frozen(-phi.a))
+    return IterBCElement(_Derived(phi.shape), phi.m, phi.kappa, phi.beta, _frozen(-phi.a))
 
 
 def pairing_map_b(psi: DualBElement) -> IterACElement:
     """Characterized by <pairing_map_b(psi), phi>_C* = pair_duals_ab(phi, psi)."""
-    return IterACElement(psi.shape, psi.m, psi.kappa, _frozen(-psi.alpha), psi.b)
+    return IterACElement(_Derived(psi.shape), psi.m, psi.kappa, _frozen(-psi.alpha), psi.b)

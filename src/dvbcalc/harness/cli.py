@@ -9,6 +9,7 @@ problem description could not be used or the report could not be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import stat
@@ -24,6 +25,7 @@ from .suites import SUITES, resolve_run, run_suites
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser, which a caller may extend; ``main`` builds one and keeps it."""
     parser = argparse.ArgumentParser(
         prog="dvbcalc",
         description="Numerical verification for double vector bundle calculus.",
@@ -139,8 +141,12 @@ def run_verify(args) -> int:
     return 0 if report["overall"] == "pass" else 1
 
 
+# Built on the first call, not at import, and reused by every later one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    return run_verify(build_parser().parse_args(argv))
+    return run_verify(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

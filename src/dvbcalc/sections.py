@@ -18,13 +18,13 @@ warp with a minus sign, evaluated against kappa.
 ``section.at(m)`` evaluates a linear section's two maps at m once and
 returns a ``SectionAt``, the fiber-linear map over m, whose base and
 matrix are read-only; the records it builds share its base and the cores
-it makes (see ``dvb``'s sharing rule).  Its own ``at(m)`` is itself, so
-every function here that takes a section (or a grid) and a point also
-takes its value at that point, and repeated use at one point costs no
-further map evaluation.  Fibers and kappa may be (N, dim)
-batches; see ``dvb``.  At an (N, dim) batch of points ``at`` returns one
-batched ``SectionAt``, and every function here that takes a value also
-takes such a batch.
+it makes (see ``dvb``'s sharing rule).  Its own ``at(m)`` is itself, as
+is that of a grid of two such values, so every function here that takes
+a section (or a grid) and a point also takes its value at that point,
+and repeated use at one point costs no further map evaluation.  Fibers
+and kappa may be (N, dim) batches; see ``dvb``.  At an (N, dim) batch
+of points ``at`` returns one batched ``SectionAt``, and every function
+here that takes a value also takes such a batch.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .dvb import (
     IncompatibleElements,
     IterACElement,
     IterBCElement,
+    _Derived,
+    _checked_over,
     _dot,
     _frozen,
     _same,
@@ -137,11 +139,16 @@ class SectionAt(NamedTuple):
         return self
 
     def __call__(self, fiber) -> DvbElement:
+        shape = self.shape
         fiber = np.asarray(fiber, dtype=float)
         core = _frozen(_matvec(self.matrix, fiber))
+        # Only m and the fiber come from a caller; the base and the core are
+        # the library's, and their rows are m's and the fiber's.
         if isinstance(self.section, LinearSectionB):
-            return DvbElement(self.shape, self.m, self.base, fiber, core)
-        return DvbElement(self.shape, self.m, fiber, self.base, core)
+            m, fiber = _checked_over(shape, self.m, "b", fiber, shape.dim_b)
+            return DvbElement(_Derived(shape), m, self.base, fiber, core)
+        m, fiber = _checked_over(shape, self.m, "a", fiber, shape.dim_a)
+        return DvbElement(_Derived(shape), m, fiber, self.base, core)
 
 
 class Grid(Value):
@@ -163,8 +170,11 @@ class Grid(Value):
         return self.xi.shape
 
     def at(self, m) -> Grid:
-        """Both sections evaluated once at m."""
-        return Grid(self.xi.at(m), self.eta.at(m))
+        """Both sections evaluated once at m; itself if both are values at m already."""
+        xi, eta = self.xi.at(m), self.eta.at(m)
+        if xi is self.xi and eta is self.eta:
+            return self
+        return Grid(xi, eta)
 
 
 def swap_grid(grid: Grid) -> Grid:
@@ -203,9 +213,12 @@ def squarecap_a(eta: LinearSectionA | SectionAt, m, kappa) -> IterACElement:
 def _squarecap(iterated_dual: type, section: LinearSection | SectionAt, m, kappa):
     """(m; kappa, matrix^T kappa, base) in the iterated dual of the section's side."""
     section = section.at(m)
+    shape = section.shape
     kappa = np.asarray(kappa, dtype=float)
     fiber = _frozen(_matvec(np.swapaxes(section.matrix, -1, -2), kappa))
-    return iterated_dual(section.shape, section.m, kappa, fiber, section.base)
+    # As in SectionAt.__call__, only m and kappa come from a caller.
+    m, kappa = _checked_over(shape, section.m, "kappa", kappa, shape.dim_c)
+    return iterated_dual(_Derived(shape), m, kappa, fiber, section.base)
 
 
 def ell_b(xi: LinearSectionB | SectionAt, psi: DualBElement) -> float | np.ndarray:

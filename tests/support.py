@@ -1,8 +1,9 @@
 """Shared helpers for the tests: the harness's random generators and the
-tree of one draw, both sides of the two pairing identities at a point, a random
-grid, the grid of given maps and a constant grid, a row-by-row check of batched results, tangent points
-and covectors of T(A) from their coordinates, substitution into an
-expression, a change of decomposition, and a Lie bracket over jets."""
+tree of one draw, equality of dvb records, both sides of the two pairing
+identities at a point, a random grid, the grid of given maps and a constant
+grid, a row-by-row check of batched results, tangent points and covectors of
+T(A) from their coordinates, substitution into an expression, a change of
+decomposition, and a Lie bracket over jets."""
 
 import numpy as np
 
@@ -47,6 +48,21 @@ def arrays_of(value) -> list[np.ndarray]:
     if isinstance(value, SectionAt):
         return [value.m, value.base, value.matrix]
     return [np.asarray(value)]
+
+
+def elements_equal(x: Record, y: Record) -> bool:
+    """Same type, same shape, and bitwise-equal components.
+
+    An unbatched component equals a batched one when it equals every row;
+    two batches of different lengths are never equal.
+    """
+    if type(x) is not type(y) or x.shape != y.shape:
+        return False
+    for name, _ in x._fields:
+        u, v = getattr(x, name), getattr(y, name)
+        if (u.shape != v.shape and u.ndim == v.ndim) or not (u == v).all():
+            return False
+    return True
 
 
 def assert_rows(batched, per_row, ulps: int = 16) -> None:

@@ -28,7 +28,6 @@ from dvbcalc.dvb import (
     core_difference,
     core_embed,
     dual_iso_a,
-    elements_equal,
     pair_a,
     pair_b,
     pair_cstar_a,
@@ -326,7 +325,7 @@ def test_acceptance_structural():
         ]
         lhs = add_over_b(add_over_a(quads[0], quads[1]), add_over_a(quads[2], quads[3]))
         rhs = add_over_a(add_over_b(quads[0], quads[2]), add_over_b(quads[1], quads[3]))
-        ok = ok and elements_equal(lhs, rhs)
+        ok = ok and support.elements_equal(lhs, rhs)
 
         d1 = DvbElement(shape, m, a1, b1, support.rand_vec(rng, shape.dim_c))
         d2 = DvbElement(shape, m, a1, b1, support.rand_vec(rng, shape.dim_c))

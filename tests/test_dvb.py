@@ -21,7 +21,6 @@ from dvbcalc.dvb import (
     dual_iso_a_inverse,
     dual_iso_b,
     dual_iso_b_inverse,
-    elements_equal,
     pair_a,
     pair_b,
     pair_cstar_a,
@@ -94,8 +93,8 @@ def test_additive_structure_laws():
     a = support.rand_vec(RNG, shape.dim_a)
     b = support.rand_vec(RNG, shape.dim_b)
     d = DvbElement(shape, m, a, b, support.rand_vec(RNG, shape.dim_c))
-    assert elements_equal(add_over_a(d, zero_over_a(shape, m, a)), d)
-    assert elements_equal(add_over_b(d, zero_over_b(shape, m, b)), d)
+    assert support.elements_equal(add_over_a(d, zero_over_a(shape, m, a)), d)
+    assert support.elements_equal(add_over_b(d, zero_over_b(shape, m, b)), d)
     doubled = scale_over_a(2.0, d)
     assert np.array_equal(doubled.a, d.a)
     assert np.array_equal(doubled.b, 2.0 * d.b)
@@ -121,7 +120,7 @@ def test_interchange_law_exact_on_integers():
         d22 = DvbElement(shape, m, a2, b2, ivec(shape.dim_c))
         lhs = add_over_b(add_over_a(d11, d12), add_over_a(d21, d22))
         rhs = add_over_a(add_over_b(d11, d21), add_over_b(d12, d22))
-        assert elements_equal(lhs, rhs)
+        assert support.elements_equal(lhs, rhs)
 
 
 def test_incompatible_elements_raise():
@@ -343,9 +342,9 @@ def test_iso_round_trips_exact():
         support.rand_vec(RNG, shape.dim_b),
         support.rand_vec(RNG, shape.dim_a),
     )
-    assert elements_equal(dual_iso_a_inverse(dual_iso_a(mb)), mb)
+    assert support.elements_equal(dual_iso_a_inverse(dual_iso_a(mb)), mb)
     phi = dual_iso_a(mb)
-    assert elements_equal(dual_iso_a(dual_iso_a_inverse(phi)), phi)
+    assert support.elements_equal(dual_iso_a(dual_iso_a_inverse(phi)), phi)
     ma = IterACElement(
         shape,
         m,
@@ -353,17 +352,17 @@ def test_iso_round_trips_exact():
         support.rand_vec(RNG, shape.dim_a),
         support.rand_vec(RNG, shape.dim_b),
     )
-    assert elements_equal(dual_iso_b_inverse(dual_iso_b(ma)), ma)
+    assert support.elements_equal(dual_iso_b_inverse(dual_iso_b(ma)), ma)
     psi = dual_iso_b(ma)
-    assert elements_equal(dual_iso_b(dual_iso_b_inverse(psi)), psi)
+    assert support.elements_equal(dual_iso_b(dual_iso_b_inverse(psi)), psi)
 
 
 def test_elements_equal_discriminates_types():
     psi = _scalar_dual_b(1.0, 2.0, 3.0)
     ma = IterACElement(SCALAR_SHAPE, [], [1.0], [2.0], [3.0])
-    assert not elements_equal(psi, ma)
-    assert elements_equal(psi, _scalar_dual_b(1.0, 2.0, 3.0))
-    assert not elements_equal(psi, _scalar_dual_b(1.0, 2.0, 4.0))
+    assert not support.elements_equal(psi, ma)
+    assert support.elements_equal(psi, _scalar_dual_b(1.0, 2.0, 3.0))
+    assert not support.elements_equal(psi, _scalar_dual_b(1.0, 2.0, 4.0))
 
 
 def test_pair_duals_example_and_antisymmetry():
@@ -487,18 +486,18 @@ def test_dual_iso_a_additive_in_both_structures():
     summed = IterBCElement(shape, m, kappa, beta1 + beta2, a1 + a2)
     image_sum = dual_iso_a(summed)
     expected = DualAElement(shape, m, a1 + a2, (-beta1) + (-beta2), kappa)
-    assert elements_equal(image_sum, expected)
+    assert support.elements_equal(image_sum, expected)
 
     # Addition in the bundle over A: a fixed, (kappa, beta) slots add.
     kappa2 = support.rand_vec(RNG, shape.dim_c)
     summed_a = IterBCElement(shape, m, kappa + kappa2, beta1 + beta2, a1)
     expected_a = DualAElement(shape, m, a1, (-beta1) + (-beta2), kappa + kappa2)
-    assert elements_equal(dual_iso_a(summed_a), expected_a)
+    assert support.elements_equal(dual_iso_a(summed_a), expected_a)
 
     t = 1.75
     scaled = IterBCElement(shape, m, kappa, t * beta1, t * a1)
     expected_scaled = DualAElement(shape, m, t * a1, t * (-beta1), kappa)
-    assert elements_equal(dual_iso_a(scaled), expected_scaled)
+    assert support.elements_equal(dual_iso_a(scaled), expected_scaled)
 
 
 # -- the batch axis ------------------------------------------------------------
@@ -619,7 +618,7 @@ def test_solve_uses_only_the_pairings(monkeypatch):
 
     monkeypatch.setattr(dvb, "dual_iso_a", forbidden)
     for mb, closed in closed_form.values():
-        assert elements_equal(solve_dual_iso_a(mb), closed)
+        assert support.elements_equal(solve_dual_iso_a(mb), closed)
 
 
 def _random_iter_bc(shape, rows):
@@ -685,12 +684,12 @@ def test_elements_equal_lets_an_unbatched_component_stand_for_every_row():
     m, a = np.array([0.5]), np.array([1.0, -2.0])
     single = DvbElement(shape, m, a, [3.0], [4.0])
     batch = DvbElement(shape, np.tile(m, (3, 1)), np.tile(a, (3, 1)), [3.0], [[4.0]] * 3)
-    assert elements_equal(single, batch) and elements_equal(batch, single)
+    assert support.elements_equal(single, batch) and support.elements_equal(batch, single)
     changed = np.tile(a, (3, 1))
     changed[2, 1] = 0.0
-    assert not elements_equal(single, DvbElement(shape, m, changed, [3.0], [4.0]))
+    assert not support.elements_equal(single, DvbElement(shape, m, changed, [3.0], [4.0]))
     longer = DvbElement(shape, m, np.tile(a, (4, 1)), [3.0], [4.0])
-    assert not elements_equal(batch, longer)
+    assert not support.elements_equal(batch, longer)
 
 
 def test_same_matches_nan_in_the_same_positions_only():
@@ -738,10 +737,10 @@ def test_a_record_copies_every_other_component(make):
 
 def test_elements_equal_never_matches_a_nan_component():
     d = DvbElement(DvbShape(1, 1, 2, 0), [], [1.0], [2.0], [np.nan, 1.0])
-    assert not elements_equal(d, d)
+    assert not support.elements_equal(d, d)
     twin = DvbElement(d.shape, [], [1.0], [2.0], [np.nan, 1.0])
     assert twin.c is not d.c and twin.c.tobytes() == d.c.tobytes()
-    assert not elements_equal(d, twin)
+    assert not support.elements_equal(d, twin)
 
 
 def test_common_compares_shapes_by_value():

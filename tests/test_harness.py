@@ -262,6 +262,23 @@ def test_cli_suite_filter_with_sample_override(tmp_path):
     assert all(c["samples"] == 1000 for c in report["checks"])
 
 
+def test_cli_reuses_one_parser_and_each_call_keeps_only_its_own_options(tmp_path, capsys):
+    # main keeps the parser it builds; an appended option must not pile up across calls.
+    runs = {"first": ["duality-solve", "bracket"], "second": ["warp-pairing"]}
+    for name, chosen in runs.items():
+        argv = ["verify", "--demo", "--samples", "1", "--quiet", "--json-out", str(tmp_path / name)]
+        assert cli.main(argv + [arg for suite in chosen for arg in ("--suite", suite)]) == 0
+        report = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        assert report["config_echo"]["suites"] == chosen
+        assert {c["suite"] for c in report["checks"]} == set(chosen)
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--demo", "--suite", "nope"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_cli_quiet_writes_only_json(capsys):
     code = cli.main(["verify", "--demo", "--samples", "5", "--quiet"])
     assert code == 0

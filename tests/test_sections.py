@@ -10,7 +10,6 @@ from dvbcalc.dvb import (
     IterBCElement,
     add_over_a,
     core_embed,
-    elements_equal,
     pair_b,
     pair_cstar_a,
     pair_cstar_b,
@@ -98,7 +97,7 @@ def test_squarecap_b_frozen_example():
         MatrixMap.constant([[2.0]]),
     )
     cap = squarecap_b(xi, [], [3.0])
-    assert elements_equal(cap, IterBCElement(SCALAR_SHAPE, [], [3.0], [6.0], [5.0]))
+    assert support.elements_equal(cap, IterBCElement(SCALAR_SHAPE, [], [3.0], [6.0], [5.0]))
 
 
 def test_squarecap_defining_property():
@@ -292,6 +291,21 @@ def test_section_at_rejects_another_point():
         squarecap_b(at_m.xi, [0.25], [1.0])
 
 
+def test_a_grid_of_values_at_m_is_its_own_value_at_m(monkeypatch):
+    shape = DvbShape(2, 1, 2, 2)
+    grid = support.random_grid(RNG, shape)
+    for m in (np.array([0.5, -0.25]), support.rand_vec(RNG, (3, 2))):
+        at_m = grid.at(m)
+        assert at_m.at(m) is at_m and at_m.at(m.copy()) is at_m
+        built = []
+        monkeypatch.setattr(Grid, "__init__", lambda self, *args: built.append(args))
+        warp_pairing_check(at_m, m, support.rand_vec(RNG, shape.dim_c))
+        monkeypatch.undo()
+        assert built == []
+    with pytest.raises(IncompatibleElements):
+        grid.at(np.array([0.5, -0.25])).at(np.array([0.5, 0.25]))
+
+
 def test_section_values_equal_their_formulas_bitwise():
     for _ in range(20):
         shape = support.random_shape(RNG)
@@ -302,10 +316,10 @@ def test_section_values_equal_their_formulas_bitwise():
         y_val, mu = grid.eta.base_section(m), grid.eta.fiber_matrix(m)
 
         assert np.array_equal(warp(grid, m), lam @ y_val - mu @ x_val)
-        assert elements_equal(
+        assert support.elements_equal(
             squarecap_b(grid.xi, m, kappa), IterBCElement(shape, m, kappa, lam.T @ kappa, x_val)
         )
-        assert elements_equal(
+        assert support.elements_equal(
             squarecap_a(grid.eta, m, kappa), IterACElement(shape, m, kappa, mu.T @ kappa, y_val)
         )
         alpha, b = support.rand_vec(RNG, shape.dim_a), support.rand_vec(RNG, shape.dim_b)

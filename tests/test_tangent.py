@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dvbcalc import jets
 from dvbcalc.charts import Chart, Connection, TrivialBundle
-from dvbcalc.dvb import DualAElement, DvbElement, DvbShape, IncompatibleElements, elements_equal
+from dvbcalc.dvb import DualAElement, DvbElement, DvbShape, IncompatibleElements
 from dvbcalc.expressions import Add, Mul, Num, Pow, Sub, Var
 from dvbcalc.smoothmaps import (
     DimensionMismatch,
@@ -58,7 +58,7 @@ def test_complete_lift_is_involution_of_tangent_lift():
         v = support.rand_vec(RNG, n)
         direct = complete_lift(x_field)(x, v)
         t = tangent_lift(x_field)(x, v)
-        assert elements_equal(direct, DvbElement(t.shape, t.m, t.b, t.a, t.c))
+        assert support.elements_equal(direct, DvbElement(t.shape, t.m, t.b, t.a, t.c))
 
 
 def test_constant_field_lifts_with_zero_core():
@@ -78,10 +78,10 @@ def test_tangent_point_validation():
 def test_tangent_points_are_equal_only_bitwise_and_by_type():
     t = support.tangent_point([1.0], [2.0], [3.0], [4.0])
     nudged = support.tangent_point([1.0], [2.0], [3.0], [4.0 + 1e-12])
-    assert not elements_equal(t, nudged)
-    assert elements_equal(t, support.tangent_point([1.0], [2.0], [3.0], [4.0]))
+    assert not support.elements_equal(t, nudged)
+    assert support.elements_equal(t, support.tangent_point([1.0], [2.0], [3.0], [4.0]))
     cot = DualAElement(t.shape, [1.0], [2.0], [3.0], [4.0])
-    assert not elements_equal(t, cot)
+    assert not support.elements_equal(t, cot)
 
 
 def test_bracket_via_warp_matches_oracle():
@@ -346,11 +346,11 @@ def test_lifts_equal_their_linear_sections():
         v = support.rand_vec(RNG, 2)
         a = support.rand_vec(RNG, 3)
         grid = double_tangent_grid(x_field, y_field)
-        assert elements_equal(complete_lift(x_field)(m, v), grid.eta(m, v))
-        assert elements_equal(tangent_lift(y_field)(m, v), grid.xi(m, v))
+        assert support.elements_equal(complete_lift(x_field)(m, v), grid.eta(m, v))
+        assert support.elements_equal(tangent_lift(y_field)(m, v), grid.xi(m, v))
         grid = connection_grid(conn, x_field, mu)
-        assert elements_equal(tangent_lift(mu)(m, v), grid.xi(m, v))
-        assert elements_equal(horizontal_field(conn, x_field)(m, a), grid.eta(m, a))
+        assert support.elements_equal(tangent_lift(mu)(m, v), grid.xi(m, v))
+        assert support.elements_equal(horizontal_field(conn, x_field)(m, a), grid.eta(m, a))
 
 
 def test_connection_grid_shape_and_warp():
